@@ -6,7 +6,8 @@ Commands
     Minimize the certificate energy for the configured model and write
     ``trajectory.csv``, ``report.json``, ``history.csv`` and ``profiles.dat``
     into the configured output directory.  Exit 0 iff the zero-energy
-    certificate accepts the result.
+    certificate accepts the result.  A stalled line search still writes the
+    last iterate, with a ``failure`` block in the report, then exits 3.
 ``baseline <cfg>``
     March the implicit stepping scheme and write the same artifacts (minus
     the iteration history).
@@ -23,7 +24,7 @@ Configs are flat ``section.key = value`` text files ('#' and ';' start
 comments).  Unknown or malformed keys abort with exit code 2 and a message
 naming the key.  Exit codes: 0 success, 1 criterion not met, 2 config
 error, 3 numerical failure, 4 I/O error.  Stdout carries a one-line
-summary; diagnostics go to stderr.  ``BEN_THREADS`` caps worker threads.
+summary; diagnostics go to stderr.
 All emitted files are UTF-8 with LF line endings and ``%.17g`` numbers.
 """
 
@@ -44,6 +45,7 @@ from .errors import (
     BenpdeError,
     ConfigError,
     ConjugateSolveError,
+    LineSearchError,
     NonFiniteInputError,
 )
 from .grid import (
@@ -82,7 +84,7 @@ _GRID_KEYS = {"dim", "n"}
 _TIME_KEYS = {"T0", "M"}
 _INITIAL_KEYS = {"profile", "path", "amplitude"}
 _SOLVE_KEYS = {"max_iters", "grad_tol", "energy_tol", "armijo_c1", "backtrack",
-               "max_line_trials", "use_lbfgs", "memory", "seed", "init",
+               "max_line_trials", "memory", "seed", "init",
                "noise", "tol"}
 _VERIFY_KEYS = {"samples", "seed", "amplitude"}
 _GRADCHECK_KEYS = {"trajectories", "directions", "step", "seed"}
@@ -296,7 +298,6 @@ def load_config(path) -> RunConfig:
             backtrack=_get(values, "solve.backtrack", float, default=0.5),
             max_line_trials=_get(values, "solve.max_line_trials", int,
                                  default=40),
-            use_lbfgs=_get(values, "solve.use_lbfgs", _bool, default=True),
             memory=_get(values, "solve.memory", int, default=10),
             seed=_get(values, "solve.seed", int, default=0),
         )
@@ -359,11 +360,6 @@ def _write_report(path: Path, payload: dict) -> None:
                     newline="\n")
 
 
-def _trajectory_mixed_norm(traj: Trajectory) -> float:
-    w = traj.tau * traj.grid.cell_volume
-    return float(np.sqrt(w * np.sum(traj.states**2)))
-
-
 # -- commands ----------------------------------------------------------------------
 
 
@@ -374,7 +370,10 @@ def _cmd_solve(cfg: RunConfig) -> int:
         init = random_initial_trajectory(cfg.grid, cfg.times, cfg.w0,
                                          seed=cfg.options.seed,
                                          noise=cfg.init_noise)
-    outcome = minimize(cfg.model, init, cfg.options)
+    try:
+        outcome, failure = minimize(cfg.model, init, cfg.options), None
+    except LineSearchError as exc:
+        outcome, failure = exc.outcome, exc
     verdict = certificate(cfg.model, outcome.trajectory, cfg.tol)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -385,7 +384,11 @@ def _cmd_solve(cfg: RunConfig) -> int:
     payload["certificate"] = verdict.to_json_dict()
     payload["iterations"] = outcome.iterations
     payload["converged"] = outcome.converged
-    if cfg.compare_baseline:
+    if failure is not None:
+        payload["failure"] = {"kind": type(failure).__name__,
+                              "message": str(failure),
+                              "iterations": outcome.iterations}
+    elif cfg.compare_baseline:
         base = implicit_baseline(cfg.model, cfg.w0, cfg.times)
         result = compare(outcome.trajectory, base)
         payload["compare_baseline"] = {
@@ -399,6 +402,9 @@ def _cmd_solve(cfg: RunConfig) -> int:
           f"normalized={outcome.report.normalized:.3e} "
           f"defect={outcome.report.defect_norm:.3e} "
           f"iterations={outcome.iterations} -> {cfg.out_dir}")
+    if failure is not None:
+        print(f"solve: {failure}", file=sys.stderr)
+        return 3
     return 0 if verdict.solved else 1
 
 

@@ -34,12 +34,12 @@ __all__ = [
     "ConjugateValue",
     "eval_psi",
     "grad_psi",
-    "hess_psi",
     "eval_conjugate",
     "fenchel_gap",
     "conjugate_exponent",
     "radial_value",
     "radial_slope",
+    "radial_coefficient",
     "conjugate_radius",
 ]
 
@@ -129,12 +129,20 @@ def radial_slope(density: PowerDensity, s):
     return a * s ** (q - 1.0) + eps * s
 
 
-def _radial_curvature(density, r):
+def radial_coefficient(density: PowerDensity, s, curvature: bool = False):
+    """Radial coefficient ``a s^{q-2} + eps`` at magnitudes ``s >= 0``.
+
+    It is the factor of the gradient law ``Dpsi(xi) = c(|xi|) xi``.  With
+    ``curvature`` it is ``a (q-1) s^{q-2} + eps`` instead, the derivative of
+    :func:`radial_slope` and the second derivative of psi along ``xi``.  Both
+    read ``a + eps`` everywhere when ``q = 2``.
+    """
+    s = np.asarray(s, dtype=float)
     a, q, eps = density.coefficient, density.exponent, density.regularizer
-    r = np.asarray(r, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(r > 0.0, a * (q - 1.0) * r ** (q - 2.0), a * (q == 2.0))
-    return p + eps
+    if q == 2.0:
+        return np.full_like(s, a + eps)
+    k = a * (q - 1.0) if curvature else a
+    return k * s ** (q - 2.0) + eps
 
 
 def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
@@ -173,7 +181,7 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
     polish = np.where(s == 0.0, -1, 2)
     worst_iters = 0
     for it in range(max_iters):
-        f = a * r ** (q - 1.0) + eps * r - s
+        f = radial_slope(density, r) - s
         done = np.abs(f) <= target_tol
         polish = np.where(done, polish - 1, 2)
         active = polish >= 0
@@ -182,7 +190,7 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
         worst_iters = it + 1
         lo = np.where(f < 0.0, np.maximum(lo, r), lo)
         hi = np.where(f > 0.0, np.minimum(hi, r), hi)
-        fp = a * (q - 1.0) * r ** (q - 2.0) + eps
+        fp = radial_coefficient(density, r, curvature=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(fp > 0.0, f / fp, 0.0)
         r_new = r - step
@@ -190,7 +198,7 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
         r_new = np.where(out & active, 0.5 * (lo + hi), r_new)
         r = np.where(active, r_new, r)
     else:
-        f = a * r ** (q - 1.0) + eps * r - s
+        f = radial_slope(density, r) - s
         bad = np.abs(f) > target_tol
         if np.any(bad):
             idx = int(np.argmax(np.abs(f)))
@@ -214,26 +222,7 @@ def eval_psi(density: PowerDensity, xi) -> float:
 def grad_psi(density: PowerDensity, xi) -> np.ndarray:
     """Gradient ``Dpsi(xi) = (a |xi|^{q-2} + eps) xi``, same shape as xi."""
     arr = _as_clean_array(xi, "xi")
-    a, q, eps = density.coefficient, density.exponent, density.regularizer
-    s = np.linalg.norm(arr)
-    if s == 0.0:
-        coef = eps + (a if q == 2.0 else 0.0)
-    else:
-        coef = a * s ** (q - 2.0) + eps
-    return coef * arr
-
-
-def hess_psi(density: PowerDensity, xi) -> np.ndarray:
-    """Hessian ``D^2 psi(xi)`` as a dense matrix on the flattened vector."""
-    arr = _as_clean_array(xi, "xi").ravel()
-    n = arr.size
-    a, q, eps = density.coefficient, density.exponent, density.regularizer
-    s = np.linalg.norm(arr)
-    eye = np.eye(n)
-    if s == 0.0:
-        return (eps + (a if q == 2.0 else 0.0)) * eye
-    outer = np.outer(arr, arr) / s**2
-    return (a * s ** (q - 2.0) + eps) * eye + a * (q - 2.0) * s ** (q - 2.0) * outer
+    return radial_coefficient(density, np.linalg.norm(arr)) * arr
 
 
 def eval_conjugate(density: PowerDensity, y, tol: float = NEWTON_TOL,

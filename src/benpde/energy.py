@@ -25,8 +25,7 @@ defect ``W_k = lam * m_k - DPsi*(H_k)`` and for the gradient assembly, so one
 energy evaluation prices all certificate quantities at once.
 
 Quadratic densities evaluate all time slices in one batched linear solve;
-non-quadratic ones solve slices independently (optionally in parallel, see
-:mod:`benpde.runtime`), with reductions in fixed slice order either way.
+non-quadratic ones solve the slices one after another.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from .models import (
     psi_hessian_edge_weights,
     psi_total,
 )
-from .runtime import map_indexed
 
 __all__ = [
     "EnergyReport",
@@ -181,9 +179,8 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
     ``DPsi(argmax) = y`` and ``values = <argmax, y> - Psi(argmax)``.  ``y``
     may carry leading batch axes; quadratic densities are solved for all
     batch entries in one factorized solve, other exponents one slice at a
-    time (parallel under ``BEN_THREADS``), raising
-    :class:`~benpde.errors.ConjugateSolveError` tagged with the slice index
-    on failure.
+    time, raising :class:`~benpde.errors.ConjugateSolveError` tagged with the
+    slice index on failure.
     """
     arr = np.asarray(y, dtype=float)
     single = arr.ndim == grid.dim + 1
@@ -201,18 +198,17 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
             raise ValueError(
                 "non-quadratic conjugate solves support one-component fields")
         flat = arr.reshape((-1,) + arr.shape[-(grid.dim + 1):])
-
-        def one(i: int):
+        z = np.empty_like(flat)
+        iters = 0
+        for i, yi in enumerate(flat):
             try:
-                return _conjugate_newton_single(density, grid, flat[i], tol,
-                                                max_iters)
+                z[i], it = _conjugate_newton_single(density, grid, yi, tol,
+                                                    max_iters)
             except ConjugateSolveError as exc:
                 raise ConjugateSolveError(
                     f"slice {i}: {exc}", exc.residual, exc.iterations) from exc
-
-        solved = map_indexed(one, flat.shape[0])
-        z = np.stack([zi for zi, _ in solved]).reshape(arr.shape)
-        iters = max(it for _, it in solved) if solved else 0
+            iters = max(iters, it)
+        z = z.reshape(arr.shape)
 
     values = (h_inner_batch(grid, z, arr)
               - np.atleast_1d(psi_total(density, grid, z)).reshape(lead))
@@ -224,27 +220,23 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
 # -- residual and energy ------------------------------------------------------------
 
 
-def _midpoint_frames(traj: Trajectory):
-    u = traj.states
-    mids = 0.5 * (u[:-1] + u[1:])
-    dudt = (u[1:] - u[:-1]) / traj.tau
-    t_mid = 0.5 * (traj.times[:-1] + traj.times[1:])
-    return mids, dudt, t_mid
-
-
-def residual_all(model: ModelSpec, traj: Trajectory) -> np.ndarray:
-    """Dual residuals of every interval, shape ``(M, k, *grid.shape)``."""
-    mids, dudt, t_mid = _midpoint_frames(traj)
-    return -dudt - lambda_density(model, traj.grid, mids, t_mid)
+def _dual_residuals(model: ModelSpec, traj: Trajectory, intervals=slice(None)):
+    """Midpoints ``m_k``, midpoint times and dual residuals ``H_k`` of the
+    selected intervals, each with the interval axis in front."""
+    u0 = traj.states[:-1][intervals]
+    u1 = traj.states[1:][intervals]
+    mids = 0.5 * (u0 + u1)
+    t_mid = 0.5 * (traj.times[:-1] + traj.times[1:])[intervals]
+    H = -(u1 - u0) / traj.tau - lambda_density(model, traj.grid, mids, t_mid)
+    return mids, t_mid, H
 
 
 def residual(model: ModelSpec, traj: Trajectory, k: int) -> Field:
     """Dual residual ``H_k`` of interval ``k`` as a nodal density field."""
     if not 0 <= k < traj.n_steps:
         raise IndexError(f"interval index {k} out of range")
-    mids, dudt, t_mid = _midpoint_frames(traj)
-    h = -dudt[k] - lambda_density(model, traj.grid, mids[k], float(t_mid[k]))[0]
-    return Field(traj.grid, h)
+    _, _, H = _dual_residuals(model, traj, slice(k, k + 1))
+    return Field(traj.grid, H[0])
 
 
 def _lq_time_norm(tau: float, slice_norms: np.ndarray, q: float) -> float:
@@ -257,8 +249,7 @@ def _assemble(model: ModelSpec, traj: Trajectory):
     d = model.density
     lam = float(model.lam)
     tau = traj.tau
-    mids, dudt, t_mid = _midpoint_frames(traj)
-    H = -dudt - lambda_density(model, grid, mids, t_mid)
+    mids, t_mid, H = _dual_residuals(model, traj)
 
     if model.lam:
         psi_slices = np.atleast_1d(psi_total(d, grid, lam * mids))

@@ -29,7 +29,7 @@ five-point scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -55,6 +55,7 @@ __all__ = [
     "dual_grad_norm",
     "paired_time_derivative",
     "midpoint_state",
+    "mixed_norm",
     "uniform_times",
     "save_trajectory_csv",
     "load_trajectory_csv",
@@ -412,6 +413,13 @@ def midpoint_state(traj: Trajectory, k: int) -> Field:
     if not 0 <= k < traj.n_steps:
         raise IndexError(f"slice index {k} out of range")
     return Field(traj.grid, 0.5 * (traj.states[k] + traj.states[k + 1]))
+
+
+def mixed_norm(traj: Trajectory, values=None) -> float:
+    """Space-time L2 norm ``sqrt(tau * h^dim * sum(values^2))`` on the
+    trajectory's grid and time step; ``values`` defaults to its states."""
+    x = traj.states if values is None else np.asarray(values, dtype=float)
+    return float(np.sqrt(traj.tau * traj.grid.cell_volume * np.sum(x * x)))
 
 
 # -- persistence ---------------------------------------------------------------

@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .convex import PowerDensity, radial_value
+from .convex import PowerDensity, radial_coefficient, radial_value
 from .errors import ModelEvaluationError, NonFiniteInputError
 from .grid import (
     Field,
@@ -53,7 +53,6 @@ from .grid import (
     h_inner,
     poisson_solve,
 )
-from .runtime import map_indexed
 
 __all__ = [
     "ReactionTerm",
@@ -210,17 +209,11 @@ def psi_total(density: PowerDensity, grid: SpaceGrid, values):
 
 def psi_grad_edges(density: PowerDensity, grid: SpaceGrid, values) -> list:
     """Per-axis edge values of ``Dpsi(grad u)`` (radial gradient law)."""
-    arr = _to_batch(values, grid)
-    a, q, eps = density.coefficient, density.exponent, density.regularizer
     comp = -(grid.dim + 1)
     out = []
-    for g in gradient(grid, arr):
+    for g in gradient(grid, _to_batch(values, grid)):
         mag = np.sqrt(np.sum(g**2, axis=comp, keepdims=True))
-        if q == 2.0:
-            coef = a + eps
-        else:
-            coef = a * mag ** (q - 2.0) + eps
-        out.append(coef * g)
+        out.append(radial_coefficient(density, mag) * g)
     return out
 
 
@@ -239,14 +232,10 @@ def psi_hessian_edge_weights(density: PowerDensity, grid: SpaceGrid, values) -> 
     arr = _to_batch(values, grid)
     if arr.shape[-(grid.dim + 1)] != 1:
         raise ValueError("hessian edge weights require a one-component field")
-    a, q, eps = density.coefficient, density.exponent, density.regularizer
     weights = []
     for g in gradient(grid, arr):
         mag = np.abs(np.squeeze(g, axis=-(grid.dim + 1)))
-        if q == 2.0:
-            w = np.full_like(mag, a + eps)
-        else:
-            w = a * (q - 1.0) * mag ** (q - 2.0) + eps
+        w = radial_coefficient(density, mag, curvature=True)
         weights.append(w.reshape(*w.shape[: -grid.dim], -1))
     return weights
 
@@ -778,8 +767,9 @@ def check_condition(model: ModelSpec, grid: SpaceGrid, condition: str, *,
     stays above ``-1e-9``.
 
     Each sample draws its own RNG stream from ``(seed, condition, index)``,
-    so results are reproducible and independent of evaluation order (the
-    sample loop parallelises under ``BEN_THREADS``).
+    so results are reproducible and independent of evaluation order.  The
+    report keeps the worst margin and the first :data:`MAX_WITNESSES`
+    failing samples in index order.
     """
     if condition not in _CONDITIONS:
         raise ValueError(
@@ -787,17 +777,15 @@ def check_condition(model: ModelSpec, grid: SpaceGrid, condition: str, *,
     margin_fn, needs_h = _CONDITIONS[condition]
     cond_tag = sorted(_CONDITIONS).index(condition)
 
-    def one(i: int):
+    worst = np.inf
+    witnesses = []
+    for i in range(samples):
         rng = np.random.default_rng([seed, cond_tag, i])
         t = float(rng.uniform(*t_range))
         x = _sample_field(grid, rng, amplitude)
         h = _sample_field(grid, rng, amplitude) if needs_h else None
-        return float(margin_fn(model, grid, x, h, t)), x, h, t
-
-    results = map_indexed(one, samples)
-    worst = min(m for m, _, _, _ in results)
-    witnesses = []
-    for m, x, h, t in results:
+        m = float(margin_fn(model, grid, x, h, t))
+        worst = min(worst, m)
         if m < MARGIN_FLOOR and len(witnesses) < MAX_WITNESSES:
             wit = {"margin": m, "t": t, "x": np.asarray(x).ravel().tolist()}
             if h is not None:

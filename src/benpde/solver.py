@@ -18,6 +18,7 @@ initializations to expose (non-)uniqueness of the reachable minimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +31,14 @@ from .energy import (
     trajectory_grad_norm,
 )
 from .errors import LineSearchError, TimeStepError
-from .grid import Field, SpaceGrid, Trajectory, h_norm, weighted_neg_laplacian
+from .grid import (
+    Field,
+    SpaceGrid,
+    Trajectory,
+    h_norm,
+    mixed_norm,
+    weighted_neg_laplacian,
+)
 from .models import (
     ModelSpec,
     dlambda_matrix,
@@ -71,9 +79,8 @@ class SolveOptions:
     ``grad_tol`` stops on the time-weighted gradient norm, ``energy_tol`` on
     the normalized energy; whichever hits first.  The line search is Armijo
     backtracking with slope fraction ``armijo_c1`` and step factor
-    ``backtrack``.  ``use_lbfgs`` false falls back to plain steepest descent
-    (kept for debugging and pedagogy).  ``seed`` controls random
-    initialization helpers, not the descent itself, which is deterministic.
+    ``backtrack``.  ``seed`` controls random initialization helpers, not the
+    descent itself, which is deterministic.
     """
 
     max_iters: int = 500
@@ -82,7 +89,6 @@ class SolveOptions:
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
     max_line_trials: int = 40
-    use_lbfgs: bool = True
     memory: int = 10
     seed: int = 0
 
@@ -199,7 +205,7 @@ def minimize(model: ModelSpec, init: Trajectory,
 
     iterations = 0
     while not done(report, gnorm) and iterations < opts.max_iters:
-        if opts.use_lbfgs and mem:
+        if mem:
             q = g.copy()
             alphas = []
             for s, y, rho in reversed(mem):
@@ -338,13 +344,8 @@ def compare(a: Trajectory, b: Trajectory) -> CompareResult:
                          f"{b.states.shape}")
     if not np.allclose(a.times, b.times, rtol=0.0, atol=1e-12):
         raise ValueError("trajectories live on different time nodes")
-    w = a.tau * a.grid.cell_volume
-
-    def mixed(x):
-        return float(np.sqrt(w * np.sum(x * x)))
-
-    diff = mixed(a.states - b.states)
-    denom = max(mixed(a.states), mixed(b.states))
+    diff = mixed_norm(a, a.states - b.states)
+    denom = max(mixed_norm(a), mixed_norm(a, b.states))
     rel = 0.0 if diff == 0.0 else diff / denom
     return CompareResult(rel_l2=rel,
                          max_node=float(np.max(np.abs(a.states - b.states))))
@@ -382,17 +383,10 @@ def uniqueness_probe(model: ModelSpec, grid: SpaceGrid, times, w0,
             f"converged", outcome=None)
 
     worst = 0.0
-    for i in range(len(converged)):
-        for j in range(i + 1, len(converged)):
-            a, b = converged[i].trajectory, converged[j].trajectory
-            w = a.tau * a.grid.cell_volume
-
-            def mixed(x):
-                return float(np.sqrt(w * np.sum(x * x)))
-
-            if max(mixed(a.states), mixed(b.states)) <= DEGENERATE_SCALE:
-                worst = max(worst, mixed(a.states - b.states))
-            else:
-                worst = max(worst, compare(a, b).rel_l2)
+    for a, b in combinations([o.trajectory for o in converged], 2):
+        if max(mixed_norm(a), mixed_norm(a, b.states)) <= DEGENERATE_SCALE:
+            worst = max(worst, mixed_norm(a, a.states - b.states))
+        else:
+            worst = max(worst, compare(a, b).rel_l2)
     return ProbeResult(max_pairwise=worst, seeds=seeds, converged=flags,
                        outcomes=outcomes)

@@ -2,7 +2,6 @@
 
 Each test prints a single ``[criterion N] PASS/FAIL`` line (visible with
 ``pytest -s``) before asserting, so a red run still reports every verdict.
-All runs are single-threaded unless ``BEN_THREADS`` says otherwise.
 """
 
 import time

@@ -50,6 +50,30 @@ def test_heat_config_solves_and_writes_artifacts(heat_run):
     assert len(profiles[1].split()) == 4  # t plus three probe nodes
 
 
+def test_line_search_failure_writes_last_iterate(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "stall.cfg").write_text(
+        "model.name = heat\ngrid.n = 9\ntime.T0 = 0.1\ntime.M = 8\n"
+        "solve.noise = 1.0\nsolve.max_line_trials = 1\noutputs.dir = out\n")
+    assert main(["solve", "stall.cfg"]) == 3
+    captured = capsys.readouterr()
+    assert len(captured.out.strip().splitlines()) == 1
+    assert "line search" in captured.err
+    out_dir = tmp_path / "out"
+    cfg = load_config(tmp_path / "stall.cfg")
+    traj = load_trajectory_csv(out_dir / "trajectory.csv", cfg.grid)
+    assert traj.states.shape == (9, 1, 9)
+    report = json.loads((out_dir / "report.json").read_text())
+    failure = report["failure"]
+    assert failure["kind"] == "LineSearchError"
+    assert "line search" in failure["message"]
+    assert failure["iterations"] == report["iterations"]
+    assert report["converged"] is False
+    history = (out_dir / "history.csv").read_text().splitlines()
+    assert len(history) == report["iterations"] + 2
+
+
 def test_history_energy_is_nonincreasing(heat_run):
     _, out_dir = heat_run
     rows = np.loadtxt(out_dir / "history.csv", delimiter=",", skiprows=1)
@@ -111,6 +135,7 @@ def test_zero_time_steps_rejected_naming_key(tmp_path, monkeypatch, capsys):
     ("warp.factor = 9", "warp.factor"),
     ("grid.n = fast", "grid.n"),
     ("model.kappa = 2.0", "model.kappa"),  # not a heat-model parameter
+    ("solve.use_lbfgs = false", "solve.use_lbfgs"),
 ])
 def test_malformed_keys_rejected(tmp_path, monkeypatch, capsys, line, key):
     monkeypatch.chdir(tmp_path)

@@ -112,20 +112,10 @@ def test_minimize_matches_baseline_at_coarse_tolerance():
     assert compare(out.trajectory, base).rel_l2 <= COARSE_SCHEME_GAP
 
 
-def test_steepest_descent_flag_descends():
-    grid, times, w0 = _sine_setup()
-    init = random_initial_trajectory(grid, times, w0, seed=4)
-    opts = SolveOptions(max_iters=40, grad_tol=1e-13, energy_tol=1e-12,
-                        use_lbfgs=False)
-    out = minimize(build_model("heat"), init, opts)
-    assert out.history[-1, 0] < 0.2 * out.history[0, 0]
-    assert np.all(np.diff(out.history[:, 0]) <= 0.0)
-
-
 def test_line_search_failure_carries_last_outcome():
     grid, times, w0 = _sine_setup()
     init = random_initial_trajectory(grid, times, w0, seed=0, noise=1.0)
-    opts = SolveOptions(max_iters=200, max_line_trials=1, use_lbfgs=False)
+    opts = SolveOptions(max_iters=200, max_line_trials=1)
     with pytest.raises(LineSearchError) as info:
         minimize(build_model("heat"), init, opts)
     out = info.value.outcome
