@@ -15,8 +15,9 @@ the conjugate reduces to the scalar monotone equation
 
     a r^{q-1} + eps r = |y|
 
-for the radius ``r = |z*|``, solved here by a guarded Newton iteration with
-a bisection fallback.  The solve is cheap, vectorises over batches of radii,
+for the radius ``r = |z*|``, solved in closed form for ``q = 2`` and ``q = 4``
+and otherwise by a guarded Newton iteration with a bisection fallback.  The
+solve is cheap, vectorises over batches of radii,
 and is accurate to machine precision, which the Fenchel-Young based
 certificates downstream rely on.
 """
@@ -145,13 +146,33 @@ def radial_coefficient(density: PowerDensity, s, curvature: bool = False):
     return k * s ** (q - 2.0) + eps
 
 
+def _cubic_radius(a: float, eps: float, s: np.ndarray) -> np.ndarray:
+    """Root of ``a r^3 + eps r = s`` (``s >= 0``) by Cardano plus one Newton
+    polish.
+
+    With ``Q = s/a`` and ``p = eps/(3a)`` the root is ``u - v`` where
+    ``u^3 = Q/2 + sqrt(Q^2/4 + p^3)`` and ``uv = p``.  It is evaluated as
+    ``Q / (u^2 + uv + v^2)``, which has no cancellation when ``p`` is small
+    against ``Q``; ``u = 0`` only when ``s = eps = 0``.
+    """
+    Q = s / a
+    p = eps / (3.0 * a)
+    u = np.cbrt(0.5 * Q + np.hypot(0.5 * Q, p**1.5))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = p / u
+        r = np.where(u > 0.0, Q / (u * u + p + v * v), 0.0)
+        slope = 3.0 * a * r * r + eps
+        return r - np.where(slope > 0.0, (a * r**3 + eps * r - s) / slope, 0.0)
+
+
 def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
                      max_iters: int = NEWTON_MAX_ITERS):
     """Solve ``a r^{q-1} + eps r = s`` for ``r >= 0``, elementwise.
 
-    Newton iteration started from the upper end of the bracket
-    ``[0, max(1, s)^{1/(q-1)} a^{-1/(q-1)} + s / max(eps, 1)]``; since the
-    profile is convex and increasing, Newton from above decreases
+    ``q = 2`` is linear and ``q = 4`` a cubic, both solved in closed form.
+    Other exponents use Newton iteration started from the upper end of the
+    bracket ``[0, max(1, s)^{1/(q-1)} a^{-1/(q-1)} + s / max(eps, 1)]``;
+    since the profile is convex and increasing, Newton from above decreases
     monotonically onto the root, and a bisection step guards every update
     that would leave the bracket.  Returns ``(r, iterations)`` where
     ``iterations`` is the worst case over the batch.
@@ -166,6 +187,9 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
     if q == 2.0:
         r = s / (a + eps)
         return (float(r[0]) if scalar_in else r), 0
+    if q == 4.0:
+        r = _cubic_radius(a, eps, s)
+        return (float(r[0]) if scalar_in else r), 1
 
     lo = np.zeros_like(s)
     hi = np.maximum(1.0, s) ** (1.0 / (q - 1.0)) * a ** (-1.0 / (q - 1.0))

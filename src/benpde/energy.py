@@ -18,14 +18,18 @@ the ``normalized`` field of the report measures closeness to that certificate
 on the natural scale of the terms themselves.
 
 ``Psi*`` is evaluated by solving the stationarity equation ``DPsi(z) = y``
-globally on the grid: a single symmetric positive-definite solve for
-quadratic densities, a damped Newton iteration with a weighted-Laplacian
-Jacobian otherwise.  The maximizer ``z = DPsi*(y)`` is reused for the primal
-defect ``W_k = lam * m_k - DPsi*(H_k)`` and for the gradient assembly, so one
+globally on the grid.  Quadratic densities need one symmetric
+positive-definite solve.  Other densities in one dimension are solved
+exactly: ``D^T w = y`` fixes the edge fluxes up to one constant per slice,
+the edge law is inverted pointwise, and the constant solves a monotone
+scalar equation that encodes the zero boundary values.  In two dimensions a
+damped Newton iteration with a weighted-Laplacian Jacobian solves each slice
+in turn.  The maximizer ``z = DPsi*(y)`` is reused for the primal defect
+``W_k = lam * m_k - DPsi*(H_k)`` and for the gradient assembly, so one
 energy evaluation prices all certificate quantities at once.
 
-Quadratic densities evaluate all time slices in one batched linear solve;
-non-quadratic ones solve the slices one after another.
+Every path but the two-dimensional non-quadratic one handles all time
+slices at once.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .convex import PowerDensity
+from .convex import PowerDensity, conjugate_radius, radial_coefficient
 from .errors import ConjugateSolveError
 from .grid import (
     Field,
@@ -72,10 +76,12 @@ __all__ = [
 #: Additive floor in the ``normalized`` denominator (degenerate-input safety).
 NORMALIZATION_FLOOR = 1e-30
 
-#: Relative residual tolerance of the dual Newton solves.
+#: Relative residual tolerance of the conjugate solves: of ``sum(g) = 0``
+#: against ``sum(|g|)`` in 1-D, of ``DPsi(z) = y`` in the H norm in 2-D.
 CONJUGATE_TOL = 1e-12
 
-#: Iteration cap of the dual Newton solves.
+#: Iteration cap of the conjugate solves (scalar steps in 1-D, dual Newton
+#: steps in 2-D).
 CONJUGATE_MAX_ITERS = 60
 
 
@@ -140,7 +146,7 @@ class CertificateVerdict:
 
 def _conjugate_newton_single(density: PowerDensity, grid: SpaceGrid,
                              y: np.ndarray, tol: float, max_iters: int):
-    """Damped Newton for ``DPsi(z) = y`` on one slice (scalar fields)."""
+    """Damped Newton for ``DPsi(z) = y`` on one 2-D slice (scalar fields)."""
     z = np.zeros_like(y)
     g = -y.astype(float)
     res = h_norm(grid, g)
@@ -170,6 +176,65 @@ def _conjugate_newton_single(density: PowerDensity, grid: SpaceGrid,
         res, max_iters)
 
 
+def _conjugate_exact_1d(density: PowerDensity, grid: SpaceGrid,
+                        y: np.ndarray, tol: float, max_iters: int):
+    """Exact solve of ``DPsi(z) = y`` in 1-D for every row of ``y`` (rows, n).
+
+    ``DPsi(z) = D^T w`` with the edge fluxes ``w = phi(Dz)``, where
+    ``phi(g) = (a|g|^{q-2} + eps) g``.  ``D^T w = y`` gives ``w = c - S`` with
+    ``S = h [0, cumsum(y)]`` on the ``n+1`` edges, so the edge gradients are
+    ``g = phi^{-1}(c - S)``.  The zero boundary values require
+    ``F(c) = sum(g) = 0``; ``F`` is increasing with a root in
+    ``[min S, max S]``, started from the mean of ``S`` (exact when ``phi``
+    is linear).  Newton steps on ``c`` fall back to bisection when they
+    leave the bracket or fail to halve ``|F|``.  Once
+    ``|F| <= tol * sum(|g|)``, one more Newton step polishes ``c`` and the
+    row is frozen; a row whose Newton step is below the spacing of ``c`` is
+    frozen at once.  Then ``z = h cumsum(g)``.
+
+    Returns ``(z, steps)``, ``steps`` being the most scalar steps any row
+    took.  Raises :class:`ConjugateSolveError` tagged with the index of the
+    first unsolved row when ``max_iters`` steps do not suffice.
+    """
+    rows, n = y.shape
+    S = np.zeros((rows, n + 1))
+    S[:, 1:] = grid.h * np.cumsum(y, axis=1)
+    lo, hi = S.min(axis=1), S.max(axis=1)
+    c = S.mean(axis=1)
+    last = np.full(rows, np.inf)  # |F| at the previous step of each row
+    polished = np.zeros(rows, dtype=bool)
+    g = np.empty_like(S)
+    todo = np.arange(rows)
+    for steps in range(max_iters + 1):
+        w = c[todo, None] - S[todo]
+        r, _ = conjugate_radius(density, np.abs(w))
+        g[todo] = np.copysign(r, w)
+        f = g[todo].sum(axis=1)
+        with np.errstate(divide="ignore"):
+            slope = np.sum(
+                1.0 / radial_coefficient(density, r, curvature=True), axis=1)
+        newton = c[todo] - f / slope
+        met = np.abs(f) <= tol * r.sum(axis=1)
+        done = polished[todo] | (
+            np.abs(newton - c[todo]) <= 4.0 * np.spacing(np.abs(c[todo])))
+        polished[todo] = met
+        todo, f, newton, met = todo[~done], f[~done], newton[~done], met[~done]
+        if not todo.size:
+            break
+        if steps == max_iters:
+            raise ConjugateSolveError(
+                f"slice {todo[0]}: scalar solve hit the iteration cap at "
+                f"residual {abs(f[0]):.3e}", abs(f[0]), max_iters)
+        ct = c[todo]
+        lo[todo] = np.where(f < 0.0, ct, lo[todo])
+        hi[todo] = np.where(f > 0.0, ct, hi[todo])
+        ok = ((newton >= lo[todo]) & (newton <= hi[todo])
+              & (met | (np.abs(f) <= 0.5 * last[todo])))
+        c[todo] = np.where(ok, newton, 0.5 * (lo[todo] + hi[todo]))
+        last[todo] = np.abs(f)
+    return grid.h * np.cumsum(g, axis=1)[:, :n], steps
+
+
 def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
                       tol: float = CONJUGATE_TOL,
                       max_iters: int = CONJUGATE_MAX_ITERS):
@@ -177,10 +242,14 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
 
     Returns ``(values, argmax, iterations)`` where ``argmax`` solves
     ``DPsi(argmax) = y`` and ``values = <argmax, y> - Psi(argmax)``.  ``y``
-    may carry leading batch axes; quadratic densities are solved for all
-    batch entries in one factorized solve, other exponents one slice at a
-    time, raising :class:`~benpde.errors.ConjugateSolveError` tagged with the
-    slice index on failure.
+    may carry leading batch axes.  Quadratic densities are solved for all
+    batch entries in one factorized solve (``iterations`` is 0).  Other
+    exponents take one-component fields only: in 1-D all entries are solved
+    exactly at once and ``iterations`` counts the scalar-equation steps of
+    the slowest entry; in 2-D each entry runs the dual Newton iteration and
+    ``iterations`` counts its steps on the slowest entry.  Either raises
+    :class:`~benpde.errors.ConjugateSolveError` tagged ``slice {i}:`` when
+    ``max_iters`` steps do not reach ``tol``.
     """
     arr = np.asarray(y, dtype=float)
     single = arr.ndim == grid.dim + 1
@@ -198,16 +267,21 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
             raise ValueError(
                 "non-quadratic conjugate solves support one-component fields")
         flat = arr.reshape((-1,) + arr.shape[-(grid.dim + 1):])
-        z = np.empty_like(flat)
-        iters = 0
-        for i, yi in enumerate(flat):
-            try:
-                z[i], it = _conjugate_newton_single(density, grid, yi, tol,
-                                                    max_iters)
-            except ConjugateSolveError as exc:
-                raise ConjugateSolveError(
-                    f"slice {i}: {exc}", exc.residual, exc.iterations) from exc
-            iters = max(iters, it)
+        if grid.dim == 1:
+            z, iters = _conjugate_exact_1d(density, grid, flat[:, 0], tol,
+                                           max_iters)
+        else:
+            z = np.empty_like(flat)
+            iters = 0
+            for i, yi in enumerate(flat):
+                try:
+                    z[i], it = _conjugate_newton_single(density, grid, yi,
+                                                        tol, max_iters)
+                except ConjugateSolveError as exc:
+                    raise ConjugateSolveError(
+                        f"slice {i}: {exc}", exc.residual,
+                        exc.iterations) from exc
+                iters = max(iters, it)
         z = z.reshape(arr.shape)
 
     values = (h_inner_batch(grid, z, arr)

@@ -30,7 +30,12 @@ from .energy import (
     eval_energy,
     trajectory_grad_norm,
 )
-from .errors import LineSearchError, TimeStepError
+from .errors import (
+    ConjugateSolveError,
+    LineSearchError,
+    ModelEvaluationError,
+    TimeStepError,
+)
 from .grid import (
     Field,
     SpaceGrid,
@@ -182,8 +187,11 @@ def minimize(model: ModelSpec, init: Trajectory,
 
     Limited-memory BFGS in the time-weighted spatial inner product, with
     Armijo backtracking; the initial state never moves.  Deterministic for
-    fixed inputs.  Raises :class:`~benpde.errors.LineSearchError` (carrying
-    the last outcome) if no descent step of the allowed length exists.
+    fixed inputs.  A trial step whose energy raises
+    :class:`~benpde.errors.ConjugateSolveError` or
+    :class:`~benpde.errors.ModelEvaluationError` is rejected like one that
+    fails the Armijo test.  Raises :class:`~benpde.errors.LineSearchError`
+    (carrying the last outcome) if no trial step is accepted.
     """
     if not init.initial_locked:
         raise ValueError("minimization requires a locked initial state")
@@ -231,8 +239,12 @@ def minimize(model: ModelSpec, init: Trajectory,
         for _ in range(opts.max_line_trials):
             tail = traj.states[1:] + step * direction[1:]
             candidate = traj.with_tail(tail)
-            rep_new = eval_energy(model, candidate)
-            if rep_new.total <= report.total + opts.armijo_c1 * step * slope:
+            try:
+                rep_new = eval_energy(model, candidate)
+            except (ConjugateSolveError, ModelEvaluationError):
+                rep_new = None  # a trial that cannot be priced is rejected
+            if (rep_new is not None and rep_new.total
+                    <= report.total + opts.armijo_c1 * step * slope):
                 accepted = True
                 break
             step *= opts.backtrack

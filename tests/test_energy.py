@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import benpde.energy
 from benpde.convex import PowerDensity
 from benpde.energy import (
     CertificateVerdict,
@@ -69,14 +70,18 @@ def test_conjugate_quadratic_single_node_frozen():
     assert iters == 0
 
 
-@pytest.mark.parametrize("density", [
-    PowerDensity(1.3, 2.0, 0.0),
-    PowerDensity(0.9, 4.0, 0.7),
-])
-def test_conjugate_inverts_gradient_assembly(density):
-    g = SpaceGrid(dim=1, n=17)
+# q = 2 and q = 4 take closed forms, q = 3 the radial Newton solve; the 2-D
+# grid takes the dual Newton path.  Explicit ids keep each case's name
+# independent of how the grid is printed.
+@pytest.mark.parametrize("density,g", [
+    (PowerDensity(1.3, 2.0, 0.0), SpaceGrid(dim=1, n=17)),
+    (PowerDensity(0.9, 4.0, 0.7), SpaceGrid(dim=1, n=17)),
+    (PowerDensity(0.9, 3.0, 0.7), SpaceGrid(dim=1, n=17)),
+    (PowerDensity(0.9, 4.0, 0.7), SpaceGrid(dim=2, n=5)),
+], ids=["density0", "density1", "density2", "density3"])
+def test_conjugate_inverts_gradient_assembly(density, g):
     rng = np.random.default_rng(1)
-    z_true = rng.normal(size=(1, 17))
+    z_true = rng.normal(size=(1,) + g.shape)
     y = psi_gradient_density(density, g, z_true)
     value, z, iters = conjugate_on_dual(density, g, y)
     np.testing.assert_allclose(z, z_true, atol=1e-10)
@@ -97,6 +102,18 @@ def test_conjugate_batch_matches_single(density):
         vi, zi, _ = conjugate_on_dual(density, g, batch[i])
         assert values[i] == pytest.approx(vi, rel=1e-13, abs=1e-13)
         np.testing.assert_allclose(z[i], zi, atol=1e-13)
+
+
+def test_conjugate_1d_factorizes_nothing(monkeypatch):
+    def no_lu(*args, **kwargs):
+        raise AssertionError("sparse factorization in a 1-D conjugate")
+
+    monkeypatch.setattr(benpde.energy.spla, "splu", no_lu)
+    d = PowerDensity(0.9, 4.0, 0.7)
+    g = SpaceGrid(dim=1, n=17)
+    z_true = np.random.default_rng(4).normal(size=(6, 1, 17))
+    _, z, _ = conjugate_on_dual(d, g, psi_gradient_density(d, g, z_true))
+    np.testing.assert_allclose(z, z_true, atol=1e-10)
 
 
 def test_conjugate_gap_against_gradient_pairs():
@@ -120,7 +137,7 @@ def test_conjugate_gap_against_gradient_pairs():
 def test_conjugate_failure_carries_slice_index():
     g = SpaceGrid(dim=1, n=9)
     d = PowerDensity(1.0, 4.0, 1e-6)
-    y = 100.0 * np.ones((3, 1, 9))
+    y = 100.0 * np.linspace(0.0, 2.0, 9) * np.ones((3, 1, 9))
     with pytest.raises(ConjugateSolveError, match="slice"):
         conjugate_on_dual(d, g, y, max_iters=1)
 

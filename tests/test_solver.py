@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import benpde.solver
 from benpde.energy import eval_energy, residual
-from benpde.errors import LineSearchError, TimeStepError
+from benpde.errors import LineSearchError, ModelEvaluationError, TimeStepError
 from benpde.grid import Field, SpaceGrid, Trajectory, h_norm, uniform_times
 from benpde.models import build_model, psi_gradient_density
 from benpde.solver import (
@@ -122,6 +123,35 @@ def test_line_search_failure_carries_last_outcome():
     assert out is not None and not out.converged
     assert out.history.shape[0] >= 1
     assert out.trajectory.states.shape == init.states.shape
+
+
+def test_line_search_rejects_a_trial_that_raises(monkeypatch):
+    # Seed 1 rejects the first trial of the first line search by the Armijo
+    # test, so a raise there must cost nothing but that one rejected trial.
+    grid, times, w0 = _sine_setup()
+    init = random_initial_trajectory(grid, times, w0, seed=1)
+    opts = SolveOptions(max_iters=2000, grad_tol=1e-13, energy_tol=1e-12)
+    model = build_model("heat")
+
+    def run(fail_first):
+        trials = []
+
+        def eval_or_raise(m, traj):
+            trials.append(traj.states[1:] - init.states[1:])
+            if fail_first and len(trials) == 1:
+                raise ModelEvaluationError("injected failure")
+            return eval_energy(m, traj)
+
+        monkeypatch.setattr(benpde.solver, "eval_energy", eval_or_raise)
+        return minimize(model, init, opts), trials
+
+    clean, clean_trials = run(False)
+    out, trials = run(True)
+    assert out.converged
+    np.testing.assert_allclose(trials[1], opts.backtrack * trials[0],
+                               rtol=1e-10, atol=0.0)
+    assert len(trials) == len(clean_trials)
+    np.testing.assert_array_equal(out.history, clean.history)
 
 
 def test_minimize_requires_locked_initial_state():
