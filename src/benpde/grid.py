@@ -47,6 +47,7 @@ __all__ = [
     "laplacian",
     "poisson_solve",
     "weighted_neg_laplacian",
+    "scale_columns",
     "h_inner",
     "h_inner_batch",
     "h_norm",
@@ -145,6 +146,18 @@ class SpaceGrid:
             return [a1]
         eye = sp.identity(n, format="csr")
         return [sp.kron(a1, eye, format="csr"), sp.kron(eye, a1, format="csr")]
+
+    @cached_property
+    def diff_ops_t(self) -> list:
+        """Per-axis transposed differences ``D_a^T`` (edges -> nodes)."""
+        return [d.T.tocsr() for d in self.diff_ops]
+
+    @cached_property
+    def diff_avg_ops(self) -> list:
+        """Per-axis products ``D_a^T Avg_a`` (nodes -> nodes), the constant
+        factor of the flux Jacobian."""
+        return [(dt @ a).tocsr() for dt, a in zip(self.diff_ops_t,
+                                                    self.avg_ops)]
 
     @cached_property
     def neg_laplacian(self) -> sp.csr_matrix:
@@ -254,12 +267,19 @@ def poisson_solve(grid: SpaceGrid, rhs) -> np.ndarray:
     return sol.reshape(*prefix, *grid.shape)
 
 
+def scale_columns(mat: sp.csr_matrix, w) -> sp.csr_matrix:
+    """``mat @ diag(w)`` for a CSR matrix, scaling its stored entries in place
+    of a sparse product."""
+    w = np.asarray(w, dtype=float).ravel()
+    return sp.csr_matrix((mat.data * w[mat.indices], mat.indices, mat.indptr),
+                         shape=mat.shape)
+
+
 def weighted_neg_laplacian(grid: SpaceGrid, edge_weights: list) -> sp.csr_matrix:
     """Assemble ``sum_a D_a^T diag(w_a) D_a`` from flat per-axis edge weights."""
     mat = None
-    for d, w in zip(grid.diff_ops, edge_weights):
-        term = d.T @ sp.diags_array([np.asarray(w, dtype=float).ravel()],
-                                    offsets=[0]) @ d
+    for dt, d, w in zip(grid.diff_ops_t, grid.diff_ops, edge_weights):
+        term = scale_columns(dt, w) @ d
         mat = term if mat is None else mat + term
     return mat.tocsr()
 

@@ -52,6 +52,7 @@ from .grid import (
     gradient,
     h_inner,
     poisson_solve,
+    scale_columns,
 )
 
 __all__ = [
@@ -376,8 +377,7 @@ def dlambda_matrix(model: ModelSpec, grid: SpaceGrid, values, t):
     if model.flux is not None or model.scalar_flux is not None:
         for axis in range(grid.dim):
             c = _interior_flux_deriv(model, grid, B, t, axis)
-            mat = mat + grid.diff_ops[axis].T @ grid.avg_ops[axis] @ \
-                sp.diags_array([np.asarray(c, dtype=float).ravel()], offsets=[0])
+            mat = mat + scale_columns(grid.diff_avg_ops[axis], c)
     if model.reaction is not None:
         tb = _time_broadcast(t, grid.dim)
         thetap = model.reaction.deriv(B, grid.node_coords, tb)

@@ -54,7 +54,8 @@ def test_line_search_failure_writes_last_iterate(tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "stall.cfg").write_text(
-        "model.name = heat\ngrid.n = 9\ntime.T0 = 0.1\ntime.M = 8\n"
+        "model.name = divergence_form\nmodel.q = 4\ngrid.n = 9\n"
+        "time.T0 = 0.1\ntime.M = 8\n"
         "solve.noise = 1.0\nsolve.max_line_trials = 1\noutputs.dir = out\n")
     assert main(["solve", "stall.cfg"]) == 3
     captured = capsys.readouterr()

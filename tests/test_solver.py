@@ -1,10 +1,12 @@
 """Minimizer, implicit baseline, comparisons, and the uniqueness probe."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import benpde.solver
-from benpde.energy import eval_energy, residual
+from benpde.energy import certificate, energy_and_gradient, eval_energy, residual
 from benpde.errors import LineSearchError, ModelEvaluationError, TimeStepError
 from benpde.grid import Field, SpaceGrid, Trajectory, h_norm, uniform_times
 from benpde.models import build_model, psi_gradient_density
@@ -19,6 +21,7 @@ from benpde.solver import (
     random_initial_trajectory,
     uniqueness_probe,
 )
+from test_energy import _heat_midpoint_solution
 
 COARSE_SCHEME_GAP = 5e-2  # implicit Euler vs midpoint at tau = 1.25e-2
 
@@ -118,7 +121,7 @@ def test_line_search_failure_carries_last_outcome():
     init = random_initial_trajectory(grid, times, w0, seed=0, noise=1.0)
     opts = SolveOptions(max_iters=200, max_line_trials=1)
     with pytest.raises(LineSearchError) as info:
-        minimize(build_model("heat"), init, opts)
+        minimize(build_model("divergence_form", q=4.0), init, opts)
     out = info.value.outcome
     assert out is not None and not out.converged
     assert out.history.shape[0] >= 1
@@ -131,7 +134,7 @@ def test_line_search_rejects_a_trial_that_raises(monkeypatch):
     grid, times, w0 = _sine_setup()
     init = random_initial_trajectory(grid, times, w0, seed=1)
     opts = SolveOptions(max_iters=2000, grad_tol=1e-13, energy_tol=1e-12)
-    model = build_model("heat")
+    model = build_model("divergence_form", q=4.0)
 
     def run(fail_first):
         trials = []
@@ -165,10 +168,95 @@ def test_minimize_requires_locked_initial_state():
 def test_max_iters_reached_is_a_valid_outcome():
     grid, times, w0 = _sine_setup()
     init = random_initial_trajectory(grid, times, w0, seed=9)
-    out = minimize(build_model("heat"), init,
+    out = minimize(build_model("divergence_form", q=4.0), init,
                    SolveOptions(max_iters=3, grad_tol=1e-15, energy_tol=1e-15))
     assert not out.converged
     assert out.iterations == 3
+
+
+# -- Crank-Nicolson preconditioner ---------------------------------------------------
+
+
+def _heat_midpoint_solution_2d(n, n_steps, t_end):
+    """Dense midpoint-scheme solve of 2-D heat flow from sin(pi x) sin(pi y)."""
+    h = 1.0 / (n + 1)
+    tau = t_end / n_steps
+    lap1 = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
+            - np.diag(np.ones(n - 1), -1)) / h**2
+    A = np.kron(lap1, np.eye(n)) + np.kron(np.eye(n), lap1)
+    x = np.arange(1, n + 1) * h
+    states = [np.outer(np.sin(np.pi * x), np.sin(np.pi * x)).ravel()]
+    lhs = np.eye(n * n) / tau + 0.5 * A
+    rhs = np.eye(n * n) / tau - 0.5 * A
+    for _ in range(n_steps):
+        states.append(np.linalg.solve(lhs, rhs @ states[-1]))
+    grid = SpaceGrid(dim=2, n=n)
+    return grid, Trajectory(grid, uniform_times(t_end, n_steps),
+                            np.asarray(states).reshape(-1, 1, n, n))
+
+
+def _midpoint_case(case):
+    """Heat model and its midpoint-scheme solution for one preconditioner case."""
+    heat = build_model("heat")
+    if case == "1d":
+        return heat, _heat_midpoint_solution(n=9, n_steps=8, t_end=0.1)[1]
+    if case == "2d":
+        return heat, _heat_midpoint_solution_2d(n=5, n_steps=8, t_end=0.1)[1]
+    # lam = 0 leaves only the dual residual, so the scheme keeps u_0 fixed
+    # (the midpoint solution with zero diffusion)
+    return (replace(heat, lam=0),
+            _heat_midpoint_solution(n=9, n_steps=8, t_end=0.1, a=0.0)[1])
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "lam0"])
+def test_preconditioner_maps_heat_gradient_to_midpoint_error(case):
+    model, exact = _midpoint_case(case)
+    rng = np.random.default_rng(4)
+    u = exact.with_tail(exact.states[1:]
+                        + rng.normal(size=exact.states[1:].shape))
+    h0 = benpde.solver._crank_nicolson_inverse_hessian(model, u)
+    _, g = energy_and_gradient(model, u)
+    err = u.states - exact.states
+    np.testing.assert_allclose(h0(g), err, rtol=0.0,
+                               atol=1e-9 * np.max(np.abs(err)))
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "lam0"])
+def test_preconditioner_is_self_adjoint_and_positive(case):
+    model, exact = _midpoint_case(case)
+    h0 = benpde.solver._crank_nicolson_inverse_hessian(model, exact)
+    weight = exact.tau * exact.grid.cell_volume
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        x, y = rng.normal(size=(2,) + exact.states.shape)
+        x[0] = y[0] = 0.0
+        hx, hy = h0(x), h0(y)
+        xhy, hxy = weight * np.vdot(x, hy), weight * np.vdot(hx, y)
+        assert xhy == pytest.approx(hxy, rel=1e-10)
+        assert weight * np.vdot(hx, x) > 0.0
+        assert weight * np.vdot(hy, y) > 0.0
+
+
+def test_preconditioner_is_only_built_for_quadratic_densities():
+    grid, times, w0 = _sine_setup()
+    init = random_initial_trajectory(grid, times, w0, seed=0)
+    quartic = build_model("divergence_form", q=4.0)
+    assert benpde.solver._crank_nicolson_inverse_hessian(quartic, init) is None
+    for name in ("heat", "burgers"):
+        assert benpde.solver._crank_nicolson_inverse_hessian(
+            build_model(name), init) is not None
+
+
+def test_preconditioned_heat_reaches_certificate_in_two_iterations():
+    # heat.cfg sizes and tolerances: n = 33, M = 64, noise 0.5, seed 7
+    grid, times, w0 = _sine_setup(n=33, n_steps=64)
+    model = build_model("heat")
+    init = random_initial_trajectory(grid, times, w0, seed=7, noise=0.5)
+    out = minimize(model, init, SolveOptions(max_iters=4000, grad_tol=1e-14,
+                                             energy_tol=2e-13))
+    assert out.converged
+    assert out.iterations <= 2
+    assert certificate(model, out.trajectory, 1e-6).solved
 
 
 # -- implicit baseline ----------------------------------------------------------------
