@@ -54,8 +54,6 @@ __all__ = [
     "grad_norm",
     "grad_magnitudes",
     "dual_grad_norm",
-    "paired_time_derivative",
-    "midpoint_state",
     "mixed_norm",
     "uniform_times",
     "save_trajectory_csv",
@@ -419,20 +417,6 @@ class Trajectory:
                                                     *self.states.shape[1:])
         return Trajectory(self.grid, self.times,
                           np.concatenate([self.states[:1], arr], axis=0))
-
-
-def paired_time_derivative(traj: Trajectory, k: int) -> Field:
-    """Difference quotient ``(u_{k+1} - u_k)/tau`` on slice ``k``."""
-    if not 0 <= k < traj.n_steps:
-        raise IndexError(f"slice index {k} out of range")
-    return Field(traj.grid, (traj.states[k + 1] - traj.states[k]) / traj.tau)
-
-
-def midpoint_state(traj: Trajectory, k: int) -> Field:
-    """Interval-midpoint average ``(u_k + u_{k+1})/2`` on slice ``k``."""
-    if not 0 <= k < traj.n_steps:
-        raise IndexError(f"slice index {k} out of range")
-    return Field(traj.grid, 0.5 * (traj.states[k] + traj.states[k + 1]))
 
 
 def mixed_norm(traj: Trajectory, values=None) -> float:

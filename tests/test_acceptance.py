@@ -17,7 +17,6 @@ from benpde.grid import (
     Trajectory,
     h_inner,
     h_norm,
-    midpoint_state,
     uniform_times,
 )
 from benpde.models import (
@@ -150,7 +149,7 @@ def test_criterion_4_midpoint_pairing_identity():
                           - h_norm(grid, states[0]) ** 2)
         drift = 0.0
         for k in range(traj.n_steps):
-            mid = midpoint_state(traj, k).values
+            mid = 0.5 * (traj.states[k] + traj.states[k + 1])
             t_mid = 0.5 * (times[k] + times[k + 1])
             drift += traj.tau * h_inner(
                 grid, mid, lambda_density(model, grid, mid, t_mid))

@@ -176,6 +176,31 @@ def test_verify_adversarial_fails_positivity(tmp_path, monkeypatch, capsys):
     assert len(witness["x"]) == 9
 
 
+#: ``(t, margin)`` of the positivity witnesses of ``verify adversarial.cfg``
+#: in index order, as the one-sample-at-a-time checker recorded them.  They
+#: pin the ``(seed, condition, index)`` sample streams: ``t`` exactly, the
+#: margin to summation-order roundoff.
+ADVERSARIAL_WITNESSES = (
+    (0.08830719356077293, -0.678255166180026),
+    (0.07669830914332021, -0.5002384157824089),
+    (0.04684736930318298, -0.035001450224729676),
+    (0.02591460699999463, -1.8793727666968545),
+    (0.07963731409721446, -0.021184213465267616),
+)
+
+
+def test_verify_adversarial_witnesses_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "adversarial.cfg"]) == 1
+    reports = json.loads(
+        (tmp_path / "runs" / "adversarial" / "conditions.json").read_text())
+    witnesses = {r["condition"]: r for r in reports}["positivity"]["witnesses"]
+    assert len(witnesses) == len(ADVERSARIAL_WITNESSES)
+    for wit, (t, margin) in zip(witnesses, ADVERSARIAL_WITNESSES):
+        assert wit["t"] == t
+        assert wit["margin"] == pytest.approx(margin, rel=1e-14, abs=1e-14)
+
+
 @pytest.mark.parametrize("config", ["heat.cfg", "burgers.cfg"])
 def test_verify_passes_for_bundled_models(tmp_path, monkeypatch, config):
     monkeypatch.chdir(tmp_path)

@@ -194,10 +194,16 @@ def test_zero_trajectory_zero_energy():
     assert rep.residual_norm == 0.0
 
 
-@pytest.mark.parametrize("name", ["heat", "burgers"])
-def test_energy_nonnegative_on_random_trajectories(name):
+@pytest.mark.parametrize("name,params", [
+    ("heat", {}),
+    ("burgers", {}),
+    ("divergence_form", {"q": 2.0}),
+    ("divergence_form", {"q": 4.0}),
+    ("adversarial", {}),
+], ids=["heat", "burgers", "divform_q2", "divform_q4", "adversarial"])
+def test_energy_nonnegative_on_random_trajectories(name, params):
     g = SpaceGrid(dim=1, n=9)
-    m = build_model(name)
+    m = build_model(name, **params)
     rng = np.random.default_rng(5)
     worst = np.inf
     for _ in range(RANDOM_TRAJECTORIES):

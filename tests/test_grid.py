@@ -17,8 +17,6 @@ from benpde.grid import (
     h_norm,
     laplacian,
     load_trajectory_csv,
-    midpoint_state,
-    paired_time_derivative,
     poisson_solve,
     save_trajectory_csv,
     uniform_times,
@@ -124,9 +122,10 @@ def test_pairing_telescopes():
         m = int(rng.integers(1, 9))
         times = uniform_times(float(rng.uniform(0.05, 2.0)), m)
         traj = Trajectory(g, times, rng.normal(size=(m + 1, 1) + g.shape))
+        u = traj.states
         acc = sum(
-            traj.tau * h_inner(g, midpoint_state(traj, k),
-                               paired_time_derivative(traj, k))
+            traj.tau * h_inner(g, 0.5 * (u[k] + u[k + 1]),
+                               (u[k + 1] - u[k]) / traj.tau)
             for k in range(traj.n_steps)
         )
         jump = 0.5 * (h_norm(g, traj.states[-1]) ** 2
@@ -202,11 +201,11 @@ def test_midpoint_and_derivative():
     g = SpaceGrid(dim=1, n=2)
     traj = Trajectory(g, uniform_times(1.0, 2),
                       np.array([[[0.0, 0.0]], [[1.0, 2.0]], [[3.0, 2.0]]]))
-    np.testing.assert_allclose(paired_time_derivative(traj, 0).values,
-                               [[2.0, 4.0]])
-    np.testing.assert_allclose(midpoint_state(traj, 1).values, [[2.0, 2.0]])
+    u = traj.states
+    np.testing.assert_allclose((u[1] - u[0]) / traj.tau, [[2.0, 4.0]])
+    np.testing.assert_allclose(0.5 * (u[1] + u[2]), [[2.0, 2.0]])
     with pytest.raises(IndexError):
-        paired_time_derivative(traj, 2)
+        (u[3] - u[2]) / traj.tau
 
 
 @pytest.mark.parametrize("dim,n,k", [(1, 7, 1), (1, 5, 3), (2, 4, 2)])

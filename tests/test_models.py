@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benpde import models
 from benpde.convex import PowerDensity
 from benpde.errors import ModelEvaluationError, NonFiniteInputError
-from benpde.grid import Field, SpaceGrid, h_inner, h_norm, laplacian
+from benpde.grid import (
+    Field,
+    SpaceGrid,
+    h_inner,
+    h_norm,
+    laplacian,
+    poisson_solve,
+)
 from benpde.models import (
     CONDITION_NAMES,
+    MARGIN_FLOOR,
+    MAX_WITNESSES,
     ConditionReport,
     ModelSpec,
     ReactionTerm,
@@ -33,6 +43,11 @@ FD_TOL = 5e-6
 ADJOINT_TOL = 1e-11
 ORACLE_TOL = 1e-13
 CHECK_SAMPLES = 300
+# Batched and one-at-a-time margins sum in different orders; normalised
+# margins then agree to 1e-14 * max(1, |m|).
+REPLAY_TOL = 1e-14
+PAIR_CONDITIONS = ("deriv_growth", "monotonicity", "uniform_convexity",
+                   "lipschitz")
 
 
 def _oracle_lambda_1d(model, grid, u, t):
@@ -392,3 +407,101 @@ def test_heat_monotonicity_margin_is_pointwise_nonnegative(xs, hs):
     m = condition_margin(heat_model(), g, "monotonicity", np.array(xs),
                          np.array(hs))
     assert m >= -1e-12
+
+
+# -- batched checker against a one-sample replay --------------------------------
+
+
+def _ramp_model():
+    """Reaction ``theta = 50 (1 + t) u`` declared non-pumping: its margins read
+    the sample time, and its positivity check fails with witnesses."""
+
+    def theta(u, x, t):
+        return 50.0 * (1.0 + t) * u
+
+    def thetap(u, x, t):
+        return np.broadcast_to(50.0 * (1.0 + t), np.shape(u)).astype(float)
+
+    return ModelSpec(name="ramp", density=PowerDensity(1.0, 2.0, 0.0),
+                     reaction=ReactionTerm(func=theta, deriv=thetap,
+                                           lipschitz=100.0))
+
+
+def _replay(model, grid, condition, samples, seed, amplitude, t_range):
+    """``(t, fields, margin)`` per sample, drawn one at a time from the
+    documented ``(seed, condition, index)`` streams and evaluated by
+    ``condition_margin``."""
+    tag = sorted(CONDITION_NAMES).index(condition)
+    out = []
+    for i in range(samples):
+        rng = np.random.default_rng([seed, tag, i])
+        t = float(rng.uniform(*t_range))
+        fields = []
+        for _ in range(2 if condition in PAIR_CONDITIONS else 1):
+            raw = rng.normal(size=grid.shape)
+            if rng.uniform() < 0.5:
+                fields.append(amplitude * raw)
+            else:
+                z = poisson_solve(grid, raw)[0]
+                fields.append(amplitude * z / max(np.max(np.abs(z)), 1e-30))
+        out.append((t, fields, condition_margin(model, grid, condition,
+                                                *fields, t=t)))
+    return out
+
+
+def _assert_margin_close(got, want):
+    assert abs(got - want) <= REPLAY_TOL * max(1.0, abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("case", [
+    ("heat", 1, heat_model),
+    ("heat_2d", 2, heat_model),
+    ("burgers", 1, burgers_model),
+    ("divform_q4", 1, lambda: divergence_form_model(4.0)),
+    ("adversarial", 1, adversarial_model),
+    ("ramp", 1, _ramp_model),
+], ids=lambda case: case[0])
+def test_batched_check_matches_one_sample_replay(case):
+    _, dim, builder = case
+    g = SpaceGrid(dim=dim, n=9 if dim == 1 else 5)
+    m = builder()
+    for cond in CONDITION_NAMES:
+        rep = check_condition(m, g, cond, samples=64, seed=3, amplitude=1.0,
+                              t_range=(0.0, 1.0))
+        replay = _replay(m, g, cond, 64, 3, 1.0, (0.0, 1.0))
+        _assert_margin_close(rep.worst_margin, min(r[2] for r in replay))
+        failing = [r for r in replay if r[2] < MARGIN_FLOOR][:MAX_WITNESSES]
+        assert len(rep.witnesses) == len(failing), cond
+        for wit, (t, fields, margin) in zip(rep.witnesses, failing):
+            assert wit["t"] == t
+            _assert_margin_close(wit["margin"], margin)
+            np.testing.assert_allclose(wit["x"], fields[0].ravel(),
+                                       rtol=REPLAY_TOL, atol=0.0)
+            if cond in PAIR_CONDITIONS:
+                np.testing.assert_allclose(wit["h"], fields[1].ravel(),
+                                           rtol=REPLAY_TOL, atol=0.0)
+
+
+def test_time_dependent_model_yields_witnesses():
+    # Keeps the replay test above sensitive to per-sample times: the ramp
+    # model's failing margins all depend on t.
+    g = SpaceGrid(dim=1, n=9)
+    rep = check_condition(_ramp_model(), g, "positivity", samples=64, seed=3,
+                          t_range=(0.0, 1.0))
+    assert len(rep.witnesses) == MAX_WITNESSES
+    assert len({w["t"] for w in rep.witnesses}) == MAX_WITNESSES
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_report_does_not_depend_on_block_size(monkeypatch, block):
+    g = SpaceGrid(dim=1, n=9)
+    m = _ramp_model()
+    want = check_condition(m, g, "positivity", samples=64, seed=3)
+    monkeypatch.setattr(models, "BLOCK_SIZE", block)
+    got = check_condition(m, g, "positivity", samples=64, seed=3)
+    assert got.passed == want.passed
+    _assert_margin_close(got.worst_margin, want.worst_margin)
+    assert len(got.witnesses) == len(want.witnesses)
+    for a, b in zip(got.witnesses, want.witnesses):
+        assert (a["t"], a["x"]) == (b["t"], b["x"])
+        _assert_margin_close(a["margin"], b["margin"])
