@@ -84,8 +84,7 @@ _GRID_KEYS = {"dim", "n"}
 _TIME_KEYS = {"T0", "M"}
 _INITIAL_KEYS = {"profile", "path", "amplitude"}
 _SOLVE_KEYS = {"max_iters", "grad_tol", "energy_tol", "armijo_c1", "backtrack",
-               "max_line_trials", "memory", "seed", "init",
-               "noise", "tol"}
+               "max_line_trials", "seed", "init", "noise", "tol"}
 _VERIFY_KEYS = {"samples", "seed", "amplitude"}
 _GRADCHECK_KEYS = {"trajectories", "directions", "step", "seed"}
 _OUTPUT_KEYS = {"dir"}
@@ -298,7 +297,6 @@ def load_config(path) -> RunConfig:
             backtrack=_get(values, "solve.backtrack", float, default=0.5),
             max_line_trials=_get(values, "solve.max_line_trials", int,
                                  default=40),
-            memory=_get(values, "solve.memory", int, default=10),
             seed=_get(values, "solve.seed", int, default=0),
         )
     except ValueError as exc:

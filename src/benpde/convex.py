@@ -37,7 +37,6 @@ __all__ = [
     "grad_psi",
     "eval_conjugate",
     "fenchel_gap",
-    "conjugate_exponent",
     "radial_value",
     "radial_slope",
     "radial_coefficient",
@@ -99,11 +98,6 @@ class ConjugateValue:
     value: float
     argmax: np.ndarray
     newton_iters: int
-
-
-def conjugate_exponent(q: float) -> float:
-    """Dual exponent ``q* = q / (q - 1)``."""
-    return q / (q - 1.0)
 
 
 def _as_clean_array(xi, name: str) -> np.ndarray:

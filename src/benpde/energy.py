@@ -68,8 +68,6 @@ __all__ = [
     "residual",
     "eval_energy",
     "energy_and_gradient",
-    "grad_energy",
-    "trajectory_grad_norm",
     "certificate",
 ]
 
@@ -389,18 +387,6 @@ def energy_and_gradient(model: ModelSpec, traj: Trajectory):
         g[1:-1] = 0.5 * (C[:-1] + C[1:]) + (B[:-1] - B[1:]) / tau
     g[-1] = 0.5 * C[-1] + B[-1] / tau
     return report, g
-
-
-def grad_energy(model: ModelSpec, traj: Trajectory) -> list:
-    """Exact energy gradient as one field per time node (zero at node 0)."""
-    _, g = energy_and_gradient(model, traj)
-    return [Field(traj.grid, g[j]) for j in range(g.shape[0])]
-
-
-def trajectory_grad_norm(grid: SpaceGrid, tau: float, g: np.ndarray) -> float:
-    """Riesz norm ``sqrt(sum_j tau * |g_j|_H^2)`` of a nodal gradient array."""
-    return float(np.sqrt(max(tau * float(np.sum(h_inner_batch(grid, g, g))),
-                             0.0)))
 
 
 def certificate(model: ModelSpec, traj: Trajectory,

@@ -47,6 +47,7 @@ __all__ = [
     "laplacian",
     "poisson_solve",
     "weighted_neg_laplacian",
+    "block_diagonal",
     "scale_columns",
     "h_inner",
     "h_inner_batch",
@@ -231,7 +232,8 @@ def gradient(grid: SpaceGrid, values) -> list:
     flat = arr.reshape(-1, grid.n_nodes)
     out = []
     for a, d in enumerate(grid.diff_ops):
-        g = (d @ flat.T).T
+        # C order, so reductions over a row do not depend on the batch size
+        g = np.ascontiguousarray((d @ flat.T).T)
         out.append(g.reshape(*prefix, *grid.edge_shape(a)))
     return out
 
@@ -273,11 +275,24 @@ def scale_columns(mat: sp.csr_matrix, w) -> sp.csr_matrix:
                          shape=mat.shape)
 
 
+def block_diagonal(mat: sp.csr_matrix, slices: int) -> sp.csr_matrix:
+    """``diag(mat, ..., mat)`` with ``slices`` copies; ``mat`` itself for one."""
+    if slices == 1:
+        return mat
+    return sp.kron(sp.identity(slices, format="csr"), mat, format="csr")
+
+
 def weighted_neg_laplacian(grid: SpaceGrid, edge_weights: list) -> sp.csr_matrix:
-    """Assemble ``sum_a D_a^T diag(w_a) D_a`` from flat per-axis edge weights."""
+    """Assemble ``sum_a D_a^T diag(w_a) D_a`` from flat per-axis edge weights.
+
+    Weights with a leading slice axis, ``(S, n_edges)``, give the
+    block-diagonal matrix of the ``S`` slices.
+    """
     mat = None
     for dt, d, w in zip(grid.diff_ops_t, grid.diff_ops, edge_weights):
-        term = scale_columns(dt, w) @ d
+        slices = np.size(w) // d.shape[0]
+        term = (scale_columns(block_diagonal(dt, slices), w)
+                @ block_diagonal(d, slices))
         mat = term if mat is None else mat + term
     return mat.tocsr()
 

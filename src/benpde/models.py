@@ -45,6 +45,7 @@ from .errors import ModelEvaluationError, NonFiniteInputError
 from .grid import (
     Field,
     SpaceGrid,
+    block_diagonal,
     divergence,
     dual_grad_norm,
     grad_magnitudes,
@@ -62,7 +63,6 @@ __all__ = [
     "ConditionConstants",
     "ModelSpec",
     "ConditionReport",
-    "apply_lambda",
     "lambda_density",
     "dlambda_density",
     "dlambda_matrix",
@@ -321,11 +321,6 @@ def lambda_density(model: ModelSpec, grid: SpaceGrid, values, t):
     return np.expand_dims(acc, comp)
 
 
-def apply_lambda(model: ModelSpec, u: Field, t: float) -> Field:
-    """Field-level wrapper of :func:`lambda_density` (dual-density output)."""
-    return Field(u.grid, lambda_density(model, u.grid, u, float(t)))
-
-
 def _interior_flux_deriv(model: ModelSpec, grid: SpaceGrid, B, t, axis: int):
     tb = _time_broadcast(t, grid.dim)
     total = None
@@ -364,28 +359,31 @@ def dlambda_density(model: ModelSpec, grid: SpaceGrid, values, t, direction):
 
 
 def dlambda_matrix(model: ModelSpec, grid: SpaceGrid, values, t):
-    """Sparse nodal Jacobian of the drift density at one scalar state.
+    """Sparse nodal Jacobian of the drift density at scalar states.
 
     Matches :func:`dlambda_density` as a matrix acting on flattened nodal
-    vectors; used by implicit steppers that need a factorizable Jacobian.
+    vectors.  One field ``(1, *shape)`` gives its ``N x N`` Jacobian; ``S``
+    slices ``(S, 1, *shape)`` with times ``(S,)`` give the block-diagonal
+    matrix of the slices.
     """
     arr = _to_batch(values, grid)
-    if arr.ndim != grid.dim + 1 or arr.shape[0] != 1:
-        raise ValueError("drift Jacobian assembly needs a single scalar field")
-    n = grid.n_nodes
-    mat = sp.csr_matrix((n, n))
+    if arr.ndim > grid.dim + 2 or arr.shape[-(grid.dim + 1)] != 1:
+        raise ValueError("drift Jacobian assembly needs scalar fields")
+    B = arr.reshape((-1,) + grid.shape) if arr.ndim > grid.dim + 1 else arr[0]
+    slices = B.size // grid.n_nodes
+    mat = sp.csr_matrix((B.size, B.size))
     if not model.has_terms:
         return mat
-    B = arr[0]
     if model.flux is not None or model.scalar_flux is not None:
         for axis in range(grid.dim):
             c = _interior_flux_deriv(model, grid, B, t, axis)
-            mat = mat + scale_columns(grid.diff_avg_ops[axis], c)
+            mat = mat + scale_columns(
+                block_diagonal(grid.diff_avg_ops[axis], slices), c)
     if model.reaction is not None:
         tb = _time_broadcast(t, grid.dim)
         thetap = model.reaction.deriv(B, grid.node_coords, tb)
         mat = mat - sp.diags_array(
-            [np.broadcast_to(thetap, grid.shape).ravel().astype(float)],
+            [np.broadcast_to(thetap, B.shape).ravel().astype(float)],
             offsets=[0])
     return mat.tocsr()
 

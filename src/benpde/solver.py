@@ -2,14 +2,13 @@
 
 Two independent routes to a discrete solution:
 
-* :func:`minimize` descends the certificate energy over all trajectory nodes
-  past the locked initial state, using limited-memory quasi-Newton steps in
-  the time-weighted spatial inner product with a monotone Armijo line
-  search.  At a minimizer the energy report doubles as a solution
-  certificate.  For quadratic densities the quasi-Newton initial matrix is
-  the exact inverse Hessian of the drift-free energy, applied by two
-  Crank-Nicolson sweeps, so heat flow is solved in one step and drifts
-  only add a few; other exponents keep the scaled identity.
+* :func:`minimize` drives the certificate energy to zero over all trajectory
+  nodes past the locked initial state by damped Gauss-Newton on the
+  midpoint residuals, which vanish exactly where the energy does.  Each
+  direction costs one forward sweep of linearised midpoint steps, and a
+  monotone Armijo line search on the energy accepts it, so heat flow is
+  solved in one step and drifts or exponents above two take a few.  At a
+  minimizer the energy report doubles as a solution certificate.
 * :func:`implicit_baseline` marches the classical fully implicit scheme one
   step at a time with a damped Newton solve per step.
 
@@ -26,13 +25,9 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, solve_banded
 
-from .energy import (
-    EnergyReport,
-    energy_and_gradient,
-    eval_energy,
-    trajectory_grad_norm,
-)
+from .energy import EnergyReport, _dual_residuals, energy_and_gradient
 from .errors import (
     ConjugateSolveError,
     LineSearchError,
@@ -68,9 +63,6 @@ __all__ = [
     "uniqueness_probe",
 ]
 
-#: Relative curvature floor below which a quasi-Newton update is skipped.
-CURVATURE_FLOOR = 1e-20
-
 #: Newton damping: maximum step halvings per implicit time step.
 MAX_HALVINGS = 30
 
@@ -86,9 +78,10 @@ class SolveOptions:
 
     ``grad_tol`` stops on the time-weighted gradient norm, ``energy_tol`` on
     the normalized energy; whichever hits first.  The line search is Armijo
-    backtracking with slope fraction ``armijo_c1`` and step factor
-    ``backtrack``.  ``seed`` controls random initialization helpers, not the
-    descent itself, which is deterministic.
+    backtracking on the energy with slope fraction ``armijo_c1`` and step
+    factor ``backtrack``, from the unit Gauss-Newton step.  ``seed``
+    controls random initialization helpers, not the descent itself, which
+    is deterministic.
     """
 
     max_iters: int = 500
@@ -97,7 +90,6 @@ class SolveOptions:
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
     max_line_trials: int = 40
-    memory: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -110,8 +102,6 @@ class SolveOptions:
             raise ValueError("backtrack factor must lie in (0, 1)")
         if self.max_line_trials < 1:
             raise ValueError("max_line_trials must be at least 1")
-        if self.memory < 1:
-            raise ValueError("memory must be at least 1")
 
 
 @dataclass
@@ -184,64 +174,61 @@ def random_initial_trajectory(grid: SpaceGrid, times, w0, seed: int,
 # -- minimization ---------------------------------------------------------------------
 
 
-def _crank_nicolson_inverse_hessian(model: ModelSpec, traj: Trajectory):
-    """Initial inverse Hessian ``H0 = L^{-1} (cA) L^{-T}`` for quadratic
-    densities, or ``None`` for other exponents.
+def _gauss_newton_direction(model: ModelSpec, traj: Trajectory):
+    """Gauss-Newton step ``delta = -R'(u)^{-1} R(u)`` on the midpoint
+    residuals ``R_k = -H_k + lam DPsi(lam m_k)``, or ``None`` when the sweep
+    fails (a singular ``P_k`` or a non-finite ``delta``).
 
-    With ``c = a + eps`` and ``A`` the negative Laplacian, the drift-free
-    energy is ``J = (tau/2) sum_k <r_k, (cA)^{-1} r_k>_H`` for the
-    Crank-Nicolson residuals ``r = L u``, ``(Lu)_j = P u_j - Q u_{j-1}``
-    with ``P = I/tau + (lam c/2) A`` and ``Q = I/tau - (lam c/2) A``.  Its
-    Hessian in the time-weighted inner product is ``L^T (cA)^{-1} L``, whose
-    inverse costs a backward sweep ``v_j = P^{-1}(G_j + Q v_{j+1})``, the
-    product ``w = cA v`` and a forward sweep ``x_j = P^{-1}(w_j + Q x_{j-1})``
-    over the free nodes ``1..M``, all sharing one factorization of ``P``.
-    ``H0`` is self-adjoint and positive definite, and maps the gradient of
-    heat flow at ``u`` to ``u - u_CN``.  Applied to nodal arrays
-    ``(M+1, k, *grid.shape)``; row 0 of the result is zero.
+    ``R'`` is block lower-bidiagonal in time, with diagonal blocks
+    ``P_k = I/tau + K_k/2`` and sub-diagonal blocks ``P_k - 2I/tau``, where
+    ``K_k = DLambda(m_k) + lam D^2Psi(lam m_k)``.  So ``delta`` costs one
+    forward sweep ``delta_{k+1} = P_k^{-1}(-R_k + 2 delta_k/tau) - delta_k``
+    from ``delta_0 = 0``.  All ``K_k`` are assembled as one block-diagonal
+    matrix; its bands, as wide as that matrix's widest offset, are stored
+    once and each step solves with its own slice of them.
     """
-    d = model.density
-    if d.exponent != 2.0:
+    grid, tau, lam = traj.grid, traj.tau, float(model.lam)
+    mids, t_mid, H = _dual_residuals(model, traj)
+    blocks = mids.reshape((-1, 1) + grid.shape)  # one per (slice, component)
+    K = dlambda_matrix(model, grid, blocks, np.repeat(t_mid, traj.k))
+    R = -H
+    if model.lam:
+        R = R + lam * psi_gradient_density(model.density, grid, lam * mids)
+        weights = psi_hessian_edge_weights(model.density, grid, lam * blocks)
+        K = K + lam * weighted_neg_laplacian(grid, weights)
+    P = (sp.identity(K.shape[0], format="csr") / tau + 0.5 * K).tocoo()
+    width = int(np.max(np.abs(P.row - P.col), initial=0))
+    bands = np.zeros((2 * width + 1, K.shape[0]))
+    bands[width + P.row - P.col, P.col] = P.data
+    size = R[0].size
+    rhs = -R.reshape(traj.n_steps, size)
+    delta = np.zeros((traj.n_steps + 1, size))
+    with np.errstate(all="ignore"):
+        for k in range(traj.n_steps):
+            try:
+                x = solve_banded((width, width),
+                                 bands[:, k * size:(k + 1) * size],
+                                 rhs[k] + (2.0 / tau) * delta[k],
+                                 check_finite=False)
+            except LinAlgError:
+                return None
+            delta[k + 1] = x - delta[k]
+    if not np.all(np.isfinite(delta)):
         return None
-    grid = traj.grid
-    c = d.coefficient + d.regularizer
-    A = grid.neg_laplacian
-    eye = sp.identity(grid.n_nodes, format="csr") / traj.tau
-    half = 0.5 * float(model.lam) * c * A
-    lu = spla.splu((eye + half).tocsc())
-    Q = (eye - half).tocsr()
-
-    def apply(G):
-        steps = G.shape[0] - 1
-        cols = G[1:].reshape(steps, -1, grid.n_nodes).transpose(0, 2, 1)
-        v = np.empty_like(cols)
-        acc = np.zeros_like(cols[0])
-        for j in reversed(range(steps)):  # L^T v = G
-            acc = v[j] = lu.solve(cols[j] + Q @ acc)
-        acc = np.zeros_like(acc)
-        for j in range(steps):  # L x = cA v, overwriting v
-            acc = v[j] = lu.solve(c * (A @ v[j]) + Q @ acc)
-        out = np.zeros_like(G)
-        out[1:] = v.transpose(0, 2, 1).reshape(G[1:].shape)
-        return out
-
-    return apply
+    return delta.reshape(traj.states.shape)
 
 
 def minimize(model: ModelSpec, init: Trajectory,
              opts: SolveOptions = SolveOptions()) -> SolveOutcome:
-    """Descend the certificate energy over the free trajectory nodes.
+    """Drive the certificate energy to zero over the free trajectory nodes.
 
-    Limited-memory BFGS in the time-weighted spatial inner product, with
-    Armijo backtracking; the initial state never moves.  For quadratic
-    densities the initial inverse Hessian ``H0`` is the exact one of the
-    drift-free energy (two Crank-Nicolson sweeps, see
-    :func:`_crank_nicolson_inverse_hessian`): it seeds the two-loop
-    recursion, gives the direction ``-H0 g`` when the memory is empty or
-    the slope is not negative, and every line search starts at the unit
-    step.  Other exponents use the scaled identity ``s^T y / y^T y`` in the
-    recursion, ``-g`` otherwise, and a first step of ``1/|g|`` on an empty
-    memory.  Deterministic for fixed inputs.  A trial step whose energy raises
+    Damped Gauss-Newton on the midpoint residuals (see
+    :func:`_gauss_newton_direction`), with Armijo backtracking on ``J`` from
+    the unit step; the initial state never moves.  When the sweep fails or
+    its direction is not a descent direction in the time-weighted inner
+    product, the step is ``-g`` with first trial ``min(1, 1/|g|)``.  Each
+    trial is priced with its gradient, so an accepted step costs one
+    assembly.  Deterministic for fixed inputs.  A trial whose energy raises
     :class:`~benpde.errors.ConjugateSolveError` or
     :class:`~benpde.errors.ModelEvaluationError` is rejected like one that
     fails the Armijo test.  Raises :class:`~benpde.errors.LineSearchError`
@@ -249,57 +236,29 @@ def minimize(model: ModelSpec, init: Trajectory,
     """
     if not init.initial_locked:
         raise ValueError("minimization requires a locked initial state")
-    grid = init.grid
-    tau = init.tau
-    weight = tau * grid.cell_volume
-
-    def dot(u, v):
-        return weight * float(np.vdot(u, v))
-
-    h0 = _crank_nicolson_inverse_hessian(model, init)
+    weight = init.tau * init.grid.cell_volume
     traj = init
     report, g = energy_and_gradient(model, traj)
-    gnorm = trajectory_grad_norm(grid, tau, g)
+    gnorm = mixed_norm(traj, g)
     history = [(report.total, gnorm)]
-    mem = []  # (s, y, 1/<y,s>) triples, oldest first
 
     def done(rep, gn):
         return gn <= opts.grad_tol or rep.normalized <= opts.energy_tol
 
     iterations = 0
     while not done(report, gnorm) and iterations < opts.max_iters:
-        if mem:
-            q = g.copy()
-            alphas = []
-            for s, y, rho in reversed(mem):
-                a = rho * dot(s, q)
-                alphas.append(a)
-                q -= a * y
-            if h0 is None:
-                s, y, _ = mem[-1]
-                q *= dot(s, y) / dot(y, y)
-            else:
-                q = h0(q)
-            for (s, y, rho), a in zip(mem, reversed(alphas)):
-                q += s * (a - rho * dot(y, q))
-            direction = -q
-            slope = dot(g, direction)
-            if slope >= 0.0:
-                mem.clear()  # the curvature data misleads: restart without it
-        if not mem:
-            direction = -g if h0 is None else -h0(g)
-            slope = dot(g, direction)
-
-        if mem or h0 is not None:
-            step = 1.0
-        else:
+        direction, step = _gauss_newton_direction(model, traj), 1.0
+        slope = (np.nan if direction is None
+                 else weight * float(np.vdot(g, direction)))
+        if not slope < 0.0:  # NaN too: the sweep failed
+            direction, slope = -g, -gnorm**2
             step = min(1.0, 1.0 / max(gnorm, 1e-30))
         accepted = False
         for _ in range(opts.max_line_trials):
             tail = traj.states[1:] + step * direction[1:]
             candidate = traj.with_tail(tail)
             try:
-                rep_new = eval_energy(model, candidate)
+                rep_new, g_new = energy_and_gradient(model, candidate)
             except (ConjugateSolveError, ModelEvaluationError):
                 rep_new = None  # a trial that cannot be priced is rejected
             if (rep_new is not None and rep_new.total
@@ -316,16 +275,8 @@ def minimize(model: ModelSpec, init: Trajectory,
                 f"{opts.max_line_trials} trials at iteration {iterations}",
                 outcome=outcome)
 
-        rep_new, g_new = energy_and_gradient(model, candidate)
-        s = step * direction
-        y = g_new - g
-        sy = dot(s, y)
-        if sy > CURVATURE_FLOOR * np.sqrt(dot(s, s) * dot(y, y)):
-            mem.append((s, y, 1.0 / sy))
-            if len(mem) > opts.memory:
-                mem.pop(0)
         traj, report, g = candidate, rep_new, g_new
-        gnorm = trajectory_grad_norm(grid, tau, g)
+        gnorm = mixed_norm(traj, g)
         history.append((report.total, gnorm))
         iterations += 1
 

@@ -56,7 +56,8 @@ def test_line_search_failure_writes_last_iterate(tmp_path, monkeypatch,
     (tmp_path / "stall.cfg").write_text(
         "model.name = divergence_form\nmodel.q = 4\ngrid.n = 9\n"
         "time.T0 = 0.1\ntime.M = 8\n"
-        "solve.noise = 1.0\nsolve.max_line_trials = 1\noutputs.dir = out\n")
+        "solve.noise = 1.0\nsolve.max_line_trials = 1\n"
+        "solve.armijo_c1 = 0.75\noutputs.dir = out\n")
     assert main(["solve", "stall.cfg"]) == 3
     captured = capsys.readouterr()
     assert len(captured.out.strip().splitlines()) == 1
@@ -137,6 +138,7 @@ def test_zero_time_steps_rejected_naming_key(tmp_path, monkeypatch, capsys):
     ("grid.n = fast", "grid.n"),
     ("model.kappa = 2.0", "model.kappa"),  # not a heat-model parameter
     ("solve.use_lbfgs = false", "solve.use_lbfgs"),
+    ("solve.memory = 10", "solve.memory"),
 ])
 def test_malformed_keys_rejected(tmp_path, monkeypatch, capsys, line, key):
     monkeypatch.chdir(tmp_path)

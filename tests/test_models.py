@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag
 
 from benpde import models
 from benpde.convex import PowerDensity
 from benpde.errors import ModelEvaluationError, NonFiniteInputError
 from benpde.grid import (
-    Field,
     SpaceGrid,
     h_inner,
     h_norm,
     laplacian,
     poisson_solve,
+    weighted_neg_laplacian,
 )
 from benpde.models import (
     CONDITION_NAMES,
@@ -23,7 +24,6 @@ from benpde.models import (
     ModelSpec,
     ReactionTerm,
     adversarial_model,
-    apply_lambda,
     build_model,
     burgers_model,
     check_all_conditions,
@@ -32,6 +32,7 @@ from benpde.models import (
     divergence_form_model,
     dlambda_adjoint_density,
     dlambda_density,
+    dlambda_matrix,
     heat_model,
     lambda_density,
     psi_gradient_density,
@@ -109,15 +110,6 @@ def test_drift_matches_dense_oracle(name):
         want = _oracle_lambda_1d(m, g, u, 0.25)
         got = lambda_density(m, g, u[None, :], 0.25)[0]
         np.testing.assert_allclose(got, want, atol=ORACLE_TOL, rtol=0)
-
-
-def test_apply_lambda_wraps_fields():
-    g = SpaceGrid(dim=1, n=4)
-    u = Field(g, np.arange(1.0, 5.0))
-    out = apply_lambda(burgers_model(), u, 0.0)
-    assert isinstance(out, Field)
-    ref = lambda_density(burgers_model(), g, u.values, 0.0)
-    np.testing.assert_array_equal(out.values, ref)
 
 
 def test_time_dependent_reaction_plumbing():
@@ -270,6 +262,34 @@ def test_lambda_batch_matches_loop():
     out = lambda_density(m, g, batch, t)
     for i in range(4):
         np.testing.assert_array_equal(out[i], lambda_density(m, g, batch[i], t[i]))
+
+
+@pytest.mark.parametrize("dim,builder", [
+    (1, lambda: divergence_form_model(4.0)),
+    (1, lambda: _ramp_model()),
+    (2, lambda: burgers_model()),
+])
+def test_slice_jacobians_assemble_block_diagonally(dim, builder):
+    # With a leading slice axis both builders return the block-diagonal
+    # matrix of their one-slice results, each at its own slice time.
+    g = SpaceGrid(dim=dim, n=9 if dim == 1 else 4)
+    m = builder()
+    rng = np.random.default_rng(31)
+    u = rng.normal(size=(3, 1) + g.shape)
+    t = np.array([0.0, 0.4, 0.8])
+    delta = rng.normal(size=(1,) + g.shape)
+    one = [dlambda_matrix(m, g, u[s], t[s]) for s in range(3)]
+    np.testing.assert_array_equal(dlambda_matrix(m, g, u, t).toarray(),
+                                  block_diag(*[b.toarray() for b in one]))
+    for s in range(3):
+        want = dlambda_density(m, g, u[s], t[s], delta)
+        np.testing.assert_allclose(one[s] @ delta.ravel(), want.ravel(),
+                                   rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+    weights = psi_hessian_edge_weights(m.density, g, u)
+    one = [weighted_neg_laplacian(g, [w[s] for w in weights]).toarray()
+           for s in range(3)]
+    np.testing.assert_array_equal(weighted_neg_laplacian(g, weights).toarray(),
+                                  block_diag(*one))
 
 
 # -- model construction ------------------------------------------------------------
@@ -505,3 +525,25 @@ def test_report_does_not_depend_on_block_size(monkeypatch, block):
     for a, b in zip(got.witnesses, want.witnesses):
         assert (a["t"], a["x"]) == (b["t"], b["x"])
         _assert_margin_close(a["margin"], b["margin"])
+
+
+@pytest.mark.parametrize("builder", [
+    heat_model, burgers_model, lambda: divergence_form_model(4.0),
+    adversarial_model,
+], ids=["heat", "burgers", "divform_q4", "adversarial"])
+def test_one_sample_margin_equals_its_block_margin_bit_for_bit(builder):
+    # Reductions over a sample must not depend on how many samples are
+    # batched with it, so C-ordered gradients make these exact.
+    g = SpaceGrid(dim=1, n=9)
+    m = builder()
+    for cond in CONDITION_NAMES:
+        margin_fn, needs_h = models._CONDITIONS[cond]
+        key = (3, sorted(CONDITION_NAMES).index(cond))
+        t, fields = models._draw_block(g, key, range(64), 1.0, (0.0, 1.0),
+                                       2 if needs_h else 1)
+        x, h = fields[0], (fields[1] if needs_h else None)
+        block = margin_fn(m, g, x, h, t)
+        for j in range(64):
+            one = condition_margin(m, g, cond, x[j, 0],
+                                   h[j, 0] if needs_h else None, t=t[j])
+            assert one == block[j], (cond, j)

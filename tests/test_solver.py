@@ -1,15 +1,16 @@
 """Minimizer, implicit baseline, comparisons, and the uniqueness probe."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import benpde.solver
-from benpde.energy import certificate, energy_and_gradient, eval_energy, residual
+from benpde.energy import certificate, energy_and_gradient, residual
 from benpde.errors import LineSearchError, ModelEvaluationError, TimeStepError
 from benpde.grid import Field, SpaceGrid, Trajectory, h_norm, uniform_times
-from benpde.models import build_model, psi_gradient_density
+from benpde.models import adversarial_model, build_model, psi_gradient_density
 from benpde.solver import (
     CompareResult,
     SolveOptions,
@@ -39,8 +40,6 @@ def _sine_setup(n=9, n_steps=8, t_end=0.1):
 def test_options_validation():
     with pytest.raises(ValueError, match="grad_tol"):
         SolveOptions(grad_tol=0.0)
-    with pytest.raises(ValueError, match="memory"):
-        SolveOptions(memory=0)
     with pytest.raises(ValueError, match="backtrack"):
         SolveOptions(backtrack=1.0)
     with pytest.raises(ValueError, match="max_line_trials"):
@@ -119,7 +118,7 @@ def test_minimize_matches_baseline_at_coarse_tolerance():
 def test_line_search_failure_carries_last_outcome():
     grid, times, w0 = _sine_setup()
     init = random_initial_trajectory(grid, times, w0, seed=0, noise=1.0)
-    opts = SolveOptions(max_iters=200, max_line_trials=1)
+    opts = SolveOptions(max_iters=200, max_line_trials=1, armijo_c1=0.75)
     with pytest.raises(LineSearchError) as info:
         minimize(build_model("divergence_form", q=4.0), init, opts)
     out = info.value.outcome
@@ -129,23 +128,26 @@ def test_line_search_failure_carries_last_outcome():
 
 
 def test_line_search_rejects_a_trial_that_raises(monkeypatch):
-    # Seed 1 rejects the first trial of the first line search by the Armijo
-    # test, so a raise there must cost nothing but that one rejected trial.
+    # With c1 = 0.75 the Armijo test rejects the first trial of the first
+    # line search, so a raise there must cost nothing but that one trial.
     grid, times, w0 = _sine_setup()
     init = random_initial_trajectory(grid, times, w0, seed=1)
-    opts = SolveOptions(max_iters=2000, grad_tol=1e-13, energy_tol=1e-12)
+    opts = SolveOptions(max_iters=2000, grad_tol=1e-13, energy_tol=1e-12,
+                        armijo_c1=0.75)
     model = build_model("divergence_form", q=4.0)
 
     def run(fail_first):
         trials = []
 
-        def eval_or_raise(m, traj):
-            trials.append(traj.states[1:] - init.states[1:])
-            if fail_first and len(trials) == 1:
-                raise ModelEvaluationError("injected failure")
-            return eval_energy(m, traj)
+        def price_or_raise(m, traj):
+            if traj is not init:  # the start is priced before any trial
+                trials.append(traj.states[1:] - init.states[1:])
+                if fail_first and len(trials) == 1:
+                    raise ModelEvaluationError("injected failure")
+            return energy_and_gradient(m, traj)
 
-        monkeypatch.setattr(benpde.solver, "eval_energy", eval_or_raise)
+        monkeypatch.setattr(benpde.solver, "energy_and_gradient",
+                            price_or_raise)
         return minimize(model, init, opts), trials
 
     clean, clean_trials = run(False)
@@ -174,7 +176,7 @@ def test_max_iters_reached_is_a_valid_outcome():
     assert out.iterations == 3
 
 
-# -- Crank-Nicolson preconditioner ---------------------------------------------------
+# -- Gauss-Newton direction ---------------------------------------------------------
 
 
 def _heat_midpoint_solution_2d(n, n_steps, t_end):
@@ -196,55 +198,96 @@ def _heat_midpoint_solution_2d(n, n_steps, t_end):
 
 
 def _midpoint_case(case):
-    """Heat model and its midpoint-scheme solution for one preconditioner case."""
+    """Heat model and its midpoint-scheme solution for one direction case."""
     heat = build_model("heat")
     if case == "1d":
         return heat, _heat_midpoint_solution(n=9, n_steps=8, t_end=0.1)[1]
     if case == "2d":
         return heat, _heat_midpoint_solution_2d(n=5, n_steps=8, t_end=0.1)[1]
+    if case == "2comp":  # heat flow moves each component on its own
+        one = _heat_midpoint_solution(n=9, n_steps=8, t_end=0.1)[1]
+        return heat, Trajectory(one.grid, one.times, np.concatenate(
+            [one.states, -2.0 * one.states], axis=1))
     # lam = 0 leaves only the dual residual, so the scheme keeps u_0 fixed
     # (the midpoint solution with zero diffusion)
     return (replace(heat, lam=0),
             _heat_midpoint_solution(n=9, n_steps=8, t_end=0.1, a=0.0)[1])
 
 
-@pytest.mark.parametrize("case", ["1d", "2d", "lam0"])
-def test_preconditioner_maps_heat_gradient_to_midpoint_error(case):
+@pytest.mark.parametrize("case", ["1d", "2d", "lam0", "2comp"])
+def test_gauss_newton_direction_is_midpoint_error(case):
     model, exact = _midpoint_case(case)
     rng = np.random.default_rng(4)
     u = exact.with_tail(exact.states[1:]
                         + rng.normal(size=exact.states[1:].shape))
-    h0 = benpde.solver._crank_nicolson_inverse_hessian(model, u)
-    _, g = energy_and_gradient(model, u)
+    delta = benpde.solver._gauss_newton_direction(model, u)
     err = u.states - exact.states
-    np.testing.assert_allclose(h0(g), err, rtol=0.0,
+    np.testing.assert_allclose(-delta, err, rtol=0.0,
                                atol=1e-9 * np.max(np.abs(err)))
 
 
-@pytest.mark.parametrize("case", ["1d", "2d", "lam0"])
-def test_preconditioner_is_self_adjoint_and_positive(case):
-    model, exact = _midpoint_case(case)
-    h0 = benpde.solver._crank_nicolson_inverse_hessian(model, exact)
-    weight = exact.tau * exact.grid.cell_volume
+def _slope(u, g, delta):
+    return u.tau * u.grid.cell_volume * float(np.vdot(g, delta))
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "lam0", "burgers", "divform_q2",
+                                  "adversarial"])
+def test_gauss_newton_slope_is_minus_twice_the_energy(case):
+    # For a quadratic density J = (tau/2) sum_k <R_k, (cA)^{-1} R_k>_H, so the
+    # slope along delta = -R'^{-1} R is exactly -2J, drift or not.
+    if case in ("1d", "2d", "lam0"):
+        model, base = _midpoint_case(case)
+    else:
+        grid, times, w0 = _sine_setup()
+        model = (build_model("divergence_form", q=2.0)
+                 if case == "divform_q2" else build_model(case))
+        base = random_initial_trajectory(grid, times, w0, seed=0)
     rng = np.random.default_rng(8)
     for _ in range(5):
-        x, y = rng.normal(size=(2,) + exact.states.shape)
-        x[0] = y[0] = 0.0
-        hx, hy = h0(x), h0(y)
-        xhy, hxy = weight * np.vdot(x, hy), weight * np.vdot(hx, y)
-        assert xhy == pytest.approx(hxy, rel=1e-10)
-        assert weight * np.vdot(hx, x) > 0.0
-        assert weight * np.vdot(hy, y) > 0.0
+        u = base.with_tail(base.states[1:]
+                           + rng.normal(size=base.states[1:].shape))
+        report, g = energy_and_gradient(model, u)
+        delta = benpde.solver._gauss_newton_direction(model, u)
+        assert _slope(u, g, delta) == pytest.approx(-2.0 * report.total,
+                                                    rel=1e-12)
 
 
-def test_preconditioner_is_only_built_for_quadratic_densities():
+def test_gauss_newton_descends_for_quartic_density():
     grid, times, w0 = _sine_setup()
-    init = random_initial_trajectory(grid, times, w0, seed=0)
-    quartic = build_model("divergence_form", q=4.0)
-    assert benpde.solver._crank_nicolson_inverse_hessian(quartic, init) is None
-    for name in ("heat", "burgers"):
-        assert benpde.solver._crank_nicolson_inverse_hessian(
-            build_model(name), init) is not None
+    model = build_model("divergence_form", q=4.0)
+    for seed in range(3):
+        u = random_initial_trajectory(grid, times, w0, seed=seed, noise=1.0)
+        report, g = energy_and_gradient(model, u)
+        delta = benpde.solver._gauss_newton_direction(model, u)
+        assert _slope(u, g, delta) < -report.total
+
+
+def test_singular_gauss_newton_step_falls_back_to_gradient():
+    # One node (h = 1/2, so A = 8) with kappa = 24 and tau = 1/8 makes
+    # P_0 = 1/tau + (8 - 24)/2 = 0 exactly: the sweep fails without warnings
+    # and -g takes over.
+    grid = SpaceGrid(dim=1, n=1)
+    init = constant_initial_trajectory(grid, uniform_times(0.25, 2), [1.0])
+    model = adversarial_model(kappa=24.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert benpde.solver._gauss_newton_direction(model, init) is None
+        out = minimize(model, init)
+    assert out.converged
+    assert out.iterations > 0
+
+
+@pytest.mark.parametrize("n,n_steps,cap", [(17, 16, 15), (65, 128, 20)])
+def test_quartic_divergence_form_iteration_gates(n, n_steps, cap):
+    # divform_q4.cfg's model, start and tolerances; (17, 16) is its own size
+    grid, times, w0 = _sine_setup(n=n, n_steps=n_steps, t_end=0.05)
+    model = build_model("divergence_form", q=4.0)
+    init = random_initial_trajectory(grid, times, w0, seed=3, noise=0.25)
+    out = minimize(model, init, SolveOptions(max_iters=3000, grad_tol=1e-13,
+                                             energy_tol=1e-12))
+    assert out.converged
+    assert out.iterations <= cap
+    assert certificate(model, out.trajectory, 1e-4).solved
 
 
 def test_preconditioned_heat_reaches_certificate_in_two_iterations():
