@@ -23,8 +23,8 @@ positive-definite solve.  Other densities in one dimension are solved
 exactly: ``D^T w = y`` fixes the edge fluxes up to one constant per slice,
 the edge law is inverted pointwise, and the constant solves a monotone
 scalar equation that encodes the zero boundary values.  In two dimensions a
-damped Newton iteration with a weighted-Laplacian Jacobian solves each slice
-in turn.  The maximizer ``z = DPsi*(y)`` is reused for the primal defect
+damped Newton iteration solves each slice in turn, one banded solve of the
+weighted-Laplacian Jacobian per step.  The maximizer ``z = DPsi*(y)`` is reused for the primal defect
 ``W_k = lam * m_k - DPsi*(H_k)`` and for the gradient assembly, so one
 energy evaluation prices all certificate quantities at once.
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .convex import PowerDensity, conjugate_radius, radial_coefficient
 from .errors import ConjugateSolveError
@@ -50,7 +49,8 @@ from .grid import (
     h_inner_batch,
     h_norm,
     poisson_solve,
-    weighted_neg_laplacian,
+    solve_bands,
+    stencil_bands,
 )
 from .models import (
     ModelSpec,
@@ -152,9 +152,9 @@ def _conjugate_newton_single(density: PowerDensity, grid: SpaceGrid,
     for it in range(max_iters):
         if res <= target:
             return z, it
-        weights = psi_hessian_edge_weights(density, grid, z)
-        jac = spla.splu(weighted_neg_laplacian(grid, weights).tocsc())
-        step = jac.solve(-g.ravel()).reshape(z.shape)
+        bands = stencil_bands(grid, np.zeros(grid.shape),
+                              psi_hessian_edge_weights(density, grid, z))
+        step = solve_bands(bands, -g.ravel()).reshape(z.shape)
         s = 1.0
         for _ in range(30):
             z_new = z + s * step

@@ -34,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
 from .errors import NonFiniteInputError
@@ -46,9 +47,8 @@ __all__ = [
     "divergence",
     "laplacian",
     "poisson_solve",
-    "weighted_neg_laplacian",
-    "block_diagonal",
-    "scale_columns",
+    "stencil_bands",
+    "solve_bands",
     "h_inner",
     "h_inner_batch",
     "h_norm",
@@ -145,18 +145,6 @@ class SpaceGrid:
             return [a1]
         eye = sp.identity(n, format="csr")
         return [sp.kron(a1, eye, format="csr"), sp.kron(eye, a1, format="csr")]
-
-    @cached_property
-    def diff_ops_t(self) -> list:
-        """Per-axis transposed differences ``D_a^T`` (edges -> nodes)."""
-        return [d.T.tocsr() for d in self.diff_ops]
-
-    @cached_property
-    def diff_avg_ops(self) -> list:
-        """Per-axis products ``D_a^T Avg_a`` (nodes -> nodes), the constant
-        factor of the flux Jacobian."""
-        return [(dt @ a).tocsr() for dt, a in zip(self.diff_ops_t,
-                                                    self.avg_ops)]
 
     @cached_property
     def neg_laplacian(self) -> sp.csr_matrix:
@@ -267,34 +255,51 @@ def poisson_solve(grid: SpaceGrid, rhs) -> np.ndarray:
     return sol.reshape(*prefix, *grid.shape)
 
 
-def scale_columns(mat: sp.csr_matrix, w) -> sp.csr_matrix:
-    """``mat @ diag(w)`` for a CSR matrix, scaling its stored entries in place
-    of a sparse product."""
-    w = np.asarray(w, dtype=float).ravel()
-    return sp.csr_matrix((mat.data * w[mat.indices], mat.indices, mat.indptr),
-                         shape=mat.shape)
+def stencil_bands(grid: SpaceGrid, diag, edge_weights=(), node_coefs=()):
+    """Bands of ``diag(d) + sum_a D_a^T diag(w_a) D_a + D_a^T Avg_a diag(c_a)``.
 
-
-def block_diagonal(mat: sp.csr_matrix, slices: int) -> sp.csr_matrix:
-    """``diag(mat, ..., mat)`` with ``slices`` copies; ``mat`` itself for one."""
-    if slices == 1:
-        return mat
-    return sp.kron(sp.identity(slices, format="csr"), mat, format="csr")
-
-
-def weighted_neg_laplacian(grid: SpaceGrid, edge_weights: list) -> sp.csr_matrix:
-    """Assemble ``sum_a D_a^T diag(w_a) D_a`` from flat per-axis edge weights.
-
-    Weights with a leading slice axis, ``(S, n_edges)``, give the
-    block-diagonal matrix of the ``S`` slices.
+    ``diag`` and the node coefficients ``c_a`` have shape ``(..., *shape)``,
+    the edge weights ``w_a`` ``(..., *edge_shape(a))``; the matrix is
+    block-diagonal over the leading axes of ``diag``.  The bands are
+    ``(2w + 1, slices * n_nodes)`` in :func:`scipy.linalg.solve_banded`
+    layout, ``w = n^(dim-1)``.  Along axis ``a`` (stride ``s``) column ``j``
+    holds ``-w_left/h^2 - c_j/(2h)`` in row ``j - s`` and
+    ``-w_right/h^2 + c_j/(2h)`` in row ``j + s``.
     """
-    mat = None
-    for dt, d, w in zip(grid.diff_ops_t, grid.diff_ops, edge_weights):
-        slices = np.size(w) // d.shape[0]
-        term = (scale_columns(block_diagonal(dt, slices), w)
-                @ block_diagonal(d, slices))
-        mat = term if mat is None else mat + term
-    return mat.tocsr()
+    n, dim, inv_h = grid.n, grid.dim, 1.0 / grid.h
+    width = n ** (dim - 1)
+    d = np.asarray(diag, dtype=float)
+    bands = np.zeros((2 * width + 1,) + d.shape)
+    for a in range(dim):
+        stride = n ** (dim - 1 - a)
+        up, down = bands[width - stride], bands[width + stride]
+        tail = (slice(None),) * (dim - 1 - a)
+        after = (Ellipsis, slice(1, None)) + tail  # j_a >= 1
+        before = (Ellipsis, slice(None, -1)) + tail  # j_a <= n-2
+        if len(edge_weights):
+            w = edge_weights[a] * inv_h * inv_h
+            bands[width] += w[before] + w[after]
+            inner = w[before][after]  # interior edges, each shared by two nodes
+            up[after] -= inner
+            down[before] -= inner
+        if len(node_coefs):
+            c = node_coefs[a] * (0.5 * inv_h)
+            up[after] -= c[after]
+            down[before] += c[before]
+    bands[width] += d
+    return bands.reshape(2 * width + 1, -1)
+
+
+def solve_bands(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with :func:`stencil_bands` output; raises
+    :class:`numpy.linalg.LinAlgError` when the system is singular or the
+    solution is not finite."""
+    width = bands.shape[0] // 2
+    with np.errstate(all="ignore"):  # a singular 1 x 1 system divides by 0
+        x = solve_banded((width, width), bands, rhs, check_finite=False)
+    if not np.all(np.isfinite(x)):
+        raise np.linalg.LinAlgError("singular or non-finite banded solve")
+    return x
 
 
 # -- inner products and norms --------------------------------------------------

@@ -38,14 +38,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .convex import PowerDensity, radial_coefficient, radial_value
 from .errors import ModelEvaluationError, NonFiniteInputError
 from .grid import (
     Field,
     SpaceGrid,
-    block_diagonal,
     divergence,
     dual_grad_norm,
     grad_magnitudes,
@@ -53,7 +51,7 @@ from .grid import (
     gradient,
     h_inner_batch,
     poisson_solve,
-    scale_columns,
+    stencil_bands,
 )
 
 __all__ = [
@@ -65,8 +63,8 @@ __all__ = [
     "ConditionReport",
     "lambda_density",
     "dlambda_density",
-    "dlambda_matrix",
     "dlambda_adjoint_density",
+    "jacobian_bands",
     "psi_total",
     "psi_grad_edges",
     "psi_gradient_density",
@@ -228,21 +226,19 @@ def psi_gradient_density(density: PowerDensity, grid: SpaceGrid, values):
 
 
 def psi_hessian_edge_weights(density: PowerDensity, grid: SpaceGrid, values) -> list:
-    """Per-axis flat edge weights of ``D^2 psi`` for scalar fields.
+    """Per-axis edge weights ``(..., *edge_shape)`` of ``D^2 psi`` for scalar
+    fields ``(..., 1, *shape)``.
 
     For one-component fields the second derivative along each edge is the
-    scalar ``a (q-1) |g|^{q-2} + eps``, which assembles the SPD weighted
-    Laplacian used by the dual Newton solves and the implicit stepper.
+    scalar ``a (q-1) |g|^{q-2} + eps``; :func:`~benpde.grid.stencil_bands`
+    turns the weights into the SPD weighted Laplacian that every Newton
+    solve (Gauss-Newton, implicit stepper, 2-D dual Newton) factorizes.
     """
-    arr = _to_batch(values, grid)
-    if arr.shape[-(grid.dim + 1)] != 1:
+    arr, comp = _to_batch(values, grid), -(grid.dim + 1)
+    if arr.shape[comp] != 1:
         raise ValueError("hessian edge weights require a one-component field")
-    weights = []
-    for g in gradient(grid, arr):
-        mag = np.abs(np.squeeze(g, axis=-(grid.dim + 1)))
-        w = radial_coefficient(density, mag, curvature=True)
-        weights.append(w.reshape(*w.shape[: -grid.dim], -1))
-    return weights
+    return [radial_coefficient(density, np.abs(np.squeeze(g, axis=comp)),
+                               curvature=True) for g in gradient(grid, arr)]
 
 
 # -- Lambda assembly -------------------------------------------------------------
@@ -358,34 +354,28 @@ def dlambda_density(model: ModelSpec, grid: SpaceGrid, values, t, direction):
     return np.expand_dims(acc, comp)
 
 
-def dlambda_matrix(model: ModelSpec, grid: SpaceGrid, values, t):
-    """Sparse nodal Jacobian of the drift density at scalar states.
+def jacobian_bands(model: ModelSpec, grid: SpaceGrid, values, t, shift: float,
+                   theta: float) -> np.ndarray:
+    """Bands of ``shift I + theta (DLambda_t(u) + lam D^2Psi(lam u))``.
 
-    Matches :func:`dlambda_density` as a matrix acting on flattened nodal
-    vectors.  One field ``(1, *shape)`` gives its ``N x N`` Jacobian; ``S``
-    slices ``(S, 1, *shape)`` with times ``(S,)`` give the block-diagonal
-    matrix of the slices.
+    ``values`` are scalar states ``(..., 1, *shape)`` with times ``t``
+    matching the leading axes; the matrix is block-diagonal over them and
+    matches :func:`dlambda_density` plus the Hessian of :func:`psi_total` on
+    flattened nodal vectors (layout of :func:`~benpde.grid.stencil_bands`).
     """
     arr = _to_batch(values, grid)
-    if arr.ndim > grid.dim + 2 or arr.shape[-(grid.dim + 1)] != 1:
-        raise ValueError("drift Jacobian assembly needs scalar fields")
-    B = arr.reshape((-1,) + grid.shape) if arr.ndim > grid.dim + 1 else arr[0]
-    slices = B.size // grid.n_nodes
-    mat = sp.csr_matrix((B.size, B.size))
-    if not model.has_terms:
-        return mat
-    if model.flux is not None or model.scalar_flux is not None:
-        for axis in range(grid.dim):
-            c = _interior_flux_deriv(model, grid, B, t, axis)
-            mat = mat + scale_columns(
-                block_diagonal(grid.diff_avg_ops[axis], slices), c)
+    B = np.squeeze(arr, axis=-(grid.dim + 1))  # ValueError unless scalar
+    diag, weights, coefs = np.full_like(B, shift), (), ()
     if model.reaction is not None:
         tb = _time_broadcast(t, grid.dim)
-        thetap = model.reaction.deriv(B, grid.node_coords, tb)
-        mat = mat - sp.diags_array(
-            [np.broadcast_to(thetap, B.shape).ravel().astype(float)],
-            offsets=[0])
-    return mat.tocsr()
+        diag = diag - theta * model.reaction.deriv(B, grid.node_coords, tb)
+    if model.flux is not None or model.scalar_flux is not None:
+        coefs = [theta * _interior_flux_deriv(model, grid, B, t, axis)
+                 for axis in range(grid.dim)]
+    if model.lam:  # lam = 1
+        weights = [theta * w for w in
+                   psi_hessian_edge_weights(model.density, grid, arr)]
+    return stencil_bands(grid, diag, weights, coefs)
 
 
 def dlambda_adjoint_density(model: ModelSpec, grid: SpaceGrid, values, t, covector):

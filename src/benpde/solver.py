@@ -23,9 +23,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, solve_banded
 
 from .energy import EnergyReport, _dual_residuals, energy_and_gradient
 from .errors import (
@@ -40,14 +37,13 @@ from .grid import (
     Trajectory,
     h_norm,
     mixed_norm,
-    weighted_neg_laplacian,
+    solve_bands,
 )
 from .models import (
     ModelSpec,
-    dlambda_matrix,
+    jacobian_bands,
     lambda_density,
     psi_gradient_density,
-    psi_hessian_edge_weights,
 )
 
 __all__ = [
@@ -177,44 +173,34 @@ def random_initial_trajectory(grid: SpaceGrid, times, w0, seed: int,
 def _gauss_newton_direction(model: ModelSpec, traj: Trajectory):
     """Gauss-Newton step ``delta = -R'(u)^{-1} R(u)`` on the midpoint
     residuals ``R_k = -H_k + lam DPsi(lam m_k)``, or ``None`` when the sweep
-    fails (a singular ``P_k`` or a non-finite ``delta``).
+    fails (a singular or non-finite solve with ``P_k``).
 
     ``R'`` is block lower-bidiagonal in time, with diagonal blocks
     ``P_k = I/tau + K_k/2`` and sub-diagonal blocks ``P_k - 2I/tau``, where
     ``K_k = DLambda(m_k) + lam D^2Psi(lam m_k)``.  So ``delta`` costs one
     forward sweep ``delta_{k+1} = P_k^{-1}(-R_k + 2 delta_k/tau) - delta_k``
-    from ``delta_0 = 0``.  All ``K_k`` are assembled as one block-diagonal
-    matrix; its bands, as wide as that matrix's widest offset, are stored
-    once and each step solves with its own slice of them.
+    from ``delta_0 = 0``.  The bands of every ``P_k`` are built at once by
+    :func:`~benpde.models.jacobian_bands`, and each step solves with its own
+    slice of them.
     """
     grid, tau, lam = traj.grid, traj.tau, float(model.lam)
     mids, t_mid, H = _dual_residuals(model, traj)
-    blocks = mids.reshape((-1, 1) + grid.shape)  # one per (slice, component)
-    K = dlambda_matrix(model, grid, blocks, np.repeat(t_mid, traj.k))
     R = -H
     if model.lam:
         R = R + lam * psi_gradient_density(model.density, grid, lam * mids)
-        weights = psi_hessian_edge_weights(model.density, grid, lam * blocks)
-        K = K + lam * weighted_neg_laplacian(grid, weights)
-    P = (sp.identity(K.shape[0], format="csr") / tau + 0.5 * K).tocoo()
-    width = int(np.max(np.abs(P.row - P.col), initial=0))
-    bands = np.zeros((2 * width + 1, K.shape[0]))
-    bands[width + P.row - P.col, P.col] = P.data
+    blocks = mids.reshape((-1, 1) + grid.shape)  # one per (slice, component)
+    bands = jacobian_bands(model, grid, blocks, np.repeat(t_mid, traj.k),
+                           1.0 / tau, 0.5)
     size = R[0].size
     rhs = -R.reshape(traj.n_steps, size)
     delta = np.zeros((traj.n_steps + 1, size))
-    with np.errstate(all="ignore"):
-        for k in range(traj.n_steps):
-            try:
-                x = solve_banded((width, width),
-                                 bands[:, k * size:(k + 1) * size],
-                                 rhs[k] + (2.0 / tau) * delta[k],
-                                 check_finite=False)
-            except LinAlgError:
-                return None
-            delta[k + 1] = x - delta[k]
-    if not np.all(np.isfinite(delta)):
-        return None
+    for k in range(traj.n_steps):
+        try:
+            x = solve_bands(bands[:, k * size:(k + 1) * size],
+                            rhs[k] + (2.0 / tau) * delta[k])
+        except np.linalg.LinAlgError:
+            return None
+        delta[k + 1] = x - delta[k]
     return delta.reshape(traj.states.shape)
 
 
@@ -302,9 +288,11 @@ def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
 
         (u_{k+1} - u_k)/tau + Lambda_{t_{k+1}}(u_{k+1}) + DPsi(lam u_{k+1}) = 0
 
-    by damped Newton (step halving until the residual drops).  Raises
-    :class:`~benpde.errors.TimeStepError` with the step index if a step
-    fails to reach ``newton_tol`` relative to its starting residual.
+    by damped Newton (step halving until the residual drops), one banded
+    solve with :func:`~benpde.models.jacobian_bands` per Newton step.
+    Raises :class:`~benpde.errors.TimeStepError` with the step index if a
+    Newton Jacobian is singular or a step fails to reach ``newton_tol``
+    relative to its starting residual.
     """
     t = np.asarray(times, dtype=float)
     if not isinstance(w0, Field):
@@ -313,8 +301,6 @@ def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
     u_prev = _initial_state(grid, w0)
     tau = float(t[1] - t[0])
     states = [u_prev]
-    eye = sp.identity(grid.n_nodes, format="csr") / tau
-    lam = float(model.lam)
     for k in range(t.size - 1):
         t_next = float(t[k + 1])
         u = u_prev.copy()
@@ -327,11 +313,13 @@ def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
                 raise TimeStepError(
                     f"step {k}: Newton hit the iteration cap at residual "
                     f"{rnorm:.3e}", k, rnorm)
-            jac = eye + dlambda_matrix(model, grid, u, t_next)
-            if model.lam:
-                weights = psi_hessian_edge_weights(model.density, grid, lam * u)
-                jac = jac + lam * weighted_neg_laplacian(grid, weights)
-            delta = spla.splu(jac.tocsc()).solve(-res.ravel()).reshape(u.shape)
+            jac = jacobian_bands(model, grid, u[:, None], t_next, 1.0 / tau, 1.0)
+            try:
+                delta = solve_bands(jac, -res.ravel()).reshape(u.shape)
+            except np.linalg.LinAlgError:
+                raise TimeStepError(
+                    f"step {k}: singular Newton Jacobian at residual "
+                    f"{rnorm:.3e}", k, rnorm) from None
             scale = 1.0
             for _ in range(MAX_HALVINGS):
                 u_new = u + scale * delta

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,20 @@ def test_baseline_command_writes_report(tmp_path, monkeypatch):
     assert report["steps"] == 8
     assert report["total"] > 0.0
     assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_singular_baseline_jacobian_exits_3(tmp_path, monkeypatch, capsys):
+    # One node, h = 1/2, tau = 1/16: the Newton Jacobian 1/tau + 8 - kappa
+    # of the first step is exactly zero.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "singular.cfg").write_text(
+        "model.name = adversarial\nmodel.kappa = 24\ngrid.n = 1\n"
+        "time.T0 = 0.125\ntime.M = 2\noutputs.dir = out\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["baseline", "singular.cfg"]) == 3
+    err = capsys.readouterr().err
+    assert "step 0" in err and "singular" in err
 
 
 def test_zero_time_steps_rejected_naming_key(tmp_path, monkeypatch, capsys):

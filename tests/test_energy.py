@@ -112,7 +112,7 @@ def test_conjugate_1d_factorizes_nothing(monkeypatch):
     def no_lu(*args, **kwargs):
         raise AssertionError("sparse factorization in a 1-D conjugate")
 
-    monkeypatch.setattr(benpde.energy.spla, "splu", no_lu)
+    monkeypatch.setattr(benpde.energy, "solve_bands", no_lu)
     d = PowerDensity(0.9, 4.0, 0.7)
     g = SpaceGrid(dim=1, n=17)
     z_true = np.random.default_rng(4).normal(size=(6, 1, 17))

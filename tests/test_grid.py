@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from benpde.errors import NonFiniteInputError
@@ -19,8 +20,8 @@ from benpde.grid import (
     load_trajectory_csv,
     poisson_solve,
     save_trajectory_csv,
+    stencil_bands,
     uniform_times,
-    weighted_neg_laplacian,
 )
 
 ADJOINT_TOL = 1e-12
@@ -96,10 +97,17 @@ def test_summation_by_parts(dim, n, k):
     assert abs(lhs - rhs) <= ADJOINT_TOL * max(1.0, abs(lhs))
 
 
+def band_matrix(bands):
+    """Sparse matrix of :func:`stencil_bands` output."""
+    w = bands.shape[0] // 2
+    return sp.dia_matrix((bands, np.arange(w, -w - 1, -1)),
+                         shape=(bands.shape[1],) * 2).tocsr()
+
+
 def test_weighted_neg_laplacian_reduces_to_plain():
     g = SpaceGrid(dim=2, n=6)
-    w = [np.ones(np.prod(g.edge_shape(a))) for a in range(2)]
-    diff = weighted_neg_laplacian(g, w) - g.neg_laplacian
+    w = [np.ones(g.edge_shape(a)) for a in range(2)]
+    diff = band_matrix(stencil_bands(g, np.zeros(g.shape), w)) - g.neg_laplacian
     assert abs(diff).max() <= 1e-14
 
 
@@ -108,7 +116,7 @@ def test_weighted_neg_laplacian_matches_direct_quadratic_form():
     rng = np.random.default_rng(11)
     w = rng.uniform(0.5, 2.0, size=g.n + 1)
     u = rng.normal(size=g.n)
-    mat = weighted_neg_laplacian(g, [w])
+    mat = band_matrix(stencil_bands(g, np.zeros(g.shape), [w]))
     (gu,) = gradient(g, u)
     # u^T (D^T W D) u == sum_e w_e |grad u|_e^2
     assert float(u @ (mat @ u)) == pytest.approx(float(np.sum(w * gu[0] ** 2)),

@@ -1,7 +1,10 @@
 """Model assembly, derivative consistency, and structural condition checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
@@ -14,7 +17,7 @@ from benpde.grid import (
     h_norm,
     laplacian,
     poisson_solve,
-    weighted_neg_laplacian,
+    stencil_bands,
 )
 from benpde.models import (
     CONDITION_NAMES,
@@ -32,8 +35,8 @@ from benpde.models import (
     divergence_form_model,
     dlambda_adjoint_density,
     dlambda_density,
-    dlambda_matrix,
     heat_model,
+    jacobian_bands,
     lambda_density,
     psi_gradient_density,
     psi_hessian_edge_weights,
@@ -264,6 +267,13 @@ def test_lambda_batch_matches_loop():
         np.testing.assert_array_equal(out[i], lambda_density(m, g, batch[i], t[i]))
 
 
+def band_matrix(bands):
+    """Sparse matrix of banded-solver output."""
+    w = bands.shape[0] // 2
+    return sp.dia_matrix((bands, np.arange(w, -w - 1, -1)),
+                         shape=(bands.shape[1],) * 2).tocsr()
+
+
 @pytest.mark.parametrize("dim,builder", [
     (1, lambda: divergence_form_model(4.0)),
     (1, lambda: _ramp_model()),
@@ -278,18 +288,24 @@ def test_slice_jacobians_assemble_block_diagonally(dim, builder):
     u = rng.normal(size=(3, 1) + g.shape)
     t = np.array([0.0, 0.4, 0.8])
     delta = rng.normal(size=(1,) + g.shape)
-    one = [dlambda_matrix(m, g, u[s], t[s]) for s in range(3)]
-    np.testing.assert_array_equal(dlambda_matrix(m, g, u, t).toarray(),
+
+    def drift(v, tv):  # DLambda alone: lam = 0, no shift
+        return band_matrix(jacobian_bands(replace(m, lam=0), g, v, tv, 0.0, 1.0))
+
+    def lap(weights):
+        lead = np.shape(weights[0])[: -g.dim]
+        return band_matrix(stencil_bands(g, np.zeros(lead + g.shape), weights))
+
+    one = [drift(u[s], t[s]) for s in range(3)]
+    np.testing.assert_array_equal(drift(u, t).toarray(),
                                   block_diag(*[b.toarray() for b in one]))
     for s in range(3):
         want = dlambda_density(m, g, u[s], t[s], delta)
         np.testing.assert_allclose(one[s] @ delta.ravel(), want.ravel(),
                                    rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
     weights = psi_hessian_edge_weights(m.density, g, u)
-    one = [weighted_neg_laplacian(g, [w[s] for w in weights]).toarray()
-           for s in range(3)]
-    np.testing.assert_array_equal(weighted_neg_laplacian(g, weights).toarray(),
-                                  block_diag(*one))
+    one = [lap([w[s] for w in weights]).toarray() for s in range(3)]
+    np.testing.assert_array_equal(lap(weights).toarray(), block_diag(*one))
 
 
 # -- model construction ------------------------------------------------------------

@@ -335,6 +335,20 @@ def test_baseline_tracks_separable_exact_solution():
     assert rel <= 5e-2
 
 
+def test_baseline_2d_heat_matches_dense_backward_euler():
+    # Each step equals (I/tau + A)^{-1} u_k / tau with the dense 5-point A,
+    # which exercises the stride-n bands of the 2-D Newton solve.
+    g = SpaceGrid(dim=2, n=5)
+    times = uniform_times(0.1, 8)
+    w0 = np.random.default_rng(43).normal(size=g.shape)
+    traj = implicit_baseline(build_model("heat"), Field(g, w0), times)
+    step = np.eye(g.n_nodes) / traj.tau + g.neg_laplacian.toarray()
+    for k in range(traj.n_steps):
+        want = np.linalg.solve(step, traj.states[k].ravel() / traj.tau)
+        got = traj.states[k + 1].ravel()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_baseline_step_failure_reports_index():
     g = SpaceGrid(dim=1, n=5)
     w0 = Field(g, np.ones(5))
