@@ -160,6 +160,8 @@ def _get(values, key, conv, default=None, check=None, describe=""):
     except (ValueError, TypeError):
         raise ConfigError(
             f"config key '{key}': cannot parse '{values[key]}'", key=key)
+    if isinstance(out, float) and not np.isfinite(out):
+        raise ConfigError(f"config key '{key}': must be finite", key=key)
     if check is not None and not check(out):
         raise ConfigError(f"config key '{key}': {describe}", key=key)
     return out
@@ -320,10 +322,13 @@ def load_config(path) -> RunConfig:
         verify_seed=_get(values, "verify.seed", int, default=0),
         verify_amplitude=_get(values, "verify.amplitude", float, default=1.0),
         gradcheck_trajectories=_get(values, "gradcheck.trajectories", int,
-                                    default=5),
+                                    default=5, check=lambda v: v >= 1,
+                                    describe="must be at least 1"),
         gradcheck_directions=_get(values, "gradcheck.directions", int,
-                                  default=20),
-        gradcheck_step=_get(values, "gradcheck.step", float, default=1e-6),
+                                  default=20, check=lambda v: v >= 1,
+                                  describe="must be at least 1"),
+        gradcheck_step=_get(values, "gradcheck.step", float, default=1e-6,
+                            check=lambda v: v > 0, describe="must be positive"),
         gradcheck_seed=_get(values, "gradcheck.seed", int, default=0),
         compare_baseline=_get(values, "compare.baseline", _bool,
                               default=False),

@@ -6,12 +6,15 @@ has spacing ``h = 1/(n+1)``.  Nodal values live on interior nodes only;
 gradients live on the staggered edge lattice (``n+1`` edges per axis line),
 with the boundary value zero folded into the first and last edge.
 
-All difference calculus is expressed through one sparse matrix per axis,
+All difference calculus is arithmetic on shifted slices of the trailing
+spatial axes.  Along each axis the nodal values are padded with the zero
+boundary layer (:func:`pad_boundary`), and the staggered forward difference
 
-    (D_a u)_e = (u_right - u_left) / h,
+    (D_a u)_e = (u_right - u_left) / h
 
-so that the discrete divergence is exactly ``-D_a^T``, the (negative)
-Laplacian is the SPD matrix ``sum_a D_a^T D_a``, and summation by parts
+takes the padded nodes to edges.  The discrete divergence applies the same
+difference to edge arrays, so it is exactly ``-D_a^T``; the (negative)
+Laplacian is ``sum_a D_a^T D_a``, and summation by parts
 
     <grad u, E> = -<u, div E>
 
@@ -45,6 +48,8 @@ __all__ = [
     "Trajectory",
     "gradient",
     "divergence",
+    "pad_boundary",
+    "pair_mean",
     "laplacian",
     "poisson_solve",
     "stencil_bands",
@@ -123,42 +128,13 @@ class SpaceGrid:
         return np.stack([xx, yy])
 
     @cached_property
-    def diff_ops(self) -> list:
-        """Per-axis sparse forward-difference operators, nodes -> edges."""
-        n, h = self.n, self.h
-        d1 = sp.diags_array([np.full(n, 1.0 / h)], offsets=[0], shape=(n + 1, n))
-        d1 = (d1 + sp.diags_array([np.full(n, -1.0 / h)], offsets=[-1],
-                                  shape=(n + 1, n))).tocsr()
-        if self.dim == 1:
-            return [d1]
-        eye = sp.identity(n, format="csr")
-        return [sp.kron(d1, eye, format="csr"), sp.kron(eye, d1, format="csr")]
-
-    @cached_property
-    def avg_ops(self) -> list:
-        """Per-axis node->edge arithmetic averaging (zero beyond boundary)."""
-        n = self.n
-        a1 = sp.diags_array([np.full(n, 0.5)], offsets=[0], shape=(n + 1, n))
-        a1 = (a1 + sp.diags_array([np.full(n, 0.5)], offsets=[-1],
-                                  shape=(n + 1, n))).tocsr()
-        if self.dim == 1:
-            return [a1]
-        eye = sp.identity(n, format="csr")
-        return [sp.kron(a1, eye, format="csr"), sp.kron(eye, a1, format="csr")]
-
-    @cached_property
-    def neg_laplacian(self) -> sp.csr_matrix:
-        """SPD matrix of ``-laplacian`` on flattened nodal values."""
-        mat = sum(d.T @ d for d in self.diff_ops)
-        return mat.tocsr()
-
-    @cached_property
     def _poisson_lu(self):
-        return splu(self.neg_laplacian.tocsc())
-
-    def solve_neg_laplacian(self, rhs_flat: np.ndarray) -> np.ndarray:
-        """Solve ``(-laplacian) z = rhs`` for flat rhs (vector or matrix)."""
-        return self._poisson_lu.solve(np.asarray(rhs_flat, dtype=float))
+        """SuperLU factors of ``-laplacian`` on flattened nodal values."""
+        ones = [np.ones(self.edge_shape(a)) for a in range(self.dim)]
+        bands = stencil_bands(self, np.zeros(self.shape), ones)
+        w = bands.shape[0] // 2
+        return splu(sp.dia_matrix((bands, np.arange(w, -w - 1, -1)),
+                                  shape=(self.n_nodes,) * 2).tocsc())
 
 
 @dataclass
@@ -185,13 +161,6 @@ class Field:
     def k(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(self.k, -1)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
 
 # -- difference calculus ------------------------------------------------------
 #
@@ -213,32 +182,52 @@ def _batched(values, grid: SpaceGrid) -> np.ndarray:
     return arr
 
 
+def _neighbours(grid: SpaceGrid, values, axis: int):
+    """Left and right neighbour views of ``values`` along spatial ``axis``."""
+    tail = (slice(None),) * (grid.dim - 1 - axis)
+    return (values[(Ellipsis, slice(None, -1)) + tail],
+            values[(Ellipsis, slice(1, None)) + tail])
+
+
+def pad_boundary(grid: SpaceGrid, values, axis: int) -> np.ndarray:
+    """Nodal values with the zero boundary layer added at both ends of ``axis``."""
+    shape = list(values.shape)
+    shape[axis - grid.dim] = 1
+    zero = np.zeros(shape)
+    return np.concatenate([zero, values, zero], axis=axis - grid.dim)
+
+
+def pair_mean(grid: SpaceGrid, values, axis: int) -> np.ndarray:
+    """Mean of neighbours along ``axis``: padded nodes to edges (``Avg_a``),
+    or edges to nodes (``Avg_a^T``)."""
+    left, right = _neighbours(grid, values, axis)
+    return 0.5 * (left + right)
+
+
+def _difference(grid: SpaceGrid, values, axis: int) -> np.ndarray:
+    left, right = _neighbours(grid, values, axis)
+    inv_h = 1.0 / grid.h
+    # scale before subtracting, as the matrix with entries +-1/h does
+    return right * inv_h - left * inv_h
+
+
 def gradient(grid: SpaceGrid, values) -> list:
     """Staggered gradient; per axis an array of shape ``(..., *edge_shape)``."""
     arr = _batched(values, grid)
-    prefix = arr.shape[:-grid.dim]
-    flat = arr.reshape(-1, grid.n_nodes)
-    out = []
-    for a, d in enumerate(grid.diff_ops):
-        # C order, so reductions over a row do not depend on the batch size
-        g = np.ascontiguousarray((d @ flat.T).T)
-        out.append(g.reshape(*prefix, *grid.edge_shape(a)))
-    return out
+    return [_difference(grid, pad_boundary(grid, arr, a), a)
+            for a in range(grid.dim)]
 
 
 def divergence(grid: SpaceGrid, edge_arrays: list) -> np.ndarray:
     """Adjoint divergence: ``<grad u, E> = -<u, div E>`` holds exactly."""
     total = None
-    prefix = None
-    for a, d in enumerate(grid.diff_ops):
-        e = np.asarray(edge_arrays[a], dtype=float)
+    for a, e in enumerate(edge_arrays):
+        e = np.asarray(e, dtype=float)
         if e.shape == grid.edge_shape(a):
             e = e[None, ...]
-        prefix = e.shape[: -grid.dim]
-        ef = e.reshape(-1, int(np.prod(e.shape[-grid.dim:])))
-        contrib = -(d.T @ ef.T).T
+        contrib = _difference(grid, e, a)
         total = contrib if total is None else total + contrib
-    return total.reshape(*prefix, *grid.shape)
+    return total
 
 
 def laplacian(grid: SpaceGrid, values) -> np.ndarray:
@@ -249,10 +238,8 @@ def laplacian(grid: SpaceGrid, values) -> np.ndarray:
 def poisson_solve(grid: SpaceGrid, rhs) -> np.ndarray:
     """Solve ``laplacian(z) = rhs`` with zero boundary values (batched)."""
     arr = _batched(rhs, grid)
-    prefix = arr.shape[:-grid.dim]
     flat = arr.reshape(-1, grid.n_nodes)
-    sol = grid.solve_neg_laplacian(-flat.T).T
-    return sol.reshape(*prefix, *grid.shape)
+    return grid._poisson_lu.solve(-flat.T).T.reshape(arr.shape)
 
 
 def stencil_bands(grid: SpaceGrid, diag, edge_weights=(), node_coefs=()):

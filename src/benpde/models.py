@@ -50,6 +50,8 @@ from .grid import (
     grad_norm,
     gradient,
     h_inner_batch,
+    pad_boundary,
+    pair_mean,
     poisson_solve,
     stencil_bands,
 )
@@ -267,13 +269,15 @@ def _check_finite(arr, what: str):
 
 
 def _edge_flux(model: ModelSpec, grid: SpaceGrid, B: np.ndarray, t) -> list:
-    """Flux terms sampled on the padded lattice and averaged onto edges."""
+    """Flux terms sampled on the padded lattice and averaged onto edges.
+
+    The terms are evaluated at the boundary nodes too, because ``F(0, x)``
+    need not vanish: padding the interior values is not enough.
+    """
     edges = []
     tb = _time_broadcast(t, grid.dim)
     for axis in range(grid.dim):
-        pad_width = [(0, 0)] * B.ndim
-        pad_width[B.ndim - grid.dim + axis] = (1, 1)
-        b_pad = np.pad(B, pad_width)
+        b_pad = pad_boundary(grid, B, axis)
         x_pad = grid.padded_coords(axis)
         w = None
         for term, what in ((model.flux, "flux"), (model.scalar_flux, "scalar flux")):
@@ -282,12 +286,7 @@ def _edge_flux(model: ModelSpec, grid: SpaceGrid, B: np.ndarray, t) -> list:
             val = term.func(b_pad, x_pad, tb, axis)
             _check_finite(val, f"{what} term of model '{model.name}'")
             w = val if w is None else w + val
-        ax = w.ndim - grid.dim + axis
-        lo = [slice(None)] * w.ndim
-        hi = [slice(None)] * w.ndim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        edges.append(0.5 * (w[tuple(lo)] + w[tuple(hi)]))
+        edges.append(pair_mean(grid, w, axis))
     return edges
 
 
@@ -343,10 +342,8 @@ def dlambda_density(model: ModelSpec, grid: SpaceGrid, values, t, direction):
         edges = []
         for axis in range(grid.dim):
             c = _interior_flux_deriv(model, grid, B, t, axis)
-            w = (c * D).reshape(-1, grid.n_nodes)
-            e = (grid.avg_ops[axis] @ w.T).T
-            edges.append(np.expand_dims(
-                e.reshape(*acc.shape[: -grid.dim], *grid.edge_shape(axis)), comp))
+            e = pair_mean(grid, pad_boundary(grid, c * D, axis), axis)
+            edges.append(np.expand_dims(e, comp))
         acc = acc + np.squeeze(-divergence(grid, edges), axis=comp)
     if model.reaction is not None:
         tb = _time_broadcast(t, grid.dim)
@@ -396,10 +393,7 @@ def dlambda_adjoint_density(model: ModelSpec, grid: SpaceGrid, values, t, covect
     if model.flux is not None or model.scalar_flux is not None:
         grads = gradient(grid, cov)
         for axis in range(grid.dim):
-            v = np.squeeze(grads[axis], axis=comp)
-            n_edges = int(np.prod(v.shape[-grid.dim:]))
-            vt = (grid.avg_ops[axis].T @ v.reshape(-1, n_edges).T).T
-            vt = vt.reshape(*v.shape[: -grid.dim], *grid.shape)
+            vt = pair_mean(grid, np.squeeze(grads[axis], axis=comp), axis)
             c = _interior_flux_deriv(model, grid, B, t, axis)
             acc = acc + c * vt
     if model.reaction is not None:

@@ -163,6 +163,31 @@ def test_malformed_keys_rejected(tmp_path, monkeypatch, capsys, line, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model,command,line,key", [
+    ("heat", "solve", "model.a = inf", "model.a"),
+    ("heat", "solve", "model.a = 1e400", "model.a"),
+    ("divergence_form", "solve", "model.a = inf", "model.a"),
+    ("heat", "gradcheck", "gradcheck.step = 0", "gradcheck.step"),
+    ("heat", "gradcheck", "gradcheck.trajectories = 0",
+     "gradcheck.trajectories"),
+    ("heat", "gradcheck", "gradcheck.directions = -3", "gradcheck.directions"),
+    ("heat", "verify", "verify.amplitude = nan", "verify.amplitude"),
+    ("heat", "solve", "solve.noise = inf", "solve.noise"),
+    ("heat", "solve", "time.T0 = inf", "time.T0"),
+])
+def test_out_of_range_values_rejected(tmp_path, monkeypatch, capsys, model,
+                                      command, line, key):
+    monkeypatch.chdir(tmp_path)
+    base = {"model.name": model, "grid.n": "9", "time.T0": "0.1",
+            "time.M": "4"}
+    name, value = (part.strip() for part in line.split("="))
+    base[name] = value
+    (tmp_path / "bad.cfg").write_text(
+        "".join(f"{k} = {v}\n" for k, v in base.items()))
+    assert main([command, "bad.cfg"]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_duplicate_key_rejected(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text(

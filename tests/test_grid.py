@@ -18,6 +18,8 @@ from benpde.grid import (
     h_norm,
     laplacian,
     load_trajectory_csv,
+    pad_boundary,
+    pair_mean,
     poisson_solve,
     save_trajectory_csv,
     stencil_bands,
@@ -97,6 +99,46 @@ def test_summation_by_parts(dim, n, k):
     assert abs(lhs - rhs) <= ADJOINT_TOL * max(1.0, abs(lhs))
 
 
+def dense_operators(g):
+    """Dense per-axis ``D_a`` and ``Avg_a`` (nodes to edges), Kronecker-built."""
+    n = g.n
+    d1 = (np.eye(n + 1, n) - np.eye(n + 1, n, k=-1)) * (1.0 / g.h)
+    a1 = 0.5 * (np.eye(n + 1, n) + np.eye(n + 1, n, k=-1))
+    if g.dim == 1:
+        return [d1], [a1]
+    eye = np.eye(n)
+    return ([np.kron(d1, eye), np.kron(eye, d1)],
+            [np.kron(a1, eye), np.kron(eye, a1)])
+
+
+def dense_neg_laplacian(g):
+    """Dense 3/5-point matrix of ``-laplacian``: ``sum_a D_a^T D_a``."""
+    return sum(d.T @ d for d in dense_operators(g)[0])
+
+
+@pytest.mark.parametrize("dim,n,k", [(1, 7, 2), (2, 5, 1)])
+def test_slice_calculus_matches_dense_operators(dim, n, k):
+    g = SpaceGrid(dim=dim, n=n)
+    rng = np.random.default_rng(19)
+    u = rng.normal(size=(3, k) + g.shape)
+    flat = u.reshape(-1, g.n_nodes)
+
+    def check(got, want):
+        got = got.reshape(want.shape)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    edges, div = [], 0.0
+    for a, (d, avg) in enumerate(zip(*dense_operators(g))):
+        e = rng.normal(size=(3, k) + g.edge_shape(a))
+        ef = e.reshape(-1, d.shape[0])
+        check(gradient(g, u)[a], flat @ d.T)
+        check(pair_mean(g, pad_boundary(g, u, a), a), flat @ avg.T)
+        check(pair_mean(g, e, a), ef @ avg)
+        edges.append(e)
+        div = div - ef @ d
+    check(divergence(g, edges), div)
+
+
 def band_matrix(bands):
     """Sparse matrix of :func:`stencil_bands` output."""
     w = bands.shape[0] // 2
@@ -107,7 +149,8 @@ def band_matrix(bands):
 def test_weighted_neg_laplacian_reduces_to_plain():
     g = SpaceGrid(dim=2, n=6)
     w = [np.ones(g.edge_shape(a)) for a in range(2)]
-    diff = band_matrix(stencil_bands(g, np.zeros(g.shape), w)) - g.neg_laplacian
+    diff = (band_matrix(stencil_bands(g, np.zeros(g.shape), w)).toarray()
+            - dense_neg_laplacian(g))
     assert abs(diff).max() <= 1e-14
 
 

@@ -14,6 +14,7 @@ from benpde.errors import ModelEvaluationError, NonFiniteInputError
 from benpde.grid import (
     SpaceGrid,
     h_inner,
+    h_inner_batch,
     h_norm,
     laplacian,
     poisson_solve,
@@ -247,13 +248,16 @@ def test_dlambda_adjoint_identity(dim):
     g = SpaceGrid(dim=dim, n=n)
     m = divergence_form_model(2.0) if dim == 2 else burgers_model()
     rng = np.random.default_rng(23)
-    u = rng.normal(size=(1,) + g.shape)
-    for trial in range(6):
-        b = rng.normal(size=(1,) + g.shape)
-        delta = rng.normal(size=(1,) + g.shape)
-        lhs = h_inner(g, b, dlambda_density(m, g, u, 0.1, delta))
-        rhs = h_inner(g, delta, dlambda_adjoint_density(m, g, u, 0.1, b))
-        assert abs(lhs - rhs) <= ADJOINT_TOL * max(1.0, abs(lhs))
+    # one field, then a leading batch of 3 slices with their own times
+    for batch, t in (((), 0.1), ((3,), np.array([0.0, 0.4, 0.8]))):
+        u = rng.normal(size=batch + (1,) + g.shape)
+        for trial in range(6):
+            b = rng.normal(size=u.shape)
+            delta = rng.normal(size=u.shape)
+            lhs = h_inner_batch(g, b, dlambda_density(m, g, u, t, delta))
+            rhs = h_inner_batch(g, delta, dlambda_adjoint_density(m, g, u, t, b))
+            assert np.all(np.abs(lhs - rhs)
+                          <= ADJOINT_TOL * np.maximum(1.0, np.abs(lhs)))
 
 
 def test_lambda_batch_matches_loop():

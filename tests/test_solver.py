@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import benpde.solver
-from benpde.energy import certificate, energy_and_gradient, residual
+from benpde.energy import (certificate, energy_and_gradient, eval_energy,
+                           residual)
 from benpde.errors import LineSearchError, ModelEvaluationError, TimeStepError
 from benpde.grid import Field, SpaceGrid, Trajectory, h_norm, uniform_times
 from benpde.models import adversarial_model, build_model, psi_gradient_density
@@ -23,6 +25,7 @@ from benpde.solver import (
     uniqueness_probe,
 )
 from test_energy import _heat_midpoint_solution
+from test_grid import dense_neg_laplacian
 
 COARSE_SCHEME_GAP = 5e-2  # implicit Euler vs midpoint at tau = 1.25e-2
 
@@ -314,12 +317,33 @@ def test_baseline_single_node_closed_form():
     np.testing.assert_allclose(traj.states[1], [[0.5]], atol=1e-13)
 
 
+# Where the implicit and midpoint schemes coincide, the baseline is an exact
+# midpoint solution: J vanishes exactly and the certificate accepts it.
+
+
 def test_baseline_zero_start_stays_zero():
-    g = SpaceGrid(dim=1, n=7)
-    for name in ("heat", "burgers"):
-        traj = implicit_baseline(build_model(name), Field(g, np.zeros(7)),
-                                 uniform_times(0.5, 5))
-        np.testing.assert_array_equal(traj.states, np.zeros((6, 1, 7)))
+    for g in (SpaceGrid(dim=1, n=7), SpaceGrid(dim=2, n=4)):
+        for name in ("heat", "burgers", "adversarial"):
+            model = build_model(name)
+            traj = implicit_baseline(model, Field(g, np.zeros(g.shape)),
+                                     uniform_times(0.5, 5))
+            np.testing.assert_array_equal(traj.states,
+                                          np.zeros((6, 1) + g.shape))
+            assert eval_energy(model, traj).total == 0.0
+            assert certificate(model, traj, 1e-12).solved
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(values=st.lists(st.floats(-5.0, 5.0), min_size=9, max_size=9))
+@settings(max_examples=20, deadline=None)
+def test_certificate_accepts_baseline_of_frozen_heat(dim, values):
+    # lam = 0 leaves du/dt = 0, which both schemes solve by keeping w0
+    g = SpaceGrid(dim=dim, n=9 if dim == 1 else 3)
+    model = replace(build_model("heat"), lam=0)
+    traj = implicit_baseline(model, Field(g, np.reshape(values, g.shape)),
+                             uniform_times(0.1, 4))
+    assert eval_energy(model, traj).total == 0.0
+    assert certificate(model, traj, 1e-12).solved
 
 
 def test_baseline_tracks_separable_exact_solution():
@@ -342,7 +366,7 @@ def test_baseline_2d_heat_matches_dense_backward_euler():
     times = uniform_times(0.1, 8)
     w0 = np.random.default_rng(43).normal(size=g.shape)
     traj = implicit_baseline(build_model("heat"), Field(g, w0), times)
-    step = np.eye(g.n_nodes) / traj.tau + g.neg_laplacian.toarray()
+    step = np.eye(g.n_nodes) / traj.tau + dense_neg_laplacian(g)
     for k in range(traj.n_steps):
         want = np.linalg.solve(step, traj.states[k].ravel() / traj.tau)
         got = traj.states[k + 1].ravel()
