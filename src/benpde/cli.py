@@ -167,6 +167,10 @@ def _get(values, key, conv, default=None, check=None, describe=""):
     return out
 
 
+#: ``_get`` checks of the ``*.seed`` keys: NumPy seeds are nonnegative.
+_SEED = {"check": lambda v: v >= 0, "describe": "must be nonnegative"}
+
+
 def _bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("true", "yes", "on", "1"):
@@ -299,7 +303,7 @@ def load_config(path) -> RunConfig:
             backtrack=_get(values, "solve.backtrack", float, default=0.5),
             max_line_trials=_get(values, "solve.max_line_trials", int,
                                  default=40),
-            seed=_get(values, "solve.seed", int, default=0),
+            seed=_get(values, "solve.seed", int, default=0, **_SEED),
         )
     except ValueError as exc:
         raise ConfigError(f"config section 'solve': {exc}", key="solve")
@@ -319,7 +323,7 @@ def load_config(path) -> RunConfig:
         verify_samples=_get(values, "verify.samples", int, default=1000,
                             check=lambda v: v >= 1,
                             describe="must be at least 1"),
-        verify_seed=_get(values, "verify.seed", int, default=0),
+        verify_seed=_get(values, "verify.seed", int, default=0, **_SEED),
         verify_amplitude=_get(values, "verify.amplitude", float, default=1.0),
         gradcheck_trajectories=_get(values, "gradcheck.trajectories", int,
                                     default=5, check=lambda v: v >= 1,
@@ -329,7 +333,7 @@ def load_config(path) -> RunConfig:
                                   describe="must be at least 1"),
         gradcheck_step=_get(values, "gradcheck.step", float, default=1e-6,
                             check=lambda v: v > 0, describe="must be positive"),
-        gradcheck_seed=_get(values, "gradcheck.seed", int, default=0),
+        gradcheck_seed=_get(values, "gradcheck.seed", int, default=0, **_SEED),
         compare_baseline=_get(values, "compare.baseline", _bool,
                               default=False),
         raw=values,
@@ -383,7 +387,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     save_trajectory_csv(outcome.trajectory, cfg.out_dir / "trajectory.csv")
     _write_history(cfg.out_dir / "history.csv", outcome.history)
     _write_profiles(cfg.out_dir / "profiles.dat", outcome.trajectory)
-    payload = dict(outcome.report.to_json_dict())
+    payload = outcome.report.to_json_dict()
     payload["certificate"] = verdict.to_json_dict()
     payload["iterations"] = outcome.iterations
     payload["converged"] = outcome.converged
@@ -418,7 +422,7 @@ def _cmd_baseline(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_trajectory_csv(traj, cfg.out_dir / "trajectory.csv")
     _write_profiles(cfg.out_dir / "profiles.dat", traj)
-    payload = dict(report.to_json_dict())
+    payload = report.to_json_dict()
     payload["certificate"] = verdict.to_json_dict()
     payload["steps"] = traj.n_steps
     _write_report(cfg.out_dir / "report.json", payload)
@@ -467,8 +471,7 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
             jm = eval_energy(cfg.model,
                              traj.with_tail(traj.states[1:] - e * s[1:])).total
             fd = (jp - jm) / (2.0 * e)
-            an = traj.tau * float(np.sum(
-                [h_inner(grid, s[j], grad[j]) for j in range(times.size)]))
+            an = traj.tau * h_inner(grid, s, grad)
             worst = max(worst, abs(an - fd) / max(1.0, abs(fd)))
     print(f"gradcheck {cfg.model.name}: worst relative error {worst:.3e} "
           f"over {cfg.gradcheck_trajectories} trajectories x "

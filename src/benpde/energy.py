@@ -34,7 +34,7 @@ slices at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -103,15 +103,7 @@ class EnergyReport:
     normalized: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "term_psi": self.term_psi,
-            "term_conj": self.term_conj,
-            "term_pair": self.term_pair,
-            "residual_norm": self.residual_norm,
-            "defect_norm": self.defect_norm,
-            "normalized": self.normalized,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -130,13 +122,7 @@ class CertificateVerdict:
     tol: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "solved": self.solved,
-            "normalized": self.normalized,
-            "defect_norm": self.defect_norm,
-            "scale": self.scale,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 # -- conjugate of the integrated density ------------------------------------------

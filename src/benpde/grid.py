@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv, dgtsv
 from scipy.sparse.linalg import splu
 
 from .errors import NonFiniteInputError
@@ -106,11 +106,8 @@ class SpaceGrid:
     @cached_property
     def node_coords(self) -> np.ndarray:
         """Coordinates of interior nodes, shape ``(dim, *shape)``."""
-        x = (np.arange(1, self.n + 1)) * self.h
-        if self.dim == 1:
-            return x[None, :]
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        return np.stack([xx, yy])
+        x = np.arange(1, self.n + 1) * self.h
+        return np.stack(np.meshgrid(*[x] * self.dim, indexing="ij"))
 
     def padded_coords(self, axis: int) -> np.ndarray:
         """Node coordinates padded by the boundary layer along one axis.
@@ -122,10 +119,7 @@ class SpaceGrid:
         interior = np.arange(1, self.n + 1) * self.h
         padded = np.arange(0, self.n + 2) * self.h
         axes = [padded if a == axis else interior for a in range(self.dim)]
-        if self.dim == 1:
-            return axes[0][None, :]
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.stack([xx, yy])
+        return np.stack(np.meshgrid(*axes, indexing="ij"))
 
     @cached_property
     def _poisson_lu(self):
@@ -278,13 +272,18 @@ def stencil_bands(grid: SpaceGrid, diag, edge_weights=(), node_coefs=()):
 
 
 def solve_bands(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with :func:`stencil_bands` output; raises
+    """Solve with :func:`stencil_bands` output by the LAPACK routines of
+    :func:`scipy.linalg.solve_banded`, ``dgtsv`` or ``dgbsv``; raises
     :class:`numpy.linalg.LinAlgError` when the system is singular or the
     solution is not finite."""
-    width = bands.shape[0] // 2
-    with np.errstate(all="ignore"):  # a singular 1 x 1 system divides by 0
-        x = solve_banded((width, width), bands, rhs, check_finite=False)
-    if not np.all(np.isfinite(x)):
+    width, size = bands.shape[0] // 2, bands.shape[1]
+    if width == 1 and size > 1:  # f2py's dgtsv rejects empty off-diagonals
+        *_, x, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs)
+    else:
+        padded = np.zeros((3 * width + 1, size))
+        padded[width:] = bands
+        *_, x, info = dgbsv(width, width, padded, rhs, overwrite_ab=True)
+    if info != 0 or not np.all(np.isfinite(x)):
         raise np.linalg.LinAlgError("singular or non-finite banded solve")
     return x
 

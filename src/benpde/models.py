@@ -34,6 +34,7 @@ dissipation models work for any component count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -97,6 +98,13 @@ BLOCK_SIZE = 256
 #: Dirichlet second-difference matrix is (4/h^2) sin^2(pi h / 2) >= 8 for
 #: every admissible spacing h <= 1/2, so |u|_H <= |grad u|_H / sqrt(8).
 POINCARE = 1.0 / np.sqrt(8.0)
+
+#: NumPy's ``SeedSequence`` hash constants and PCG64 multiplier.
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 # -- term containers -----------------------------------------------------------
@@ -609,10 +617,52 @@ class ConditionReport:
         }
 
 
+def _stream_states(key, indices):
+    """Yield ``PCG64(SeedSequence([*key, i])).state`` for each ``i < 2**32``
+    in ``indices``: the ``SeedSequence`` hash (NEP 19, pool size 4) runs on
+    ``uint32`` arrays, one entry per stream, with a Python-int hash constant
+    (a NumPy scalar warns on overflow); PCG64 seeding on Python ints."""
+    if any(operator.index(k) < 0 for k in key):
+        raise ValueError("expected non-negative integer")
+    idx = np.asarray(indices, dtype=np.uint32)
+    entropy = [np.full(idx.shape, k >> s & _MASK32, dtype=np.uint32)
+               for k in map(operator.index, key)
+               for s in range(0, max(k.bit_length(), 1), 32)] + [idx]
+    const = _SS_INIT_A
+
+    def hashmix(value, mult=_SS_MULT_A):
+        nonlocal const
+        value, const = value ^ const, const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = _SS_MIX_L * x - _SS_MIX_R * y
+        return r ^ (r >> 16)
+
+    pool = [hashmix(w) for w in (entropy + [np.zeros_like(idx)] * 3)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _SS_INIT_B
+    out = [hashmix(pool[i % 4], _SS_MULT_B).astype(np.uint64) for i in range(8)]
+    words = [(out[2 * k] | out[2 * k + 1] << 32).tolist() for k in range(4)]
+    for s_hi, s_lo, q_hi, q_lo in zip(*words):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+               "state": {"state": state, "inc": inc}}
+
+
 def _draw_block(grid: SpaceGrid, key, indices, amplitude: float, t_range,
                 n_fields: int):
     """Times ``(S,)`` and fields ``(n_fields, S, 1, *shape)`` of the samples
-    ``indices``, each read from its own stream ``(*key, index)``.
+    ``indices``, each read from its stream ``default_rng([*key, index])`` as
+    one reused generator loaded with the :func:`_stream_states` of the block.
 
     Per field, a coin below 0.5 keeps the white noise (rough regime, stressing
     gradient terms); otherwise it is Poisson-smoothed to peak ``amplitude``
@@ -622,10 +672,11 @@ def _draw_block(grid: SpaceGrid, key, indices, amplitude: float, t_range,
     raw = np.empty((n_fields, len(indices)) + grid.shape)
     smooth = np.empty((n_fields, len(indices)), dtype=bool)
     lo, span = t_range[0], t_range[1] - t_range[0]
-    for j, i in enumerate(indices):
+    rng = np.random.default_rng(0)
+    for j, state in enumerate(_stream_states(key, indices)):
         # Bit for bit the draws rng.uniform(*t_range), rng.normal(size=shape)
         # and rng.uniform(), at a fraction of their call overhead.
-        rng = np.random.default_rng([*key, i])
+        rng.bit_generator.state = state
         t[j] = lo + span * rng.random()
         for f in range(n_fields):
             rng.standard_normal(out=raw[f, j])
@@ -761,10 +812,12 @@ def check_condition(model: ModelSpec, grid: SpaceGrid, condition: str, *,
     stays above ``-1e-9``.
 
     Samples are drawn and evaluated in blocks of :data:`BLOCK_SIZE`, but each
-    draws its own RNG stream from ``(seed, condition, index)``: samples,
-    verdicts and witnesses do not depend on the block size (margins only up
-    to summation order).  The report keeps the worst margin and the first
-    :data:`MAX_WITNESSES` failing samples in index order.
+    draws its own RNG stream ``default_rng([seed, condition, index])``, whose
+    state a block derives in one vectorised hash: samples, verdicts and
+    witnesses do not depend on the block size (margins only up to summation
+    order).  The report keeps the worst margin and the first
+    :data:`MAX_WITNESSES` failing samples in index order.  A negative
+    ``seed`` raises :class:`ValueError`.
     """
     if condition not in _CONDITIONS:
         raise ValueError(

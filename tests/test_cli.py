@@ -174,6 +174,9 @@ def test_malformed_keys_rejected(tmp_path, monkeypatch, capsys, line, key):
     ("heat", "verify", "verify.amplitude = nan", "verify.amplitude"),
     ("heat", "solve", "solve.noise = inf", "solve.noise"),
     ("heat", "solve", "time.T0 = inf", "time.T0"),
+    ("heat", "solve", "solve.seed = -1", "solve.seed"),
+    ("heat", "verify", "verify.seed = -1", "verify.seed"),
+    ("heat", "gradcheck", "gradcheck.seed = -2", "gradcheck.seed"),
 ])
 def test_out_of_range_values_rejected(tmp_path, monkeypatch, capsys, model,
                                       command, line, key):

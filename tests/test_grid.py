@@ -1,9 +1,12 @@
 """Difference calculus, norms, trajectories, and CSV persistence."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from benpde.errors import NonFiniteInputError
 from benpde.grid import (
@@ -22,6 +25,7 @@ from benpde.grid import (
     pair_mean,
     poisson_solve,
     save_trajectory_csv,
+    solve_bands,
     stencil_bands,
     uniform_times,
 )
@@ -164,6 +168,34 @@ def test_weighted_neg_laplacian_matches_direct_quadratic_form():
     # u^T (D^T W D) u == sum_e w_e |grad u|_e^2
     assert float(u @ (mat @ u)) == pytest.approx(float(np.sum(w * gu[0] ** 2)),
                                                  rel=1e-13)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1), (1, 2), (1, 33), (2, 5)])
+def test_solve_bands_equals_solve_banded(dim, n):
+    # Same LAPACK routines as scipy's wrapper, so the same bits: dgtsv for
+    # tridiagonal systems, dgbsv otherwise (and for a single node).
+    g = SpaceGrid(dim=dim, n=n)
+    rng = np.random.default_rng(100 * dim + n)
+    w = n ** (dim - 1)
+    for _ in range(5):
+        bands = rng.normal(size=(2 * w + 1, g.n_nodes))
+        bands[w] = np.abs(bands).sum(axis=0) + rng.uniform(0.5, 2.0)
+        rhs = rng.normal(size=g.n_nodes)
+        want = solve_banded((w, w), bands, rhs)
+        assert np.array_equal(solve_bands(bands, rhs), want)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1), (1, 7), (2, 4)],
+                         ids=["1x1", "tridiagonal", "2d"])
+def test_solve_bands_singular_raises_without_warning(dim, n):
+    g = SpaceGrid(dim=dim, n=n)
+    ones = [np.ones(g.edge_shape(a)) for a in range(dim)]
+    bands = stencil_bands(g, np.ones(g.shape), ones)
+    bands[:, 0] = 0.0  # a zero first column
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_bands(bands, np.ones(g.n_nodes))
 
 
 def test_pairing_telescopes():

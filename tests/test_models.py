@@ -567,3 +567,52 @@ def test_one_sample_margin_equals_its_block_margin_bit_for_bit(builder):
             one = condition_margin(m, g, cond, x[j, 0],
                                    h[j, 0] if needs_h else None, t=t[j])
             assert one == block[j], (cond, j)
+
+
+# -- vectorised stream seeding ---------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32 + 1, 2**70 + 9])
+def test_stream_states_equal_numpy_seeding(seed):
+    # One to three seed words: 2**70 + 9 overflows the pool of four words.
+    indices = [0, 1, 255, 256, 2**32 - 1]
+    for tag in range(len(CONDITION_NAMES)):
+        got = list(models._stream_states((seed, tag), indices))
+        want = [np.random.PCG64(np.random.SeedSequence([seed, tag, i])).state
+                for i in indices]
+        assert got == want, tag
+
+
+def _loop_draw(grid, key, indices, amplitude, t_range, n_fields):
+    """The checker's draws with one ``default_rng`` per sample."""
+    t = np.empty(len(indices))
+    raw = np.empty((n_fields, len(indices)) + grid.shape)
+    smooth = np.empty((n_fields, len(indices)), dtype=bool)
+    for j, i in enumerate(indices):
+        rng = np.random.default_rng([*key, i])
+        t[j] = t_range[0] + (t_range[1] - t_range[0]) * rng.random()
+        for f in range(n_fields):
+            rng.standard_normal(out=raw[f, j])
+            smooth[f, j] = rng.random() >= 0.5
+    fields = amplitude * raw
+    z = poisson_solve(grid, raw[smooth])
+    peak = np.max(np.abs(z), axis=tuple(range(1, z.ndim)), keepdims=True)
+    fields[smooth] = amplitude * z / np.maximum(peak, 1e-30)
+    return t, fields[:, :, None]
+
+
+@pytest.mark.parametrize("n_fields", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_draw_block_equals_per_sample_rng_loop(dim, n_fields):
+    g = SpaceGrid(dim=dim, n=9 if dim == 1 else 5)
+    for key in [(0, 2), (123456, 5), (2**32 + 1, 0)]:
+        args = (g, key, range(250, 300), 1.5, (0.2, 0.9), n_fields)
+        got, want = models._draw_block(*args), _loop_draw(*args)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+def test_negative_checker_seed_raises():
+    with pytest.raises(ValueError, match="non-negative"):
+        check_condition(heat_model(), SpaceGrid(dim=1, n=5), "growth",
+                        samples=3, seed=-1)
