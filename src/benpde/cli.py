@@ -9,7 +9,7 @@ Commands
     certificate accepts the result.  A stalled line search still writes the
     last iterate, with a ``failure`` block in the report, then exits 3.
 ``baseline <cfg>``
-    March the implicit stepping scheme and write the same artifacts (minus
+    Solve the implicit stepping scheme and write the same artifacts (minus
     the iteration history).
 ``verify <cfg>``
     Run every structural-condition checker for the configured model and
@@ -40,7 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .convex import PowerDensity, eval_conjugate
-from .energy import certificate, energy_and_gradient, eval_energy
+from .energy import (_report_and_certificate, certificate,
+                     energy_and_gradient, eval_energy)
 from .errors import (
     BenpdeError,
     ConfigError,
@@ -77,28 +78,19 @@ __all__ = ["main", "load_config", "RunConfig"]
 
 FMT = "%.17g"
 
-#: keys accepted per section, with parsers
-_MODEL_KEYS = {"name", "q", "a", "eps", "lam", "u_max", "flux_amp", "flux_cap",
-               "reaction_const", "reaction_slope", "kappa"}
-_GRID_KEYS = {"dim", "n"}
-_TIME_KEYS = {"T0", "M"}
-_INITIAL_KEYS = {"profile", "path", "amplitude"}
-_SOLVE_KEYS = {"max_iters", "grad_tol", "energy_tol", "armijo_c1", "backtrack",
-               "max_line_trials", "seed", "init", "noise", "tol"}
-_VERIFY_KEYS = {"samples", "seed", "amplitude"}
-_GRADCHECK_KEYS = {"trajectories", "directions", "step", "seed"}
-_OUTPUT_KEYS = {"dir"}
-_COMPARE_KEYS = {"baseline"}
+#: keys accepted per section
 _SECTIONS = {
-    "model": _MODEL_KEYS,
-    "grid": _GRID_KEYS,
-    "time": _TIME_KEYS,
-    "initial": _INITIAL_KEYS,
-    "solve": _SOLVE_KEYS,
-    "verify": _VERIFY_KEYS,
-    "gradcheck": _GRADCHECK_KEYS,
-    "outputs": _OUTPUT_KEYS,
-    "compare": _COMPARE_KEYS,
+    "model": {"name", "q", "a", "eps", "lam", "u_max", "flux_amp", "flux_cap",
+              "reaction_const", "reaction_slope", "kappa"},
+    "grid": {"dim", "n"},
+    "time": {"T0", "M"},
+    "initial": {"profile", "path", "amplitude"},
+    "solve": {"max_iters", "grad_tol", "energy_tol", "armijo_c1", "backtrack",
+              "max_line_trials", "seed", "init", "noise", "tol"},
+    "verify": {"samples", "seed", "amplitude"},
+    "gradcheck": {"trajectories", "directions", "step", "seed"},
+    "outputs": {"dir"},
+    "compare": {"baseline"},
 }
 
 
@@ -417,8 +409,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 def _cmd_baseline(cfg: RunConfig) -> int:
     traj = implicit_baseline(cfg.model, cfg.w0, cfg.times)
-    report = eval_energy(cfg.model, traj)
-    verdict = certificate(cfg.model, traj, cfg.tol)
+    report, verdict = _report_and_certificate(cfg.model, traj, cfg.tol)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_trajectory_csv(traj, cfg.out_dir / "trajectory.csv")
     _write_profiles(cfg.out_dir / "profiles.dat", traj)
@@ -572,13 +563,6 @@ def main(argv=None) -> int:
             return 4
     try:
         cfg = load_config(_resolve_config(args.config))
-    except ConfigError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, FileNotFoundError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 4
-    try:
         return _CONFIG_COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

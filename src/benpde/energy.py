@@ -386,6 +386,11 @@ def certificate(model: ModelSpec, traj: Trajectory,
     seminorm — plus one, so the test is meaningful for tiny and for large
     trajectories alike.
     """
+    return _report_and_certificate(model, traj, tol)[1]
+
+
+def _report_and_certificate(model: ModelSpec, traj: Trajectory, tol: float):
+    """:func:`eval_energy` and :func:`certificate` from one assembly."""
     report, mids, _, _, z, _ = _assemble(model, traj)
     grid = traj.grid
     q = model.density.exponent
@@ -395,7 +400,7 @@ def certificate(model: ModelSpec, traj: Trajectory,
              + _lq_time_norm(tau, np.atleast_1d(grad_norm(grid, z, q)), q)
              + 1.0)
     solved = (report.normalized <= tol) and (report.defect_norm <= tol * scale)
-    return CertificateVerdict(solved=bool(solved),
-                              normalized=report.normalized,
-                              defect_norm=report.defect_norm,
-                              scale=scale, tol=tol)
+    return report, CertificateVerdict(solved=bool(solved),
+                                      normalized=report.normalized,
+                                      defect_norm=report.defect_norm,
+                                      scale=scale, tol=tol)

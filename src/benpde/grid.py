@@ -116,10 +116,15 @@ class SpaceGrid:
         space-dependent model terms at the boundary nodes folded into the
         first and last staggered edges.
         """
+        return self._padded_coords[axis]
+
+    @cached_property
+    def _padded_coords(self) -> tuple:
         interior = np.arange(1, self.n + 1) * self.h
         padded = np.arange(0, self.n + 2) * self.h
-        axes = [padded if a == axis else interior for a in range(self.dim)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.stack(np.meshgrid(
+            *[padded if a == axis else interior for a in range(self.dim)],
+            indexing="ij")) for axis in range(self.dim))
 
     @cached_property
     def _poisson_lu(self):
@@ -213,13 +218,11 @@ def gradient(grid: SpaceGrid, values) -> list:
 
 
 def divergence(grid: SpaceGrid, edge_arrays: list) -> np.ndarray:
-    """Adjoint divergence: ``<grad u, E> = -<u, div E>`` holds exactly."""
+    """Adjoint divergence, ``(..., *edge_shape(a))`` per axis to
+    ``(..., *shape)``: ``<grad u, E> = -<u, div E>`` holds exactly."""
     total = None
     for a, e in enumerate(edge_arrays):
-        e = np.asarray(e, dtype=float)
-        if e.shape == grid.edge_shape(a):
-            e = e[None, ...]
-        contrib = _difference(grid, e, a)
+        contrib = _difference(grid, np.asarray(e, dtype=float), a)
         total = contrib if total is None else total + contrib
     return total
 

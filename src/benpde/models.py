@@ -43,8 +43,8 @@ import numpy as np
 from .convex import PowerDensity, radial_coefficient, radial_value
 from .errors import ModelEvaluationError, NonFiniteInputError
 from .grid import (
-    Field,
     SpaceGrid,
+    _batched,
     divergence,
     dual_grad_norm,
     grad_magnitudes,
@@ -208,7 +208,7 @@ class ModelSpec:
 
 def psi_total(density: PowerDensity, grid: SpaceGrid, values):
     """Integrated density ``sum_edges h^d psi(grad u)``, batched in front."""
-    arr = _to_batch(values, grid)
+    arr = _batched(values, grid)
     single = arr.ndim == grid.dim + 1
     if single:
         arr = arr[None, ...]
@@ -224,7 +224,7 @@ def psi_grad_edges(density: PowerDensity, grid: SpaceGrid, values) -> list:
     """Per-axis edge values of ``Dpsi(grad u)`` (radial gradient law)."""
     comp = -(grid.dim + 1)
     out = []
-    for g in gradient(grid, _to_batch(values, grid)):
+    for g in gradient(grid, _batched(values, grid)):
         mag = np.sqrt(np.sum(g**2, axis=comp, keepdims=True))
         out.append(radial_coefficient(density, mag) * g)
     return out
@@ -244,7 +244,7 @@ def psi_hessian_edge_weights(density: PowerDensity, grid: SpaceGrid, values) -> 
     turns the weights into the SPD weighted Laplacian that every Newton
     solve (Gauss-Newton, implicit stepper, 2-D dual Newton) factorizes.
     """
-    arr, comp = _to_batch(values, grid), -(grid.dim + 1)
+    arr, comp = _batched(values, grid), -(grid.dim + 1)
     if arr.shape[comp] != 1:
         raise ValueError("hessian edge weights require a one-component field")
     return [radial_coefficient(density, np.abs(np.squeeze(g, axis=comp)),
@@ -252,15 +252,6 @@ def psi_hessian_edge_weights(density: PowerDensity, grid: SpaceGrid, values) -> 
 
 
 # -- Lambda assembly -------------------------------------------------------------
-
-
-def _to_batch(values, grid: SpaceGrid) -> np.ndarray:
-    if isinstance(values, Field):
-        return values.values
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == grid.dim:
-        arr = arr[None, ...]
-    return arr
 
 
 def _time_broadcast(t, extra_axes: int):
@@ -304,7 +295,7 @@ def lambda_density(model: ModelSpec, grid: SpaceGrid, values, t):
     ``values`` has shape ``(..., k, *grid.shape)`` (k = 1 whenever the model
     carries terms); ``t`` is a scalar or an array matching the batch prefix.
     """
-    arr = _to_batch(values, grid)
+    arr = _batched(values, grid)
     out = np.zeros_like(arr)
     if not model.has_terms:
         return out
@@ -314,8 +305,7 @@ def lambda_density(model: ModelSpec, grid: SpaceGrid, values, t):
     B = np.squeeze(arr, axis=comp)
     acc = np.zeros_like(B)
     if model.flux is not None or model.scalar_flux is not None:
-        edges = [np.expand_dims(e, comp) for e in _edge_flux(model, grid, B, t)]
-        acc = acc + np.squeeze(-divergence(grid, edges), axis=comp)
+        acc = acc + -divergence(grid, _edge_flux(model, grid, B, t))
     if model.reaction is not None:
         tb = _time_broadcast(t, grid.dim)
         theta = model.reaction.func(B, grid.node_coords, tb)
@@ -337,8 +327,8 @@ def _interior_flux_deriv(model: ModelSpec, grid: SpaceGrid, B, t, axis: int):
 
 def dlambda_density(model: ModelSpec, grid: SpaceGrid, values, t, direction):
     """Directional derivative ``DLambda_t(u) . delta`` as a nodal density."""
-    arr = _to_batch(values, grid)
-    dlt = _to_batch(direction, grid)
+    arr = _batched(values, grid)
+    dlt = _batched(direction, grid)
     out = np.zeros(np.broadcast_shapes(arr.shape, dlt.shape))
     if not model.has_terms:
         return out
@@ -350,9 +340,8 @@ def dlambda_density(model: ModelSpec, grid: SpaceGrid, values, t, direction):
         edges = []
         for axis in range(grid.dim):
             c = _interior_flux_deriv(model, grid, B, t, axis)
-            e = pair_mean(grid, pad_boundary(grid, c * D, axis), axis)
-            edges.append(np.expand_dims(e, comp))
-        acc = acc + np.squeeze(-divergence(grid, edges), axis=comp)
+            edges.append(pair_mean(grid, pad_boundary(grid, c * D, axis), axis))
+        acc = acc + -divergence(grid, edges)
     if model.reaction is not None:
         tb = _time_broadcast(t, grid.dim)
         acc = acc - model.reaction.deriv(B, grid.node_coords, tb) * D
@@ -368,7 +357,7 @@ def jacobian_bands(model: ModelSpec, grid: SpaceGrid, values, t, shift: float,
     matches :func:`dlambda_density` plus the Hessian of :func:`psi_total` on
     flattened nodal vectors (layout of :func:`~benpde.grid.stencil_bands`).
     """
-    arr = _to_batch(values, grid)
+    arr = _batched(values, grid)
     B = np.squeeze(arr, axis=-(grid.dim + 1))  # ValueError unless scalar
     diag, weights, coefs = np.full_like(B, shift), (), ()
     if model.reaction is not None:
@@ -389,8 +378,8 @@ def dlambda_adjoint_density(model: ModelSpec, grid: SpaceGrid, values, t, covect
     Satisfies ``<B, DLambda(u) . delta> = <delta, DLambda(u)^T B>`` in the
     volume-weighted pairing, exactly (up to roundoff) by construction.
     """
-    arr = _to_batch(values, grid)
-    cov = _to_batch(covector, grid)
+    arr = _batched(values, grid)
+    cov = _batched(covector, grid)
     out = np.zeros(np.broadcast_shapes(arr.shape, cov.shape))
     if not model.has_terms:
         return out
@@ -423,6 +412,11 @@ def _truncated_square_deriv(u, cap: float):
     return np.clip(u, -cap, cap)
 
 
+def _first_axis(fn):
+    """Flux ``(u, x, t, axis) -> fn(u)`` along the first axis, zero across."""
+    return lambda u, x, t, axis: fn(u) if axis == 0 else np.zeros_like(u)
+
+
 def heat_model(a: float = 1.0) -> ModelSpec:
     """Plain gradient flow of the Dirichlet energy ``(a/2)|grad u|^2``."""
     return ModelSpec(name="heat", density=PowerDensity(a, 2.0, 0.0), lam=1)
@@ -435,23 +429,14 @@ def burgers_model(a: float = 1.0, u_max: float = 10.0) -> ModelSpec:
     touching states of the expected magnitude.  The flux acts along the
     first spatial axis.
     """
-
-    def f(u, x, t, axis):
-        if axis != 0:
-            return np.zeros_like(u)
-        return _truncated_square(u, u_max)
-
-    def fprime(u, x, t, axis):
-        if axis != 0:
-            return np.zeros_like(u)
-        return _truncated_square_deriv(u, u_max)
-
     return ModelSpec(
         name="burgers",
         density=PowerDensity(a, 2.0, 0.0),
         lam=1,
-        scalar_flux=ScalarFluxTerm(func=f, deriv=fprime, lipschitz=u_max,
-                                   cap=u_max),
+        scalar_flux=ScalarFluxTerm(
+            func=_first_axis(lambda u: _truncated_square(u, u_max)),
+            deriv=_first_axis(lambda u: _truncated_square_deriv(u, u_max)),
+            lipschitz=u_max, cap=u_max),
     )
 
 
@@ -471,15 +456,9 @@ def divergence_form_model(q: float, a: float = 1.0, eps: float | None = None,
     if eps is None:
         eps = 0.0 if q == 2.0 else 1.0
 
-    def xi(u, x, t, axis):
-        if axis != 0:
-            return np.zeros_like(u)
-        return flux_amp * _truncated_square(u, flux_cap)
-
-    def xiprime(u, x, t, axis):
-        if axis != 0:
-            return np.zeros_like(u)
-        return flux_amp * _truncated_square_deriv(u, flux_cap)
+    xi = _first_axis(lambda u: flux_amp * _truncated_square(u, flux_cap))
+    xiprime = _first_axis(
+        lambda u: flux_amp * _truncated_square_deriv(u, flux_cap))
 
     def theta(u, x, t):
         return reaction_const - reaction_slope * u

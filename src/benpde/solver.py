@@ -9,8 +9,10 @@ Two independent routes to a discrete solution:
   monotone Armijo line search on the energy accepts it, so heat flow is
   solved in one step and drifts or exponents above two take a few.  At a
   minimizer the energy report doubles as a solution certificate.
-* :func:`implicit_baseline` marches the classical fully implicit scheme one
-  step at a time with a damped Newton solve per step.
+* :func:`implicit_baseline` solves the classical fully implicit scheme by
+  damped Newton on the whole trajectory.  Each iteration is one forward
+  sweep of the same block-bidiagonal kind, and the leading steps that
+  have converged are frozen.
 
 :func:`compare` measures trajectory discrepancies in a relative mixed norm,
 and :func:`uniqueness_probe` restarts the minimizer from several random
@@ -35,7 +37,7 @@ from .grid import (
     Field,
     SpaceGrid,
     Trajectory,
-    h_norm,
+    h_inner_batch,
     mixed_norm,
     solve_bands,
 )
@@ -59,7 +61,7 @@ __all__ = [
     "uniqueness_probe",
 ]
 
-#: Newton damping: maximum step halvings per implicit time step.
+#: Newton damping: maximum step halvings per implicit baseline iteration.
 MAX_HALVINGS = 30
 
 #: Mixed-norm scale below which trajectories count as collapsed to zero;
@@ -170,18 +172,38 @@ def random_initial_trajectory(grid: SpaceGrid, times, w0, seed: int,
 # -- minimization ---------------------------------------------------------------------
 
 
+def _theta_sweep(bands, rhs, tau: float, theta: float):
+    """Newton step of the theta scheme ``R_k = (u_{k+1} - u_k)/tau +
+    F(theta u_{k+1} + (1 - theta) u_k)``, block lower-bidiagonal in time:
+    from ``delta_0 = 0``,
+
+        delta_{k+1} = P_k^{-1}(-R_k + delta_k/(theta tau))
+                      - ((1 - theta)/theta) delta_k,
+
+    with the bands of ``P_k = I/tau + theta DF`` side by side in ``bands``
+    and ``-R_k`` in row ``k`` of ``rhs``.  Returns ``delta`` (one row more
+    than ``rhs``) and the first slice whose solve is singular or not finite,
+    or ``None``; the sweep stops there, leaving the later rows zero.
+    """
+    size = rhs.shape[1]
+    lag, carry = 1.0 / (theta * tau), (1.0 - theta) / theta
+    delta = np.zeros((rhs.shape[0] + 1, size))
+    for k in range(rhs.shape[0]):
+        try:
+            x = solve_bands(bands[:, k * size:(k + 1) * size],
+                            rhs[k] + lag * delta[k])
+        except np.linalg.LinAlgError:
+            return delta, k
+        delta[k + 1] = x - carry * delta[k]
+    return delta, None
+
+
 def _gauss_newton_direction(model: ModelSpec, traj: Trajectory):
     """Gauss-Newton step ``delta = -R'(u)^{-1} R(u)`` on the midpoint
     residuals ``R_k = -H_k + lam DPsi(lam m_k)``, or ``None`` when the sweep
-    fails (a singular or non-finite solve with ``P_k``).
-
-    ``R'`` is block lower-bidiagonal in time, with diagonal blocks
-    ``P_k = I/tau + K_k/2`` and sub-diagonal blocks ``P_k - 2I/tau``, where
-    ``K_k = DLambda(m_k) + lam D^2Psi(lam m_k)``.  So ``delta`` costs one
-    forward sweep ``delta_{k+1} = P_k^{-1}(-R_k + 2 delta_k/tau) - delta_k``
-    from ``delta_0 = 0``.  The bands of every ``P_k`` are built at once by
-    :func:`~benpde.models.jacobian_bands`, and each step solves with its own
-    slice of them.
+    fails: the theta = 1/2 sweep of :func:`_theta_sweep` with
+    ``DF = DLambda(m_k) + lam D^2Psi(lam m_k)``, all bands from one
+    :func:`~benpde.models.jacobian_bands` call.
     """
     grid, tau, lam = traj.grid, traj.tau, float(model.lam)
     mids, t_mid, H = _dual_residuals(model, traj)
@@ -191,17 +213,9 @@ def _gauss_newton_direction(model: ModelSpec, traj: Trajectory):
     blocks = mids.reshape((-1, 1) + grid.shape)  # one per (slice, component)
     bands = jacobian_bands(model, grid, blocks, np.repeat(t_mid, traj.k),
                            1.0 / tau, 0.5)
-    size = R[0].size
-    rhs = -R.reshape(traj.n_steps, size)
-    delta = np.zeros((traj.n_steps + 1, size))
-    for k in range(traj.n_steps):
-        try:
-            x = solve_bands(bands[:, k * size:(k + 1) * size],
-                            rhs[k] + (2.0 / tau) * delta[k])
-        except np.linalg.LinAlgError:
-            return None
-        delta[k + 1] = x - delta[k]
-    return delta.reshape(traj.states.shape)
+    delta, singular = _theta_sweep(bands, -R.reshape(traj.n_steps, -1), tau,
+                                   0.5)
+    return None if singular is not None else delta.reshape(traj.states.shape)
 
 
 def minimize(model: ModelSpec, init: Trajectory,
@@ -274,70 +288,80 @@ def minimize(model: ModelSpec, init: Trajectory,
 # -- implicit stepping baseline --------------------------------------------------------
 
 
-def _implicit_residual(model, grid, u, u_prev, tau, t_next):
-    r = (u - u_prev) / tau + lambda_density(model, grid, u, t_next)
-    if model.lam:
-        r = r + psi_gradient_density(model.density, grid,
-                                     float(model.lam) * u)
-    return r
-
-
 def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
                       max_newton: int = 50) -> Trajectory:
-    """March the fully implicit scheme: each step solves
+    """Solve the fully implicit scheme, for every step ``k``,
 
-        (u_{k+1} - u_k)/tau + Lambda_{t_{k+1}}(u_{k+1}) + DPsi(lam u_{k+1}) = 0
+        (u_{k+1} - u_k)/tau + Lambda_{t_{k+1}}(u_{k+1}) + DPsi(lam u_{k+1}) = 0,
 
-    by damped Newton (step halving until the residual drops), one banded
-    solve with :func:`~benpde.models.jacobian_bands` per Newton step.
-    Raises :class:`~benpde.errors.TimeStepError` with the step index if a
-    Newton Jacobian is singular or a step fails to reach ``newton_tol``
-    relative to its starting residual.
+    by Newton on the whole trajectory from the constant extension of
+    ``w0``, one theta = 1 :func:`_theta_sweep` per iteration.  Step ``k``
+    is done once its residual is at most ``newton_tol * max(1, |R_k(u_k ->
+    u_k)|_H)``.  Done leading steps are frozen; damping halves the update of
+    the rest until the residual of the first of them, the front step,
+    drops.  Raises :class:`~benpde.errors.TimeStepError` naming the front
+    step when it has taken ``max_newton`` Newton steps, when its Jacobian is
+    singular or when damping stalls; a later singular step only stops the
+    sweep there.
     """
     t = np.asarray(times, dtype=float)
     if not isinstance(w0, Field):
         raise ValueError("implicit_baseline needs a Field initial state")
     grid = w0.grid
-    u_prev = _initial_state(grid, w0)
     tau = float(t[1] - t[0])
-    states = [u_prev]
-    for k in range(t.size - 1):
-        t_next = float(t[k + 1])
-        u = u_prev.copy()
-        res = _implicit_residual(model, grid, u, u_prev, tau, t_next)
-        rnorm = h_norm(grid, res)
-        target = newton_tol * max(1.0, rnorm)
-        it = 0
-        while rnorm > target:
-            if it >= max_newton:
-                raise TimeStepError(
-                    f"step {k}: Newton hit the iteration cap at residual "
-                    f"{rnorm:.3e}", k, rnorm)
-            jac = jacobian_bands(model, grid, u[:, None], t_next, 1.0 / tau, 1.0)
-            try:
-                delta = solve_bands(jac, -res.ravel()).reshape(u.shape)
-            except np.linalg.LinAlgError:
-                raise TimeStepError(
-                    f"step {k}: singular Newton Jacobian at residual "
-                    f"{rnorm:.3e}", k, rnorm) from None
-            scale = 1.0
-            for _ in range(MAX_HALVINGS):
-                u_new = u + scale * delta
-                res_new = _implicit_residual(model, grid, u_new, u_prev, tau,
-                                             t_next)
-                rnorm_new = h_norm(grid, res_new)
-                if rnorm_new < rnorm:
-                    break
-                scale *= 0.5
-            else:
-                raise TimeStepError(
-                    f"step {k}: Newton damping stalled at residual "
-                    f"{rnorm:.3e}", k, rnorm)
-            u, res, rnorm = u_new, res_new, rnorm_new
-            it += 1
-        states.append(u)
-        u_prev = u
-    return Trajectory(grid, t, np.asarray(states))
+
+    def residuals(u, tu):
+        """Residuals of consecutive states ``u`` at times ``tu``, their H
+        norms and the norms of ``R_k(u_k -> u_k)``, from one batched ``F``."""
+        m = u.shape[0] - 1
+        both = np.concatenate([u[1:], u[:-1]])
+        F = lambda_density(model, grid, both, np.concatenate([tu[1:]] * 2))
+        if model.lam:
+            F = F + psi_gradient_density(model.density, grid,
+                                         float(model.lam) * both)
+        R = (u[1:] - u[:-1]) / tau + F[:m]
+        both = np.concatenate([R, F[m:]])
+        norms = np.sqrt(h_inner_batch(grid, both, both))
+        return R, norms[:m], norms[m:]
+
+    u = np.repeat(_initial_state(grid, w0)[None], t.size, axis=0)
+    R, rnorm, start = residuals(u, t)
+    front = steps = 0  # the front step and the Newton steps taken on it
+
+    def failure(why):
+        return TimeStepError(f"step {front}: {why} at residual "
+                             f"{rnorm[0]:.3e}", front, rnorm[0])
+
+    while True:
+        met = rnorm <= newton_tol * np.maximum(1.0, start)
+        if met.all():
+            return Trajectory(grid, t, u)
+        lead = int(np.argmin(met))  # steps newly done ahead of the front
+        if lead:
+            front, steps, R, rnorm = front + lead, 0, R[lead:], rnorm[lead:]
+        if steps >= max_newton:
+            raise failure("Newton hit the iteration cap")
+        blocks = u[front + 1:].reshape((-1, 1) + grid.shape)
+        bands = jacobian_bands(model, grid, blocks,
+                               np.repeat(t[front + 1:], u.shape[1]),
+                               1.0 / tau, 1.0)
+        delta, singular = _theta_sweep(bands, -R.reshape(len(R), -1), tau,
+                                       1.0)
+        if singular == 0:
+            raise failure("singular Newton Jacobian")
+        delta, scale = delta[1:].reshape(R.shape), 1.0
+        for _ in range(MAX_HALVINGS):
+            trial = np.concatenate([u[front:front + 1],
+                                    u[front + 1:] + scale * delta])
+            found = residuals(trial, t[front:])
+            if found[1][0] < rnorm[0]:
+                break
+            scale *= 0.5
+        else:
+            raise failure("Newton damping stalled")
+        u[front:] = trial
+        R, rnorm, start = found
+        steps += 1
 
 
 # -- cross-validation -------------------------------------------------------------------

@@ -343,6 +343,16 @@ def test_certificate_accepts_exact_solution():
                                      "scale", "tol"}
 
 
+@pytest.mark.parametrize("name", ["heat", "burgers"])
+def test_report_and_certificate_share_one_assembly(name):
+    g = SpaceGrid(dim=1, n=9)
+    traj = _random_trajectory(g, np.random.default_rng(6))
+    model = build_model(name)
+    report, verdict = benpde.energy._report_and_certificate(model, traj, 1e-6)
+    assert report == eval_energy(model, traj)
+    assert verdict == certificate(model, traj, 1e-6)
+
+
 def test_certificate_rejects_abandoned_start():
     g = SpaceGrid(dim=1, n=9)
     w0 = np.sin(np.pi * g.node_coords[0])[None, :]

@@ -12,7 +12,8 @@ from benpde.energy import (certificate, energy_and_gradient, eval_energy,
                            residual)
 from benpde.errors import LineSearchError, ModelEvaluationError, TimeStepError
 from benpde.grid import Field, SpaceGrid, Trajectory, h_norm, uniform_times
-from benpde.models import adversarial_model, build_model, psi_gradient_density
+from benpde.models import (adversarial_model, build_model, jacobian_bands,
+                           lambda_density, psi_gradient_density)
 from benpde.solver import (
     CompareResult,
     SolveOptions,
@@ -25,7 +26,7 @@ from benpde.solver import (
     uniqueness_probe,
 )
 from test_energy import _heat_midpoint_solution
-from test_grid import dense_neg_laplacian
+from test_grid import band_matrix, dense_neg_laplacian
 
 COARSE_SCHEME_GAP = 5e-2  # implicit Euler vs midpoint at tau = 1.25e-2
 
@@ -381,6 +382,99 @@ def test_baseline_step_failure_reports_index():
                           max_newton=0)
     assert info.value.step_index == 0
     assert info.value.residual > 0.0
+
+
+@pytest.mark.parametrize("name,params,dim,n", [
+    ("burgers", {}, 1, 17),
+    ("divergence_form", {"q": 4.0}, 1, 17),
+    ("adversarial", {}, 1, 17),
+    ("burgers", {}, 2, 6),
+])
+def test_baseline_meets_every_step_target(name, params, dim, n):
+    # Recompute each backward-Euler residual one step at a time and hold it
+    # to the step's own target; a looser tolerance than the default leaves
+    # more steps to be frozen on their own residual.
+    tol = 1e-10
+    g = SpaceGrid(dim=dim, n=n)
+    x = g.node_coords
+    w0 = 2.0 * np.prod(np.sin(np.pi * x), axis=0)
+    times = uniform_times(0.1, 16)
+    model = build_model(name, **params)
+    traj = implicit_baseline(model, Field(g, w0), times, newton_tol=tol)
+
+    def F(u, t):
+        return (lambda_density(model, g, u, t)
+                + psi_gradient_density(model.density, g, u))
+
+    for k in range(traj.n_steps):
+        u0, u1, t1 = traj.states[k], traj.states[k + 1], times[k + 1]
+        r = (u1 - u0) / traj.tau + F(u1, t1)
+        assert h_norm(g, r) <= tol * max(1.0, h_norm(g, F(u0, t1))), k
+
+
+def test_baseline_components_step_independently():
+    # heat flow moves each component on its own, so a two-component
+    # baseline is the pair of one-component baselines
+    g = SpaceGrid(dim=1, n=9)
+    w0 = np.random.default_rng(5).normal(size=(2, 9))
+    times = uniform_times(0.1, 6)
+    both = implicit_baseline(build_model("heat"), Field(g, w0), times)
+    for c in range(2):
+        one = implicit_baseline(build_model("heat"), Field(g, w0[c]), times)
+        np.testing.assert_allclose(both.states[:, c], one.states[:, 0],
+                                   rtol=0.0, atol=1e-13)
+
+
+def _dense_sweep_case(dim, n, theta, n_steps=5):
+    """Bands of ``P_k`` for burgers at random states, a random right-hand
+    side, and the dense solve of the whole theta-scheme Newton system."""
+    g = SpaceGrid(dim=dim, n=n)
+    model = build_model("burgers")
+    rng = np.random.default_rng(dim + 10 * n)
+    tau = 0.05
+    states = rng.normal(size=(n_steps, 1) + g.shape)
+    times = tau * np.arange(1, n_steps + 1)
+    bands = jacobian_bands(model, g, states, times, 1.0 / tau, theta)
+    K = band_matrix(jacobian_bands(model, g, states, times, 0.0, 1.0))
+    K = K.toarray()
+    N = g.n_nodes
+    eye = np.eye(N)
+    system = np.zeros((n_steps * N, n_steps * N))
+    for k in range(n_steps):
+        Kk = K[k * N:(k + 1) * N, k * N:(k + 1) * N]
+        rows = slice(k * N, (k + 1) * N)
+        system[rows, rows] = eye / tau + theta * Kk  # d R_k / d u_{k+1}
+        if k:
+            system[rows, (k - 1) * N:k * N] = -eye / tau + (1 - theta) * Kk
+    rhs = rng.normal(size=(n_steps, N))
+    return bands, rhs, tau, system, N
+
+
+@pytest.mark.parametrize("dim,n", [(1, 7), (2, 4)])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_theta_sweep_equals_dense_newton_solve(dim, n, theta):
+    bands, rhs, tau, system, N = _dense_sweep_case(dim, n, theta)
+    delta, singular = benpde.solver._theta_sweep(bands, rhs, tau, theta)
+    want = np.linalg.solve(system, rhs.ravel()).reshape(rhs.shape)
+    assert singular is None
+    np.testing.assert_array_equal(delta[0], 0.0)
+    np.testing.assert_allclose(delta[1:], want, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 7), (2, 4)])
+def test_theta_sweep_stops_at_singular_slice(dim, n):
+    bands, rhs, tau, system, N = _dense_sweep_case(dim, n, 1.0)
+    bands[:, 3 * N:4 * N] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta, singular = benpde.solver._theta_sweep(bands, rhs, tau, 1.0)
+    assert singular == 3
+    # block lower-triangular: the first three slices solve on their own
+    want = np.linalg.solve(system[:3 * N, :3 * N], rhs[:3].ravel())
+    np.testing.assert_allclose(delta[1:4].ravel(), want, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(want)))
+    np.testing.assert_array_equal(delta[4:], 0.0)
 
 
 def test_baseline_requires_field_initial_state():
