@@ -41,7 +41,7 @@ import numpy as np
 
 from .convex import PowerDensity, eval_conjugate
 from .energy import (_report_and_certificate, certificate,
-                     energy_and_gradient, eval_energy)
+                     energy_and_gradient, energy_totals, eval_energy)
 from .errors import (
     BenpdeError,
     ConfigError,
@@ -53,6 +53,7 @@ from .grid import (
     Field,
     SpaceGrid,
     Trajectory,
+    format_rows,
     h_inner,
     save_trajectory_csv,
     uniform_times,
@@ -78,10 +79,14 @@ __all__ = ["main", "load_config", "RunConfig"]
 
 FMT = "%.17g"
 
+#: numeric model keys and their defaults; without ``eps`` the model picks it
+_MODEL_DEFAULTS = {"q": 2.0, "a": 1.0, "eps": None, "u_max": 10.0,
+                   "flux_amp": 0.4, "flux_cap": 2.0, "reaction_const": 0.5,
+                   "reaction_slope": 1.0, "kappa": 50.0}
+
 #: keys accepted per section
 _SECTIONS = {
-    "model": {"name", "q", "a", "eps", "lam", "u_max", "flux_amp", "flux_cap",
-              "reaction_const", "reaction_slope", "kappa"},
+    "model": {"name", "lam", *_MODEL_DEFAULTS},
     "grid": {"dim", "n"},
     "time": {"T0", "M"},
     "initial": {"profile", "path", "amplitude"},
@@ -159,8 +164,10 @@ def _get(values, key, conv, default=None, check=None, describe=""):
     return out
 
 
-#: ``_get`` checks of the ``*.seed`` keys: NumPy seeds are nonnegative.
+#: ``_get`` checks shared by several keys (NumPy seeds are nonnegative).
 _SEED = {"check": lambda v: v >= 0, "describe": "must be nonnegative"}
+_POSITIVE = {"check": lambda v: v > 0, "describe": "must be positive"}
+_AT_LEAST_1 = {"check": lambda v: v >= 1, "describe": "must be at least 1"}
 
 
 def _bool(text: str) -> bool:
@@ -174,21 +181,10 @@ def _bool(text: str) -> bool:
 
 def _build_model(values) -> ModelSpec:
     name = _get(values, "model.name", str)
-    params = {
-        "q": _get(values, "model.q", float, default=2.0),
-        "a": _get(values, "model.a", float, default=1.0,
-                  check=lambda v: v > 0, describe="must be positive"),
-        "eps": (_get(values, "model.eps", float, default=-1.0)
-                if "model.eps" in values else None),
-        "u_max": _get(values, "model.u_max", float, default=10.0),
-        "flux_amp": _get(values, "model.flux_amp", float, default=0.4),
-        "flux_cap": _get(values, "model.flux_cap", float, default=2.0),
-        "reaction_const": _get(values, "model.reaction_const", float,
-                               default=0.5),
-        "reaction_slope": _get(values, "model.reaction_slope", float,
-                               default=1.0),
-        "kappa": _get(values, "model.kappa", float, default=50.0),
-    }
+    params = {key: _get(values, f"model.{key}", float, default=default,
+                        **(_POSITIVE if key == "a" else {}))
+              for key, default in _MODEL_DEFAULTS.items()
+              if default is not None or f"model.{key}" in values}
     allowed = {
         "heat": {"a"},
         "burgers": {"a", "u_max"},
@@ -276,14 +272,10 @@ def load_config(path) -> RunConfig:
     model = _build_model(values)
     dim = _get(values, "grid.dim", int, default=1,
                check=lambda v: v in (1, 2), describe="must be 1 or 2")
-    n = _get(values, "grid.n", int,
-             check=lambda v: v >= 1, describe="must be at least 1")
+    n = _get(values, "grid.n", int, **_AT_LEAST_1)
     grid = SpaceGrid(dim=dim, n=n)
-    t_end = _get(values, "time.T0", float,
-                 check=lambda v: v > 0, describe="must be positive")
-    n_steps = _get(values, "time.M", int,
-                   check=lambda v: v >= 1, describe="must be at least 1")
-    times = uniform_times(t_end, n_steps)
+    times = uniform_times(_get(values, "time.T0", float, **_POSITIVE),
+                          _get(values, "time.M", int, **_AT_LEAST_1))
     w0 = _initial_profile(values, grid, path.parent)
 
     try:
@@ -307,24 +299,20 @@ def load_config(path) -> RunConfig:
                         default=f"runs/{model.name}"))
     return RunConfig(
         model=model, grid=grid, times=times, w0=w0, options=options,
-        tol=_get(values, "solve.tol", float, default=1e-6,
-                 check=lambda v: v > 0, describe="must be positive"),
+        tol=_get(values, "solve.tol", float, default=1e-6, **_POSITIVE),
         out_dir=out_dir,
         init_kind=init_kind,
         init_noise=_get(values, "solve.noise", float, default=0.5),
         verify_samples=_get(values, "verify.samples", int, default=1000,
-                            check=lambda v: v >= 1,
-                            describe="must be at least 1"),
+                            **_AT_LEAST_1),
         verify_seed=_get(values, "verify.seed", int, default=0, **_SEED),
         verify_amplitude=_get(values, "verify.amplitude", float, default=1.0),
         gradcheck_trajectories=_get(values, "gradcheck.trajectories", int,
-                                    default=5, check=lambda v: v >= 1,
-                                    describe="must be at least 1"),
+                                    default=5, **_AT_LEAST_1),
         gradcheck_directions=_get(values, "gradcheck.directions", int,
-                                  default=20, check=lambda v: v >= 1,
-                                  describe="must be at least 1"),
+                                  default=20, **_AT_LEAST_1),
         gradcheck_step=_get(values, "gradcheck.step", float, default=1e-6,
-                            check=lambda v: v > 0, describe="must be positive"),
+                            **_POSITIVE),
         gradcheck_seed=_get(values, "gradcheck.seed", int, default=0, **_SEED),
         compare_baseline=_get(values, "compare.baseline", _bool,
                               default=False),
@@ -335,11 +323,13 @@ def load_config(path) -> RunConfig:
 # -- artifact writers --------------------------------------------------------------
 
 
-def _write_history(path: Path, history: np.ndarray) -> None:
-    lines = ["iter,J,grad_norm"]
-    for i, (j, gn) in enumerate(history):
-        lines.append(f"{i},{FMT % j},{FMT % gn}")
+def _write_lines(path: Path, lines: list) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _write_history(path: Path, history: np.ndarray) -> None:
+    rows = np.column_stack([np.arange(len(history)), history])
+    _write_lines(path, ["iter,J,grad_norm", *format_rows(rows)])
 
 
 def _write_profiles(path: Path, traj: Trajectory) -> None:
@@ -348,15 +338,12 @@ def _write_profiles(path: Path, traj: Trajectory) -> None:
     n = flat.shape[1]
     picks = sorted({n // 4, n // 2, (3 * n) // 4})
     header = "# t " + " ".join(f"node_{p}" for p in picks)
-    lines = [header]
-    for t, row in zip(traj.times, flat):
-        lines.append(" ".join([FMT % t] + [FMT % row[p] for p in picks]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    rows = np.column_stack([traj.times, flat[:, picks]])
+    _write_lines(path, [header, *format_rows(rows, " ")])
 
 
 def _write_report(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8",
-                    newline="\n")
+    _write_lines(path, [json.dumps(payload, indent=2)])
 
 
 # -- commands ----------------------------------------------------------------------
@@ -447,23 +434,22 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _cmd_gradcheck(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.gradcheck_seed)
-    grid, times = cfg.grid, cfg.times
-    worst = 0.0
-    for _ in range(cfg.gradcheck_trajectories):
-        states = 0.5 * rng.normal(size=(times.size, 1) + grid.shape)
-        traj = Trajectory(grid, times, states)
-        _, grad = energy_and_gradient(cfg.model, traj)
-        for _ in range(cfg.gradcheck_directions):
-            s = rng.normal(size=states.shape)
-            s[0] = 0.0
-            e = cfg.gradcheck_step
-            jp = eval_energy(cfg.model,
-                             traj.with_tail(traj.states[1:] + e * s[1:])).total
-            jm = eval_energy(cfg.model,
-                             traj.with_tail(traj.states[1:] - e * s[1:])).total
-            fd = (jp - jm) / (2.0 * e)
-            an = traj.tau * h_inner(grid, s, grad)
-            worst = max(worst, abs(an - fd) / max(1.0, abs(fd)))
+    grid, times, e = cfg.grid, cfg.times, cfg.gradcheck_step
+    an, fd = [], []
+    with np.errstate(all="ignore"):  # an inf or nan error fails the check
+        for _ in range(cfg.gradcheck_trajectories):
+            states = 0.5 * rng.normal(size=(times.size, 1) + grid.shape)
+            traj = Trajectory(grid, times, states)
+            _, grad = energy_and_gradient(cfg.model, traj)
+            for _ in range(cfg.gradcheck_directions):
+                s = rng.normal(size=states.shape)
+                s[0] = 0.0
+                tail, step = traj.states[1:], e * s[1:]
+                jp, jm = energy_totals(cfg.model, traj, [tail + step, tail - step])
+                fd.append((jp - jm) / (2.0 * e))
+                an.append(traj.tau * h_inner(grid, s, grad))
+        fd = np.array(fd)
+        worst = float(np.max(np.abs(np.array(an) - fd) / np.maximum(1.0, np.abs(fd))))
     print(f"gradcheck {cfg.model.name}: worst relative error {worst:.3e} "
           f"over {cfg.gradcheck_trajectories} trajectories x "
           f"{cfg.gradcheck_directions} directions")
@@ -493,8 +479,7 @@ def _cmd_conjugate_table(args) -> int:
             failures += 1
             rows.append(f"{FMT % y},nan,nan  # solve failed: {exc}")
     out = Path(args.out)
-    out.write_text("\n".join(["y,psi_star,argmax"] + rows) + "\n",
-                   encoding="utf-8", newline="\n")
+    _write_lines(out, ["y,psi_star,argmax"] + rows)
     print(f"conjugate-table q={args.exponent:g} a={args.coefficient:g} "
           f"eps={args.regularizer:g}: {len(rows)} rows, {failures} failures "
           f"-> {out}")

@@ -28,8 +28,10 @@ weighted-Laplacian Jacobian per step.  The maximizer ``z = DPsi*(y)`` is reused 
 ``W_k = lam * m_k - DPsi*(H_k)`` and for the gradient assembly, so one
 energy evaluation prices all certificate quantities at once.
 
-Every path but the two-dimensional non-quadratic one handles all time
-slices at once.
+The interval terms take leading batch axes, and every path but the
+two-dimensional non-quadratic one handles all slices at once.
+:func:`energy_totals` prices ``J`` alone for a batch of trajectories in one
+call, bit for bit equal to :func:`eval_energy` but without its norms.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .convex import PowerDensity, conjugate_radius, radial_coefficient
-from .errors import ConjugateSolveError
+from .errors import ConjugateSolveError, NonFiniteInputError
 from .grid import (
     Field,
     SpaceGrid,
@@ -67,6 +69,7 @@ __all__ = [
     "conjugate_on_dual",
     "residual",
     "eval_energy",
+    "energy_totals",
     "energy_and_gradient",
     "certificate",
 ]
@@ -278,14 +281,15 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
 # -- residual and energy ------------------------------------------------------------
 
 
-def _dual_residuals(model: ModelSpec, traj: Trajectory, intervals=slice(None)):
-    """Midpoints ``m_k``, midpoint times and dual residuals ``H_k`` of the
-    selected intervals, each with the interval axis in front."""
-    u0 = traj.states[:-1][intervals]
-    u1 = traj.states[1:][intervals]
+def _dual_residuals(model: ModelSpec, grid: SpaceGrid, tau: float, times, states):
+    """Midpoints ``m_k``, midpoint times and dual residuals ``H_k`` of every
+    interval of ``states`` ``(..., M+1, k, *shape)`` at ``times``; the
+    interval axis keeps its place."""
+    lead = (slice(None),) * (states.ndim - grid.dim - 2)
+    u0, u1 = states[lead + (slice(None, -1),)], states[lead + (slice(1, None),)]
     mids = 0.5 * (u0 + u1)
-    t_mid = 0.5 * (traj.times[:-1] + traj.times[1:])[intervals]
-    H = -(u1 - u0) / traj.tau - lambda_density(model, traj.grid, mids, t_mid)
+    t_mid = 0.5 * (times[:-1] + times[1:])
+    H = -(u1 - u0) / tau - lambda_density(model, grid, mids, t_mid)
     return mids, t_mid, H
 
 
@@ -293,51 +297,63 @@ def residual(model: ModelSpec, traj: Trajectory, k: int) -> Field:
     """Dual residual ``H_k`` of interval ``k`` as a nodal density field."""
     if not 0 <= k < traj.n_steps:
         raise IndexError(f"interval index {k} out of range")
-    _, _, H = _dual_residuals(model, traj, slice(k, k + 1))
+    _, _, H = _dual_residuals(model, traj.grid, traj.tau,
+                              traj.times[k:k + 2], traj.states[k:k + 2])
     return Field(traj.grid, H[0])
 
 
 def _lq_time_norm(tau: float, slice_norms: np.ndarray, q: float) -> float:
-    return float((tau * np.sum(np.asarray(slice_norms) ** q)) ** (1.0 / q))
+    return float((tau * np.sum(slice_norms ** q)) ** (1.0 / q))
+
+
+def _interval_terms(model: ModelSpec, traj: Trajectory, states):
+    """The three ``J`` terms ``(psi, conj, pair)`` of ``states``
+    ``(..., M+1, k, *shape)`` on ``traj``'s grid and times, each summed over
+    the interval axis only, plus the midpoints, midpoint times, dual
+    residuals and conjugate maximizers."""
+    grid, tau, d, lam = traj.grid, traj.tau, model.density, float(model.lam)
+    mids, t_mid, H = _dual_residuals(model, grid, tau, traj.times, states)
+    psi = (psi_total(d, grid, lam * mids) if model.lam
+           else np.zeros(H.shape[:-(grid.dim + 1)]))
+    conj, z, _ = conjugate_on_dual(d, grid, H)
+    pair = -lam * h_inner_batch(grid, mids, H)
+    terms = tuple(tau * np.sum(s, axis=-1) for s in (psi, conj, pair))
+    return terms, mids, t_mid, H, z
 
 
 def _assemble(model: ModelSpec, traj: Trajectory):
     """All certificate ingredients of a trajectory in one batched sweep."""
-    grid = traj.grid
-    d = model.density
-    lam = float(model.lam)
-    tau = traj.tau
-    mids, t_mid, H = _dual_residuals(model, traj)
-
-    if model.lam:
-        psi_slices = np.atleast_1d(psi_total(d, grid, lam * mids))
-    else:
-        psi_slices = np.zeros(traj.n_steps)
-    conj_slices, z, _ = conjugate_on_dual(d, grid, H)
-    conj_slices = np.atleast_1d(conj_slices)
-    pair_slices = -lam * h_inner_batch(grid, mids, H)
-
-    defect = lam * mids - z
-    q = d.exponent
+    grid, tau, q = traj.grid, traj.tau, model.density.exponent
+    terms, mids, t_mid, H, z = _interval_terms(model, traj, traj.states)
+    term_psi, term_conj, term_pair = map(float, terms)
+    defect = float(model.lam) * mids - z
     qstar = q / (q - 1.0)
-
-    term_psi = tau * float(np.sum(psi_slices))
-    term_conj = tau * float(np.sum(conj_slices))
-    term_pair = tau * float(np.sum(pair_slices))
     total = term_psi + term_conj + term_pair
     report = EnergyReport(
-        total=total,
-        term_psi=term_psi,
-        term_conj=term_conj,
+        total=total, term_psi=term_psi, term_conj=term_conj,
         term_pair=term_pair,
-        residual_norm=_lq_time_norm(
-            tau, np.atleast_1d(dual_grad_norm(grid, H, qstar)), qstar),
-        defect_norm=_lq_time_norm(
-            tau, np.atleast_1d(grad_norm(grid, defect, q)), q),
+        residual_norm=_lq_time_norm(tau, dual_grad_norm(grid, H, qstar), qstar),
+        defect_norm=_lq_time_norm(tau, grad_norm(grid, defect, q), q),
         normalized=total / (term_psi + term_conj + abs(term_pair)
                             + NORMALIZATION_FLOOR),
     )
     return report, mids, t_mid, H, z, defect
+
+
+def energy_totals(model: ModelSpec, traj: Trajectory, tails) -> np.ndarray:
+    """``eval_energy(model, traj.with_tail(tail)).total``, bit for bit, for
+    each ``tail`` in ``tails`` ``(B, M, k, *shape)``: one batched assembly of
+    the energy terms, without the report's norms.  Raises ``ValueError`` on
+    a mis-shaped batch and ``NonFiniteInputError`` on non-finite entries."""
+    arr, want = np.asarray(tails, dtype=float), traj.states[1:].shape
+    if arr.shape[1:] != want:
+        raise ValueError(f"tails shape {arr.shape} is not (B, *{want})")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteInputError("trajectory states contain non-finite entries")
+    head = np.broadcast_to(traj.states[:1], (len(arr), 1) + arr.shape[2:])
+    psi, conj, pair = _interval_terms(
+        model, traj, np.concatenate([head, arr], axis=1))[0]
+    return psi + conj + pair
 
 
 def eval_energy(model: ModelSpec, traj: Trajectory) -> EnergyReport:
@@ -357,13 +373,8 @@ def energy_and_gradient(model: ModelSpec, traj: Trajectory):
 
     Row 0 is identically zero (the initial state is locked).
     """
-    report, mids, t_mid, H, z, defect = _assemble(model, traj)
-    grid = traj.grid
-    d = model.density
-    lam = float(model.lam)
-    tau = traj.tau
-
-    B = defect
+    report, mids, t_mid, H, _, B = _assemble(model, traj)  # B: the defect
+    grid, d, lam, tau = traj.grid, model.density, float(model.lam), traj.tau
     C = dlambda_adjoint_density(model, grid, mids, t_mid, B)
     if model.lam:
         C = C + lam * (psi_gradient_density(d, grid, lam * mids) - H)
@@ -392,13 +403,9 @@ def certificate(model: ModelSpec, traj: Trajectory,
 def _report_and_certificate(model: ModelSpec, traj: Trajectory, tol: float):
     """:func:`eval_energy` and :func:`certificate` from one assembly."""
     report, mids, _, _, z, _ = _assemble(model, traj)
-    grid = traj.grid
-    q = model.density.exponent
-    tau = traj.tau
-    lam = float(model.lam)
-    scale = (_lq_time_norm(tau, np.atleast_1d(grad_norm(grid, lam * mids, q)), q)
-             + _lq_time_norm(tau, np.atleast_1d(grad_norm(grid, z, q)), q)
-             + 1.0)
+    grid, tau, q = traj.grid, traj.tau, model.density.exponent
+    scale = (_lq_time_norm(tau, grad_norm(grid, float(model.lam) * mids, q), q)
+             + _lq_time_norm(tau, grad_norm(grid, z, q), q) + 1.0)
     solved = (report.normalized <= tol) and (report.defect_norm <= tol * scale)
     return report, CertificateVerdict(solved=bool(solved),
                                       normalized=report.normalized,

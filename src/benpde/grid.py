@@ -62,6 +62,7 @@ __all__ = [
     "dual_grad_norm",
     "mixed_norm",
     "uniform_times",
+    "format_rows",
     "save_trajectory_csv",
     "load_trajectory_csv",
 ]
@@ -438,15 +439,22 @@ def mixed_norm(traj: Trajectory, values=None) -> float:
 # -- persistence ---------------------------------------------------------------
 
 
+def format_rows(rows, sep: str = ","):
+    """Yield the ``%.17g`` text of each row of a 2-D array, values joined by
+    ``sep``: one prebuilt format string applied to plain floats."""
+    rows = np.asarray(rows, dtype=float)
+    line = sep.join([FMT] * rows.shape[1])
+    return (line % tuple(row.tolist()) for row in rows)
+
+
 def save_trajectory_csv(traj: Trajectory, path) -> None:
     """Write ``t,node_0,...`` rows; %.17g so floats round-trip exactly."""
     n_vals = traj.k * traj.grid.n_nodes
     header = "t," + ",".join(f"node_{i}" for i in range(n_vals))
+    rows = format_rows(np.column_stack([traj.times, traj.states.reshape(-1, n_vals)]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for t, state in zip(traj.times, traj.states):
-            row = [FMT % t] + [FMT % v for v in state.ravel()]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(row + "\n" for row in rows)
 
 
 def load_trajectory_csv(path, grid: SpaceGrid) -> Trajectory:

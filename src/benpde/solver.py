@@ -206,7 +206,7 @@ def _gauss_newton_direction(model: ModelSpec, traj: Trajectory):
     :func:`~benpde.models.jacobian_bands` call.
     """
     grid, tau, lam = traj.grid, traj.tau, float(model.lam)
-    mids, t_mid, H = _dual_residuals(model, traj)
+    mids, t_mid, H = _dual_residuals(model, grid, tau, traj.times, traj.states)
     R = -H
     if model.lam:
         R = R + lam * psi_gradient_density(model.density, grid, lam * mids)

@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 
 import benpde
-from benpde.cli import _resolve_config, load_config, main
-from benpde.grid import load_trajectory_csv, save_trajectory_csv
+from benpde.cli import (_resolve_config, _write_history, _write_profiles,
+                        load_config, main)
+from benpde.energy import energy_and_gradient, eval_energy
+from benpde.grid import (SpaceGrid, Trajectory, h_inner, load_trajectory_csv,
+                         save_trajectory_csv, uniform_times)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,38 @@ def test_trajectory_csv_round_trips_bit_exact(heat_run, tmp_path):
     copy = tmp_path / "again.csv"
     save_trajectory_csv(traj, copy)
     assert copy.read_bytes() == (out_dir / "trajectory.csv").read_bytes()
+
+
+def test_artifact_rows_match_per_value_formatting(tmp_path):
+    """Trajectory, history and profile rows are byte for byte the
+    ``%.17g`` text of each value, one value at a time."""
+    fmt = "%.17g"
+    rng = np.random.default_rng(3)
+    grid, times = SpaceGrid(dim=1, n=5), uniform_times(0.3, 3)
+    states = rng.normal(size=(4, 2, 5)) * 10.0 ** rng.integers(-300, 300,
+                                                              size=(4, 2, 5))
+    states[1, 0, :3] = [-0.0, 1.0 / 3.0, 5e-324]
+    traj = Trajectory(grid, times, states)
+    history = np.abs(rng.normal(size=(12, 2))) * [[1e-7, 3.0]]
+
+    save_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    _write_history(tmp_path / "history.csv", history)
+    _write_profiles(tmp_path / "profiles.dat", traj)
+
+    flat = traj.states.reshape(4, -1)
+    expected = {
+        "trajectory.csv": ["t," + ",".join(f"node_{i}" for i in range(10))]
+        + [",".join([fmt % t] + [fmt % v for v in row])
+           for t, row in zip(traj.times, flat)],
+        "history.csv": ["iter,J,grad_norm"]
+        + [f"{i},{fmt % j},{fmt % g}" for i, (j, g) in enumerate(history)],
+        "profiles.dat": ["# t node_2 node_5 node_7"]
+        + [" ".join([fmt % t] + [fmt % row[p] for p in (2, 5, 7)])
+           for t, row in zip(traj.times, flat)],
+    }
+    for name, lines in expected.items():
+        text = "".join(line + "\n" for line in lines)
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8")
 
 
 def test_solve_prints_single_summary_line(tmp_path, monkeypatch, capsys):
@@ -270,6 +305,60 @@ def test_gradcheck_reports_small_error(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     worst = float(out.split("error")[1].split()[0])
     assert worst <= 1e-5
+
+
+def test_gradcheck_fails_on_non_finite_error(tmp_path, monkeypatch, capsys):
+    """A step so large that the energies overflow gives a NaN difference
+    quotient: the check must fail on it, not skip it."""
+    monkeypatch.chdir(tmp_path)
+    _write_quick_heat(tmp_path / "quick.cfg",
+                      extra="gradcheck.trajectories = 1\n"
+                            "gradcheck.directions = 2\n"
+                            "gradcheck.step = 1e200\n")
+    assert main(["gradcheck", "quick.cfg"]) == 1
+    worst = capsys.readouterr().out.split("error")[1].split()[0]
+    assert worst in ("inf", "nan")
+
+
+def _gradcheck_reference(cfg):
+    """The gradcheck summary line from two ``eval_energy`` calls per
+    direction, one trajectory at a time, with the same draws."""
+    rng = np.random.default_rng(cfg.gradcheck_seed)
+    worst, e = 0.0, cfg.gradcheck_step
+    for _ in range(cfg.gradcheck_trajectories):
+        states = 0.5 * rng.normal(size=(cfg.times.size, 1) + cfg.grid.shape)
+        traj = Trajectory(cfg.grid, cfg.times, states)
+        _, grad = energy_and_gradient(cfg.model, traj)
+        for _ in range(cfg.gradcheck_directions):
+            s = rng.normal(size=states.shape)
+            s[0] = 0.0
+            jp = eval_energy(cfg.model,
+                             traj.with_tail(traj.states[1:] + e * s[1:])).total
+            jm = eval_energy(cfg.model,
+                             traj.with_tail(traj.states[1:] - e * s[1:])).total
+            fd = (jp - jm) / (2.0 * e)
+            an = traj.tau * h_inner(cfg.grid, s, grad)
+            worst = max(worst, abs(an - fd) / max(1.0, abs(fd)))
+    return (f"gradcheck {cfg.model.name}: worst relative error {worst:.3e} "
+            f"over {cfg.gradcheck_trajectories} trajectories x "
+            f"{cfg.gradcheck_directions} directions")
+
+
+@pytest.mark.parametrize("model,dim,n", [
+    ("model.name = heat", 1, 9),
+    ("model.name = divergence_form\nmodel.q = 4", 1, 9),
+    ("model.name = burgers", 2, 6),
+])
+def test_gradcheck_equals_per_trajectory_loop(tmp_path, monkeypatch, capsys,
+                                              model, dim, n):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "check.cfg").write_text(
+        f"{model}\ngrid.dim = {dim}\ngrid.n = {n}\ntime.T0 = 0.1\n"
+        "time.M = 8\ngradcheck.trajectories = 3\ngradcheck.directions = 4\n"
+        "gradcheck.seed = 17\n")
+    assert main(["gradcheck", "check.cfg"]) == 0
+    expected = _gradcheck_reference(load_config(tmp_path / "check.cfg"))
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_conjugate_table_quadratic_is_half_square(tmp_path, monkeypatch):

@@ -11,10 +11,11 @@ from benpde.energy import (
     certificate,
     conjugate_on_dual,
     energy_and_gradient,
+    energy_totals,
     eval_energy,
     residual,
 )
-from benpde.errors import ConjugateSolveError
+from benpde.errors import ConjugateSolveError, NonFiniteInputError
 from benpde.grid import (
     SpaceGrid,
     Trajectory,
@@ -351,6 +352,49 @@ def test_report_and_certificate_share_one_assembly(name):
     report, verdict = benpde.energy._report_and_certificate(model, traj, 1e-6)
     assert report == eval_energy(model, traj)
     assert verdict == certificate(model, traj, 1e-6)
+
+
+# -- batched totals -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 6)])
+@pytest.mark.parametrize("name,params", [
+    ("heat", {}), ("burgers", {}), ("divergence_form", {"q": 4.0}),
+    ("adversarial", {}),
+], ids=["heat", "burgers", "divform_q4", "adversarial"])
+def test_energy_totals_equal_eval_energy_exactly(name, params, dim, n, batch):
+    model = build_model(name, **params)
+    rng = np.random.default_rng(11)
+    traj = _random_trajectory(SpaceGrid(dim=dim, n=n), rng)
+    tails = traj.states[1:] + 0.3 * rng.normal(
+        size=(batch,) + traj.states[1:].shape)
+    totals = energy_totals(model, traj, tails)
+    assert totals.shape == (batch,)
+    for i in range(batch):
+        assert totals[i] == eval_energy(model, traj.with_tail(tails[i])).total
+
+
+def test_energy_totals_without_primal_density():
+    m = ModelSpec(name="dual_only", density=PowerDensity(1.0, 2.0, 0.0), lam=0)
+    rng = np.random.default_rng(12)
+    traj = _random_trajectory(SpaceGrid(dim=1, n=9), rng)
+    tails = rng.normal(size=(2,) + traj.states[1:].shape)
+    assert list(energy_totals(m, traj, tails)) == [
+        eval_energy(m, traj.with_tail(t)).total for t in tails]
+
+
+def test_energy_totals_rejects_bad_tails():
+    traj = _random_trajectory(SpaceGrid(dim=1, n=9), np.random.default_rng(13))
+    model = build_model("heat")
+    tails = np.stack([traj.states[1:]] * 2)
+    tails[1, 2, 0, 4] = np.nan
+    with pytest.raises(NonFiniteInputError):
+        energy_totals(model, traj, tails)
+    for bad in (traj.states[1:], tails[:, 1:], tails[..., 1:],
+                np.stack([traj.states] * 2)):
+        with pytest.raises(ValueError, match="tails shape"):
+            energy_totals(model, traj, bad)
 
 
 def test_certificate_rejects_abandoned_start():
