@@ -40,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .convex import PowerDensity, eval_conjugate
-from .energy import (_report_and_certificate, certificate,
-                     energy_and_gradient, energy_totals, eval_energy)
+from .energy import (_report_and_certificate, energy_and_gradient,
+                     energy_totals, eval_energy)
 from .errors import (
     BenpdeError,
     ConfigError,
@@ -360,7 +360,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
         outcome, failure = minimize(cfg.model, init, cfg.options), None
     except LineSearchError as exc:
         outcome, failure = exc.outcome, exc
-    verdict = certificate(cfg.model, outcome.trajectory, cfg.tol)
+    verdict = outcome.verdict(cfg.tol)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_trajectory_csv(outcome.trajectory, cfg.out_dir / "trajectory.csv")

@@ -24,9 +24,12 @@ exactly: ``D^T w = y`` fixes the edge fluxes up to one constant per slice,
 the edge law is inverted pointwise, and the constant solves a monotone
 scalar equation that encodes the zero boundary values.  In two dimensions a
 damped Newton iteration solves each slice in turn, one banded solve of the
-weighted-Laplacian Jacobian per step.  The maximizer ``z = DPsi*(y)`` is reused for the primal defect
-``W_k = lam * m_k - DPsi*(H_k)`` and for the gradient assembly, so one
-energy evaluation prices all certificate quantities at once.
+weighted-Laplacian Jacobian per step.  The maximizer ``z = DPsi*(y)`` is
+reused for the primal defect ``W_k = lam * m_k - DPsi*(H_k)`` and for the
+gradient, so one assembly prices all certificate quantities at once.  The
+minimizer keeps that assembled state of each iterate: its Gauss-Newton
+direction reads the midpoints, dual residuals and ``DPsi(lam m_k)`` from
+it, and the final one gives the certificate verdict.
 
 The interval terms take leading batch axes, and every path but the
 two-dimensional non-quadratic one handles all slices at once.
@@ -321,23 +324,65 @@ def _interval_terms(model: ModelSpec, traj: Trajectory, states):
     return terms, mids, t_mid, H, z
 
 
-def _assemble(model: ModelSpec, traj: Trajectory):
-    """All certificate ingredients of a trajectory in one batched sweep."""
+@dataclass(frozen=True)
+class _Assembly:
+    """One assembled trajectory: its report, the midpoints, midpoint times,
+    dual residuals and conjugate maximizers of every interval and, when
+    assembled with the gradient, ``DPsi(lam m_k)`` (``None`` when
+    ``lam = 0``) and the nodal gradient."""
+
+    model: ModelSpec
+    traj: Trajectory
+    report: EnergyReport
+    mids: np.ndarray
+    t_mid: np.ndarray
+    H: np.ndarray
+    z: np.ndarray
+    dpsi: np.ndarray | None = None
+    gradient: np.ndarray | None = None
+
+    def verdict(self, tol: float) -> CertificateVerdict:
+        """The :func:`certificate` verdict of this trajectory at ``tol``."""
+        grid, tau, q = self.traj.grid, self.traj.tau, self.model.density.exponent
+        primal = float(self.model.lam) * self.mids
+        scale = (_lq_time_norm(tau, grad_norm(grid, primal, q), q)
+                 + _lq_time_norm(tau, grad_norm(grid, self.z, q), q) + 1.0)
+        rep = self.report
+        solved = (rep.normalized <= tol) and (rep.defect_norm <= tol * scale)
+        return CertificateVerdict(solved=bool(solved), normalized=rep.normalized,
+                                  defect_norm=rep.defect_norm, scale=scale, tol=tol)
+
+
+def _assemble(model: ModelSpec, traj: Trajectory, gradient: bool = False):
+    """All certificate ingredients of a trajectory in one batched sweep, with
+    the gradient of :func:`energy_and_gradient` when ``gradient`` is set."""
     grid, tau, q = traj.grid, traj.tau, model.density.exponent
     terms, mids, t_mid, H, z = _interval_terms(model, traj, traj.states)
     term_psi, term_conj, term_pair = map(float, terms)
-    defect = float(model.lam) * mids - z
+    lam = float(model.lam)
+    B = lam * mids - z  # the primal defect
     qstar = q / (q - 1.0)
     total = term_psi + term_conj + term_pair
     report = EnergyReport(
         total=total, term_psi=term_psi, term_conj=term_conj,
         term_pair=term_pair,
         residual_norm=_lq_time_norm(tau, dual_grad_norm(grid, H, qstar), qstar),
-        defect_norm=_lq_time_norm(tau, grad_norm(grid, defect, q), q),
+        defect_norm=_lq_time_norm(tau, grad_norm(grid, B, q), q),
         normalized=total / (term_psi + term_conj + abs(term_pair)
                             + NORMALIZATION_FLOOR),
     )
-    return report, mids, t_mid, H, z, defect
+    if not gradient:
+        return _Assembly(model, traj, report, mids, t_mid, H, z)
+    C = dlambda_adjoint_density(model, grid, mids, t_mid, B)
+    dpsi = None
+    if model.lam:
+        dpsi = psi_gradient_density(model.density, grid, lam * mids)
+        C = C + lam * (dpsi - H)
+    g = np.zeros_like(traj.states)
+    if traj.n_steps > 1:
+        g[1:-1] = 0.5 * (C[:-1] + C[1:]) + (B[:-1] - B[1:]) / tau
+    g[-1] = 0.5 * C[-1] + B[-1] / tau
+    return _Assembly(model, traj, report, mids, t_mid, H, z, dpsi, g)
 
 
 def energy_totals(model: ModelSpec, traj: Trajectory, tails) -> np.ndarray:
@@ -358,8 +403,7 @@ def energy_totals(model: ModelSpec, traj: Trajectory, tails) -> np.ndarray:
 
 def eval_energy(model: ModelSpec, traj: Trajectory) -> EnergyReport:
     """Certificate energy and norms of a trajectory under a model."""
-    report, *_ = _assemble(model, traj)
-    return report
+    return _assemble(model, traj).report
 
 
 def energy_and_gradient(model: ModelSpec, traj: Trajectory):
@@ -373,17 +417,8 @@ def energy_and_gradient(model: ModelSpec, traj: Trajectory):
 
     Row 0 is identically zero (the initial state is locked).
     """
-    report, mids, t_mid, H, _, B = _assemble(model, traj)  # B: the defect
-    grid, d, lam, tau = traj.grid, model.density, float(model.lam), traj.tau
-    C = dlambda_adjoint_density(model, grid, mids, t_mid, B)
-    if model.lam:
-        C = C + lam * (psi_gradient_density(d, grid, lam * mids) - H)
-
-    g = np.zeros_like(traj.states)
-    if traj.n_steps > 1:
-        g[1:-1] = 0.5 * (C[:-1] + C[1:]) + (B[:-1] - B[1:]) / tau
-    g[-1] = 0.5 * C[-1] + B[-1] / tau
-    return report, g
+    state = _assemble(model, traj, gradient=True)
+    return state.report, state.gradient
 
 
 def certificate(model: ModelSpec, traj: Trajectory,
@@ -397,17 +432,10 @@ def certificate(model: ModelSpec, traj: Trajectory,
     seminorm — plus one, so the test is meaningful for tiny and for large
     trajectories alike.
     """
-    return _report_and_certificate(model, traj, tol)[1]
+    return _assemble(model, traj).verdict(tol)
 
 
 def _report_and_certificate(model: ModelSpec, traj: Trajectory, tol: float):
     """:func:`eval_energy` and :func:`certificate` from one assembly."""
-    report, mids, _, _, z, _ = _assemble(model, traj)
-    grid, tau, q = traj.grid, traj.tau, model.density.exponent
-    scale = (_lq_time_norm(tau, grad_norm(grid, float(model.lam) * mids, q), q)
-             + _lq_time_norm(tau, grad_norm(grid, z, q), q) + 1.0)
-    solved = (report.normalized <= tol) and (report.defect_norm <= tol * scale)
-    return report, CertificateVerdict(solved=bool(solved),
-                                      normalized=report.normalized,
-                                      defect_norm=report.defect_norm,
-                                      scale=scale, tol=tol)
+    state = _assemble(model, traj)
+    return state.report, state.verdict(tol)

@@ -53,6 +53,7 @@ __all__ = [
     "laplacian",
     "poisson_solve",
     "stencil_bands",
+    "sweep_bands",
     "solve_bands",
     "h_inner",
     "h_inner_batch",
@@ -275,21 +276,51 @@ def stencil_bands(grid: SpaceGrid, diag, edge_weights=(), node_coefs=()):
     return bands.reshape(2 * width + 1, -1)
 
 
-def solve_bands(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with :func:`stencil_bands` output by the LAPACK routines of
-    :func:`scipy.linalg.solve_banded`, ``dgtsv`` or ``dgbsv``; raises
-    :class:`numpy.linalg.LinAlgError` when the system is singular or the
-    solution is not finite."""
-    width, size = bands.shape[0] // 2, bands.shape[1]
-    if width == 1 and size > 1:  # f2py's dgtsv rejects empty off-diagonals
-        *_, x, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs)
+def sweep_bands(bands: np.ndarray, rhs: np.ndarray, lag: float = 0.0,
+                carry: float = 0.0):
+    """Forward sweep ``x_0 = 0``, ``x_{k+1} = A_k^{-1}(rhs_k + lag x_k) -
+    carry x_k`` over the rows of ``rhs`` ``(slices, size)``, the
+    :func:`stencil_bands` bands of every ``A_k`` side by side in ``bands``.
+    The bands are split once into per-slice LAPACK storage (``dgtsv``
+    diagonals, or padded Fortran-ordered ``dgbsv`` blocks), each slice is
+    solved in place, and finiteness is checked once after the loop.  Returns
+    ``x`` and the first slice whose solve is singular or not finite, or
+    ``None``; the rows after that slice are zero.
+    """
+    (slices, size), width = rhs.shape, bands.shape[0] // 2
+    per = bands.reshape(2 * width + 1, slices, size)
+    tri = width == 1 and size > 1  # f2py's dgtsv rejects empty off-diagonals
+    if tri:
+        dl, d, du = per[2, :, :-1].copy(), per[1].copy(), per[0, :, 1:].copy()
     else:
-        padded = np.zeros((3 * width + 1, size))
-        padded[width:] = bands
-        *_, x, info = dgbsv(width, width, padded, rhs, overwrite_ab=True)
-    if info != 0 or not np.all(np.isfinite(x)):
+        ab = np.zeros((slices, size, 3 * width + 1)).transpose(0, 2, 1)
+        ab[:, width:] = per.transpose(1, 0, 2)
+    x, failed = np.zeros((slices + 1, size)), slices
+    with np.errstate(all="ignore"):  # non-finite rows are found below
+        for k in range(slices):
+            b = rhs[k] + lag * x[k]
+            if tri:
+                *_, b, info = dgtsv(dl[k], d[k], du[k], b, 1, 1, 1, 1)
+            else:
+                *_, b, info = dgbsv(width, width, ab[k], b, 1, 1)
+            if info != 0:
+                failed = k
+                break
+            np.subtract(b, carry * x[k], out=x[k + 1])
+    bad = np.flatnonzero(~np.isfinite(x[1:failed + 1]).all(axis=1))
+    failed = int(bad[0]) if bad.size else failed
+    x[failed + 1:] = 0.0
+    return x, (None if failed == slices else failed)
+
+
+def solve_bands(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve one system with :func:`stencil_bands` output, the one-slice
+    :func:`sweep_bands`; raises :class:`numpy.linalg.LinAlgError` when the
+    system is singular or the solution is not finite."""
+    x, failed = sweep_bands(bands, np.asarray(rhs, dtype=float)[None])
+    if failed is not None:
         raise np.linalg.LinAlgError("singular or non-finite banded solve")
-    return x
+    return x[1]
 
 
 # -- inner products and norms --------------------------------------------------
@@ -422,9 +453,11 @@ class Trajectory:
         return Field(self.grid, self.states[idx].copy())
 
     def with_tail(self, tail: np.ndarray) -> "Trajectory":
-        """New trajectory with the same locked initial state and new rows 1..M."""
-        arr = np.asarray(tail, dtype=float).reshape(self.n_steps,
-                                                    *self.states.shape[1:])
+        """New trajectory with the same locked initial state and new rows
+        1..M; raises ``ValueError`` unless ``tail`` has their shape."""
+        arr = np.asarray(tail, dtype=float)
+        if arr.shape != self.states[1:].shape:
+            raise ValueError(f"tail shape {arr.shape} is not {self.states[1:].shape}")
         return Trajectory(self.grid, self.times,
                           np.concatenate([self.states[:1], arr], axis=0))
 

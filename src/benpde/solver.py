@@ -1,4 +1,4 @@
-"""Trajectory-space minimization, implicit stepping baseline, and probes.
+"""Trajectory-space minimization and the implicit stepping baseline.
 
 Two independent routes to a discrete solution:
 
@@ -7,26 +7,24 @@ Two independent routes to a discrete solution:
   midpoint residuals, which vanish exactly where the energy does.  Each
   direction costs one forward sweep of linearised midpoint steps, and a
   monotone Armijo line search on the energy accepts it, so heat flow is
-  solved in one step and drifts or exponents above two take a few.  At a
-  minimizer the energy report doubles as a solution certificate.
+  solved in one step and drifts or exponents above two take a few.  Each
+  iterate is assembled once: its direction and, at the end, the
+  certificate verdict read the assembly that priced it.
 * :func:`implicit_baseline` solves the classical fully implicit scheme by
   damped Newton on the whole trajectory.  Each iteration is one forward
   sweep of the same block-bidiagonal kind, and the leading steps that
   have converged are frozen.
 
-:func:`compare` measures trajectory discrepancies in a relative mixed norm,
-and :func:`uniqueness_probe` restarts the minimizer from several random
-initializations to expose (non-)uniqueness of the reachable minimizer.
+:func:`compare` measures trajectory discrepancies in a relative mixed norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .energy import EnergyReport, _dual_residuals, energy_and_gradient
+from .energy import CertificateVerdict, EnergyReport, _assemble, _Assembly
 from .errors import (
     ConjugateSolveError,
     LineSearchError,
@@ -39,7 +37,7 @@ from .grid import (
     Trajectory,
     h_inner_batch,
     mixed_norm,
-    solve_bands,
+    sweep_bands,
 )
 from .models import (
     ModelSpec,
@@ -52,22 +50,15 @@ __all__ = [
     "SolveOptions",
     "SolveOutcome",
     "CompareResult",
-    "ProbeResult",
     "constant_initial_trajectory",
     "random_initial_trajectory",
     "minimize",
     "implicit_baseline",
     "compare",
-    "uniqueness_probe",
 ]
 
 #: Newton damping: maximum step halvings per implicit baseline iteration.
 MAX_HALVINGS = 30
-
-#: Mixed-norm scale below which trajectories count as collapsed to zero;
-#: the uniqueness probe compares such pairs absolutely, because a relative
-#: comparison of two roundoff-sized minimizers is noise against noise.
-DEGENERATE_SCALE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,16 +97,29 @@ class SolveOptions:
 class SolveOutcome:
     """Result of one minimization run.
 
-    ``history`` holds one ``(J, grad_norm)`` row per evaluated iterate
-    (including the initial one); the energy column is nonincreasing because
-    only Armijo-accepted steps are recorded.
+    ``state`` is the assembly that priced the last accepted iterate; the
+    ``trajectory``, ``report`` and :meth:`verdict` read from it.  ``history``
+    holds one ``(J, grad_norm)`` row per evaluated iterate (including the
+    initial one); the energy column is nonincreasing because only
+    Armijo-accepted steps are recorded.
     """
 
-    trajectory: Trajectory
-    report: EnergyReport
+    state: _Assembly = field(repr=False)
     iterations: int
     converged: bool
     history: np.ndarray = field(repr=False)
+
+    @property
+    def trajectory(self) -> Trajectory:
+        return self.state.traj
+
+    @property
+    def report(self) -> EnergyReport:
+        return self.state.report
+
+    def verdict(self, tol: float) -> CertificateVerdict:
+        """:func:`~benpde.energy.certificate` of the final iterate at ``tol``."""
+        return self.state.verdict(tol)
 
 
 @dataclass(frozen=True)
@@ -125,17 +129,6 @@ class CompareResult:
 
     rel_l2: float
     max_node: float
-
-
-@dataclass
-class ProbeResult:
-    """Uniqueness probe outcome: worst pairwise discrepancy among the
-    minimizers that converged, plus per-seed convergence flags."""
-
-    max_pairwise: float
-    seeds: list
-    converged: list
-    outcomes: list = field(repr=False)
 
 
 # -- initialization helpers ---------------------------------------------------------
@@ -181,40 +174,30 @@ def _theta_sweep(bands, rhs, tau: float, theta: float):
                       - ((1 - theta)/theta) delta_k,
 
     with the bands of ``P_k = I/tau + theta DF`` side by side in ``bands``
-    and ``-R_k`` in row ``k`` of ``rhs``.  Returns ``delta`` (one row more
-    than ``rhs``) and the first slice whose solve is singular or not finite,
-    or ``None``; the sweep stops there, leaving the later rows zero.
+    and ``-R_k`` in row ``k`` of ``rhs``: one :func:`~benpde.grid.sweep_bands`,
+    which returns ``delta`` (one row more than ``rhs``) and the first slice
+    whose solve is singular or not finite, or ``None``.
     """
-    size = rhs.shape[1]
-    lag, carry = 1.0 / (theta * tau), (1.0 - theta) / theta
-    delta = np.zeros((rhs.shape[0] + 1, size))
-    for k in range(rhs.shape[0]):
-        try:
-            x = solve_bands(bands[:, k * size:(k + 1) * size],
-                            rhs[k] + lag * delta[k])
-        except np.linalg.LinAlgError:
-            return delta, k
-        delta[k + 1] = x - carry * delta[k]
-    return delta, None
+    return sweep_bands(bands, rhs, 1.0 / (theta * tau), (1.0 - theta) / theta)
 
 
-def _gauss_newton_direction(model: ModelSpec, traj: Trajectory):
+def _gauss_newton_direction(model: ModelSpec, traj: Trajectory, state=None):
     """Gauss-Newton step ``delta = -R'(u)^{-1} R(u)`` on the midpoint
     residuals ``R_k = -H_k + lam DPsi(lam m_k)``, or ``None`` when the sweep
     fails: the theta = 1/2 sweep of :func:`_theta_sweep` with
     ``DF = DLambda(m_k) + lam D^2Psi(lam m_k)``, all bands from one
-    :func:`~benpde.models.jacobian_bands` call.
+    :func:`~benpde.models.jacobian_bands` call.  The midpoints, dual
+    residuals and ``DPsi(lam m_k)`` are read from ``state``, the gradient
+    assembly of ``traj``, which is built when not given.
     """
-    grid, tau, lam = traj.grid, traj.tau, float(model.lam)
-    mids, t_mid, H = _dual_residuals(model, grid, tau, traj.times, traj.states)
-    R = -H
-    if model.lam:
-        R = R + lam * psi_gradient_density(model.density, grid, lam * mids)
-    blocks = mids.reshape((-1, 1) + grid.shape)  # one per (slice, component)
-    bands = jacobian_bands(model, grid, blocks, np.repeat(t_mid, traj.k),
+    if state is None:
+        state = _assemble(model, traj, gradient=True)
+    grid, tau = traj.grid, traj.tau
+    R = -state.H + float(model.lam) * state.dpsi if model.lam else -state.H
+    blocks = state.mids.reshape((-1, 1) + grid.shape)  # one per (slice, component)
+    bands = jacobian_bands(model, grid, blocks, np.repeat(state.t_mid, traj.k),
                            1.0 / tau, 0.5)
-    delta, singular = _theta_sweep(bands, -R.reshape(traj.n_steps, -1), tau,
-                                   0.5)
+    delta, singular = _theta_sweep(bands, -R.reshape(traj.n_steps, -1), tau, 0.5)
     return None if singular is not None else delta.reshape(traj.states.shape)
 
 
@@ -227,8 +210,9 @@ def minimize(model: ModelSpec, init: Trajectory,
     the unit step; the initial state never moves.  When the sweep fails or
     its direction is not a descent direction in the time-weighted inner
     product, the step is ``-g`` with first trial ``min(1, 1/|g|)``.  Each
-    trial is priced with its gradient, so an accepted step costs one
-    assembly.  Deterministic for fixed inputs.  A trial whose energy raises
+    trial is one assembly with its gradient; the accepted one is kept for
+    the next direction and the outcome's verdict, so an iterate is assembled
+    once.  Deterministic for fixed inputs.  A trial whose energy raises
     :class:`~benpde.errors.ConjugateSolveError` or
     :class:`~benpde.errors.ModelEvaluationError` is rejected like one that
     fails the Armijo test.  Raises :class:`~benpde.errors.LineSearchError`
@@ -237,52 +221,48 @@ def minimize(model: ModelSpec, init: Trajectory,
     if not init.initial_locked:
         raise ValueError("minimization requires a locked initial state")
     weight = init.tau * init.grid.cell_volume
-    traj = init
-    report, g = energy_and_gradient(model, traj)
-    gnorm = mixed_norm(traj, g)
-    history = [(report.total, gnorm)]
+    state = _assemble(model, init, gradient=True)
+    gnorm = mixed_norm(init, state.gradient)
+    history = [(state.report.total, gnorm)]
 
-    def done(rep, gn):
-        return gn <= opts.grad_tol or rep.normalized <= opts.energy_tol
+    def done(st, gn):
+        return gn <= opts.grad_tol or st.report.normalized <= opts.energy_tol
+
+    def outcome(converged):
+        return SolveOutcome(state=state, iterations=iterations,
+                            converged=converged, history=np.asarray(history))
 
     iterations = 0
-    while not done(report, gnorm) and iterations < opts.max_iters:
-        direction, step = _gauss_newton_direction(model, traj), 1.0
+    while not done(state, gnorm) and iterations < opts.max_iters:
+        traj, g, total = state.traj, state.gradient, state.report.total
+        direction, step = _gauss_newton_direction(model, traj, state), 1.0
         slope = (np.nan if direction is None
                  else weight * float(np.vdot(g, direction)))
         if not slope < 0.0:  # NaN too: the sweep failed
             direction, slope = -g, -gnorm**2
             step = min(1.0, 1.0 / max(gnorm, 1e-30))
-        accepted = False
         for _ in range(opts.max_line_trials):
             tail = traj.states[1:] + step * direction[1:]
-            candidate = traj.with_tail(tail)
             try:
-                rep_new, g_new = energy_and_gradient(model, candidate)
+                trial = _assemble(model, traj.with_tail(tail), gradient=True)
             except (ConjugateSolveError, ModelEvaluationError):
-                rep_new = None  # a trial that cannot be priced is rejected
-            if (rep_new is not None and rep_new.total
-                    <= report.total + opts.armijo_c1 * step * slope):
-                accepted = True
+                trial = None  # a trial that cannot be priced is rejected
+            if (trial is not None and trial.report.total
+                    <= total + opts.armijo_c1 * step * slope):
                 break
             step *= opts.backtrack
-        if not accepted:
-            outcome = SolveOutcome(trajectory=traj, report=report,
-                                   iterations=iterations, converged=False,
-                                   history=np.asarray(history))
+        else:
             raise LineSearchError(
                 f"line search found no descent step after "
                 f"{opts.max_line_trials} trials at iteration {iterations}",
-                outcome=outcome)
+                outcome=outcome(False))
 
-        traj, report, g = candidate, rep_new, g_new
-        gnorm = mixed_norm(traj, g)
-        history.append((report.total, gnorm))
+        state = trial
+        gnorm = mixed_norm(state.traj, state.gradient)
+        history.append((state.report.total, gnorm))
         iterations += 1
 
-    return SolveOutcome(trajectory=traj, report=report, iterations=iterations,
-                        converged=done(report, gnorm),
-                        history=np.asarray(history))
+    return outcome(done(state, gnorm))
 
 
 # -- implicit stepping baseline --------------------------------------------------------
@@ -383,44 +363,3 @@ def compare(a: Trajectory, b: Trajectory) -> CompareResult:
     rel = 0.0 if diff == 0.0 else diff / denom
     return CompareResult(rel_l2=rel,
                          max_node=float(np.max(np.abs(a.states - b.states))))
-
-
-def uniqueness_probe(model: ModelSpec, grid: SpaceGrid, times, w0,
-                     opts: SolveOptions = SolveOptions(), n_seeds: int = 3,
-                     noise: float = 0.5) -> ProbeResult:
-    """Minimize from several random starts and report the worst pairwise
-    discrepancy among converged minimizers.
-
-    Seeds that fail (line-search stall or no convergence) are recorded, not
-    fatal; the probe itself fails only when fewer than two runs converge.
-    Pairs of minimizers that both collapsed below :data:`DEGENERATE_SCALE`
-    are scored by their absolute mixed-norm difference instead of the
-    relative one.
-    """
-    if n_seeds < 2:
-        raise ValueError("uniqueness probe needs at least two seeds")
-    seeds = [opts.seed + i for i in range(n_seeds)]
-    outcomes = []
-    flags = []
-    for s in seeds:
-        init = random_initial_trajectory(grid, times, w0, seed=s, noise=noise)
-        try:
-            out = minimize(model, init, opts)
-        except LineSearchError as exc:
-            out = exc.outcome
-        outcomes.append(out)
-        flags.append(bool(out is not None and out.converged))
-    converged = [o for o, f in zip(outcomes, flags) if f]
-    if len(converged) < 2:
-        raise LineSearchError(
-            f"uniqueness probe: only {len(converged)} of {n_seeds} runs "
-            f"converged", outcome=None)
-
-    worst = 0.0
-    for a, b in combinations([o.trajectory for o in converged], 2):
-        if max(mixed_norm(a), mixed_norm(a, b.states)) <= DEGENERATE_SCALE:
-            worst = max(worst, mixed_norm(a, a.states - b.states))
-        else:
-            worst = max(worst, compare(a, b).rel_l2)
-    return ProbeResult(max_pairwise=worst, seeds=seeds, converged=flags,
-                       outcomes=outcomes)

@@ -32,8 +32,8 @@ from benpde.solver import (
     implicit_baseline,
     minimize,
     random_initial_trajectory,
-    uniqueness_probe,
 )
+from uniqueness import uniqueness_probe
 
 # Tolerances fixed by the advertised guarantees; do not loosen.
 NORMALIZED_TOL = 1e-6

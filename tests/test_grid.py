@@ -280,6 +280,16 @@ def test_trajectory_validation_and_lock():
     np.testing.assert_array_equal(t2.states[1:], 0.0)
 
 
+def test_with_tail_rejects_a_mis_ordered_tail():
+    # the right number of entries with the axes in the wrong order
+    g = SpaceGrid(dim=1, n=9)
+    traj = Trajectory(g, uniform_times(1.0, 4), np.zeros((5, 1, 9)))
+    with pytest.raises(ValueError, match="tail shape"):
+        traj.with_tail(np.arange(36.0).reshape(9, 1, 4))
+    with pytest.raises(ValueError, match="tail shape"):
+        traj.with_tail(np.arange(36.0).reshape(4, 9))
+
+
 def test_midpoint_and_derivative():
     g = SpaceGrid(dim=1, n=2)
     traj = Trajectory(g, uniform_times(1.0, 2),

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import benpde.solver
-from benpde.energy import (certificate, energy_and_gradient, eval_energy,
-                           residual)
+from benpde.energy import (_assemble, _dual_residuals, certificate,
+                           energy_and_gradient, eval_energy, residual)
 from benpde.errors import LineSearchError, ModelEvaluationError, TimeStepError
-from benpde.grid import Field, SpaceGrid, Trajectory, h_norm, uniform_times
+from benpde.grid import (Field, SpaceGrid, Trajectory, h_norm, solve_bands,
+                         uniform_times)
 from benpde.models import (adversarial_model, build_model, jacobian_bands,
                            lambda_density, psi_gradient_density)
 from benpde.solver import (
@@ -23,10 +24,10 @@ from benpde.solver import (
     implicit_baseline,
     minimize,
     random_initial_trajectory,
-    uniqueness_probe,
 )
 from test_energy import _heat_midpoint_solution
 from test_grid import band_matrix, dense_neg_laplacian
+from uniqueness import uniqueness_probe
 
 COARSE_SCHEME_GAP = 5e-2  # implicit Euler vs midpoint at tau = 1.25e-2
 
@@ -143,15 +144,14 @@ def test_line_search_rejects_a_trial_that_raises(monkeypatch):
     def run(fail_first):
         trials = []
 
-        def price_or_raise(m, traj):
+        def price_or_raise(m, traj, **kwargs):
             if traj is not init:  # the start is priced before any trial
                 trials.append(traj.states[1:] - init.states[1:])
                 if fail_first and len(trials) == 1:
                     raise ModelEvaluationError("injected failure")
-            return energy_and_gradient(m, traj)
+            return _assemble(m, traj, **kwargs)
 
-        monkeypatch.setattr(benpde.solver, "energy_and_gradient",
-                            price_or_raise)
+        monkeypatch.setattr(benpde.solver, "_assemble", price_or_raise)
         return minimize(model, init, opts), trials
 
     clean, clean_trials = run(False)
@@ -254,6 +254,55 @@ def test_gauss_newton_slope_is_minus_twice_the_energy(case):
         delta = benpde.solver._gauss_newton_direction(model, u)
         assert _slope(u, g, delta) == pytest.approx(-2.0 * report.total,
                                                     rel=1e-12)
+
+
+def _direction_from_scratch(model, traj):
+    """Gauss-Newton direction with every input recomputed from ``traj``."""
+    grid, tau, lam = traj.grid, traj.tau, float(model.lam)
+    mids, t_mid, H = _dual_residuals(model, grid, tau, traj.times, traj.states)
+    R = -H
+    if model.lam:
+        R = R + lam * psi_gradient_density(model.density, grid, lam * mids)
+    bands = jacobian_bands(model, grid, mids.reshape((-1, 1) + grid.shape),
+                           np.repeat(t_mid, traj.k), 1.0 / tau, 0.5)
+    delta, failed = benpde.solver._theta_sweep(
+        bands, -R.reshape(traj.n_steps, -1), tau, 0.5)
+    assert failed is None
+    return delta.reshape(traj.states.shape)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 6)])
+@pytest.mark.parametrize("name,params", [
+    ("heat", {}), ("burgers", {}), ("divergence_form", {"q": 4.0}),
+    ("adversarial", {}),
+], ids=["heat", "burgers", "divform_q4", "adversarial"])
+def test_kept_state_gives_the_same_direction_and_verdict(name, params, dim, n):
+    grid = SpaceGrid(dim=dim, n=n)
+    w0 = np.sin(np.pi * grid.node_coords[0])
+    init = random_initial_trajectory(grid, uniform_times(0.1, 6), w0, seed=2)
+    model = build_model(name, **params)
+    out = minimize(model, init, SolveOptions(max_iters=1))
+    traj = out.trajectory
+    kept = benpde.solver._gauss_newton_direction(model, traj, out.state)
+    fresh = benpde.solver._gauss_newton_direction(model, traj)
+    np.testing.assert_array_equal(kept, fresh)
+    np.testing.assert_array_equal(kept, _direction_from_scratch(model, traj))
+    for tol in (1e-6, 1e-16):
+        assert out.verdict(tol) == certificate(model, traj, tol)
+
+
+def test_line_search_failure_verdict_equals_certificate():
+    grid, times, w0 = _sine_setup()
+    init = random_initial_trajectory(grid, times, w0, seed=0, noise=1.0)
+    model = build_model("divergence_form", q=4.0)
+    with pytest.raises(LineSearchError) as info:
+        minimize(model, init, SolveOptions(max_line_trials=1, armijo_c1=0.75))
+    out = info.value.outcome
+    # the state of the last accepted iterate, not of a rejected trial
+    assert out.report.total == out.history[-1, 0]
+    assert out.report == eval_energy(model, out.trajectory)
+    for tol in (1e-4, 1e-16):
+        assert out.verdict(tol) == certificate(model, out.trajectory, tol)
 
 
 def test_gauss_newton_descends_for_quartic_density():
@@ -475,6 +524,40 @@ def test_theta_sweep_stops_at_singular_slice(dim, n):
     np.testing.assert_allclose(delta[1:4].ravel(), want, rtol=0.0,
                                atol=1e-12 * np.max(np.abs(want)))
     np.testing.assert_array_equal(delta[4:], 0.0)
+
+
+def _per_slice_sweep(bands, rhs, tau, theta, stop):
+    """The theta sweep as a loop of :func:`solve_bands` calls over the
+    first ``stop`` slices; the later rows stay zero."""
+    size = rhs.shape[1]
+    lag, carry = 1.0 / (theta * tau), (1.0 - theta) / theta
+    delta = np.zeros((rhs.shape[0] + 1, size))
+    for k in range(stop):
+        x = solve_bands(bands[:, k * size:(k + 1) * size], rhs[k] + lag * delta[k])
+        delta[k + 1] = x - carry * delta[k]
+    return delta
+
+
+@pytest.mark.parametrize("dim,n", [(1, 7), (2, 4)])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_theta_sweep_reports_first_failing_slice(dim, n, theta):
+    bands, rhs, tau, _, N = _dense_sweep_case(dim, n, theta, n_steps=8)
+    rhs[3, 1] = np.inf  # non-finite but not singular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta, failed = benpde.solver._theta_sweep(bands, rhs, tau, theta)
+    assert failed == 3
+    np.testing.assert_array_equal(delta, _per_slice_sweep(bands, rhs, tau,
+                                                          theta, 3))
+    # a non-finite slice 2 ahead of a singular slice 5
+    rhs[3, 1], rhs[2, 0] = 0.0, np.nan
+    bands[:, 5 * N:6 * N] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta, failed = benpde.solver._theta_sweep(bands, rhs, tau, theta)
+    assert failed == 2
+    np.testing.assert_array_equal(delta, _per_slice_sweep(bands, rhs, tau,
+                                                          theta, 2))
 
 
 def test_baseline_requires_field_initial_state():
