@@ -31,6 +31,7 @@ All emitted files are UTF-8 with LF line endings and ``%.17g`` numbers.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -58,14 +59,7 @@ from .grid import (
     save_trajectory_csv,
     uniform_times,
 )
-from .models import (
-    ModelSpec,
-    adversarial_model,
-    burgers_model,
-    check_all_conditions,
-    divergence_form_model,
-    heat_model,
-)
+from .models import _BUILDERS, ModelSpec, build_model, check_all_conditions
 from .solver import (
     SolveOptions,
     compare,
@@ -79,14 +73,13 @@ __all__ = ["main", "load_config", "RunConfig"]
 
 FMT = "%.17g"
 
-#: numeric model keys and their defaults; without ``eps`` the model picks it
-_MODEL_DEFAULTS = {"q": 2.0, "a": 1.0, "eps": None, "u_max": 10.0,
-                   "flux_amp": 0.4, "flux_cap": 2.0, "reaction_const": 0.5,
-                   "reaction_slope": 1.0, "kappa": 50.0}
+#: parameter names of each model builder, read from its signature
+_MODEL_PARAMS = {name: tuple(inspect.signature(builder).parameters)
+                 for name, builder in _BUILDERS.items()}
 
 #: keys accepted per section
 _SECTIONS = {
-    "model": {"name", "lam", *_MODEL_DEFAULTS},
+    "model": {"name", "lam"}.union(*_MODEL_PARAMS.values()),
     "grid": {"dim", "n"},
     "time": {"T0", "M"},
     "initial": {"profile", "path", "amplitude"},
@@ -181,40 +174,23 @@ def _bool(text: str) -> bool:
 
 def _build_model(values) -> ModelSpec:
     name = _get(values, "model.name", str)
-    params = {key: _get(values, f"model.{key}", float, default=default,
-                        **(_POSITIVE if key == "a" else {}))
-              for key, default in _MODEL_DEFAULTS.items()
-              if default is not None or f"model.{key}" in values}
-    allowed = {
-        "heat": {"a"},
-        "burgers": {"a", "u_max"},
-        "divergence_form": {"q", "a", "eps", "flux_amp", "flux_cap",
-                            "reaction_const", "reaction_slope"},
-        "adversarial": {"kappa", "a"},
-    }
-    if name not in allowed:
+    if name not in _MODEL_PARAMS:
         raise ConfigError(f"config key 'model.name': unknown model '{name}'",
                           key="model.name")
+    params = {}
     for key in values:
         section, prop = key.split(".")
-        if section == "model" and prop not in ("name", "lam") \
-                and prop not in allowed[name]:
-            raise ConfigError(
-                f"config key '{key}' does not apply to model '{name}'",
-                key=key)
-    kwargs = {k: v for k, v in params.items() if k in allowed[name]}
-    if name == "burgers":
-        model = burgers_model(a=kwargs["a"], u_max=kwargs["u_max"])
-    elif name == "divergence_form":
-        try:
-            model = divergence_form_model(**kwargs)
-        except ValueError as exc:
-            bad = "model.eps" if "eps" in str(exc) else "model.q"
-            raise ConfigError(f"config key '{bad}': {exc}", key=bad)
-    elif name == "adversarial":
-        model = adversarial_model(kappa=kwargs["kappa"], a=kwargs["a"])
-    else:
-        model = heat_model(a=kwargs["a"])
+        if section == "model" and prop not in ("name", "lam"):
+            if prop not in _MODEL_PARAMS[name]:
+                raise ConfigError(f"config key '{key}' does not apply to "
+                                  f"model '{name}'", key=key)
+            params[prop] = _get(values, key, float)
+    try:
+        model = build_model(name, **params)
+    except ValueError as exc:  # the message starts with the parameter name
+        prop, _, why = str(exc).partition(": ")
+        raise ConfigError(f"config key 'model.{prop}': {why}",
+                          key=f"model.{prop}")
     lam = _get(values, "model.lam", int, default=model.lam,
                check=lambda v: v in (0, 1), describe="must be 0 or 1")
     if lam != model.lam:

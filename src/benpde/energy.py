@@ -23,16 +23,16 @@ positive-definite solve.  Other densities in one dimension are solved
 exactly: ``D^T w = y`` fixes the edge fluxes up to one constant per slice,
 the edge law is inverted pointwise, and the constant solves a monotone
 scalar equation that encodes the zero boundary values.  In two dimensions a
-damped Newton iteration solves each slice in turn, one banded solve of the
-weighted-Laplacian Jacobian per step.  The maximizer ``z = DPsi*(y)`` is
+damped Newton iteration solves all slices at once, one banded solve of each
+slice's weighted-Laplacian Jacobian per step.  The maximizer ``z = DPsi*(y)`` is
 reused for the primal defect ``W_k = lam * m_k - DPsi*(H_k)`` and for the
 gradient, so one assembly prices all certificate quantities at once.  The
 minimizer keeps that assembled state of each iterate: its Gauss-Newton
 direction reads the midpoints, dual residuals and ``DPsi(lam m_k)`` from
 it, and the final one gives the certificate verdict.
 
-The interval terms take leading batch axes, and every path but the
-two-dimensional non-quadratic one handles all slices at once.
+The interval terms take leading batch axes, and every path handles all
+slices at once.
 :func:`energy_totals` prices ``J`` alone for a batch of trajectories in one
 call, bit for bit equal to :func:`eval_energy` but without its norms.
 """
@@ -52,10 +52,9 @@ from .grid import (
     dual_grad_norm,
     grad_norm,
     h_inner_batch,
-    h_norm,
     poisson_solve,
-    solve_bands,
     stencil_bands,
+    sweep_bands,
 )
 from .models import (
     ModelSpec,
@@ -134,36 +133,59 @@ class CertificateVerdict:
 # -- conjugate of the integrated density ------------------------------------------
 
 
-def _conjugate_newton_single(density: PowerDensity, grid: SpaceGrid,
-                             y: np.ndarray, tol: float, max_iters: int):
-    """Damped Newton for ``DPsi(z) = y`` on one 2-D slice (scalar fields)."""
-    z = np.zeros_like(y)
-    g = -y.astype(float)
-    res = h_norm(grid, g)
-    target = tol * max(1.0, h_norm(grid, y))
-    for it in range(max_iters):
-        if res <= target:
-            return z, it
-        bands = stencil_bands(grid, np.zeros(grid.shape),
-                              psi_hessian_edge_weights(density, grid, z))
-        step = solve_bands(bands, -g.ravel()).reshape(z.shape)
-        s = 1.0
+def _conjugate_newton_2d(density: PowerDensity, grid: SpaceGrid,
+                         y: np.ndarray, tol: float, max_iters: int):
+    """Damped Newton for ``DPsi(z) = y`` on all 2-D slices of ``y``
+    ``(slices, 1, *shape)`` at once: each step is one uncoupled
+    :func:`~benpde.grid.sweep_bands` over the unconverged slices, and each
+    slice halves its own step length until its H-norm residual drops.  A
+    slice is frozen once that residual meets ``tol * max(1, |y_i|_H)``.
+    Returns ``(z, steps)`` with the slowest slice's step count.  Raises the
+    error of the first slice in index order that fails, tagged ``slice
+    {i}:``, or :class:`numpy.linalg.LinAlgError` for a singular Jacobian.
+    """
+    def norms(v):  # h_norm of each slice, through the BLAS dot vdot uses
+        rows = v.reshape(len(v), 1, grid.n_nodes)
+        return np.sqrt(np.maximum(
+            grid.cell_volume * (rows @ rows.transpose(0, 2, 1))[:, 0, 0], 0.0))
+
+    def fail(i, why, steps):
+        return ConjugateSolveError(f"slice {i}: dual Newton {why} at residual "
+                                   f"{res[i]:.3e}", res[i], steps)
+
+    z, g = np.zeros_like(y), -y
+    res, target = norms(g), tol * np.maximum(1.0, norms(y))
+    todo, failure = np.arange(len(y)), None  # later slices stop on a failure
+    for it in range(max_iters + 1):
+        todo = todo[~(res[todo] <= target[todo])]
+        if not todo.size or it == max_iters:
+            break
+        bands = stencil_bands(grid, np.zeros((todo.size,) + grid.shape),
+                              psi_hessian_edge_weights(density, grid, z[todo]))
+        step, bad = sweep_bands(bands, -g[todo].reshape(todo.size, -1))
+        if bad is not None:
+            failure = np.linalg.LinAlgError("singular or non-finite banded solve")
+            todo = todo[:bad]
+        step = step[1:todo.size + 1].reshape((-1,) + y.shape[1:])
+        s, left = np.ones(todo.size), np.arange(todo.size)  # left: halving
         for _ in range(30):
-            z_new = z + s * step
-            g_new = psi_gradient_density(density, grid, z_new) - y
-            res_new = h_norm(grid, g_new)
-            if res_new <= (1.0 - 1e-4 * s) * res:
+            if not left.size:
                 break
-            s *= 0.5
-        else:
-            raise ConjugateSolveError(
-                f"dual Newton stalled at residual {res:.3e}", res, it)
-        z, g, res = z_new, g_new, res_new
-    if res <= target:
-        return z, max_iters
-    raise ConjugateSolveError(
-        f"dual Newton hit the iteration cap at residual {res:.3e}",
-        res, max_iters)
+            rows = todo[left]
+            z_new = z[rows] + s[left, None, None, None] * step[left]
+            g_new = psi_gradient_density(density, grid, z_new) - y[rows]
+            res_new = norms(g_new)
+            ok = res_new <= (1.0 - 1e-4 * s[left]) * res[rows]
+            z[rows[ok]], g[rows[ok]], res[rows[ok]] = z_new[ok], g_new[ok], res_new[ok]
+            left = left[~ok]
+            s[left] *= 0.5
+        if left.size:
+            failure, todo = fail(todo[left[0]], "stalled", it), todo[:left[0]]
+    if todo.size:  # at the cap; these slices precede any failed one
+        failure = fail(todo[0], "hit the iteration cap", it)
+    if failure is not None:
+        raise failure
+    return z, it
 
 
 def _conjugate_exact_1d(density: PowerDensity, grid: SpaceGrid,
@@ -236,10 +258,10 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
     batch entries in one factorized solve (``iterations`` is 0).  Other
     exponents take one-component fields only: in 1-D all entries are solved
     exactly at once and ``iterations`` counts the scalar-equation steps of
-    the slowest entry; in 2-D each entry runs the dual Newton iteration and
-    ``iterations`` counts its steps on the slowest entry.  Either raises
-    :class:`~benpde.errors.ConjugateSolveError` tagged ``slice {i}:`` when
-    ``max_iters`` steps do not reach ``tol``.
+    the slowest entry; in 2-D all entries run the dual Newton iteration at
+    once and ``iterations`` counts its steps on the slowest entry.  Either
+    raises :class:`~benpde.errors.ConjugateSolveError` tagged ``slice {i}:``
+    when ``max_iters`` steps do not reach ``tol``.
     """
     arr = np.asarray(y, dtype=float)
     single = arr.ndim == grid.dim + 1
@@ -261,17 +283,7 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
             z, iters = _conjugate_exact_1d(density, grid, flat[:, 0], tol,
                                            max_iters)
         else:
-            z = np.empty_like(flat)
-            iters = 0
-            for i, yi in enumerate(flat):
-                try:
-                    z[i], it = _conjugate_newton_single(density, grid, yi,
-                                                        tol, max_iters)
-                except ConjugateSolveError as exc:
-                    raise ConjugateSolveError(
-                        f"slice {i}: {exc}", exc.residual,
-                        exc.iterations) from exc
-                iters = max(iters, it)
+            z, iters = _conjugate_newton_2d(density, grid, flat, tol, max_iters)
         z = z.reshape(arr.shape)
 
     values = (h_inner_batch(grid, z, arr)
@@ -329,14 +341,16 @@ class _Assembly:
     """One assembled trajectory: its report, the midpoints, midpoint times,
     dual residuals and conjugate maximizers of every interval and, when
     assembled with the gradient, ``DPsi(lam m_k)`` (``None`` when
-    ``lam = 0``) and the nodal gradient."""
+    ``lam = 0``) and the nodal gradient.  The verdict reads the report,
+    midpoints and maximizers only; the minimizer drops ``H``, ``dpsi`` and
+    the gradient once it has formed the next direction."""
 
     model: ModelSpec
     traj: Trajectory
     report: EnergyReport
     mids: np.ndarray
     t_mid: np.ndarray
-    H: np.ndarray
+    H: np.ndarray | None
     z: np.ndarray
     dpsi: np.ndarray | None = None
     gradient: np.ndarray | None = None

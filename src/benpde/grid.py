@@ -54,7 +54,6 @@ __all__ = [
     "poisson_solve",
     "stencil_bands",
     "sweep_bands",
-    "solve_bands",
     "h_inner",
     "h_inner_batch",
     "h_norm",
@@ -311,16 +310,6 @@ def sweep_bands(bands: np.ndarray, rhs: np.ndarray, lag: float = 0.0,
     failed = int(bad[0]) if bad.size else failed
     x[failed + 1:] = 0.0
     return x, (None if failed == slices else failed)
-
-
-def solve_bands(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve one system with :func:`stencil_bands` output, the one-slice
-    :func:`sweep_bands`; raises :class:`numpy.linalg.LinAlgError` when the
-    system is singular or the solution is not finite."""
-    x, failed = sweep_bands(bands, np.asarray(rhs, dtype=float)[None])
-    if failed is not None:
-        raise np.linalg.LinAlgError("singular or non-finite banded solve")
-    return x[1]
 
 
 # -- inner products and norms --------------------------------------------------

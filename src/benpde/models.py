@@ -417,8 +417,17 @@ def _first_axis(fn):
     return lambda u, x, t, axis: fn(u) if axis == 0 else np.zeros_like(u)
 
 
+def _require(kind: str, **params) -> None:
+    """Raise ``ValueError("<name>: must be <kind>")`` for the first of
+    ``params`` that is not ``kind`` ("positive" or "nonnegative")."""
+    for name, value in params.items():
+        if not (value > 0.0 or (kind == "nonnegative" and value == 0.0)):
+            raise ValueError(f"{name}: must be {kind}")
+
+
 def heat_model(a: float = 1.0) -> ModelSpec:
     """Plain gradient flow of the Dirichlet energy ``(a/2)|grad u|^2``."""
+    _require("positive", a=a)
     return ModelSpec(name="heat", density=PowerDensity(a, 2.0, 0.0), lam=1)
 
 
@@ -429,6 +438,7 @@ def burgers_model(a: float = 1.0, u_max: float = 10.0) -> ModelSpec:
     touching states of the expected magnitude.  The flux acts along the
     first spatial axis.
     """
+    _require("positive", a=a, u_max=u_max)
     return ModelSpec(
         name="burgers",
         density=PowerDensity(a, 2.0, 0.0),
@@ -440,7 +450,7 @@ def burgers_model(a: float = 1.0, u_max: float = 10.0) -> ModelSpec:
     )
 
 
-def divergence_form_model(q: float, a: float = 1.0, eps: float | None = None,
+def divergence_form_model(q: float = 2.0, a: float = 1.0, eps: float | None = None,
                           flux_amp: float = 0.4, flux_cap: float = 2.0,
                           reaction_const: float = 0.5,
                           reaction_slope: float = 1.0) -> ModelSpec:
@@ -452,9 +462,12 @@ def divergence_form_model(q: float, a: float = 1.0, eps: float | None = None,
     stay uniformly elliptic.
     """
     if q not in (2.0, 4.0):
-        raise ValueError(f"divergence-form model supports q in {{2, 4}}, got {q}")
+        raise ValueError(f"q: divergence-form model supports q in {{2, 4}}, got {q}")
     if eps is None:
         eps = 0.0 if q == 2.0 else 1.0
+    _require("positive", a=a, flux_cap=flux_cap)
+    _require("nonnegative", flux_amp=flux_amp, reaction_slope=reaction_slope)
+    _require("nonnegative" if q == 2.0 else "positive", eps=eps)
 
     xi = _first_axis(lambda u: flux_amp * _truncated_square(u, flux_cap))
     xiprime = _first_axis(
@@ -493,6 +506,8 @@ def adversarial_model(kappa: float = 50.0, a: float = 1.0) -> ModelSpec:
     purely Lipschitz-based conditions still pass.  Used to demonstrate that
     the checkers catch broken structural certificates.
     """
+    _require("positive", a=a)
+    _require("nonnegative", kappa=kappa)
 
     def theta(u, x, t):
         return kappa * u
@@ -519,7 +534,9 @@ _BUILDERS = {
 
 def build_model(name: str, **params) -> ModelSpec:
     """Construct a built-in model by name (heat, burgers, divergence_form,
-    adversarial)."""
+    adversarial).  A ``ValueError`` from a builder starts with the name of
+    the parameter out of range (``a`` and the caps must be positive, the
+    other coefficients nonnegative, ``eps`` positive when ``q > 2``)."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown model '{name}'; available: {sorted(_BUILDERS)}")
     return _BUILDERS[name](**params)

@@ -20,7 +20,7 @@ Two independent routes to a discrete solution:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,7 +98,8 @@ class SolveOutcome:
     """Result of one minimization run.
 
     ``state`` is the assembly that priced the last accepted iterate; the
-    ``trajectory``, ``report`` and :meth:`verdict` read from it.  ``history``
+    ``trajectory``, ``report`` and :meth:`verdict` read from it (after a
+    failed line search it holds only what they read).  ``history``
     holds one ``(J, grad_norm)`` row per evaluated iterate (including the
     initial one); the energy column is nonincreasing because only
     Armijo-accepted steps are recorded.
@@ -234,17 +235,19 @@ def minimize(model: ModelSpec, init: Trajectory,
 
     iterations = 0
     while not done(state, gnorm) and iterations < opts.max_iters:
-        traj, g, total = state.traj, state.gradient, state.report.total
+        traj, total = state.traj, state.report.total
         direction, step = _gauss_newton_direction(model, traj, state), 1.0
         slope = (np.nan if direction is None
-                 else weight * float(np.vdot(g, direction)))
+                 else weight * float(np.vdot(state.gradient, direction)))
         if not slope < 0.0:  # NaN too: the sweep failed
-            direction, slope = -g, -gnorm**2
+            direction, slope = -state.gradient, -gnorm**2
             step = min(1.0, 1.0 / max(gnorm, 1e-30))
+        # the trials need only what the verdict reads of the accepted state
+        state = replace(state, H=None, dpsi=None, gradient=None)
         for _ in range(opts.max_line_trials):
-            tail = traj.states[1:] + step * direction[1:]
             try:
-                trial = _assemble(model, traj.with_tail(tail), gradient=True)
+                trial = _assemble(model, traj.with_tail(
+                    traj.states[1:] + step * direction[1:]), gradient=True)
             except (ConjugateSolveError, ModelEvaluationError):
                 trial = None  # a trial that cannot be priced is rejected
             if (trial is not None and trial.report.total
@@ -257,7 +260,7 @@ def minimize(model: ModelSpec, init: Trajectory,
                 f"{opts.max_line_trials} trials at iteration {iterations}",
                 outcome=outcome(False))
 
-        state = trial
+        state, trial, direction = trial, None, None  # drop the spent arrays
         gnorm = mixed_norm(state.traj, state.gradient)
         history.append((state.report.total, gnorm))
         iterations += 1

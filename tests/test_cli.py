@@ -212,14 +212,21 @@ def test_malformed_keys_rejected(tmp_path, monkeypatch, capsys, line, key):
     ("heat", "solve", "solve.seed = -1", "solve.seed"),
     ("heat", "verify", "verify.seed = -1", "verify.seed"),
     ("heat", "gradcheck", "gradcheck.seed = -2", "gradcheck.seed"),
+    ("divergence_form", "solve", "model.eps = -1", "model.eps"),
+    ("burgers", "gradcheck", "model.u_max = -1", "model.u_max"),
+    ("divergence_form", "gradcheck", "model.flux_cap = -1", "model.flux_cap"),
+    ("divergence_form", "solve", "model.q = 4; model.flux_amp = -0.4",
+     "model.flux_amp"),
+    ("adversarial", "verify", "model.kappa = -5", "model.kappa"),
 ])
 def test_out_of_range_values_rejected(tmp_path, monkeypatch, capsys, model,
                                       command, line, key):
     monkeypatch.chdir(tmp_path)
     base = {"model.name": model, "grid.n": "9", "time.T0": "0.1",
             "time.M": "4"}
-    name, value = (part.strip() for part in line.split("="))
-    base[name] = value
+    for assignment in line.split(";"):
+        name, value = (part.strip() for part in assignment.split("="))
+        base[name] = value
     (tmp_path / "bad.cfg").write_text(
         "".join(f"{k} = {v}\n" for k, v in base.items()))
     assert main([command, "bad.cfg"]) == 2

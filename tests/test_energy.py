@@ -94,26 +94,32 @@ def test_conjugate_inverts_gradient_assembly(density, g):
     assert value == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
-@pytest.mark.parametrize("density", [
-    PowerDensity(1.0, 2.0, 0.0),
-    PowerDensity(1.0, 4.0, 1.0),
-])
-def test_conjugate_batch_matches_single(density):
-    g = SpaceGrid(dim=1, n=9)
+# The 2-D case runs the batched dual Newton, whose every slice takes the
+# same floating-point steps as a one-slice call.
+@pytest.mark.parametrize("density,g,exact", [
+    (PowerDensity(1.0, 2.0, 0.0), SpaceGrid(dim=1, n=9), False),
+    (PowerDensity(1.0, 4.0, 1.0), SpaceGrid(dim=1, n=9), False),
+    (PowerDensity(1.0, 4.0, 1.0), SpaceGrid(dim=2, n=6), True),
+], ids=["density0", "density1", "density2"])
+def test_conjugate_batch_matches_single(density, g, exact):
     rng = np.random.default_rng(2)
-    batch = rng.normal(size=(5, 1, 9))
+    batch = rng.normal(size=(5, 1) + g.shape)
     values, z, _ = conjugate_on_dual(density, g, batch)
     for i in range(5):
         vi, zi, _ = conjugate_on_dual(density, g, batch[i])
-        assert values[i] == pytest.approx(vi, rel=1e-13, abs=1e-13)
-        np.testing.assert_allclose(z[i], zi, atol=1e-13)
+        if exact:
+            assert values[i] == vi
+            np.testing.assert_array_equal(z[i], zi)
+        else:
+            assert values[i] == pytest.approx(vi, rel=1e-13, abs=1e-13)
+            np.testing.assert_allclose(z[i], zi, atol=1e-13)
 
 
 def test_conjugate_1d_factorizes_nothing(monkeypatch):
     def no_lu(*args, **kwargs):
         raise AssertionError("sparse factorization in a 1-D conjugate")
 
-    monkeypatch.setattr(benpde.energy, "solve_bands", no_lu)
+    monkeypatch.setattr(benpde.energy, "sweep_bands", no_lu)
     d = PowerDensity(0.9, 4.0, 0.7)
     g = SpaceGrid(dim=1, n=17)
     z_true = np.random.default_rng(4).normal(size=(6, 1, 17))
@@ -145,6 +151,30 @@ def test_conjugate_failure_carries_slice_index():
     y = 100.0 * np.linspace(0.0, 2.0, 9) * np.ones((3, 1, 9))
     with pytest.raises(ConjugateSolveError, match="slice"):
         conjugate_on_dual(d, g, y, max_iters=1)
+
+
+def test_conjugate_2d_failure_carries_slice_index():
+    # Slice 0 converges in two Newton steps and slice 1 needs seven; at
+    # 1e150 the first step of slice 1 overflows at every step length.
+    g = SpaceGrid(dim=2, n=4)
+    d = PowerDensity(1.0, 4.0, 1.0)
+    base = np.sin(np.arange(16.0)).reshape(1, 4, 4)
+    with pytest.raises(ConjugateSolveError,
+                       match="^slice 1: dual Newton hit the iteration cap"
+                       ) as cap:
+        conjugate_on_dual(d, g, np.stack([0.1 * base, 1e6 * base]),
+                          max_iters=4)
+    assert cap.value.iterations == 4
+    with np.errstate(all="ignore"), pytest.raises(
+            ConjugateSolveError, match="^slice 1: dual Newton stalled") as stall:
+        conjugate_on_dual(d, g, np.stack([0.1 * base, 1e150 * base]))
+    assert stall.value.iterations == 0
+    # the error is that of the first failing slice in index order, even
+    # when a later slice fails at an earlier step
+    with np.errstate(all="ignore"), pytest.raises(
+            ConjugateSolveError, match="^slice 0: dual Newton hit the iteration cap"):
+        conjugate_on_dual(d, g, np.stack([1e6 * base, 1e150 * base]),
+                          max_iters=4)
 
 
 def test_conjugate_at_zero_density():

@@ -25,8 +25,8 @@ from benpde.grid import (
     pair_mean,
     poisson_solve,
     save_trajectory_csv,
-    solve_bands,
     stencil_bands,
+    sweep_bands,
     uniform_times,
 )
 
@@ -172,8 +172,9 @@ def test_weighted_neg_laplacian_matches_direct_quadratic_form():
 
 @pytest.mark.parametrize("dim,n", [(1, 1), (1, 2), (1, 33), (2, 5)])
 def test_solve_bands_equals_solve_banded(dim, n):
-    # Same LAPACK routines as scipy's wrapper, so the same bits: dgtsv for
-    # tridiagonal systems, dgbsv otherwise (and for a single node).
+    # A one-slice sweep_bands solves with the same LAPACK routines as
+    # scipy's wrapper, so the same bits: dgtsv for tridiagonal systems,
+    # dgbsv otherwise (and for a single node).
     g = SpaceGrid(dim=dim, n=n)
     rng = np.random.default_rng(100 * dim + n)
     w = n ** (dim - 1)
@@ -182,20 +183,23 @@ def test_solve_bands_equals_solve_banded(dim, n):
         bands[w] = np.abs(bands).sum(axis=0) + rng.uniform(0.5, 2.0)
         rhs = rng.normal(size=g.n_nodes)
         want = solve_banded((w, w), bands, rhs)
-        assert np.array_equal(solve_bands(bands, rhs), want)
+        x, failed = sweep_bands(bands, rhs[None])
+        assert failed is None
+        assert np.array_equal(x[1], want)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 1), (1, 7), (2, 4)],
                          ids=["1x1", "tridiagonal", "2d"])
-def test_solve_bands_singular_raises_without_warning(dim, n):
+def test_one_slice_sweep_reports_singular_without_warning(dim, n):
     g = SpaceGrid(dim=dim, n=n)
     ones = [np.ones(g.edge_shape(a)) for a in range(dim)]
     bands = stencil_bands(g, np.ones(g.shape), ones)
     bands[:, 0] = 0.0  # a zero first column
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_bands(bands, np.ones(g.n_nodes))
+        x, failed = sweep_bands(bands, np.ones((1, g.n_nodes)))
+    assert failed == 0
+    np.testing.assert_array_equal(x, 0.0)
 
 
 def test_pairing_telescopes():

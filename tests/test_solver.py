@@ -6,13 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 import benpde.solver
 from benpde.energy import (_assemble, _dual_residuals, certificate,
                            energy_and_gradient, eval_energy, residual)
 from benpde.errors import LineSearchError, ModelEvaluationError, TimeStepError
-from benpde.grid import (Field, SpaceGrid, Trajectory, h_norm, solve_bands,
-                         uniform_times)
+from benpde.grid import Field, SpaceGrid, Trajectory, h_norm, uniform_times
 from benpde.models import (adversarial_model, build_model, jacobian_bands,
                            lambda_density, psi_gradient_density)
 from benpde.solver import (
@@ -527,13 +527,14 @@ def test_theta_sweep_stops_at_singular_slice(dim, n):
 
 
 def _per_slice_sweep(bands, rhs, tau, theta, stop):
-    """The theta sweep as a loop of :func:`solve_bands` calls over the
-    first ``stop`` slices; the later rows stay zero."""
-    size = rhs.shape[1]
+    """The theta sweep as a loop of :func:`scipy.linalg.solve_banded` calls
+    over the first ``stop`` slices; the later rows stay zero."""
+    size, w = rhs.shape[1], bands.shape[0] // 2
     lag, carry = 1.0 / (theta * tau), (1.0 - theta) / theta
     delta = np.zeros((rhs.shape[0] + 1, size))
     for k in range(stop):
-        x = solve_bands(bands[:, k * size:(k + 1) * size], rhs[k] + lag * delta[k])
+        x = solve_banded((w, w), bands[:, k * size:(k + 1) * size],
+                         rhs[k] + lag * delta[k])
         delta[k + 1] = x - carry * delta[k]
     return delta
 
