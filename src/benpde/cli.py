@@ -34,7 +34,7 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -77,43 +77,73 @@ FMT = "%.17g"
 _MODEL_PARAMS = {name: tuple(inspect.signature(builder).parameters)
                  for name, builder in _BUILDERS.items()}
 
-#: keys accepted per section
-_SECTIONS = {
-    "model": {"name", "lam"}.union(*_MODEL_PARAMS.values()),
-    "grid": {"dim", "n"},
-    "time": {"T0", "M"},
-    "initial": {"profile", "path", "amplitude"},
-    "solve": {"max_iters", "grad_tol", "energy_tol", "armijo_c1", "backtrack",
-              "max_line_trials", "seed", "init", "noise", "tol"},
-    "verify": {"samples", "seed", "amplitude"},
-    "gradcheck": {"trajectories", "directions", "step", "seed"},
-    "outputs": {"dir"},
-    "compare": {"baseline"},
+#: Checks ``(predicate, message)`` shared by several keys (NumPy seeds are
+#: nonnegative).
+_SEED = (lambda v: v >= 0, "must be nonnegative")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+
+
+#: spellings of a boolean value
+_BOOL = {**dict.fromkeys(("true", "yes", "on", "1"), True),
+         **dict.fromkeys(("false", "no", "off", "0"), False)}
+
+
+#: Every non-model key in reading order, ``section.key -> (converter,
+#: default, check)``: a default of None marks a required key, and ``...`` a
+#: key whose default its reader derives (``initial.path`` is required by the
+#: csv profile only; ``outputs.dir`` defaults to ``runs/<model>``).  The
+#: ``solve.*`` keys up to ``solve.seed`` are the :class:`SolveOptions`
+#: fields, whose ranges ``SolveOptions`` checks.
+_KEYS = {
+    "grid.dim": (int, 1, (lambda v: v in (1, 2), "must be 1 or 2")),
+    "grid.n": (int, None, _AT_LEAST_1),
+    "time.T0": (float, None, _POSITIVE),
+    "time.M": (int, None, _AT_LEAST_1),
+    "initial.profile": (str, "sin", None),
+    "initial.path": (str, ..., None),
+    "initial.amplitude": (float, 1.0, None),
+    "solve.max_iters": (int, 2000, None),
+    "solve.grad_tol": (float, 1e-13, None),
+    "solve.energy_tol": (float, 1e-12, None),
+    "solve.armijo_c1": (float, 1e-4, None),
+    "solve.backtrack": (float, 0.5, None),
+    "solve.max_line_trials": (int, 40, None),
+    "solve.seed": (int, 0, _SEED),
+    "solve.init": (str, "random", (lambda v: v in ("random", "constant"),
+                                   "must be 'random' or 'constant'")),
+    "solve.noise": (float, 0.5, None),
+    "solve.tol": (float, 1e-6, _POSITIVE),
+    "outputs.dir": (str, ..., None),
+    "verify.samples": (int, 1000, _AT_LEAST_1),
+    "verify.seed": (int, 0, _SEED),
+    "verify.amplitude": (float, 1.0, None),
+    "gradcheck.trajectories": (int, 5, _AT_LEAST_1),
+    "gradcheck.directions": (int, 20, _AT_LEAST_1),
+    "gradcheck.step": (float, 1e-6, _POSITIVE),
+    "gradcheck.seed": (int, 0, _SEED),
+    "compare.baseline": (lambda v: _BOOL[v.lower()], False, None),
 }
+
+#: every accepted ``section.key``, and the sections they fall in
+_ACCEPTED = frozenset(["model.name", "model.lam", *_KEYS] + [
+    f"model.{p}" for params in _MODEL_PARAMS.values() for p in params])
+_SECTIONS = frozenset(key.split(".")[0] for key in _ACCEPTED)
 
 
 @dataclass
 class RunConfig:
-    """Fully validated run configuration."""
+    """Fully validated run configuration: the objects built from the config
+    plus ``keys``, the value of every non-model key of ``_KEYS`` (given or
+    default; ``initial.path`` and ``outputs.dir`` only when given)."""
 
     model: ModelSpec
     grid: SpaceGrid
     times: np.ndarray
     w0: Field
     options: SolveOptions
-    tol: float
     out_dir: Path
-    init_kind: str
-    init_noise: float
-    verify_samples: int
-    verify_seed: int
-    verify_amplitude: float
-    gradcheck_trajectories: int
-    gradcheck_directions: int
-    gradcheck_step: float
-    gradcheck_seed: int
-    compare_baseline: bool
-    raw: dict = field(repr=False, default_factory=dict)
+    keys: dict
 
 
 def _parse_lines(text: str) -> dict:
@@ -129,10 +159,9 @@ def _parse_lines(text: str) -> dict:
         if key.count(".") != 1:
             raise ConfigError(f"line {lineno}: key '{key}' is not of the form "
                               f"section.key", key=key)
-        section, name = key.split(".")
-        if section not in _SECTIONS:
+        if key.split(".")[0] not in _SECTIONS:
             raise ConfigError(f"unknown config section in '{key}'", key=key)
-        if name not in _SECTIONS[section]:
+        if key not in _ACCEPTED:
             raise ConfigError(f"unknown config key '{key}'", key=key)
         if key in values:
             raise ConfigError(f"duplicate config key '{key}'", key=key)
@@ -140,40 +169,35 @@ def _parse_lines(text: str) -> dict:
     return values
 
 
-def _get(values, key, conv, default=None, check=None, describe=""):
+def _get(values, key, spec=None):
+    """Parse and check ``key`` as ``spec`` says, by default its ``_KEYS`` row."""
+    conv, default, check = _KEYS[key] if spec is None else spec
     if key not in values:
         if default is None:
             raise ConfigError(f"missing required config key '{key}'", key=key)
         return default
     try:
         out = conv(values[key])
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, KeyError):
         raise ConfigError(
             f"config key '{key}': cannot parse '{values[key]}'", key=key)
     if isinstance(out, float) and not np.isfinite(out):
         raise ConfigError(f"config key '{key}': must be finite", key=key)
-    if check is not None and not check(out):
-        raise ConfigError(f"config key '{key}': {describe}", key=key)
+    if check is not None and not check[0](out):
+        raise ConfigError(f"config key '{key}': {check[1]}", key=key)
     return out
 
 
-#: ``_get`` checks shared by several keys (NumPy seeds are nonnegative).
-_SEED = {"check": lambda v: v >= 0, "describe": "must be nonnegative"}
-_POSITIVE = {"check": lambda v: v > 0, "describe": "must be positive"}
-_AT_LEAST_1 = {"check": lambda v: v >= 1, "describe": "must be at least 1"}
-
-
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(low)
+def _key_error(section: str, exc: ValueError) -> ConfigError:
+    """Name ``section.<name>`` for an error whose message starts with
+    ``"<name>: "``, as those of the model builders and ``SolveOptions`` do."""
+    name, _, why = str(exc).partition(": ")
+    return ConfigError(f"config key '{section}.{name}': {why}",
+                       key=f"{section}.{name}")
 
 
 def _build_model(values) -> ModelSpec:
-    name = _get(values, "model.name", str)
+    name = _get(values, "model.name", (str, None, None))
     if name not in _MODEL_PARAMS:
         raise ConfigError(f"config key 'model.name': unknown model '{name}'",
                           key="model.name")
@@ -184,23 +208,20 @@ def _build_model(values) -> ModelSpec:
             if prop not in _MODEL_PARAMS[name]:
                 raise ConfigError(f"config key '{key}' does not apply to "
                                   f"model '{name}'", key=key)
-            params[prop] = _get(values, key, float)
+            params[prop] = _get(values, key, (float, None, None))
     try:
         model = build_model(name, **params)
-    except ValueError as exc:  # the message starts with the parameter name
-        prop, _, why = str(exc).partition(": ")
-        raise ConfigError(f"config key 'model.{prop}': {why}",
-                          key=f"model.{prop}")
-    lam = _get(values, "model.lam", int, default=model.lam,
-               check=lambda v: v in (0, 1), describe="must be 0 or 1")
+    except ValueError as exc:
+        raise _key_error("model", exc)
+    lam = _get(values, "model.lam",
+               (int, model.lam, (lambda v: v in (0, 1), "must be 0 or 1")))
     if lam != model.lam:
         model = replace(model, lam=lam)
     return model
 
 
-def _initial_profile(values, grid: SpaceGrid, cfg_dir: Path) -> Field:
-    profile = _get(values, "initial.profile", str, default="sin")
-    amplitude = _get(values, "initial.amplitude", float, default=1.0)
+def _initial_profile(keys: dict, grid: SpaceGrid, cfg_dir: Path) -> Field:
+    profile, amplitude = keys["initial.profile"], keys["initial.amplitude"]
     coords = grid.node_coords
     if profile == "sin":
         out = np.ones(grid.shape)
@@ -212,8 +233,10 @@ def _initial_profile(values, grid: SpaceGrid, cfg_dir: Path) -> Field:
             x = coords[axis]
             out = out * (4.0 * x * (1.0 - x)) ** 2
     elif profile == "csv":
-        path_text = _get(values, "initial.path", str)
-        path = Path(path_text)
+        if "initial.path" not in keys:
+            raise ConfigError("missing required config key 'initial.path'",
+                              key="initial.path")
+        path = Path(keys["initial.path"])
         if not path.is_absolute():
             path = cfg_dir / path
         if not path.exists():
@@ -242,58 +265,21 @@ def _initial_profile(values, grid: SpaceGrid, cfg_dir: Path) -> Field:
 def load_config(path) -> RunConfig:
     """Parse and validate a flat ``section.key = value`` config file."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    values = _parse_lines(text)
-
+    values = _parse_lines(path.read_text(encoding="utf-8"))
     model = _build_model(values)
-    dim = _get(values, "grid.dim", int, default=1,
-               check=lambda v: v in (1, 2), describe="must be 1 or 2")
-    n = _get(values, "grid.n", int, **_AT_LEAST_1)
-    grid = SpaceGrid(dim=dim, n=n)
-    times = uniform_times(_get(values, "time.T0", float, **_POSITIVE),
-                          _get(values, "time.M", int, **_AT_LEAST_1))
-    w0 = _initial_profile(values, grid, path.parent)
-
+    keys = {key: value for key in _KEYS
+            if (value := _get(values, key)) is not ...}
+    grid = SpaceGrid(dim=keys["grid.dim"], n=keys["grid.n"])
     try:
-        options = SolveOptions(
-            max_iters=_get(values, "solve.max_iters", int, default=2000),
-            grad_tol=_get(values, "solve.grad_tol", float, default=1e-13),
-            energy_tol=_get(values, "solve.energy_tol", float, default=1e-12),
-            armijo_c1=_get(values, "solve.armijo_c1", float, default=1e-4),
-            backtrack=_get(values, "solve.backtrack", float, default=0.5),
-            max_line_trials=_get(values, "solve.max_line_trials", int,
-                                 default=40),
-            seed=_get(values, "solve.seed", int, default=0, **_SEED),
-        )
+        options = SolveOptions(**{f.name: keys[f"solve.{f.name}"]
+                                  for f in fields(SolveOptions)})
     except ValueError as exc:
-        raise ConfigError(f"config section 'solve': {exc}", key="solve")
-
-    init_kind = _get(values, "solve.init", str, default="random",
-                     check=lambda v: v in ("random", "constant"),
-                     describe="must be 'random' or 'constant'")
-    out_dir = Path(_get(values, "outputs.dir", str,
-                        default=f"runs/{model.name}"))
+        raise _key_error("solve", exc)
     return RunConfig(
-        model=model, grid=grid, times=times, w0=w0, options=options,
-        tol=_get(values, "solve.tol", float, default=1e-6, **_POSITIVE),
-        out_dir=out_dir,
-        init_kind=init_kind,
-        init_noise=_get(values, "solve.noise", float, default=0.5),
-        verify_samples=_get(values, "verify.samples", int, default=1000,
-                            **_AT_LEAST_1),
-        verify_seed=_get(values, "verify.seed", int, default=0, **_SEED),
-        verify_amplitude=_get(values, "verify.amplitude", float, default=1.0),
-        gradcheck_trajectories=_get(values, "gradcheck.trajectories", int,
-                                    default=5, **_AT_LEAST_1),
-        gradcheck_directions=_get(values, "gradcheck.directions", int,
-                                  default=20, **_AT_LEAST_1),
-        gradcheck_step=_get(values, "gradcheck.step", float, default=1e-6,
-                            **_POSITIVE),
-        gradcheck_seed=_get(values, "gradcheck.seed", int, default=0, **_SEED),
-        compare_baseline=_get(values, "compare.baseline", _bool,
-                              default=False),
-        raw=values,
-    )
+        model=model, grid=grid,
+        times=uniform_times(keys["time.T0"], keys["time.M"]),
+        w0=_initial_profile(keys, grid, path.parent), options=options,
+        out_dir=Path(keys.get("outputs.dir", f"runs/{model.name}")), keys=keys)
 
 
 # -- artifact writers --------------------------------------------------------------
@@ -326,17 +312,17 @@ def _write_report(path: Path, payload: dict) -> None:
 
 
 def _cmd_solve(cfg: RunConfig) -> int:
-    if cfg.init_kind == "constant":
+    if cfg.keys["solve.init"] == "constant":
         init = constant_initial_trajectory(cfg.grid, cfg.times, cfg.w0)
     else:
         init = random_initial_trajectory(cfg.grid, cfg.times, cfg.w0,
                                          seed=cfg.options.seed,
-                                         noise=cfg.init_noise)
+                                         noise=cfg.keys["solve.noise"])
     try:
         outcome, failure = minimize(cfg.model, init, cfg.options), None
     except LineSearchError as exc:
         outcome, failure = exc.outcome, exc
-    verdict = outcome.verdict(cfg.tol)
+    verdict = outcome.verdict(cfg.keys["solve.tol"])
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_trajectory_csv(outcome.trajectory, cfg.out_dir / "trajectory.csv")
@@ -350,7 +336,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
         payload["failure"] = {"kind": type(failure).__name__,
                               "message": str(failure),
                               "iterations": outcome.iterations}
-    elif cfg.compare_baseline:
+    elif cfg.keys["compare.baseline"]:
         base = implicit_baseline(cfg.model, cfg.w0, cfg.times)
         result = compare(outcome.trajectory, base)
         payload["compare_baseline"] = {
@@ -372,7 +358,8 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 def _cmd_baseline(cfg: RunConfig) -> int:
     traj = implicit_baseline(cfg.model, cfg.w0, cfg.times)
-    report, verdict = _report_and_certificate(cfg.model, traj, cfg.tol)
+    report, verdict = _report_and_certificate(cfg.model, traj,
+                                             cfg.keys["solve.tol"])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_trajectory_csv(traj, cfg.out_dir / "trajectory.csv")
     _write_profiles(cfg.out_dir / "profiles.dat", traj)
@@ -387,10 +374,10 @@ def _cmd_baseline(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    t_end = float(cfg.times[-1])
     reports = check_all_conditions(
-        cfg.model, cfg.grid, samples=cfg.verify_samples, seed=cfg.verify_seed,
-        amplitude=cfg.verify_amplitude, t_range=(0.0, t_end))
+        cfg.model, cfg.grid, samples=cfg.keys["verify.samples"],
+        seed=cfg.keys["verify.seed"], amplitude=cfg.keys["verify.amplitude"],
+        t_range=(0.0, float(cfg.times[-1])))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(cfg.out_dir / "conditions.json",
                   [r.to_json_dict() for r in reports])
@@ -409,15 +396,17 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_gradcheck(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.gradcheck_seed)
-    grid, times, e = cfg.grid, cfg.times, cfg.gradcheck_step
+    trajectories, directions = (cfg.keys["gradcheck.trajectories"],
+                                cfg.keys["gradcheck.directions"])
+    rng = np.random.default_rng(cfg.keys["gradcheck.seed"])
+    grid, times, e = cfg.grid, cfg.times, cfg.keys["gradcheck.step"]
     an, fd = [], []
     with np.errstate(all="ignore"):  # an inf or nan error fails the check
-        for _ in range(cfg.gradcheck_trajectories):
+        for _ in range(trajectories):
             states = 0.5 * rng.normal(size=(times.size, 1) + grid.shape)
             traj = Trajectory(grid, times, states)
             _, grad = energy_and_gradient(cfg.model, traj)
-            for _ in range(cfg.gradcheck_directions):
+            for _ in range(directions):
                 s = rng.normal(size=states.shape)
                 s[0] = 0.0
                 tail, step = traj.states[1:], e * s[1:]
@@ -427,8 +416,7 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
         fd = np.array(fd)
         worst = float(np.max(np.abs(np.array(an) - fd) / np.maximum(1.0, np.abs(fd))))
     print(f"gradcheck {cfg.model.name}: worst relative error {worst:.3e} "
-          f"over {cfg.gradcheck_trajectories} trajectories x "
-          f"{cfg.gradcheck_directions} directions")
+          f"over {trajectories} trajectories x {directions} directions")
     return 0 if worst <= 1e-5 else 1
 
 

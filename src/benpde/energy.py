@@ -143,11 +143,14 @@ def _conjugate_newton_2d(density: PowerDensity, grid: SpaceGrid,
     Returns ``(z, steps)`` with the slowest slice's step count.  Raises the
     error of the first slice in index order that fails, tagged ``slice
     {i}:``, or :class:`numpy.linalg.LinAlgError` for a singular Jacobian.
+    A slice whose starting residual or target is not finite (an overflowed
+    norm) fails before the first step.
     """
     def norms(v):  # h_norm of each slice, through the BLAS dot vdot uses
         rows = v.reshape(len(v), 1, grid.n_nodes)
-        return np.sqrt(np.maximum(
-            grid.cell_volume * (rows @ rows.transpose(0, 2, 1))[:, 0, 0], 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf is checked
+            return np.sqrt(np.maximum(grid.cell_volume * (
+                rows @ rows.transpose(0, 2, 1))[:, 0, 0], 0.0))
 
     def fail(i, why, steps):
         return ConjugateSolveError(f"slice {i}: dual Newton {why} at residual "
@@ -155,6 +158,9 @@ def _conjugate_newton_2d(density: PowerDensity, grid: SpaceGrid,
 
     z, g = np.zeros_like(y), -y
     res, target = norms(g), tol * np.maximum(1.0, norms(y))
+    bad = np.flatnonzero(~(np.isfinite(res) & np.isfinite(target)))
+    if bad.size:
+        raise fail(bad[0], "cannot start from a non-finite norm", 0)
     todo, failure = np.arange(len(y)), None  # later slices stop on a failure
     for it in range(max_iters + 1):
         todo = todo[~(res[todo] <= target[todo])]

@@ -57,8 +57,8 @@ __all__ = [
     "h_inner",
     "h_inner_batch",
     "h_norm",
+    "edge_sum",
     "grad_norm",
-    "grad_magnitudes",
     "dual_grad_norm",
     "mixed_norm",
     "uniform_times",
@@ -334,14 +334,19 @@ def h_norm(grid: SpaceGrid, u) -> float:
     return float(np.sqrt(max(h_inner(grid, u, u), 0.0)))
 
 
-def grad_magnitudes(grid: SpaceGrid, values) -> list:
-    """Per-axis k-vector magnitudes of the staggered gradient.
-
-    The component axis is the one just before the spatial axes; leading
-    batch axes pass through.
-    """
-    comp_axis = -(grid.dim + 1)
-    return [np.sqrt(np.sum(g**2, axis=comp_axis)) for g in gradient(grid, values)]
+def edge_sum(grid: SpaceGrid, values, f) -> np.ndarray:
+    """``sum_edges h^dim f(|grad u|)`` per field, ``|grad u|`` being the
+    k-vector magnitude of the staggered gradient over the component axis
+    just before the spatial axes.  Returns an array over the leading batch
+    axes, 0-d for a single field."""
+    arr = _batched(values, grid)
+    comp, spatial = -(grid.dim + 1), tuple(range(-grid.dim, 0))
+    acc = None
+    for g in gradient(grid, arr[None] if arr.ndim == grid.dim + 1 else arr):
+        term = grid.cell_volume * np.sum(f(np.sqrt(np.sum(g**2, axis=comp))),
+                                         axis=spatial)
+        acc = term if acc is None else acc + term
+    return acc.reshape(arr.shape[:comp])
 
 
 def grad_norm(grid: SpaceGrid, values, q: float):
@@ -350,17 +355,8 @@ def grad_norm(grid: SpaceGrid, values, q: float):
     Returns a float for a single field and an array over leading batch axes
     for batched input.
     """
-    arr = _batched(values, grid)
-    single = arr.ndim == grid.dim + 1
-    if single:
-        arr = arr[None, ...]
-    spatial = tuple(range(-grid.dim, 0))
-    acc = None
-    for mag in grad_magnitudes(grid, arr):
-        term = grid.cell_volume * np.sum(mag**q, axis=spatial)
-        acc = term if acc is None else acc + term
-    out = acc ** (1.0 / q)
-    return float(out[0]) if single else out
+    out = edge_sum(grid, values, lambda s: s**q) ** (1.0 / q)
+    return float(out) if out.ndim == 0 else out
 
 
 def dual_grad_norm(grid: SpaceGrid, density, p: float) -> float:

@@ -36,18 +36,20 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
 
 from .convex import PowerDensity, radial_coefficient, radial_value
-from .errors import ModelEvaluationError, NonFiniteInputError
+from .errors import ModelEvaluationError
 from .grid import (
+    Field,
     SpaceGrid,
     _batched,
     divergence,
     dual_grad_norm,
-    grad_magnitudes,
+    edge_sum,
     grad_norm,
     gradient,
     h_inner_batch,
@@ -208,16 +210,8 @@ class ModelSpec:
 
 def psi_total(density: PowerDensity, grid: SpaceGrid, values):
     """Integrated density ``sum_edges h^d psi(grad u)``, batched in front."""
-    arr = _batched(values, grid)
-    single = arr.ndim == grid.dim + 1
-    if single:
-        arr = arr[None, ...]
-    spatial = tuple(range(-grid.dim, 0))
-    acc = None
-    for mag in grad_magnitudes(grid, arr):
-        term = grid.cell_volume * np.sum(radial_value(density, mag), axis=spatial)
-        acc = term if acc is None else acc + term
-    return float(acc[0]) if single else acc
+    out = edge_sum(grid, values, lambda s: radial_value(density, s))
+    return float(out) if out.ndim == 0 else out
 
 
 def psi_grad_edges(density: PowerDensity, grid: SpaceGrid, values) -> list:
@@ -296,9 +290,8 @@ def lambda_density(model: ModelSpec, grid: SpaceGrid, values, t):
     carries terms); ``t`` is a scalar or an array matching the batch prefix.
     """
     arr = _batched(values, grid)
-    out = np.zeros_like(arr)
     if not model.has_terms:
-        return out
+        return np.zeros_like(arr)
     if arr.shape[-(grid.dim + 1)] != 1:
         raise ValueError(f"model '{model.name}' carries terms and needs scalar fields")
     comp = -(grid.dim + 1)
@@ -314,37 +307,36 @@ def lambda_density(model: ModelSpec, grid: SpaceGrid, values, t):
     return np.expand_dims(acc, comp)
 
 
-def _interior_flux_deriv(model: ModelSpec, grid: SpaceGrid, B, t, axis: int):
-    tb = _time_broadcast(t, grid.dim)
-    total = None
-    for term in (model.flux, model.scalar_flux):
-        if term is None:
-            continue
-        val = term.deriv(B, grid.node_coords, tb, axis)
-        total = val if total is None else total + val
-    return total
+def _linearization(model: ModelSpec, grid: SpaceGrid, values, t):
+    """Scalar states ``B`` ``(..., *shape)`` of ``values`` (``ValueError``
+    unless one-component), the reaction derivative ``dtheta/dB`` (``None``
+    without a reaction) and the per-axis nodal derivatives of the summed
+    fluxes (``[]`` without one): the linearization of ``Lambda_t`` that
+    :func:`dlambda_density`, its adjoint and :func:`jacobian_bands` share."""
+    B = np.squeeze(_batched(values, grid), axis=-(grid.dim + 1))
+    tb, x = _time_broadcast(t, grid.dim), grid.node_coords
+    dtheta = None if model.reaction is None else model.reaction.deriv(B, x, tb)
+    fluxes = [term for term in (model.flux, model.scalar_flux) if term is not None]
+    dflux = [reduce(operator.add, [term.deriv(B, x, tb, axis) for term in fluxes])
+             for axis in range(grid.dim)] if fluxes else []
+    return B, dtheta, dflux
 
 
 def dlambda_density(model: ModelSpec, grid: SpaceGrid, values, t, direction):
     """Directional derivative ``DLambda_t(u) . delta`` as a nodal density."""
-    arr = _batched(values, grid)
-    dlt = _batched(direction, grid)
-    out = np.zeros(np.broadcast_shapes(arr.shape, dlt.shape))
+    arr, dlt = _batched(values, grid), _batched(direction, grid)
     if not model.has_terms:
-        return out
+        return np.zeros(np.broadcast_shapes(arr.shape, dlt.shape))
     comp = -(grid.dim + 1)
-    B = np.squeeze(arr, axis=comp)
+    B, dtheta, dflux = _linearization(model, grid, arr, t)
     D = np.squeeze(dlt, axis=comp)
     acc = np.zeros(np.broadcast_shapes(B.shape, D.shape))
-    if model.flux is not None or model.scalar_flux is not None:
-        edges = []
-        for axis in range(grid.dim):
-            c = _interior_flux_deriv(model, grid, B, t, axis)
-            edges.append(pair_mean(grid, pad_boundary(grid, c * D, axis), axis))
-        acc = acc + -divergence(grid, edges)
-    if model.reaction is not None:
-        tb = _time_broadcast(t, grid.dim)
-        acc = acc - model.reaction.deriv(B, grid.node_coords, tb) * D
+    if dflux:
+        acc = acc + -divergence(grid, [
+            pair_mean(grid, pad_boundary(grid, c * D, axis), axis)
+            for axis, c in enumerate(dflux)])
+    if dtheta is not None:
+        acc = acc - dtheta * D
     return np.expand_dims(acc, comp)
 
 
@@ -357,19 +349,14 @@ def jacobian_bands(model: ModelSpec, grid: SpaceGrid, values, t, shift: float,
     matches :func:`dlambda_density` plus the Hessian of :func:`psi_total` on
     flattened nodal vectors (layout of :func:`~benpde.grid.stencil_bands`).
     """
-    arr = _batched(values, grid)
-    B = np.squeeze(arr, axis=-(grid.dim + 1))  # ValueError unless scalar
-    diag, weights, coefs = np.full_like(B, shift), (), ()
-    if model.reaction is not None:
-        tb = _time_broadcast(t, grid.dim)
-        diag = diag - theta * model.reaction.deriv(B, grid.node_coords, tb)
-    if model.flux is not None or model.scalar_flux is not None:
-        coefs = [theta * _interior_flux_deriv(model, grid, B, t, axis)
-                 for axis in range(grid.dim)]
+    B, dtheta, dflux = _linearization(model, grid, values, t)
+    diag, weights = np.full_like(B, shift), ()
+    if dtheta is not None:
+        diag = diag - theta * dtheta
     if model.lam:  # lam = 1
         weights = [theta * w for w in
-                   psi_hessian_edge_weights(model.density, grid, arr)]
-    return stencil_bands(grid, diag, weights, coefs)
+                   psi_hessian_edge_weights(model.density, grid, values)]
+    return stencil_bands(grid, diag, weights, [theta * c for c in dflux])
 
 
 def dlambda_adjoint_density(model: ModelSpec, grid: SpaceGrid, values, t, covector):
@@ -378,24 +365,18 @@ def dlambda_adjoint_density(model: ModelSpec, grid: SpaceGrid, values, t, covect
     Satisfies ``<B, DLambda(u) . delta> = <delta, DLambda(u)^T B>`` in the
     volume-weighted pairing, exactly (up to roundoff) by construction.
     """
-    arr = _batched(values, grid)
-    cov = _batched(covector, grid)
-    out = np.zeros(np.broadcast_shapes(arr.shape, cov.shape))
+    arr, cov = _batched(values, grid), _batched(covector, grid)
     if not model.has_terms:
-        return out
+        return np.zeros(np.broadcast_shapes(arr.shape, cov.shape))
     comp = -(grid.dim + 1)
-    B = np.squeeze(arr, axis=comp)
+    B, dtheta, dflux = _linearization(model, grid, arr, t)
     C = np.squeeze(cov, axis=comp)
     acc = np.zeros(np.broadcast_shapes(B.shape, C.shape))
-    if model.flux is not None or model.scalar_flux is not None:
-        grads = gradient(grid, cov)
-        for axis in range(grid.dim):
-            vt = pair_mean(grid, np.squeeze(grads[axis], axis=comp), axis)
-            c = _interior_flux_deriv(model, grid, B, t, axis)
-            acc = acc + c * vt
-    if model.reaction is not None:
-        tb = _time_broadcast(t, grid.dim)
-        acc = acc - model.reaction.deriv(B, grid.node_coords, tb) * C
+    if dflux:
+        for axis, g in enumerate(gradient(grid, cov)):
+            acc = acc + dflux[axis] * pair_mean(grid, np.squeeze(g, axis=comp), axis)
+    if dtheta is not None:
+        acc = acc - dtheta * C
     return np.expand_dims(acc, comp)
 
 
@@ -685,15 +666,6 @@ def _draw_block(grid: SpaceGrid, key, indices, amplitude: float, t_range,
     return t, fields[:, :, None]
 
 
-def _as_sample(x, grid: SpaceGrid) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != grid.shape:
-        raise ValueError(f"sample shape {arr.shape} != grid shape {grid.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteInputError("sample field contains non-finite entries")
-    return arr
-
-
 def _scale(a, b):
     """Elementwise ``max(1, a, b)``: the normaliser of every margin."""
     return np.maximum(np.maximum(1.0, a), b)
@@ -796,8 +768,8 @@ def condition_margin(model: ModelSpec, grid: SpaceGrid, condition: str, x,
     fn, needs_h = _CONDITIONS[condition]
     if needs_h and h is None:
         raise ValueError(f"condition '{condition}' needs a second field")
-    xa = _as_sample(x, grid)[None, None]
-    ha = _as_sample(h, grid)[None, None] if needs_h else None
+    xa = Field(grid, x).values[None]
+    ha = Field(grid, h).values[None] if needs_h else None
     return float(fn(model, grid, xa, ha, np.array([float(t)]))[0])
 
 

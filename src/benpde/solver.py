@@ -70,7 +70,8 @@ class SolveOptions:
     backtracking on the energy with slope fraction ``armijo_c1`` and step
     factor ``backtrack``, from the unit Gauss-Newton step.  ``seed``
     controls random initialization helpers, not the descent itself, which
-    is deterministic.
+    is deterministic.  A ``ValueError`` for a field out of range starts
+    with ``"<field>: "``.
     """
 
     max_iters: int = 500
@@ -83,14 +84,14 @@ class SolveOptions:
 
     def __post_init__(self):
         if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+            raise ValueError("max_iters: must be nonnegative")
         for name in ("grad_tol", "energy_tol", "armijo_c1"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name}: must be positive")
         if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
+            raise ValueError("backtrack: must lie in (0, 1)")
         if self.max_line_trials < 1:
-            raise ValueError("max_line_trials must be at least 1")
+            raise ValueError("max_line_trials: must be at least 1")
 
 
 @dataclass

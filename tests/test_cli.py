@@ -6,17 +6,20 @@ directory; one subprocess test confirms the ``python -m`` entry point.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import benpde
-from benpde.cli import (_resolve_config, _write_history, _write_profiles,
-                        load_config, main)
+from benpde.cli import (_ACCEPTED, _parse_lines, _resolve_config,
+                        _write_history, _write_profiles, load_config, main)
 from benpde.energy import energy_and_gradient, eval_energy
+from benpde.errors import ConfigError
 from benpde.grid import (SpaceGrid, Trajectory, h_inner, load_trajectory_csv,
                          save_trajectory_csv, uniform_times)
 
@@ -218,6 +221,10 @@ def test_malformed_keys_rejected(tmp_path, monkeypatch, capsys, line, key):
     ("divergence_form", "solve", "model.q = 4; model.flux_amp = -0.4",
      "model.flux_amp"),
     ("adversarial", "verify", "model.kappa = -5", "model.kappa"),
+    ("heat", "solve", "solve.backtrack = 2", "solve.backtrack"),
+    ("heat", "solve", "solve.max_line_trials = 0", "solve.max_line_trials"),
+    ("heat", "solve", "solve.grad_tol = 0", "solve.grad_tol"),
+    ("heat", "solve", "solve.max_iters = -1", "solve.max_iters"),
 ])
 def test_out_of_range_values_rejected(tmp_path, monkeypatch, capsys, model,
                                       command, line, key):
@@ -231,6 +238,27 @@ def test_out_of_range_values_rejected(tmp_path, monkeypatch, capsys, model,
         "".join(f"{k} = {v}\n" for k, v in base.items()))
     assert main([command, "bad.cfg"]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_solve_key_errors_name_the_key(tmp_path):
+    (tmp_path / "bad.cfg").write_text(
+        "model.name = heat\ngrid.n = 9\ntime.T0 = 0.1\ntime.M = 4\n"
+        "solve.max_iters = 1.5\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(tmp_path / "bad.cfg")
+    assert err.value.key == "solve.max_iters"
+    assert str(err.value) == "config key 'solve.max_iters': cannot parse '1.5'"
+
+
+def test_readme_lists_every_config_key():
+    """The README configuration table names exactly the accepted keys,
+    every model builder parameter included."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    listed = {key for row in table.splitlines() if row.startswith("| `")
+              for key in re.findall(r"`([a-z]+\.\w+)`", row.split(" | ")[0])}
+    assert listed == _ACCEPTED
+    assert set(_parse_lines("".join(f"{k} = 1\n" for k in listed))) == listed
 
 
 def test_duplicate_key_rejected(tmp_path, monkeypatch, capsys):
@@ -330,13 +358,13 @@ def test_gradcheck_fails_on_non_finite_error(tmp_path, monkeypatch, capsys):
 def _gradcheck_reference(cfg):
     """The gradcheck summary line from two ``eval_energy`` calls per
     direction, one trajectory at a time, with the same draws."""
-    rng = np.random.default_rng(cfg.gradcheck_seed)
-    worst, e = 0.0, cfg.gradcheck_step
-    for _ in range(cfg.gradcheck_trajectories):
+    rng = np.random.default_rng(cfg.keys["gradcheck.seed"])
+    worst, e = 0.0, cfg.keys["gradcheck.step"]
+    for _ in range(cfg.keys["gradcheck.trajectories"]):
         states = 0.5 * rng.normal(size=(cfg.times.size, 1) + cfg.grid.shape)
         traj = Trajectory(cfg.grid, cfg.times, states)
         _, grad = energy_and_gradient(cfg.model, traj)
-        for _ in range(cfg.gradcheck_directions):
+        for _ in range(cfg.keys["gradcheck.directions"]):
             s = rng.normal(size=states.shape)
             s[0] = 0.0
             jp = eval_energy(cfg.model,
@@ -347,8 +375,8 @@ def _gradcheck_reference(cfg):
             an = traj.tau * h_inner(cfg.grid, s, grad)
             worst = max(worst, abs(an - fd) / max(1.0, abs(fd)))
     return (f"gradcheck {cfg.model.name}: worst relative error {worst:.3e} "
-            f"over {cfg.gradcheck_trajectories} trajectories x "
-            f"{cfg.gradcheck_directions} directions")
+            f"over {cfg.keys['gradcheck.trajectories']} trajectories x "
+            f"{cfg.keys['gradcheck.directions']} directions")
 
 
 @pytest.mark.parametrize("model,dim,n", [

@@ -1,5 +1,7 @@
 """Certificate energy: conjugate solves, gradients, and verdicts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,21 @@ def test_conjugate_2d_failure_carries_slice_index():
             ConjugateSolveError, match="^slice 0: dual Newton hit the iteration cap"):
         conjugate_on_dual(d, g, np.stack([1e6 * base, 1e150 * base]),
                           max_iters=4)
+
+
+def test_conjugate_2d_overflowed_norm_is_not_convergence():
+    # |y|_H overflows to inf, and inf <= tol * inf must not count as met.
+    g = SpaceGrid(dim=2, n=4)
+    d = PowerDensity(1.0, 4.0, 1.0)
+    base = np.sin(np.arange(16.0)).reshape(1, 4, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConjugateSolveError,
+                           match="^slice 0: dual Newton cannot start"):
+            conjugate_on_dual(d, g, 1e160 * base)
+        with pytest.raises(ConjugateSolveError, match="^slice 1: ") as err:
+            conjugate_on_dual(d, g, np.stack([base, 1e160 * base, base]))
+    assert err.value.residual == np.inf and err.value.iterations == 0
 
 
 def test_conjugate_at_zero_density():

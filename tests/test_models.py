@@ -242,11 +242,20 @@ def test_dlambda_matches_central_differences(dim, builder):
         assert err <= FD_TOL
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_dlambda_adjoint_identity(dim):
+#: reaction only (adversarial) and no terms at all (heat), in 1-D and 2-D
+_NO_FLUX_OR_NO_TERMS = [(dim, builder) for builder in (adversarial_model, heat_model)
+                        for dim in (1, 2)]
+
+
+@pytest.mark.parametrize("dim,builder", [
+    pytest.param(1, burgers_model, id="1"),
+    pytest.param(2, lambda: divergence_form_model(2.0), id="2"),
+    *_NO_FLUX_OR_NO_TERMS,
+])
+def test_dlambda_adjoint_identity(dim, builder):
     n = 11 if dim == 1 else 5
     g = SpaceGrid(dim=dim, n=n)
-    m = divergence_form_model(2.0) if dim == 2 else burgers_model()
+    m = builder()
     rng = np.random.default_rng(23)
     # one field, then a leading batch of 3 slices with their own times
     for batch, t in (((), 0.1), ((3,), np.array([0.0, 0.4, 0.8]))):
@@ -282,6 +291,7 @@ def band_matrix(bands):
     (1, lambda: divergence_form_model(4.0)),
     (1, lambda: _ramp_model()),
     (2, lambda: burgers_model()),
+    *_NO_FLUX_OR_NO_TERMS,
 ])
 def test_slice_jacobians_assemble_block_diagonally(dim, builder):
     # With a leading slice axis both builders return the block-diagonal
