@@ -51,6 +51,7 @@ from .errors import (
     NonFiniteInputError,
 )
 from .grid import (
+    FMT,
     Field,
     SpaceGrid,
     Trajectory,
@@ -70,8 +71,6 @@ from .solver import (
 )
 
 __all__ = ["main", "load_config", "RunConfig"]
-
-FMT = "%.17g"
 
 #: parameter names of each model builder, read from its signature
 _MODEL_PARAMS = {name: tuple(inspect.signature(builder).parameters)

@@ -276,9 +276,9 @@ def stencil_bands(grid: SpaceGrid, diag, edge_weights=(), node_coefs=()):
 
 
 def sweep_bands(bands: np.ndarray, rhs: np.ndarray, lag: float = 0.0,
-                carry: float = 0.0):
-    """Forward sweep ``x_0 = 0``, ``x_{k+1} = A_k^{-1}(rhs_k + lag x_k) -
-    carry x_k`` over the rows of ``rhs`` ``(slices, size)``, the
+                carry: bool = False):
+    """Forward sweep ``x_0 = 0``, ``x_{k+1} = A_k^{-1}(rhs_k + lag x_k)``,
+    minus ``x_k`` if ``carry``, over the rows of ``rhs`` ``(slices, size)``, the
     :func:`stencil_bands` bands of every ``A_k`` side by side in ``bands``.
     The bands are split once into per-slice LAPACK storage (``dgtsv``
     diagonals, or padded Fortran-ordered ``dgbsv`` blocks), each slice is
@@ -305,7 +305,7 @@ def sweep_bands(bands: np.ndarray, rhs: np.ndarray, lag: float = 0.0,
             if info != 0:
                 failed = k
                 break
-            np.subtract(b, carry * x[k], out=x[k + 1])
+            x[k + 1] = b - x[k] if carry else b
     bad = np.flatnonzero(~np.isfinite(x[1:failed + 1]).all(axis=1))
     failed = int(bad[0]) if bad.size else failed
     x[failed + 1:] = 0.0

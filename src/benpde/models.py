@@ -24,7 +24,9 @@ monotonicity, energy positivity, uniform convexity, Lipschitz bounds).  The
 constants are derived from the declared Lipschitz data of the terms plus a
 declared one-sided reaction bound ``B * theta(B) <= rho (B^2 + 1)``; a model
 whose reaction pumps energy faster than its declaration is caught by the
-positivity check (see :func:`adversarial_model`).
+positivity check (see :func:`adversarial_model`).  :func:`check_condition`
+draws the samples of each inequality in index order from one NumPy stream,
+seeded by its ``seed`` and the condition.
 
 All operator entry points accept leading batch axes, so a whole trajectory
 or a checker block of :data:`BLOCK_SIZE` samples evaluates in one vectorised
@@ -92,21 +94,15 @@ MARGIN_FLOOR = -1e-9
 #: Maximum number of failing samples recorded in a report.
 MAX_WITNESSES = 5
 
-#: Samples per :func:`check_condition` block: as fast as 64 on the bundled
-#: verify configs; 1024 and 4096 gain nothing and add about 3 MB of peak.
+#: Samples per :func:`check_condition` block.  The burgers, divform_q4 and
+#: adversarial verify configs take 0.25 / 0.19 / 0.18 s at 64 / 256 / 1024,
+#: at tracemalloc peaks of 0.2 / 0.7 / 2.5 MB (medians of 15, 2-core x86_64).
 BLOCK_SIZE = 256
 
 #: Discrete Poincare constant bound: smallest eigenvalue of the 1-D
 #: Dirichlet second-difference matrix is (4/h^2) sin^2(pi h / 2) >= 8 for
 #: every admissible spacing h <= 1/2, so |u|_H <= |grad u|_H / sqrt(8).
 POINCARE = 1.0 / np.sqrt(8.0)
-
-#: NumPy's ``SeedSequence`` hash constants and PCG64 multiplier.
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 # -- term containers -----------------------------------------------------------
@@ -594,66 +590,24 @@ class ConditionReport:
         }
 
 
-def _stream_states(key, indices):
-    """Yield ``PCG64(SeedSequence([*key, i])).state`` for each ``i < 2**32``
-    in ``indices``: the ``SeedSequence`` hash (NEP 19, pool size 4) runs on
-    ``uint32`` arrays, one entry per stream, with a Python-int hash constant
-    (a NumPy scalar warns on overflow); PCG64 seeding on Python ints."""
-    if any(operator.index(k) < 0 for k in key):
-        raise ValueError("expected non-negative integer")
-    idx = np.asarray(indices, dtype=np.uint32)
-    entropy = [np.full(idx.shape, k >> s & _MASK32, dtype=np.uint32)
-               for k in map(operator.index, key)
-               for s in range(0, max(k.bit_length(), 1), 32)] + [idx]
-    const = _SS_INIT_A
-
-    def hashmix(value, mult=_SS_MULT_A):
-        nonlocal const
-        value, const = value ^ const, const * mult & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        r = _SS_MIX_L * x - _SS_MIX_R * y
-        return r ^ (r >> 16)
-
-    pool = [hashmix(w) for w in (entropy + [np.zeros_like(idx)] * 3)[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const = _SS_INIT_B
-    out = [hashmix(pool[i % 4], _SS_MULT_B).astype(np.uint64) for i in range(8)]
-    words = [(out[2 * k] | out[2 * k + 1] << 32).tolist() for k in range(4)]
-    for s_hi, s_lo, q_hi, q_lo in zip(*words):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-               "state": {"state": state, "inc": inc}}
-
-
-def _draw_block(grid: SpaceGrid, key, indices, amplitude: float, t_range,
+def _draw_block(grid: SpaceGrid, rng, count: int, amplitude: float, t_range,
                 n_fields: int):
-    """Times ``(S,)`` and fields ``(n_fields, S, 1, *shape)`` of the samples
-    ``indices``, each read from its stream ``default_rng([*key, index])`` as
-    one reused generator loaded with the :func:`_stream_states` of the block.
+    """Times ``(count,)`` and fields ``(n_fields, count, 1, *shape)`` of the
+    next ``count`` samples of the stream ``rng``.  Each sample draws, in
+    order, its time and then, per field, the white noise and a coin, so a
+    block draws what its samples would draw one at a time.
 
     Per field, a coin below 0.5 keeps the white noise (rough regime, stressing
     gradient terms); otherwise it is Poisson-smoothed to peak ``amplitude``
     (smooth regime, stressing reaction signs), in one solve per block.
     """
-    t = np.empty(len(indices))
-    raw = np.empty((n_fields, len(indices)) + grid.shape)
-    smooth = np.empty((n_fields, len(indices)), dtype=bool)
+    t = np.empty(count)
+    raw = np.empty((n_fields, count) + grid.shape)
+    smooth = np.empty((n_fields, count), dtype=bool)
     lo, span = t_range[0], t_range[1] - t_range[0]
-    rng = np.random.default_rng(0)
-    for j, state in enumerate(_stream_states(key, indices)):
+    for j in range(count):
         # Bit for bit the draws rng.uniform(*t_range), rng.normal(size=shape)
         # and rng.uniform(), at a fraction of their call overhead.
-        rng.bit_generator.state = state
         t[j] = lo + span * rng.random()
         for f in range(n_fields):
             rng.standard_normal(out=raw[f, j])
@@ -779,11 +733,11 @@ def check_condition(model: ModelSpec, grid: SpaceGrid, condition: str, *,
     """Sample a structural inequality; pass iff the worst normalised margin
     stays above ``-1e-9``.
 
-    Samples are drawn and evaluated in blocks of :data:`BLOCK_SIZE`, but each
-    draws its own RNG stream ``default_rng([seed, condition, index])``, whose
-    state a block derives in one vectorised hash: samples, verdicts and
-    witnesses do not depend on the block size (margins only up to summation
-    order).  The report keeps the worst margin and the first
+    Each condition draws its samples in index order from one stream,
+    ``default_rng([seed, condition])`` with the condition's index in sorted
+    name order, and evaluates them in blocks of :data:`BLOCK_SIZE`: samples,
+    verdicts and witnesses do not depend on the block size (margins only up
+    to summation order).  The report keeps the worst margin and the first
     :data:`MAX_WITNESSES` failing samples in index order.  A negative
     ``seed`` raises :class:`ValueError`.
     """
@@ -791,14 +745,13 @@ def check_condition(model: ModelSpec, grid: SpaceGrid, condition: str, *,
         raise ValueError(
             f"unknown condition '{condition}'; available: {sorted(_CONDITIONS)}")
     margin_fn, needs_h = _CONDITIONS[condition]
-    key = (seed, sorted(_CONDITIONS).index(condition))
+    rng = np.random.default_rng([seed, sorted(_CONDITIONS).index(condition)])
 
     worst = np.inf
     witnesses = []
     for start in range(0, samples, BLOCK_SIZE):
-        indices = range(start, min(start + BLOCK_SIZE, samples))
-        t, fields = _draw_block(grid, key, indices, amplitude, t_range,
-                                2 if needs_h else 1)
+        t, fields = _draw_block(grid, rng, min(BLOCK_SIZE, samples - start),
+                                amplitude, t_range, 2 if needs_h else 1)
         x, h = fields[0], (fields[1] if needs_h else None)
         m = margin_fn(model, grid, x, h, t)
         worst = min(worst, float(np.min(m)))

@@ -178,9 +178,10 @@ def _theta_sweep(bands, rhs, tau: float, theta: float):
     with the bands of ``P_k = I/tau + theta DF`` side by side in ``bands``
     and ``-R_k`` in row ``k`` of ``rhs``: one :func:`~benpde.grid.sweep_bands`,
     which returns ``delta`` (one row more than ``rhs``) and the first slice
-    whose solve is singular or not finite, or ``None``.
+    whose solve is singular or not finite, or ``None``.  ``theta`` is 1/2 or
+    1, so ``(1 - theta)/theta`` is 1 or 0.
     """
-    return sweep_bands(bands, rhs, 1.0 / (theta * tau), (1.0 - theta) / theta)
+    return sweep_bands(bands, rhs, 1.0 / (theta * tau), theta != 1.0)
 
 
 def _gauss_newton_direction(model: ModelSpec, traj: Trajectory, state=None):

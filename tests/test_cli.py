@@ -292,15 +292,15 @@ def test_verify_adversarial_fails_positivity(tmp_path, monkeypatch, capsys):
 
 
 #: ``(t, margin)`` of the positivity witnesses of ``verify adversarial.cfg``
-#: in index order, as the one-sample-at-a-time checker recorded them.  They
-#: pin the ``(seed, condition, index)`` sample streams: ``t`` exactly, the
-#: margin to summation-order roundoff.
+#: in index order, as the one-sample-at-a-time replay of ``test_models``
+#: records them.  They pin the ``(seed, condition)`` sample stream: ``t``
+#: exactly, the margin to summation-order roundoff.
 ADVERSARIAL_WITNESSES = (
     (0.08830719356077293, -0.678255166180026),
-    (0.07669830914332021, -0.5002384157824089),
-    (0.04684736930318298, -0.035001450224729676),
-    (0.02591460699999463, -1.8793727666968545),
-    (0.07963731409721446, -0.021184213465267616),
+    (0.0350585465410414, -0.7041985212946427),
+    (0.012348781529716725, -0.5761540125799433),
+    (0.048566709742741014, -0.681715642487084),
+    (0.01633822466552184, -0.7213024407650573),
 )
 
 

@@ -477,26 +477,31 @@ def _ramp_model():
                                            lipschitz=100.0))
 
 
-def _replay(model, grid, condition, samples, seed, amplitude, t_range):
-    """``(t, fields, margin)`` per sample, drawn one at a time from the
-    documented ``(seed, condition, index)`` streams and evaluated by
-    ``condition_margin``."""
-    tag = sorted(CONDITION_NAMES).index(condition)
-    out = []
-    for i in range(samples):
-        rng = np.random.default_rng([seed, tag, i])
-        t = float(rng.uniform(*t_range))
-        fields = []
-        for _ in range(2 if condition in PAIR_CONDITIONS else 1):
+def _loop_draw(grid, rng, count, amplitude, t_range, n_fields):
+    """The checker's draws, one sample at a time, with NumPy's public calls."""
+    t, fields = np.empty(count), np.empty((n_fields, count, 1) + grid.shape)
+    for j in range(count):
+        t[j] = rng.uniform(*t_range)
+        for f in range(n_fields):
             raw = rng.normal(size=grid.shape)
             if rng.uniform() < 0.5:
-                fields.append(amplitude * raw)
+                fields[f, j, 0] = amplitude * raw
             else:
                 z = poisson_solve(grid, raw)[0]
-                fields.append(amplitude * z / max(np.max(np.abs(z)), 1e-30))
-        out.append((t, fields, condition_margin(model, grid, condition,
-                                                *fields, t=t)))
-    return out
+                fields[f, j, 0] = amplitude * z / max(np.max(np.abs(z)), 1e-30)
+    return t, fields
+
+
+def _replay(model, grid, condition, samples, seed, amplitude, t_range):
+    """``(t, fields, margin)`` per sample, drawn one at a time from the
+    documented ``(seed, condition)`` stream and evaluated by
+    ``condition_margin``."""
+    rng = np.random.default_rng([seed, sorted(CONDITION_NAMES).index(condition)])
+    t, fields = _loop_draw(grid, rng, samples, amplitude, t_range,
+                           2 if condition in PAIR_CONDITIONS else 1)
+    return [(t[j], fields[:, j, 0],
+             condition_margin(model, grid, condition, *fields[:, j, 0], t=t[j]))
+            for j in range(samples)]
 
 
 def _assert_margin_close(got, want):
@@ -544,17 +549,21 @@ def test_time_dependent_model_yields_witnesses():
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_report_does_not_depend_on_block_size(monkeypatch, block):
-    g = SpaceGrid(dim=1, n=9)
-    m = _ramp_model()
-    want = check_condition(m, g, "positivity", samples=64, seed=3)
-    monkeypatch.setattr(models, "BLOCK_SIZE", block)
-    got = check_condition(m, g, "positivity", samples=64, seed=3)
-    assert got.passed == want.passed
-    _assert_margin_close(got.worst_margin, want.worst_margin)
-    assert len(got.witnesses) == len(want.witnesses)
-    for a, b in zip(got.witnesses, want.witnesses):
-        assert (a["t"], a["x"]) == (b["t"], b["x"])
-        _assert_margin_close(a["margin"], b["margin"])
+    # A pair condition draws two fields per sample, so it reads the stream
+    # at a different pace than a one-field condition.  Burgers' Lipschitz
+    # margin depends on both fields (heat's is 1 at every sample).
+    for m, g, cond in [(_ramp_model(), SpaceGrid(dim=1, n=9), "positivity"),
+                       (burgers_model(), SpaceGrid(dim=2, n=5), "lipschitz")]:
+        want = check_condition(m, g, cond, samples=64, seed=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "BLOCK_SIZE", block)
+            got = check_condition(m, g, cond, samples=64, seed=3)
+        assert got.passed == want.passed
+        _assert_margin_close(got.worst_margin, want.worst_margin)
+        assert len(got.witnesses) == len(want.witnesses)
+        for a, b in zip(got.witnesses, want.witnesses):
+            assert (a["t"], a["x"], a.get("h")) == (b["t"], b["x"], b.get("h"))
+            _assert_margin_close(a["margin"], b["margin"])
 
 
 @pytest.mark.parametrize("builder", [
@@ -568,8 +577,8 @@ def test_one_sample_margin_equals_its_block_margin_bit_for_bit(builder):
     m = builder()
     for cond in CONDITION_NAMES:
         margin_fn, needs_h = models._CONDITIONS[cond]
-        key = (3, sorted(CONDITION_NAMES).index(cond))
-        t, fields = models._draw_block(g, key, range(64), 1.0, (0.0, 1.0),
+        rng = np.random.default_rng([3, sorted(CONDITION_NAMES).index(cond)])
+        t, fields = models._draw_block(g, rng, 64, 1.0, (0.0, 1.0),
                                        2 if needs_h else 1)
         x, h = fields[0], (fields[1] if needs_h else None)
         block = margin_fn(m, g, x, h, t)
@@ -579,47 +588,26 @@ def test_one_sample_margin_equals_its_block_margin_bit_for_bit(builder):
             assert one == block[j], (cond, j)
 
 
-# -- vectorised stream seeding ---------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32 + 1, 2**70 + 9])
-def test_stream_states_equal_numpy_seeding(seed):
-    # One to three seed words: 2**70 + 9 overflows the pool of four words.
-    indices = [0, 1, 255, 256, 2**32 - 1]
-    for tag in range(len(CONDITION_NAMES)):
-        got = list(models._stream_states((seed, tag), indices))
-        want = [np.random.PCG64(np.random.SeedSequence([seed, tag, i])).state
-                for i in indices]
-        assert got == want, tag
-
-
-def _loop_draw(grid, key, indices, amplitude, t_range, n_fields):
-    """The checker's draws with one ``default_rng`` per sample."""
-    t = np.empty(len(indices))
-    raw = np.empty((n_fields, len(indices)) + grid.shape)
-    smooth = np.empty((n_fields, len(indices)), dtype=bool)
-    for j, i in enumerate(indices):
-        rng = np.random.default_rng([*key, i])
-        t[j] = t_range[0] + (t_range[1] - t_range[0]) * rng.random()
-        for f in range(n_fields):
-            rng.standard_normal(out=raw[f, j])
-            smooth[f, j] = rng.random() >= 0.5
-    fields = amplitude * raw
-    z = poisson_solve(grid, raw[smooth])
-    peak = np.max(np.abs(z), axis=tuple(range(1, z.ndim)), keepdims=True)
-    fields[smooth] = amplitude * z / np.maximum(peak, 1e-30)
-    return t, fields[:, :, None]
+# -- one stream per condition ---------------------------------------------------
 
 
 @pytest.mark.parametrize("n_fields", [1, 2])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_draw_block_equals_per_sample_rng_loop(dim, n_fields):
+    # Blocks of 20 and then 30 samples continue one stream exactly where one
+    # block of 50 would, and both draw what a per-sample loop draws.
     g = SpaceGrid(dim=dim, n=9 if dim == 1 else 5)
-    for key in [(0, 2), (123456, 5), (2**32 + 1, 0)]:
-        args = (g, key, range(250, 300), 1.5, (0.2, 0.9), n_fields)
-        got, want = models._draw_block(*args), _loop_draw(*args)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+    for seed in [[0, 2], [123456, 5], [2**32 + 1, 0]]:
+        args = (1.5, (0.2, 0.9), n_fields)
+        rng = np.random.default_rng(seed)
+        split = [models._draw_block(g, rng, count, *args) for count in (20, 30)]
+        whole = models._draw_block(g, np.random.default_rng(seed), 50, *args)
+        assert np.array_equal(np.concatenate([s[0] for s in split]), whole[0])
+        assert np.array_equal(np.concatenate([s[1] for s in split], axis=1),
+                              whole[1])
+        loop = _loop_draw(g, np.random.default_rng(seed), 50, *args)
+        assert np.array_equal(whole[0], loop[0])
+        np.testing.assert_allclose(whole[1], loop[1], rtol=REPLAY_TOL, atol=0.0)
 
 
 def test_negative_checker_seed_raises():
