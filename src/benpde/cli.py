@@ -60,7 +60,7 @@ from .grid import (
     save_trajectory_csv,
     uniform_times,
 )
-from .models import _BUILDERS, ModelSpec, build_model, check_all_conditions
+from .models import _BUILDERS, ModelSpec, build_model, check_all_conditions, psi_total
 from .solver import (
     SolveOptions,
     compare,
@@ -219,18 +219,19 @@ def _build_model(values) -> ModelSpec:
     return model
 
 
-def _initial_profile(keys: dict, grid: SpaceGrid, cfg_dir: Path) -> Field:
-    profile, amplitude = keys["initial.profile"], keys["initial.amplitude"]
-    coords = grid.node_coords
-    if profile == "sin":
-        out = np.ones(grid.shape)
-        for axis in range(grid.dim):
-            out = out * np.sin(np.pi * coords[axis])
-    elif profile == "bump":
-        out = np.ones(grid.shape)
-        for axis in range(grid.dim):
-            x = coords[axis]
-            out = out * (4.0 * x * (1.0 - x)) ** 2
+#: named initial profiles, as products over the axes of a coordinate factor
+_PROFILES = {"sin": lambda x: np.sin(np.pi * x),
+             "bump": lambda x: (4.0 * x * (1.0 - x)) ** 2}
+
+
+def _initial_profile(keys: dict, grid: SpaceGrid, cfg_dir: Path,
+                     density: PowerDensity) -> Field:
+    """The initial state ``w0``; its integrated density must be finite."""
+    profile = keys["initial.profile"]
+    bad = "initial.path" if profile == "csv" else "initial.amplitude"
+    if profile in _PROFILES:
+        out = keys["initial.amplitude"] * np.prod(
+            _PROFILES[profile](grid.node_coords), axis=0)
     elif profile == "csv":
         if "initial.path" not in keys:
             raise ConfigError("missing required config key 'initial.path'",
@@ -255,10 +256,15 @@ def _initial_profile(keys: dict, grid: SpaceGrid, cfg_dir: Path) -> Field:
         raise ConfigError(f"config key 'initial.profile': unknown profile "
                           f"'{profile}'", key="initial.profile")
     try:
-        return Field(grid, amplitude * out if profile != "csv" else out)
+        w0 = Field(grid, out)
     except NonFiniteInputError as exc:
-        bad = "initial.path" if profile == "csv" else "initial.amplitude"
         raise ConfigError(f"config key '{bad}': {exc}", key=bad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = psi_total(density, grid, w0.values)
+    if not np.isfinite(energy):
+        raise ConfigError(f"config key '{bad}': the integrated density of the "
+                          f"initial state overflows", key=bad)
+    return w0
 
 
 def load_config(path) -> RunConfig:
@@ -277,7 +283,8 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         model=model, grid=grid,
         times=uniform_times(keys["time.T0"], keys["time.M"]),
-        w0=_initial_profile(keys, grid, path.parent), options=options,
+        w0=_initial_profile(keys, grid, path.parent, model.density),
+        options=options,
         out_dir=Path(keys.get("outputs.dir", f"runs/{model.name}")), keys=keys)
 
 

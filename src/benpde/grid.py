@@ -110,17 +110,12 @@ class SpaceGrid:
         x = np.arange(1, self.n + 1) * self.h
         return np.stack(np.meshgrid(*[x] * self.dim, indexing="ij"))
 
-    def padded_coords(self, axis: int) -> np.ndarray:
-        """Node coordinates padded by the boundary layer along one axis.
-
-        Shape ``(dim, *shape_with_axis_grown_by_2)``; used to sample
-        space-dependent model terms at the boundary nodes folded into the
-        first and last staggered edges.
-        """
-        return self._padded_coords[axis]
-
     @cached_property
-    def _padded_coords(self) -> tuple:
+    def padded_coords(self) -> tuple:
+        """Per axis, the node coordinates padded by the boundary layer along
+        it, ``(dim, *shape_with_axis_grown_by_2)``: space-dependent model
+        terms are sampled at the boundary nodes folded into the first and
+        last staggered edges."""
         interior = np.arange(1, self.n + 1) * self.h
         padded = np.arange(0, self.n + 2) * self.h
         return tuple(np.stack(np.meshgrid(
@@ -297,7 +292,7 @@ def sweep_bands(bands: np.ndarray, rhs: np.ndarray, lag: float = 0.0,
     x, failed = np.zeros((slices + 1, size)), slices
     with np.errstate(all="ignore"):  # non-finite rows are found below
         for k in range(slices):
-            b = rhs[k] + lag * x[k]
+            b = rhs[k] + lag * x[k] if lag else rhs[k].copy()
             if tri:
                 *_, b, info = dgtsv(dl[k], d[k], du[k], b, 1, 1, 1, 1)
             else:

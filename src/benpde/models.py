@@ -18,15 +18,16 @@ so ``Lambda_t(u)`` is carried as the nodal density
 the divergence is the exact adjoint of the staggered gradient, so
 summation-by-parts identities hold to roundoff.
 
-Every model stores fitted constants for the structural inequalities the
+Every model stores constants for the structural inequalities the
 well-posedness theory needs (coercive growth, derivative growth, one-sided
 monotonicity, energy positivity, uniform convexity, Lipschitz bounds).  The
 constants are derived from the declared Lipschitz data of the terms plus a
 declared one-sided reaction bound ``B * theta(B) <= rho (B^2 + 1)``; a model
 whose reaction pumps energy faster than its declaration is caught by the
-positivity check (see :func:`adversarial_model`).  :func:`check_condition`
-draws the samples of each inequality in index order from one NumPy stream,
-seeded by its ``seed`` and the condition.
+positivity check (see :func:`adversarial_model`).  A constant calibrated
+against the samples instead is marked fitted.  :func:`check_condition` reads
+the times, white noise and smoothing coins of each inequality's samples, in
+sample order, from three NumPy streams spawned from ``seed`` and the condition.
 
 All operator entry points accept leading batch axes, so a whole trajectory
 or a checker block of :data:`BLOCK_SIZE` samples evaluates in one vectorised
@@ -37,7 +38,7 @@ dissipation models work for any component count.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from typing import Callable, Optional
 
@@ -95,7 +96,7 @@ MARGIN_FLOOR = -1e-9
 MAX_WITNESSES = 5
 
 #: Samples per :func:`check_condition` block.  The burgers, divform_q4 and
-#: adversarial verify configs take 0.25 / 0.19 / 0.18 s at 64 / 256 / 1024,
+#: adversarial verify configs take 0.16 / 0.08 / 0.08 s at 64 / 256 / 1024,
 #: at tracemalloc peaks of 0.2 / 0.7 / 2.5 MB (medians of 15, 2-core x86_64).
 BLOCK_SIZE = 256
 
@@ -154,7 +155,8 @@ class ScalarFluxTerm:
 
 @dataclass(frozen=True)
 class ConditionConstants:
-    """Fitted constants entering the sampled structural inequalities."""
+    """Constants entering the sampled structural inequalities; ``fitted``
+    names the conditions whose constants were calibrated, not derived."""
 
     growth_c0: float
     deriv_g: float
@@ -165,6 +167,7 @@ class ConditionConstants:
     pos_mubar: float
     uniconv_c0: float
     lipschitz_c: float
+    fitted: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -267,7 +270,7 @@ def _edge_flux(model: ModelSpec, grid: SpaceGrid, B: np.ndarray, t) -> list:
     tb = _time_broadcast(t, grid.dim)
     for axis in range(grid.dim):
         b_pad = pad_boundary(grid, B, axis)
-        x_pad = grid.padded_coords(axis)
+        x_pad = grid.padded_coords[axis]
         w = None
         for term, what in ((model.flux, "flux"), (model.scalar_flux, "scalar flux")):
             if term is None:
@@ -471,7 +474,8 @@ def divergence_form_model(q: float = 2.0, a: float = 1.0, eps: float | None = No
         # Sample-range-fitted uniform-convexity constant: the regularizer
         # only controls the quadratic part of the gap, so the constant is
         # calibrated against the checker's sampling distribution.
-        model = replace(model, constants=replace(model.constants, uniconv_c0=2.0e5))
+        model = replace(model, constants=replace(
+            model.constants, uniconv_c0=2.0e5, fitted=("uniform_convexity",)))
     return model
 
 
@@ -579,45 +583,35 @@ class ConditionReport:
     worst_margin: float
     witnesses: list
     passed: bool
+    provenance: str  # "derived" or "fitted": how its constants were set
 
     def to_json_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "samples": self.samples,
-            "worst_margin": self.worst_margin,
-            "witnesses": self.witnesses,
-            "verdict": "pass" if self.passed else "fail",
-        }
+        out = asdict(self)
+        out["verdict"] = "pass" if out.pop("passed") else "fail"
+        return out
 
 
-def _draw_block(grid: SpaceGrid, rng, count: int, amplitude: float, t_range,
+def _draw_block(grid: SpaceGrid, rngs, count: int, amplitude: float, t_range,
                 n_fields: int):
     """Times ``(count,)`` and fields ``(n_fields, count, 1, *shape)`` of the
-    next ``count`` samples of the stream ``rng``.  Each sample draws, in
-    order, its time and then, per field, the white noise and a coin, so a
-    block draws what its samples would draw one at a time.
+    next ``count`` samples from ``rngs``, the condition's streams of times,
+    white noise (per sample, field after field) and per-field coins, each
+    read in sample order: a block draws what its samples would one by one.
 
     Per field, a coin below 0.5 keeps the white noise (rough regime, stressing
     gradient terms); otherwise it is Poisson-smoothed to peak ``amplitude``
     (smooth regime, stressing reaction signs), in one solve per block.
     """
-    t = np.empty(count)
-    raw = np.empty((n_fields, count) + grid.shape)
-    smooth = np.empty((n_fields, count), dtype=bool)
-    lo, span = t_range[0], t_range[1] - t_range[0]
-    for j in range(count):
-        # Bit for bit the draws rng.uniform(*t_range), rng.normal(size=shape)
-        # and rng.uniform(), at a fraction of their call overhead.
-        t[j] = lo + span * rng.random()
-        for f in range(n_fields):
-            rng.standard_normal(out=raw[f, j])
-            smooth[f, j] = rng.random() >= 0.5
+    t_rng, noise_rng, coin_rng = rngs
+    t = t_rng.uniform(*t_range, size=count)
+    raw = noise_rng.standard_normal((count, n_fields) + grid.shape)
+    smooth = coin_rng.random((count, n_fields)) >= 0.5
     fields = amplitude * raw
     if smooth.any():
         z = poisson_solve(grid, raw[smooth])
         peak = np.max(np.abs(z), axis=tuple(range(1, z.ndim)), keepdims=True)
         fields[smooth] = amplitude * z / np.maximum(peak, 1e-30)
-    return t, fields[:, :, None]
+    return t, fields.swapaxes(0, 1)[:, :, None]
 
 
 def _scale(a, b):
@@ -733,24 +727,26 @@ def check_condition(model: ModelSpec, grid: SpaceGrid, condition: str, *,
     """Sample a structural inequality; pass iff the worst normalised margin
     stays above ``-1e-9``.
 
-    Each condition draws its samples in index order from one stream,
-    ``default_rng([seed, condition])`` with the condition's index in sorted
-    name order, and evaluates them in blocks of :data:`BLOCK_SIZE`: samples,
-    verdicts and witnesses do not depend on the block size (margins only up
-    to summation order).  The report keeps the worst margin and the first
-    :data:`MAX_WITNESSES` failing samples in index order.  A negative
-    ``seed`` raises :class:`ValueError`.
+    The times, white noise and smoothing coins come from three streams,
+    ``SeedSequence([seed, condition]).spawn(3)`` with the condition's index
+    in sorted name order, each read in sample order, and the samples are
+    evaluated in blocks of :data:`BLOCK_SIZE`: samples, verdicts and
+    witnesses do not depend on the block size (margins only up to summation
+    order).  The report keeps the worst margin, the first
+    :data:`MAX_WITNESSES` failing samples in index order and the provenance
+    of the constants.  A negative ``seed`` raises :class:`ValueError`.
     """
     if condition not in _CONDITIONS:
         raise ValueError(
             f"unknown condition '{condition}'; available: {sorted(_CONDITIONS)}")
     margin_fn, needs_h = _CONDITIONS[condition]
-    rng = np.random.default_rng([seed, sorted(_CONDITIONS).index(condition)])
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(
+        [seed, sorted(_CONDITIONS).index(condition)]).spawn(3)]
 
     worst = np.inf
     witnesses = []
     for start in range(0, samples, BLOCK_SIZE):
-        t, fields = _draw_block(grid, rng, min(BLOCK_SIZE, samples - start),
+        t, fields = _draw_block(grid, rngs, min(BLOCK_SIZE, samples - start),
                                 amplitude, t_range, 2 if needs_h else 1)
         x, h = fields[0], (fields[1] if needs_h else None)
         m = margin_fn(model, grid, x, h, t)
@@ -762,9 +758,10 @@ def check_condition(model: ModelSpec, grid: SpaceGrid, condition: str, *,
             if needs_h:
                 wit["h"] = h[j].ravel().tolist()
             witnesses.append(wit)
+    provenance = "fitted" if condition in model.constants.fitted else "derived"
     return ConditionReport(condition=condition, samples=samples,
                            worst_margin=worst, witnesses=witnesses,
-                           passed=worst >= MARGIN_FLOOR)
+                           passed=worst >= MARGIN_FLOOR, provenance=provenance)
 
 
 def check_all_conditions(model: ModelSpec, grid: SpaceGrid, *, samples=1000,

@@ -240,6 +240,23 @@ def test_out_of_range_values_rejected(tmp_path, monkeypatch, capsys, model,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "baseline", "verify", "gradcheck"])
+def test_initial_state_with_overflowing_energy_names_the_key(
+        tmp_path, monkeypatch, capsys, command):
+    # The profile itself is finite; its gradient and integrated density are
+    # not.  No numpy warning may escape (the suite turns them into errors).
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.cfg").write_text(
+        "model.name = heat\ngrid.n = 9\ntime.T0 = 0.1\ntime.M = 4\n"
+        "initial.amplitude = 1e308\n")
+    assert main([command, "big.cfg"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"{command}: config key 'initial.amplitude': the integrated "
+                   f"density of the initial state overflows\n")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_solve_key_errors_name_the_key(tmp_path):
     (tmp_path / "bad.cfg").write_text(
         "model.name = heat\ngrid.n = 9\ntime.T0 = 0.1\ntime.M = 4\n"
@@ -293,14 +310,14 @@ def test_verify_adversarial_fails_positivity(tmp_path, monkeypatch, capsys):
 
 #: ``(t, margin)`` of the positivity witnesses of ``verify adversarial.cfg``
 #: in index order, as the one-sample-at-a-time replay of ``test_models``
-#: records them.  They pin the ``(seed, condition)`` sample stream: ``t``
+#: records them.  They pin the ``(seed, condition)`` sample streams: ``t``
 #: exactly, the margin to summation-order roundoff.
 ADVERSARIAL_WITNESSES = (
-    (0.08830719356077293, -0.678255166180026),
-    (0.0350585465410414, -0.7041985212946427),
-    (0.012348781529716725, -0.5761540125799433),
-    (0.048566709742741014, -0.681715642487084),
-    (0.01633822466552184, -0.7213024407650573),
+    (0.02573769717048722, -0.7661344112499716),
+    (0.051192048954910946, -0.7051465495391483),
+    (0.07321512176430496, -0.6732024807913994),
+    (0.0040622737838458935, -0.6985813999814577),
+    (0.07460166766603188, -0.70996407960692),
 )
 
 

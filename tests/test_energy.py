@@ -22,6 +22,7 @@ from benpde.grid import (
     SpaceGrid,
     Trajectory,
     h_inner,
+    h_inner_batch,
     mixed_norm,
     uniform_times,
 )
@@ -29,6 +30,7 @@ from benpde.models import (
     ModelSpec,
     ReactionTerm,
     build_model,
+    dlambda_adjoint_density,
     lambda_density,
     psi_gradient_density,
     psi_total,
@@ -376,6 +378,38 @@ def test_exact_midpoint_solution_is_critical_point():
     assert rep.defect_norm <= 1e-10
     assert rep.residual_norm > 0.1
     assert gnorm <= 1e-8
+
+
+@pytest.mark.parametrize("name,params,dim,n", [
+    ("heat", {}, 1, 9),
+    ("burgers", {}, 1, 9),
+    ("divergence_form", {"q": 4.0}, 1, 9),
+    ("adversarial", {}, 1, 9),
+    ("divergence_form", {"q": 4.0}, 2, 6),
+], ids=["heat", "burgers", "divform_q4", "adversarial", "divform_q4_2d"])
+def test_gradient_against_summed_defects_splits_into_defect_and_drift(
+        name, params, dim, n):
+    # The discrete form of the argument that critical points of J solve the
+    # equation.  With B_k = lam m_k - z_k the primal defect, C_k the
+    # interval term of the gradient (DLambda(m_k)^T B_k + lam (DPsi(lam m_k)
+    # - H_k)) and s_0 = 0, s_{k+1} = s_k + tau B_k, summation by parts gives
+    #   sum_j tau <s_j, g_j> = tau sum_k |B_k|^2
+    #                          + tau sum_k <(s_k + s_{k+1}) / 2, C_k>,
+    # so at g = 0 the defect is bounded by the drift pairing alone.
+    model, grid = build_model(name, **params), SpaceGrid(dim=dim, n=n)
+    traj = _random_trajectory(grid, np.random.default_rng(13), n_steps=8)
+    lam, tau = float(model.lam), traj.tau
+    asm = benpde.energy._assemble(model, traj)
+    B = lam * asm.mids - asm.z
+    C = dlambda_adjoint_density(model, grid, asm.mids, asm.t_mid, B) + lam * (
+        psi_gradient_density(model.density, grid, lam * asm.mids) - asm.H)
+    s = np.concatenate([np.zeros_like(B[:1]), tau * np.cumsum(B, axis=0)])
+    _, grad = energy_and_gradient(model, traj)
+    paired = tau * np.sum(h_inner_batch(grid, s, grad))
+    defect = tau * np.sum(h_inner_batch(grid, B, B))
+    drift = tau * np.sum(h_inner_batch(grid, 0.5 * (s[:-1] + s[1:]), C))
+    assert defect > 0.0
+    assert abs(paired - (defect + drift)) <= 1e-12 * (defect + abs(drift))
 
 
 # -- certificate ------------------------------------------------------------------

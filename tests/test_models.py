@@ -60,7 +60,7 @@ def _oracle_lambda_1d(model, grid, u, t):
     n, h = grid.n, grid.h
     u_pad = np.zeros(n + 2)
     u_pad[1:-1] = u
-    x_pad = grid.padded_coords(0)
+    x_pad = grid.padded_coords[0]
     f_pad = np.zeros(n + 2)
     for term in (model.flux, model.scalar_flux):
         if term is not None:
@@ -426,9 +426,26 @@ def test_report_json_shape():
     r = check_condition(heat_model(), g, "growth", samples=10, seed=1)
     d = r.to_json_dict()
     assert set(d) == {"condition", "samples", "worst_margin", "witnesses",
-                      "verdict"}
+                      "verdict", "provenance"}
     assert d["verdict"] == "pass"
     assert isinstance(r, ConditionReport)
+
+
+@pytest.mark.parametrize("builder,fitted", [
+    (heat_model, set()),
+    (burgers_model, set()),
+    (adversarial_model, set()),
+    (lambda: divergence_form_model(2.0), set()),
+    (lambda: divergence_form_model(4.0), {"uniform_convexity"}),
+])
+def test_reports_say_whether_their_constants_were_fitted(builder, fitted):
+    # Only the q = 4 uniform-convexity constant is calibrated against the
+    # samples; fit_constants derives every other one.
+    g = SpaceGrid(dim=1, n=5)
+    reports = check_all_conditions(builder(), g, samples=2, seed=0)
+    assert {r.condition for r in reports if r.provenance == "fitted"} == fitted
+    assert {r.to_json_dict()["provenance"] for r in reports} <= {"derived",
+                                                                  "fitted"}
 
 
 def test_check_condition_is_deterministic():
@@ -477,14 +494,22 @@ def _ramp_model():
                                            lipschitz=100.0))
 
 
-def _loop_draw(grid, rng, count, amplitude, t_range, n_fields):
+def _streams(entropy):
+    """The three generators (times, white noise, coins) a condition seeded
+    with ``entropy`` draws from."""
+    return [np.random.default_rng(child)
+            for child in np.random.SeedSequence(entropy).spawn(3)]
+
+
+def _loop_draw(grid, rngs, count, amplitude, t_range, n_fields):
     """The checker's draws, one sample at a time, with NumPy's public calls."""
+    t_rng, noise_rng, coin_rng = rngs
     t, fields = np.empty(count), np.empty((n_fields, count, 1) + grid.shape)
     for j in range(count):
-        t[j] = rng.uniform(*t_range)
+        t[j] = t_rng.uniform(*t_range)
         for f in range(n_fields):
-            raw = rng.normal(size=grid.shape)
-            if rng.uniform() < 0.5:
+            raw = noise_rng.normal(size=grid.shape)
+            if coin_rng.uniform() < 0.5:
                 fields[f, j, 0] = amplitude * raw
             else:
                 z = poisson_solve(grid, raw)[0]
@@ -494,10 +519,10 @@ def _loop_draw(grid, rng, count, amplitude, t_range, n_fields):
 
 def _replay(model, grid, condition, samples, seed, amplitude, t_range):
     """``(t, fields, margin)`` per sample, drawn one at a time from the
-    documented ``(seed, condition)`` stream and evaluated by
+    documented ``(seed, condition)`` streams and evaluated by
     ``condition_margin``."""
-    rng = np.random.default_rng([seed, sorted(CONDITION_NAMES).index(condition)])
-    t, fields = _loop_draw(grid, rng, samples, amplitude, t_range,
+    rngs = _streams([seed, sorted(CONDITION_NAMES).index(condition)])
+    t, fields = _loop_draw(grid, rngs, samples, amplitude, t_range,
                            2 if condition in PAIR_CONDITIONS else 1)
     return [(t[j], fields[:, j, 0],
              condition_margin(model, grid, condition, *fields[:, j, 0], t=t[j]))
@@ -577,8 +602,8 @@ def test_one_sample_margin_equals_its_block_margin_bit_for_bit(builder):
     m = builder()
     for cond in CONDITION_NAMES:
         margin_fn, needs_h = models._CONDITIONS[cond]
-        rng = np.random.default_rng([3, sorted(CONDITION_NAMES).index(cond)])
-        t, fields = models._draw_block(g, rng, 64, 1.0, (0.0, 1.0),
+        rngs = _streams([3, sorted(CONDITION_NAMES).index(cond)])
+        t, fields = models._draw_block(g, rngs, 64, 1.0, (0.0, 1.0),
                                        2 if needs_h else 1)
         x, h = fields[0], (fields[1] if needs_h else None)
         block = margin_fn(m, g, x, h, t)
@@ -588,24 +613,24 @@ def test_one_sample_margin_equals_its_block_margin_bit_for_bit(builder):
             assert one == block[j], (cond, j)
 
 
-# -- one stream per condition ---------------------------------------------------
+# -- three streams per condition ------------------------------------------------
 
 
 @pytest.mark.parametrize("n_fields", [1, 2])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_draw_block_equals_per_sample_rng_loop(dim, n_fields):
-    # Blocks of 20 and then 30 samples continue one stream exactly where one
+    # Blocks of 20 and then 30 samples continue the streams exactly where one
     # block of 50 would, and both draw what a per-sample loop draws.
     g = SpaceGrid(dim=dim, n=9 if dim == 1 else 5)
     for seed in [[0, 2], [123456, 5], [2**32 + 1, 0]]:
         args = (1.5, (0.2, 0.9), n_fields)
-        rng = np.random.default_rng(seed)
-        split = [models._draw_block(g, rng, count, *args) for count in (20, 30)]
-        whole = models._draw_block(g, np.random.default_rng(seed), 50, *args)
+        rngs = _streams(seed)
+        split = [models._draw_block(g, rngs, count, *args) for count in (20, 30)]
+        whole = models._draw_block(g, _streams(seed), 50, *args)
         assert np.array_equal(np.concatenate([s[0] for s in split]), whole[0])
         assert np.array_equal(np.concatenate([s[1] for s in split], axis=1),
                               whole[1])
-        loop = _loop_draw(g, np.random.default_rng(seed), 50, *args)
+        loop = _loop_draw(g, _streams(seed), 50, *args)
         assert np.array_equal(whole[0], loop[0])
         np.testing.assert_allclose(whole[1], loop[1], rtol=REPLAY_TOL, atol=0.0)
 
