@@ -19,6 +19,8 @@ Commands
     on random trajectories; print the worst relative error.
 ``conjugate-table --exponent Q ...``
     Tabulate the pointwise convex conjugate as CSV ``y,psi_star,argmax``.
+    A row whose radial solve fails or whose values are not finite is
+    marked with a comment and counts as failed; any failed row exits 3.
 
 Configs are flat ``section.key = value`` text files ('#' and ';' start
 comments).  Unknown or malformed keys abort with exit code 2 and a message
@@ -40,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convex import PowerDensity, eval_conjugate
+from .convex import PowerDensity, conjugate_radius, radial_value
 from .energy import (_report_and_certificate, energy_and_gradient,
                      energy_totals, eval_energy)
 from .errors import (
@@ -92,8 +94,9 @@ _BOOL = {**dict.fromkeys(("true", "yes", "on", "1"), True),
 #: default, check)``: a default of None marks a required key, and ``...`` a
 #: key whose default its reader derives (``initial.path`` is required by the
 #: csv profile only; ``outputs.dir`` defaults to ``runs/<model>``).  The
-#: ``solve.*`` keys up to ``solve.seed`` are the :class:`SolveOptions`
-#: fields, whose ranges ``SolveOptions`` checks.
+#: ``solve.*`` keys up to ``solve.max_line_trials`` are the
+#: :class:`SolveOptions` fields, whose ranges ``SolveOptions`` checks;
+#: ``solve.seed`` seeds the random start.
 _KEYS = {
     "grid.dim": (int, 1, (lambda v: v in (1, 2), "must be 1 or 2")),
     "grid.n": (int, None, _AT_LEAST_1),
@@ -226,7 +229,10 @@ _PROFILES = {"sin": lambda x: np.sin(np.pi * x),
 
 def _initial_profile(keys: dict, grid: SpaceGrid, cfg_dir: Path,
                      density: PowerDensity) -> Field:
-    """The initial state ``w0``; its integrated density must be finite."""
+    """The initial state ``w0``.  The square of its integrated density must
+    be finite: the norms of the energy's gradient and residuals are sums of
+    squares of terms of the order of that density times grid factors, so a
+    density near the float range would overflow in them."""
     profile = keys["initial.profile"]
     bad = "initial.path" if profile == "csv" else "initial.amplitude"
     if profile in _PROFILES:
@@ -260,10 +266,11 @@ def _initial_profile(keys: dict, grid: SpaceGrid, cfg_dir: Path,
     except NonFiniteInputError as exc:
         raise ConfigError(f"config key '{bad}': {exc}", key=bad)
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = psi_total(density, grid, w0.values)
-    if not np.isfinite(energy):
+        square = np.square(psi_total(density, grid, w0.values))
+    if not np.isfinite(square):
         raise ConfigError(f"config key '{bad}': the integrated density of the "
-                          f"initial state overflows", key=bad)
+                          f"initial state is too large (its square "
+                          f"overflows)", key=bad)
     return w0
 
 
@@ -322,7 +329,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
         init = constant_initial_trajectory(cfg.grid, cfg.times, cfg.w0)
     else:
         init = random_initial_trajectory(cfg.grid, cfg.times, cfg.w0,
-                                         seed=cfg.options.seed,
+                                         seed=cfg.keys["solve.seed"],
                                          noise=cfg.keys["solve.noise"])
     try:
         outcome, failure = minimize(cfg.model, init, cfg.options), None
@@ -430,24 +437,28 @@ def _cmd_conjugate_table(args) -> int:
     if args.steps < 2:
         print("conjugate-table: --steps must be at least 2", file=sys.stderr)
         return 2
+    for flag, value in (("--y-min", args.y_min), ("--y-max", args.y_max)):
+        if not np.isfinite(value):
+            print(f"conjugate-table: {flag} must be finite", file=sys.stderr)
+            return 2
     try:
         density = PowerDensity(args.coefficient, args.exponent,
                                args.regularizer)
     except ValueError as exc:
         print(f"conjugate-table: {exc}", file=sys.stderr)
         return 2
-    ys = np.linspace(args.y_min, args.y_max, args.steps)
-    rows = []
-    failures = 0
-    for y in ys:
-        try:
-            result = eval_conjugate(density, abs(y))
-            value = float(result.value)
-            argmax = float(np.sign(y) * result.argmax)
-            rows.append(f"{FMT % y},{FMT % value},{FMT % argmax}")
-        except ConjugateSolveError as exc:
-            failures += 1
-            rows.append(f"{FMT % y},nan,nan  # solve failed: {exc}")
+    rows, failures = [], 0
+    with np.errstate(all="ignore"):  # a row that overflows fails
+        for y in np.linspace(args.y_min, args.y_max, args.steps):
+            try:
+                r, _ = conjugate_radius(density, abs(y))
+                row = [y, r * abs(y) - float(radial_value(density, r)),
+                       np.sign(y) * r]
+                why = "" if np.all(np.isfinite(row)) else "  # not finite"
+            except ConjugateSolveError as exc:
+                row, why = [y, np.nan, np.nan], f"  # solve failed: {exc}"
+            failures += bool(why)
+            rows.append(",".join(FMT % v for v in row) + why)
     out = Path(args.out)
     _write_lines(out, ["y,psi_star,argmax"] + rows)
     print(f"conjugate-table q={args.exponent:g} a={args.coefficient:g} "

@@ -1,25 +1,25 @@
-"""Pointwise convex densities and their Legendre-Fenchel transforms.
+"""Radial convex densities and their Legendre-Fenchel transforms.
 
 The dissipation densities used throughout the package are radial power laws
 
     psi(xi) = (a/q) |xi|^q + (eps/2) |xi|^2,      a > 0, q >= 2, eps >= 0,
 
-acting on vectors (or flattened matrices) ``xi``.  Everything downstream
-needs three operations on such a density: evaluation, the gradient
-``Dpsi(xi) = (a |xi|^{q-2} + eps) xi``, and the Legendre-Fenchel conjugate
+so every operation on them is a function of the magnitude ``s = |xi|``.
+This module is that radial core, vectorised over arrays of magnitudes:
+:func:`radial_value` is psi, :func:`radial_coefficient` the factor of the
+gradient ``Dpsi(xi) = (a |xi|^{q-2} + eps) xi``, and :func:`conjugate_radius`
+gives the Legendre-Fenchel conjugate
 
-    psi*(y) = sup_z { <z, y> - psi(z) },
+    psi*(y) = sup_z { <z, y> - psi(z) } = r |y| - psi(r),
 
-together with its maximiser ``z* = Dpsi^{-1}(y)``.  Because psi is radial,
-the conjugate reduces to the scalar monotone equation
+with maximiser ``z* = Dpsi^{-1}(y) = (r/|y|) y``, through the radius ``r``
+that solves the scalar monotone equation
 
-    a r^{q-1} + eps r = |y|
+    a r^{q-1} + eps r = |y|.
 
-for the radius ``r = |z*|``, solved in closed form for ``q = 2`` and ``q = 4``
-and otherwise by a guarded Newton iteration with a bisection fallback.  The
-solve is cheap, vectorises over batches of radii,
-and is accurate to machine precision, which the Fenchel-Young based
-certificates downstream rely on.
+It is solved in closed form for ``q = 2`` and ``q = 4`` and otherwise by a
+guarded Newton iteration with a bisection fallback, accurate to machine
+precision, which the Fenchel-Young based certificates downstream rely on.
 """
 
 from __future__ import annotations
@@ -28,15 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConjugateSolveError, NonFiniteInputError
+from .errors import ConjugateSolveError
 
 __all__ = [
     "PowerDensity",
-    "ConjugateValue",
-    "eval_psi",
-    "grad_psi",
-    "eval_conjugate",
-    "fenchel_gap",
     "radial_value",
     "radial_slope",
     "radial_coefficient",
@@ -79,35 +74,6 @@ class PowerDensity:
             raise ValueError(f"exponent must be >= 2, got {self.exponent}")
         if not np.isfinite(self.regularizer) or self.regularizer < 0.0:
             raise ValueError(f"regularizer must be >= 0, got {self.regularizer}")
-
-
-@dataclass(frozen=True)
-class ConjugateValue:
-    """Result of a conjugate evaluation ``psi*(y)``.
-
-    Attributes
-    ----------
-    value : float
-        The conjugate value.
-    argmax : numpy.ndarray
-        The maximiser ``z*`` of ``<z, y> - psi(z)``; equals ``Dpsi^{-1}(y)``.
-    newton_iters : int
-        Iterations used by the radial root solve.
-    """
-
-    value: float
-    argmax: np.ndarray
-    newton_iters: int
-
-
-def _as_clean_array(xi, name: str) -> np.ndarray:
-    arr = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteInputError(f"{name} contains non-finite components")
-    return arr
-
-
-# -- radial machinery (vectorised over arrays of magnitudes) -----------------
 
 
 def radial_value(density: PowerDensity, s):
@@ -165,8 +131,10 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
 
     ``q = 2`` is linear and ``q = 4`` a cubic, both solved in closed form.
     Other exponents use Newton iteration started from the upper end of the
-    bracket ``[0, max(1, s)^{1/(q-1)} a^{-1/(q-1)} + s / max(eps, 1)]``;
-    since the profile is convex and increasing, Newton from above decreases
+    bracket ``[0, min(max(1, s)^{1/(q-1)} a^{-1/(q-1)} + s / max(eps, 1),
+    2 (s/a)^{1/(q-1)} + 1)]``.  The root is at most ``(s/a)^{1/(q-1)}``, so
+    the second end keeps ``r^{q-1}`` finite at large ``s``.  Since the
+    profile is convex and increasing, Newton from above decreases
     monotonically onto the root, and a bisection step guards every update
     that would leave the bracket.  Returns ``(r, iterations)`` where
     ``iterations`` is the worst case over the batch.
@@ -187,7 +155,8 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
 
     lo = np.zeros_like(s)
     hi = np.maximum(1.0, s) ** (1.0 / (q - 1.0)) * a ** (-1.0 / (q - 1.0))
-    hi = hi + s / max(eps, 1.0)
+    hi = np.minimum(hi + s / max(eps, 1.0),
+                    2.0 * (s / a) ** (1.0 / (q - 1.0)) + 1.0)
     r = hi.copy()
     r[s == 0.0] = 0.0
 
@@ -227,62 +196,3 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
             )
     return (float(r[0]) if scalar_in else r), worst_iters
 
-
-# -- public pointwise operations ---------------------------------------------
-
-
-def eval_psi(density: PowerDensity, xi) -> float:
-    """Evaluate ``psi(xi)`` for a vector (any shape; Frobenius magnitude)."""
-    arr = _as_clean_array(xi, "xi")
-    return float(radial_value(density, np.linalg.norm(arr)))
-
-
-def grad_psi(density: PowerDensity, xi) -> np.ndarray:
-    """Gradient ``Dpsi(xi) = (a |xi|^{q-2} + eps) xi``, same shape as xi."""
-    arr = _as_clean_array(xi, "xi")
-    return radial_coefficient(density, np.linalg.norm(arr)) * arr
-
-
-def eval_conjugate(density: PowerDensity, y, tol: float = NEWTON_TOL,
-                   max_iters: int = NEWTON_MAX_ITERS) -> ConjugateValue:
-    """Legendre-Fenchel conjugate ``psi*(y)`` with maximiser.
-
-    Parameters
-    ----------
-    density : PowerDensity
-    y : array_like
-        Dual vector (any shape).
-    tol : float, optional
-        Residual tolerance of the radial root solve, relative to
-        ``max(1, |y|)``.
-    max_iters : int, optional
-        Iteration cap; exceeding it raises :class:`ConjugateSolveError`.
-
-    Returns
-    -------
-    ConjugateValue
-        ``value = <z*, y> - psi(z*)`` and ``argmax = z*``.
-    """
-    arr = _as_clean_array(y, "y")
-    s = float(np.linalg.norm(arr))
-    r, iters = conjugate_radius(density, s, tol=tol, max_iters=max_iters)
-    if s == 0.0:
-        argmax = np.zeros_like(arr)
-    else:
-        argmax = (r / s) * arr
-    value = r * s - float(radial_value(density, r))
-    return ConjugateValue(value=value, argmax=argmax, newton_iters=iters)
-
-
-def fenchel_gap(density: PowerDensity, x, y) -> float:
-    """Fenchel-Young gap ``psi(x) + psi*(y) - <x, y>`` (nonnegative).
-
-    Zero exactly when ``y = Dpsi(x)``; the gap is the pointwise optimality
-    certificate used by the trajectory energy.
-    """
-    xa = _as_clean_array(x, "x")
-    ya = _as_clean_array(y, "y")
-    if xa.shape != ya.shape:
-        raise ValueError(f"shape mismatch: {xa.shape} vs {ya.shape}")
-    pairing = float(np.vdot(xa, ya))
-    return eval_psi(density, xa) + eval_conjugate(density, ya).value - pairing

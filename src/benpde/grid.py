@@ -32,7 +32,7 @@ five-point scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -389,7 +389,6 @@ class Trajectory:
     grid: SpaceGrid
     times: np.ndarray
     states: np.ndarray
-    initial_locked: bool = field(default=True)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)

@@ -68,10 +68,9 @@ class SolveOptions:
     ``grad_tol`` stops on the time-weighted gradient norm, ``energy_tol`` on
     the normalized energy; whichever hits first.  The line search is Armijo
     backtracking on the energy with slope fraction ``armijo_c1`` and step
-    factor ``backtrack``, from the unit Gauss-Newton step.  ``seed``
-    controls random initialization helpers, not the descent itself, which
-    is deterministic.  A ``ValueError`` for a field out of range starts
-    with ``"<field>: "``.
+    factor ``backtrack``, from the unit Gauss-Newton step; the descent is
+    deterministic.  A ``ValueError`` for a field out of range starts with
+    ``"<field>: "``.
     """
 
     max_iters: int = 500
@@ -80,7 +79,6 @@ class SolveOptions:
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
     max_line_trials: int = 40
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -221,8 +219,6 @@ def minimize(model: ModelSpec, init: Trajectory,
     fails the Armijo test.  Raises :class:`~benpde.errors.LineSearchError`
     (carrying the last outcome) if no trial step is accepted.
     """
-    if not init.initial_locked:
-        raise ValueError("minimization requires a locked initial state")
     weight = init.tau * init.grid.cell_volume
     state = _assemble(model, init, gradient=True)
     gnorm = mixed_norm(init, state.gradient)

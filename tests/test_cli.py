@@ -253,8 +253,23 @@ def test_initial_state_with_overflowing_energy_names_the_key(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"{command}: config key 'initial.amplitude': the integrated "
-                   f"density of the initial state overflows\n")
+                   f"density of the initial state is too large (its square "
+                   f"overflows)\n")
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("amplitude", ["1e151", "1e152", "1e153"])
+@pytest.mark.parametrize("command", ["solve", "baseline"])
+def test_initial_state_near_overflow_names_the_key(tmp_path, monkeypatch,
+                                                   capsys, command, amplitude):
+    # Psi(w0) is finite here, but the gradient norm of a random start or the
+    # baseline's residual norms would overflow.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.cfg").write_text(
+        "model.name = heat\ngrid.n = 9\ntime.T0 = 0.1\ntime.M = 64\n"
+        f"initial.amplitude = {amplitude}\n")
+    assert main([command, "big.cfg"]) == 2
+    assert "'initial.amplitude'" in capsys.readouterr().err
 
 
 def test_solve_key_errors_name_the_key(tmp_path):
@@ -442,9 +457,40 @@ def test_conjugate_table_monotone_and_convex(tmp_path, monkeypatch):
 
 def test_conjugate_table_rejects_bad_arguments(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(["conjugate-table", "--steps", "1"]) == 2
-    assert main(["conjugate-table", "--exponent", "1.5"]) == 2
-    assert capsys.readouterr().err != ""
+    for argv, flag in ((["--steps", "1"], "--steps"),
+                       (["--exponent", "1.5"], "exponent"),
+                       (["--y-min", "nan"], "--y-min"),
+                       (["--y-max", "inf"], "--y-max")):
+        assert main(["conjugate-table", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and flag in err
+    assert not (tmp_path / "conjugate_table.csv").exists()
+
+
+def test_conjugate_table_counts_non_finite_rows_as_failures(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # psi_star = r|y| - psi(r) overflows above |y| ~ 3e205 at q = 3; numpy
+    # warnings are errors in this suite, so none may escape either.
+    monkeypatch.chdir(tmp_path)
+    assert main(["conjugate-table", "--exponent", "3", "--y-max", "1e300",
+                 "--out", "t.csv"]) == 3
+    assert "41 rows, 40 failures" in capsys.readouterr().out
+    rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert rows[0].startswith("-2,1.8856180831641267,-1.41421356237309")
+    assert all(row.endswith("  # not finite") for row in rows[1:])
+
+
+def test_conjugate_table_general_q_at_huge_arguments(tmp_path, monkeypatch):
+    # r = |y|^{1/9} = 1.29e11 and psi* = (9/10) r |y| = 1.16e111 at the
+    # last row; the Newton start used to overflow r^{q-1} there.
+    monkeypatch.chdir(tmp_path)
+    assert main(["conjugate-table", "--exponent", "10", "--y-min", "1e99",
+                 "--y-max", "1e100", "--steps", "3", "--out", "t.csv"]) == 0
+    y, psi_star, argmax = np.loadtxt(tmp_path / "t.csv", delimiter=",",
+                                     skiprows=1).T
+    np.testing.assert_allclose(argmax, y ** (1.0 / 9.0), rtol=1e-14)
+    np.testing.assert_allclose(psi_star, 0.9 * argmax * y, rtol=1e-14)
 
 
 def test_csv_initial_profile(tmp_path, monkeypatch):

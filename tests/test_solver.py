@@ -163,14 +163,6 @@ def test_line_search_rejects_a_trial_that_raises(monkeypatch):
     np.testing.assert_array_equal(out.history, clean.history)
 
 
-def test_minimize_requires_locked_initial_state():
-    grid, times, w0 = _sine_setup()
-    init = constant_initial_trajectory(grid, times, w0)
-    init.initial_locked = False
-    with pytest.raises(ValueError, match="locked"):
-        minimize(build_model("heat"), init)
-
-
 def test_max_iters_reached_is_a_valid_outcome():
     grid, times, w0 = _sine_setup()
     init = random_initial_trajectory(grid, times, w0, seed=9)
@@ -631,10 +623,9 @@ def test_uniqueness_probe_trivial_model_collapses():
 
 def test_uniqueness_probe_heat_minimizers_agree():
     grid, times, w0 = _sine_setup()
-    opts = SolveOptions(max_iters=2500, grad_tol=1e-13, energy_tol=1e-13,
-                        seed=21)
+    opts = SolveOptions(max_iters=2500, grad_tol=1e-13, energy_tol=1e-13)
     probe = uniqueness_probe(build_model("heat"), grid, times,
-                             Field(grid, w0), opts, n_seeds=3)
+                             Field(grid, w0), opts, n_seeds=3, seed=21)
     assert probe.max_pairwise <= 1e-4
     assert probe.seeds == [21, 22, 23]
 

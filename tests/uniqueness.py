@@ -32,9 +32,9 @@ class ProbeResult:
 
 def uniqueness_probe(model: ModelSpec, grid: SpaceGrid, times, w0,
                      opts: SolveOptions = SolveOptions(), n_seeds: int = 3,
-                     noise: float = 0.5) -> ProbeResult:
-    """Minimize from several random starts and report the worst pairwise
-    discrepancy among converged minimizers.
+                     noise: float = 0.5, seed: int = 0) -> ProbeResult:
+    """Minimize from the random starts of seeds ``seed, seed + 1, ...`` and
+    report the worst pairwise discrepancy among converged minimizers.
 
     Seeds that fail (line-search stall or no convergence) are recorded, not
     fatal; the probe itself fails only when fewer than two runs converge.
@@ -44,7 +44,7 @@ def uniqueness_probe(model: ModelSpec, grid: SpaceGrid, times, w0,
     """
     if n_seeds < 2:
         raise ValueError("uniqueness probe needs at least two seeds")
-    seeds = [opts.seed + i for i in range(n_seeds)]
+    seeds = [seed + i for i in range(n_seeds)]
     outcomes = []
     flags = []
     for s in seeds:
