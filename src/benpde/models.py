@@ -1,19 +1,19 @@
 """Evolution models in divergence form and their structural condition checks.
 
 A model couples a convex dissipation density ``psi`` with a (possibly zero)
-first-order operator assembled weakly from three ingredients, all optional:
+first-order operator assembled weakly from two ingredients, both optional:
 
 * a reaction ``theta(B, x, t)`` tested directly against perturbations,
-* a matrix flux ``xi(B, x, t)`` tested against perturbation gradients,
-* a scalar flux ``F(u)`` (Burgers-type, truncated to stay Lipschitz).
+* a flux ``xi(B, x, t)`` tested against perturbation gradients (the
+  Burgers flux ``u^2/2``, truncated to stay Lipschitz, is one).
 
 The weak form on the Dirichlet grid reads, for any test field ``delta``,
 
-    <delta, Lambda_t(u)> = sum_edges h^d [xi + F] . grad(delta)
+    <delta, Lambda_t(u)> = sum_edges h^d xi . grad(delta)
                          - sum_nodes h^d theta . delta,
 
 so ``Lambda_t(u)`` is carried as the nodal density
-``-div(edge_avg(xi + F)) - theta``.  Flux terms are sampled at the nodes
+``-div(edge_avg(xi)) - theta``.  The flux is sampled at the nodes
 (including the zero boundary layer) and averaged onto the staggered edges;
 the divergence is the exact adjoint of the staggered gradient, so
 summation-by-parts identities hold to roundoff.
@@ -37,9 +37,7 @@ dissipation models work for any component count.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass, replace
-from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,7 +63,6 @@ from .grid import (
 __all__ = [
     "ReactionTerm",
     "FluxTerm",
-    "ScalarFluxTerm",
     "ConditionConstants",
     "ModelSpec",
     "ConditionReport",
@@ -127,7 +124,7 @@ class ReactionTerm:
 
 @dataclass(frozen=True)
 class FluxTerm:
-    """Matrix flux ``xi(B, x, t)``: tested against perturbation gradients.
+    """Flux ``xi(B, x, t)``: tested against perturbation gradients.
 
     ``func``/``deriv`` have signature ``(B, x, t, axis) -> array like B``
     returning one spatial component at a time.  ``lipschitz`` bounds the
@@ -137,20 +134,6 @@ class FluxTerm:
     func: Callable
     deriv: Callable
     lipschitz: float
-
-
-@dataclass(frozen=True)
-class ScalarFluxTerm:
-    """Burgers-type flux ``F(u)``; same calling convention as :class:`FluxTerm`.
-
-    ``cap`` is the truncation level U_max making F globally Lipschitz with
-    constant ``lipschitz``.
-    """
-
-    func: Callable
-    deriv: Callable
-    lipschitz: float
-    cap: float
 
 
 @dataclass(frozen=True)
@@ -184,7 +167,6 @@ class ModelSpec:
     lam: int = 1
     reaction: Optional[ReactionTerm] = None
     flux: Optional[FluxTerm] = None
-    scalar_flux: Optional[ScalarFluxTerm] = None
     constants: Optional[ConditionConstants] = None
 
     def __post_init__(self):
@@ -200,8 +182,7 @@ class ModelSpec:
 
     @property
     def has_terms(self) -> bool:
-        return any(t is not None for t in (self.reaction, self.flux,
-                                           self.scalar_flux))
+        return self.reaction is not None or self.flux is not None
 
 
 # -- integrated dissipation machinery -------------------------------------------
@@ -261,23 +242,17 @@ def _check_finite(arr, what: str):
 
 
 def _edge_flux(model: ModelSpec, grid: SpaceGrid, B: np.ndarray, t) -> list:
-    """Flux terms sampled on the padded lattice and averaged onto edges.
+    """The flux sampled on the padded lattice and averaged onto edges.
 
-    The terms are evaluated at the boundary nodes too, because ``F(0, x)``
-    need not vanish: padding the interior values is not enough.
+    It is evaluated at the boundary nodes too, because ``xi(0, x)`` need not
+    vanish: padding the interior values is not enough.
     """
     edges = []
     tb = _time_broadcast(t, grid.dim)
     for axis in range(grid.dim):
-        b_pad = pad_boundary(grid, B, axis)
-        x_pad = grid.padded_coords[axis]
-        w = None
-        for term, what in ((model.flux, "flux"), (model.scalar_flux, "scalar flux")):
-            if term is None:
-                continue
-            val = term.func(b_pad, x_pad, tb, axis)
-            _check_finite(val, f"{what} term of model '{model.name}'")
-            w = val if w is None else w + val
+        w = model.flux.func(pad_boundary(grid, B, axis),
+                            grid.padded_coords[axis], tb, axis)
+        _check_finite(w, f"flux term of model '{model.name}'")
         edges.append(pair_mean(grid, w, axis))
     return edges
 
@@ -296,7 +271,7 @@ def lambda_density(model: ModelSpec, grid: SpaceGrid, values, t):
     comp = -(grid.dim + 1)
     B = np.squeeze(arr, axis=comp)
     acc = np.zeros_like(B)
-    if model.flux is not None or model.scalar_flux is not None:
+    if model.flux is not None:
         acc = acc + -divergence(grid, _edge_flux(model, grid, B, t))
     if model.reaction is not None:
         tb = _time_broadcast(t, grid.dim)
@@ -309,15 +284,14 @@ def lambda_density(model: ModelSpec, grid: SpaceGrid, values, t):
 def _linearization(model: ModelSpec, grid: SpaceGrid, values, t):
     """Scalar states ``B`` ``(..., *shape)`` of ``values`` (``ValueError``
     unless one-component), the reaction derivative ``dtheta/dB`` (``None``
-    without a reaction) and the per-axis nodal derivatives of the summed
-    fluxes (``[]`` without one): the linearization of ``Lambda_t`` that
+    without a reaction) and the per-axis nodal derivatives of the flux
+    (``[]`` without one): the linearization of ``Lambda_t`` that
     :func:`dlambda_density`, its adjoint and :func:`jacobian_bands` share."""
     B = np.squeeze(_batched(values, grid), axis=-(grid.dim + 1))
     tb, x = _time_broadcast(t, grid.dim), grid.node_coords
     dtheta = None if model.reaction is None else model.reaction.deriv(B, x, tb)
-    fluxes = [term for term in (model.flux, model.scalar_flux) if term is not None]
-    dflux = [reduce(operator.add, [term.deriv(B, x, tb, axis) for term in fluxes])
-             for axis in range(grid.dim)] if fluxes else []
+    dflux = [] if model.flux is None else [model.flux.deriv(B, x, tb, axis)
+                                           for axis in range(grid.dim)]
     return B, dtheta, dflux
 
 
@@ -423,10 +397,10 @@ def burgers_model(a: float = 1.0, u_max: float = 10.0) -> ModelSpec:
         name="burgers",
         density=PowerDensity(a, 2.0, 0.0),
         lam=1,
-        scalar_flux=ScalarFluxTerm(
+        flux=FluxTerm(
             func=_first_axis(lambda u: _truncated_square(u, u_max)),
             deriv=_first_axis(lambda u: _truncated_square_deriv(u, u_max)),
-            lipschitz=u_max, cap=u_max),
+            lipschitz=u_max),
     )
 
 
@@ -541,8 +515,7 @@ def fit_constants(model: ModelSpec) -> ConditionConstants:
     qstar = q / (q - 1.0)
     l_theta = model.reaction.lipschitz if model.reaction else 0.0
     rho = model.reaction.dissipation if model.reaction else 0.0
-    l_flux = (model.flux.lipschitz if model.flux else 0.0) + \
-        (model.scalar_flux.lipschitz if model.scalar_flux else 0.0)
+    l_flux = model.flux.lipschitz if model.flux else 0.0
     c_unif = eps + (a if q == 2.0 else 0.0)
 
     growth_c0 = 2.0 * max(q / a, a / q + eps + 1.0)

@@ -62,9 +62,8 @@ def _oracle_lambda_1d(model, grid, u, t):
     u_pad[1:-1] = u
     x_pad = grid.padded_coords[0]
     f_pad = np.zeros(n + 2)
-    for term in (model.flux, model.scalar_flux):
-        if term is not None:
-            f_pad += term.func(u_pad, x_pad, t, 0)
+    if model.flux is not None:
+        f_pad += model.flux.func(u_pad, x_pad, t, 0)
     edge = 0.5 * (f_pad[:-1] + f_pad[1:])
     out = np.zeros(n)
     for j in range(n):
