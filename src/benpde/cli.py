@@ -36,6 +36,7 @@ import argparse
 import inspect
 import json
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -227,12 +228,21 @@ _PROFILES = {"sin": lambda x: np.sin(np.pi * x),
              "bump": lambda x: (4.0 * x * (1.0 - x)) ** 2}
 
 
+def _check_density(density, grid, values, key: str, what: str) -> None:
+    """Raise :class:`ConfigError` naming ``key`` unless the states ``values``
+    (``None`` if not finite) have integrated densities with finite squares,
+    as the energy's gradient and residual norms sum squares of that order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = np.inf if values is None else np.square(
+            psi_total(density, grid, values))
+    if not np.isfinite(square).all():
+        raise ConfigError(f"config key '{key}': the integrated density of "
+                          f"{what} is too large (its square overflows)", key=key)
+
+
 def _initial_profile(keys: dict, grid: SpaceGrid, cfg_dir: Path,
                      density: PowerDensity) -> Field:
-    """The initial state ``w0``.  The square of its integrated density must
-    be finite: the norms of the energy's gradient and residuals are sums of
-    squares of terms of the order of that density times grid factors, so a
-    density near the float range would overflow in them."""
+    """The initial state ``w0``, checked by :func:`_check_density`."""
     profile = keys["initial.profile"]
     bad = "initial.path" if profile == "csv" else "initial.amplitude"
     if profile in _PROFILES:
@@ -265,12 +275,7 @@ def _initial_profile(keys: dict, grid: SpaceGrid, cfg_dir: Path,
         w0 = Field(grid, out)
     except NonFiniteInputError as exc:
         raise ConfigError(f"config key '{bad}': {exc}", key=bad)
-    with np.errstate(over="ignore", invalid="ignore"):
-        square = np.square(psi_total(density, grid, w0.values))
-    if not np.isfinite(square):
-        raise ConfigError(f"config key '{bad}': the integrated density of the "
-                          f"initial state is too large (its square "
-                          f"overflows)", key=bad)
+    _check_density(density, grid, w0.values, bad, "the initial state")
     return w0
 
 
@@ -328,9 +333,13 @@ def _cmd_solve(cfg: RunConfig) -> int:
     if cfg.keys["solve.init"] == "constant":
         init = constant_initial_trajectory(cfg.grid, cfg.times, cfg.w0)
     else:
-        init = random_initial_trajectory(cfg.grid, cfg.times, cfg.w0,
-                                         seed=cfg.keys["solve.seed"],
-                                         noise=cfg.keys["solve.noise"])
+        init = None  # unless the start is finite; it is checked below
+        with np.errstate(all="ignore"), suppress(NonFiniteInputError):
+            init = random_initial_trajectory(cfg.grid, cfg.times, cfg.w0,
+                                             seed=cfg.keys["solve.seed"],
+                                             noise=cfg.keys["solve.noise"])
+        _check_density(cfg.model.density, cfg.grid, getattr(init, "states", None),
+                       "solve.noise", "a state of the random start")
     try:
         outcome, failure = minimize(cfg.model, init, cfg.options), None
     except LineSearchError as exc:

@@ -168,7 +168,8 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
     polish = np.where(s == 0.0, -1, 2)
     worst_iters = 0
     for it in range(max_iters):
-        f = radial_slope(density, r) - s
+        with np.errstate(over="ignore"):  # the start may overshoot the range
+            f = radial_slope(density, r) - s
         done = np.abs(f) <= target_tol
         polish = np.where(done, polish - 1, 2)
         active = polish >= 0

@@ -36,9 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgbsv, dgtsv
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbsv, dgtsv, dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .errors import NonFiniteInputError
 
@@ -123,13 +121,20 @@ class SpaceGrid:
             indexing="ij")) for axis in range(self.dim))
 
     @cached_property
-    def _poisson_lu(self):
-        """SuperLU factors of ``-laplacian`` on flattened nodal values."""
+    def _poisson_factor(self) -> tuple:
+        """``dpttrs`` or ``dpbtrs`` and the LAPACK Cholesky factors of
+        ``-laplacian`` it reads: ``dpttrf``'s ``(d, e)`` when the bands are
+        tridiagonal, else ``dpbtrf``'s upper ``w + 1`` bands."""
         ones = [np.ones(self.edge_shape(a)) for a in range(self.dim)]
         bands = stencil_bands(self, np.zeros(self.shape), ones)
         w = bands.shape[0] // 2
-        return splu(sp.dia_matrix((bands, np.arange(w, -w - 1, -1)),
-                                  shape=(self.n_nodes,) * 2).tocsc())
+        if w == 1 and self.n_nodes > 1:  # f2py's dpttrf rejects an empty e
+            solve, (*factor, info) = dpttrs, dpttrf(bands[1], bands[0, 1:])
+        else:
+            solve, (*factor, info) = dpbtrs, dpbtrf(bands[:w + 1])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Poisson factorization: info {info}")
+        return (solve, *factor)
 
 
 @dataclass
@@ -231,8 +236,11 @@ def laplacian(grid: SpaceGrid, values) -> np.ndarray:
 def poisson_solve(grid: SpaceGrid, rhs) -> np.ndarray:
     """Solve ``laplacian(z) = rhs`` with zero boundary values (batched)."""
     arr = _batched(rhs, grid)
-    flat = arr.reshape(-1, grid.n_nodes)
-    return grid._poisson_lu.solve(-flat.T).T.reshape(arr.shape)
+    solve, *factor = grid._poisson_factor
+    z, info = solve(*factor, -arr.reshape(-1, grid.n_nodes).T, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Poisson solve: info {info}")
+    return z.T.reshape(arr.shape)
 
 
 def stencil_bands(grid: SpaceGrid, diag, edge_weights=(), node_coefs=()):
@@ -361,8 +369,7 @@ def dual_grad_norm(grid: SpaceGrid, density, p: float) -> float:
     for other exponents it is the same lifted-gradient construction with the
     corresponding Lebesgue norm.
     """
-    z = poisson_solve(grid, -np.asarray(density.values if isinstance(density, Field)
-                                        else density, dtype=float))
+    z = poisson_solve(grid, -_batched(density, grid))
     return grad_norm(grid, z, p)
 
 

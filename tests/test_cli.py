@@ -272,6 +272,26 @@ def test_initial_state_near_overflow_names_the_key(tmp_path, monkeypatch,
     assert "'initial.amplitude'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("noise,code", [("5e75", 0), ("1e76", 2), ("1e152", 2),
+                                        ("1e160", 2), ("1e308", 2)])
+def test_random_start_near_overflow_names_the_key(tmp_path, monkeypatch,
+                                                  capsys, noise, code):
+    # The square of each random state's integrated density must be finite,
+    # as for Psi(w0); at 1e308 the noise itself overflows.  No numpy warning
+    # may escape (the suite turns them into errors).
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "noisy.cfg").write_text(
+        "model.name = heat\ngrid.n = 9\ntime.T0 = 0.1\ntime.M = 64\n"
+        f"solve.noise = {noise}\n")
+    assert main(["solve", "noisy.cfg"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.count("\n") == 1 and "'solve.noise'" in err
+        assert not (tmp_path / "runs").exists()
+    else:
+        assert err == ""
+
+
 def test_solve_key_errors_name_the_key(tmp_path):
     (tmp_path / "bad.cfg").write_text(
         "model.name = heat\ngrid.n = 9\ntime.T0 = 0.1\ntime.M = 4\n"
@@ -540,22 +560,37 @@ def test_bundled_divform_config_parses():
     assert cfg.model.density.regularizer > 0.0
 
 
-def test_module_entry_point(tmp_path):
-    # The child runs in tmp_path, so a relative PYTHONPATH (such as the
-    # ``src`` of an uninstalled checkout) would not resolve there; put the
-    # directory holding the imported package first, as an absolute path.
+def _child_env() -> dict:
+    """The environment with the directory holding the imported package first
+    on PYTHONPATH, as an absolute path: a child run in another directory
+    would not resolve a relative one (such as the ``src`` of a checkout)."""
     package_root = os.path.dirname(os.path.dirname(
         os.path.abspath(benpde.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "benpde", "conjugate-table", "--steps", "5",
          "--out", str(tmp_path / "t.csv")],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 1
     assert (tmp_path / "t.csv").exists()
+
+
+def test_cli_import_loads_no_sparse_matrices(tmp_path):
+    # Every grid solve runs LAPACK on band storage; a fresh interpreter
+    # importing the CLI must not pull in scipy.sparse.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, benpde.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _write_quick_heat(path, extra="", initial="initial.profile = sin\n"):

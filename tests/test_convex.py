@@ -207,7 +207,8 @@ def test_hessian_matches_gradient_differences():
 def test_general_q_radius_at_huge_magnitudes():
     # The Newton start is at most 2(s/a)^{1/(q-1)} + 1, so r^{q-1} stays
     # finite where the root is; numpy warnings are errors in this suite.
-    for q, s in ((10.0, 1e100), (3.0, 1e300), (6.0, 1e150), (2.5, 1e250)):
+    for q, s in ((10.0, 1e100), (3.0, 1e300), (6.0, 1e150), (2.5, 1e250),
+                 (2.5, 1e308), (10.0, 1e308)):
         d = PowerDensity(1.0, q)
         r, iters = conjugate_radius(d, s)
         assert r == pytest.approx(s ** (1.0 / (q - 1.0)), rel=1e-12)

@@ -79,7 +79,8 @@ def test_poisson_recovers_parabola():
     np.testing.assert_allclose(sol[0], x * (1.0 - x), atol=INVERSE_TOL)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 21), (2, 8)])
+@pytest.mark.parametrize("dim,n", [(1, 21), (2, 8), (1, 1), (2, 1), (1, 2),
+                                   (2, 2)])
 def test_poisson_two_sided_inverse(dim, n):
     g = SpaceGrid(dim=dim, n=n)
     rng = np.random.default_rng(42)
