@@ -333,7 +333,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     if cfg.keys["solve.init"] == "constant":
         init = constant_initial_trajectory(cfg.grid, cfg.times, cfg.w0)
     else:
-        init = None  # unless the start is finite; it is checked below
+        init = None  # stays None if the noise itself overflows
         with np.errstate(all="ignore"), suppress(NonFiniteInputError):
             init = random_initial_trajectory(cfg.grid, cfg.times, cfg.w0,
                                              seed=cfg.keys["solve.seed"],

@@ -121,7 +121,7 @@ def test_conjugate_batch_matches_single(density, g, exact):
 
 def test_conjugate_1d_factorizes_nothing(monkeypatch):
     def no_lu(*args, **kwargs):
-        raise AssertionError("sparse factorization in a 1-D conjugate")
+        raise AssertionError("banded factorization in a 1-D conjugate")
 
     monkeypatch.setattr(benpde.energy, "sweep_bands", no_lu)
     d = PowerDensity(0.9, 4.0, 0.7)
