@@ -36,7 +36,6 @@ import argparse
 import inspect
 import json
 import sys
-from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -229,12 +228,10 @@ _PROFILES = {"sin": lambda x: np.sin(np.pi * x),
 
 
 def _check_density(density, grid, values, key: str, what: str) -> None:
-    """Raise :class:`ConfigError` naming ``key`` unless the states ``values``
-    (``None`` if not finite) have integrated densities with finite squares,
-    as the energy's gradient and residual norms sum squares of that order."""
+    """Raise :class:`ConfigError` for ``key`` if a finite state in ``values``
+    has an integrated density whose square overflows in the energy's norms."""
     with np.errstate(over="ignore", invalid="ignore"):
-        square = np.inf if values is None else np.square(
-            psi_total(density, grid, values))
+        square = np.square(psi_total(density, grid, values))
     if not np.isfinite(square).all():
         raise ConfigError(f"config key '{key}': the integrated density of "
                           f"{what} is too large (its square overflows)", key=key)
@@ -333,12 +330,15 @@ def _cmd_solve(cfg: RunConfig) -> int:
     if cfg.keys["solve.init"] == "constant":
         init = constant_initial_trajectory(cfg.grid, cfg.times, cfg.w0)
     else:
-        init = None  # stays None if the noise itself overflows
-        with np.errstate(all="ignore"), suppress(NonFiniteInputError):
-            init = random_initial_trajectory(cfg.grid, cfg.times, cfg.w0,
-                                             seed=cfg.keys["solve.seed"],
-                                             noise=cfg.keys["solve.noise"])
-        _check_density(cfg.model.density, cfg.grid, getattr(init, "states", None),
+        with np.errstate(all="ignore"):
+            try:
+                init = random_initial_trajectory(cfg.grid, cfg.times, cfg.w0,
+                                                 seed=cfg.keys["solve.seed"],
+                                                 noise=cfg.keys["solve.noise"])
+            except NonFiniteInputError as exc:
+                raise ConfigError(f"config key 'solve.noise': {exc}",
+                                  key="solve.noise")
+        _check_density(cfg.model.density, cfg.grid, init.states,
                        "solve.noise", "a state of the random start")
     try:
         outcome, failure = minimize(cfg.model, init, cfg.options), None

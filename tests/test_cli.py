@@ -584,10 +584,16 @@ def test_module_entry_point(tmp_path):
 
 def test_cli_import_loads_no_sparse_matrices(tmp_path):
     # Every grid solve runs LAPACK on band storage; a fresh interpreter
-    # importing the CLI must not pull in scipy.sparse.
+    # importing the CLI must pull in no scipy.sparse module beyond those that
+    # importing scipy.linalg.lapack itself loads (older SciPy releases
+    # import scipy.sparse from scipy.linalg).
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, benpde.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+        [sys.executable, "-c",
+         "import sys, scipy.linalg.lapack\n"
+         "def sparse(): return {m for m in sys.modules "
+         "if m.startswith('scipy.sparse')}\n"
+         "before = sparse()\nimport benpde.cli\n"
+         "print(sorted(sparse() - before))"],
         capture_output=True, text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
