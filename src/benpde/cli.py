@@ -6,8 +6,9 @@ Commands
     Minimize the certificate energy for the configured model and write
     ``trajectory.csv``, ``report.json``, ``history.csv`` and ``profiles.dat``
     into the configured output directory.  Exit 0 iff the zero-energy
-    certificate accepts the result.  A stalled line search still writes the
-    last iterate, with a ``failure`` block in the report, then exits 3.
+    certificate accepts the result.  A stalled line search, or a failed
+    certificate assembly, still writes the last iterate, with a ``failure``
+    block in the report, then exits 3.
 ``baseline <cfg>``
     Solve the implicit stepping scheme and write the same artifacts (minus
     the iteration history).
@@ -50,6 +51,7 @@ from .errors import (
     ConfigError,
     ConjugateSolveError,
     LineSearchError,
+    ModelEvaluationError,
     NonFiniteInputError,
 )
 from .grid import (
@@ -96,7 +98,8 @@ _BOOL = {**dict.fromkeys(("true", "yes", "on", "1"), True),
 #: csv profile only; ``outputs.dir`` defaults to ``runs/<model>``).  The
 #: ``solve.*`` keys up to ``solve.max_line_trials`` are the
 #: :class:`SolveOptions` fields, whose ranges ``SolveOptions`` checks;
-#: ``solve.seed`` seeds the random start.
+#: ``solve.tol`` is also the certificate tolerance of ``solve`` and
+#: ``baseline``, and the other three shape the start.
 _KEYS = {
     "grid.dim": (int, 1, (lambda v: v in (1, 2), "must be 1 or 2")),
     "grid.n": (int, None, _AT_LEAST_1),
@@ -108,6 +111,7 @@ _KEYS = {
     "solve.max_iters": (int, 2000, None),
     "solve.grad_tol": (float, 1e-13, None),
     "solve.energy_tol": (float, 1e-12, None),
+    "solve.tol": (float, 1e-6, None),
     "solve.armijo_c1": (float, 1e-4, None),
     "solve.backtrack": (float, 0.5, None),
     "solve.max_line_trials": (int, 40, None),
@@ -115,7 +119,6 @@ _KEYS = {
     "solve.init": (str, "random", (lambda v: v in ("random", "constant"),
                                    "must be 'random' or 'constant'")),
     "solve.noise": (float, 0.5, None),
-    "solve.tol": (float, 1e-6, _POSITIVE),
     "outputs.dir": (str, ..., None),
     "verify.samples": (int, 1000, _AT_LEAST_1),
     "verify.seed": (int, 0, _SEED),
@@ -306,7 +309,7 @@ def _write_lines(path: Path, lines: list) -> None:
 
 def _write_history(path: Path, history: np.ndarray) -> None:
     rows = np.column_stack([np.arange(len(history)), history])
-    _write_lines(path, ["iter,J,grad_norm", *format_rows(rows)])
+    _write_lines(path, ["iter,phi,grad_norm", *format_rows(rows)])
 
 
 def _write_profiles(path: Path, traj: Trajectory) -> None:
@@ -342,16 +345,19 @@ def _cmd_solve(cfg: RunConfig) -> int:
                        "solve.noise", "a state of the random start")
     try:
         outcome, failure = minimize(cfg.model, init, cfg.options), None
-    except LineSearchError as exc:
+    except (LineSearchError, ConjugateSolveError, ModelEvaluationError) as exc:
+        if exc.outcome is None:  # the start itself could not be priced
+            raise
         outcome, failure = exc.outcome, exc
-    verdict = outcome.verdict(cfg.keys["solve.tol"])
+    report, verdict = outcome.report, outcome.verdict(cfg.keys["solve.tol"])
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_trajectory_csv(outcome.trajectory, cfg.out_dir / "trajectory.csv")
     _write_history(cfg.out_dir / "history.csv", outcome.history)
     _write_profiles(cfg.out_dir / "profiles.dat", outcome.trajectory)
-    payload = outcome.report.to_json_dict()
-    payload["certificate"] = verdict.to_json_dict()
+    # no report or verdict when the certificate assembly failed
+    payload = {} if report is None else report.to_json_dict()
+    payload["certificate"] = None if verdict is None else verdict.to_json_dict()
     payload["iterations"] = outcome.iterations
     payload["converged"] = outcome.converged
     if failure is not None:
@@ -368,9 +374,10 @@ def _cmd_solve(cfg: RunConfig) -> int:
         }
     _write_report(cfg.out_dir / "report.json", payload)
 
-    print(f"solve {cfg.model.name}: solved={verdict.solved} "
-          f"normalized={outcome.report.normalized:.3e} "
-          f"defect={outcome.report.defect_norm:.3e} "
+    shown = (np.nan, np.nan) if report is None else (report.normalized,
+                                                     report.defect_norm)
+    print(f"solve {cfg.model.name}: solved={bool(verdict and verdict.solved)} "
+          f"normalized={shown[0]:.3e} defect={shown[1]:.3e} "
           f"iterations={outcome.iterations} -> {cfg.out_dir}")
     if failure is not None:
         print(f"solve: {failure}", file=sys.stderr)

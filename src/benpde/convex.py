@@ -136,7 +136,9 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
     the second end keeps ``r^{q-1}`` finite at large ``s``.  Since the
     profile is convex and increasing, Newton from above decreases
     monotonically onto the root, and a bisection step guards every update
-    that would leave the bracket.  Returns ``(r, iterations)`` where
+    that would leave the bracket.  An entry whose bracket has shrunk to two
+    adjacent floats is converged, at its lower end when ``r^{q-1}``
+    overflows at the upper one.  Returns ``(r, iterations)`` where
     ``iterations`` is the worst case over the batch.
     """
     s = np.asarray(s, dtype=float)
@@ -170,10 +172,11 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
     for it in range(max_iters):
         with np.errstate(over="ignore"):  # the start may overshoot the range
             f = radial_slope(density, r) - s
-        done = np.abs(f) <= target_tol
+        done = (np.abs(f) <= target_tol) | (hi <= np.nextafter(lo, np.inf))
         polish = np.where(done, polish - 1, 2)
         active = polish >= 0
         if not np.any(active):
+            r = np.where(np.isfinite(f), r, lo)
             break
         worst_iters = it + 1
         lo = np.where(f < 0.0, np.maximum(lo, r), lo)
@@ -182,7 +185,7 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(fp > 0.0, f / fp, 0.0)
         r_new = r - step
-        out = (r_new <= lo) | (r_new >= hi) | ~np.isfinite(r_new)
+        out = (r_new < lo) | (r_new > hi) | ~np.isfinite(r_new)
         r_new = np.where(out & active, 0.5 * (lo + hi), r_new)
         r = np.where(active, r_new, r)
     else:

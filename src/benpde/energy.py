@@ -27,9 +27,8 @@ damped Newton iteration solves all slices at once, one banded solve of each
 slice's weighted-Laplacian Jacobian per step.  The maximizer ``z = DPsi*(y)`` is
 reused for the primal defect ``W_k = lam * m_k - DPsi*(H_k)`` and for the
 gradient, so one assembly prices all certificate quantities at once.  The
-minimizer keeps that assembled state of each iterate: its Gauss-Newton
-direction reads the midpoints, dual residuals and ``DPsi(lam m_k)`` from
-it, and the final one gives the certificate verdict.
+minimizer prices its steps by a residual merit that needs no conjugate and
+assembles only to certify a stop (see :mod:`benpde.solver`).
 
 The interval terms take leading batch axes, and every path handles all
 slices at once.
@@ -345,21 +344,15 @@ def _interval_terms(model: ModelSpec, traj: Trajectory, states):
 @dataclass(frozen=True)
 class _Assembly:
     """One assembled trajectory: its report, the midpoints, midpoint times,
-    dual residuals and conjugate maximizers of every interval and, when
-    assembled with the gradient, ``DPsi(lam m_k)`` (``None`` when
-    ``lam = 0``) and the nodal gradient.  The verdict reads the report,
-    midpoints and maximizers only; the minimizer drops ``H``, ``dpsi`` and
-    the gradient once it has formed the next direction."""
+    dual residuals and conjugate maximizers of every interval."""
 
     model: ModelSpec
     traj: Trajectory
     report: EnergyReport
     mids: np.ndarray
     t_mid: np.ndarray
-    H: np.ndarray | None
+    H: np.ndarray
     z: np.ndarray
-    dpsi: np.ndarray | None = None
-    gradient: np.ndarray | None = None
 
     def verdict(self, tol: float) -> CertificateVerdict:
         """The :func:`certificate` verdict of this trajectory at ``tol``."""
@@ -373,9 +366,20 @@ class _Assembly:
                                   defect_norm=rep.defect_norm, scale=scale, tol=tol)
 
 
-def _assemble(model: ModelSpec, traj: Trajectory, gradient: bool = False):
-    """All certificate ingredients of a trajectory in one batched sweep, with
-    the gradient of :func:`energy_and_gradient` when ``gradient`` is set."""
+def _node_gradient(traj: Trajectory, C, B) -> np.ndarray:
+    """Nodal gradient of a sum over intervals whose derivative along ``s``
+    (``s_0 = 0``) is ``sum_k tau (<C_k, (s_k + s_{k+1})/2>_H + <B_k,
+    (s_{k+1} - s_k)/tau>_H)``, in the time-weighted H product: the edge sum
+    that both ``J`` and the Gauss-Newton merit take."""
+    g = np.zeros_like(traj.states)
+    if traj.n_steps > 1:
+        g[1:-1] = 0.5 * (C[:-1] + C[1:]) + (B[:-1] - B[1:]) / traj.tau
+    g[-1] = 0.5 * C[-1] + B[-1] / traj.tau
+    return g
+
+
+def _assemble(model: ModelSpec, traj: Trajectory) -> _Assembly:
+    """All certificate ingredients of a trajectory in one batched sweep."""
     grid, tau, q = traj.grid, traj.tau, model.density.exponent
     terms, mids, t_mid, H, z = _interval_terms(model, traj, traj.states)
     term_psi, term_conj, term_pair = map(float, terms)
@@ -391,18 +395,7 @@ def _assemble(model: ModelSpec, traj: Trajectory, gradient: bool = False):
         normalized=total / (term_psi + term_conj + abs(term_pair)
                             + NORMALIZATION_FLOOR),
     )
-    if not gradient:
-        return _Assembly(model, traj, report, mids, t_mid, H, z)
-    C = dlambda_adjoint_density(model, grid, mids, t_mid, B)
-    dpsi = None
-    if model.lam:
-        dpsi = psi_gradient_density(model.density, grid, lam * mids)
-        C = C + lam * (dpsi - H)
-    g = np.zeros_like(traj.states)
-    if traj.n_steps > 1:
-        g[1:-1] = 0.5 * (C[:-1] + C[1:]) + (B[:-1] - B[1:]) / tau
-    g[-1] = 0.5 * C[-1] + B[-1] / tau
-    return _Assembly(model, traj, report, mids, t_mid, H, z, dpsi, g)
+    return _Assembly(model, traj, report, mids, t_mid, H, z)
 
 
 def energy_totals(model: ModelSpec, traj: Trajectory, tails) -> np.ndarray:
@@ -437,8 +430,13 @@ def energy_and_gradient(model: ModelSpec, traj: Trajectory):
 
     Row 0 is identically zero (the initial state is locked).
     """
-    state = _assemble(model, traj, gradient=True)
-    return state.report, state.gradient
+    state, grid, lam = _assemble(model, traj), traj.grid, float(model.lam)
+    B = lam * state.mids - state.z  # the primal defect
+    C = dlambda_adjoint_density(model, grid, state.mids, state.t_mid, B)
+    if model.lam:
+        C = C + lam * (psi_gradient_density(model.density, grid,
+                                            lam * state.mids) - state.H)
+    return state.report, _node_gradient(traj, C, B)
 
 
 def certificate(model: ModelSpec, traj: Trajectory,

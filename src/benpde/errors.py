@@ -11,6 +11,9 @@ from __future__ import annotations
 class BenpdeError(Exception):
     """Base class for all package-specific errors."""
 
+    #: the last accepted iterate's outcome when raised out of ``minimize``
+    outcome = None
+
 
 class NonFiniteInputError(BenpdeError, ValueError):
     """An input array contained NaN or +/-inf components."""

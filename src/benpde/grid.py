@@ -52,6 +52,7 @@ __all__ = [
     "poisson_solve",
     "stencil_bands",
     "sweep_bands",
+    "bands_transpose_apply",
     "h_inner",
     "h_inner_batch",
     "h_norm",
@@ -313,6 +314,20 @@ def sweep_bands(bands: np.ndarray, rhs: np.ndarray, lag: float = 0.0,
     failed = int(bad[0]) if bad.size else failed
     x[failed + 1:] = 0.0
     return x, (None if failed == slices else failed)
+
+
+def bands_transpose_apply(grid: SpaceGrid, bands: np.ndarray,
+                          x: np.ndarray) -> np.ndarray:
+    """``A_k^T x_k`` for every row ``x_k`` of ``x`` ``(slices, size)``, the
+    :func:`stencil_bands` bands of every ``A_k`` side by side in ``bands``:
+    column ``j`` of band ``w + d`` multiplies ``x_{j+d}``."""
+    width = bands.shape[0] // 2
+    per = bands.reshape((2 * width + 1,) + x.shape)
+    y = per[width] * x
+    for d in {grid.n ** a for a in range(grid.dim)}:  # the nonzero offsets
+        y[:, :-d] += per[width + d, :, :-d] * x[:, d:]
+        y[:, d:] += per[width - d, :, d:] * x[:, :-d]
+    return y
 
 
 # -- inner products and norms --------------------------------------------------

@@ -4,12 +4,14 @@ Two independent routes to a discrete solution:
 
 * :func:`minimize` drives the certificate energy to zero over all trajectory
   nodes past the locked initial state by damped Gauss-Newton on the
-  midpoint residuals, which vanish exactly where the energy does.  Each
-  direction costs one forward sweep of linearised midpoint steps, and a
-  monotone Armijo line search on the energy accepts it, so heat flow is
-  solved in one step and drifts or exponents above two take a few.  Each
-  iterate is assembled once: its direction and, at the end, the
-  certificate verdict read the assembly that priced it.
+  midpoint residuals ``R_k``, which vanish exactly where the energy does.
+  Each direction costs one forward sweep of linearised midpoint steps, and
+  a monotone Armijo line search on the residual merit
+  ``phi = (tau/2) sum_k <R_k, (-Delta)^{-1} R_k>_H`` accepts it, so heat
+  flow is solved in one step and drifts or exponents above two take a few.
+  Pricing a trial needs no conjugate: the energy is assembled only to test
+  a stop, once the estimated remaining error is small, and a stop stands
+  only when that assembly's certificate verdict is solved.
 * :func:`implicit_baseline` solves the classical fully implicit scheme by
   damped Newton on the whole trajectory.  Each iteration is one forward
   sweep of the same block-bidiagonal kind, and the leading steps that
@@ -20,23 +22,29 @@ Two independent routes to a discrete solution:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .energy import CertificateVerdict, EnergyReport, _assemble, _Assembly
+from .energy import (CertificateVerdict, EnergyReport, _assemble, _Assembly,
+                     _dual_residuals, _node_gradient)
 from .errors import (
     ConjugateSolveError,
     LineSearchError,
     ModelEvaluationError,
+    NonFiniteInputError,
     TimeStepError,
 )
 from .grid import (
     Field,
     SpaceGrid,
     Trajectory,
+    bands_transpose_apply,
+    h_inner,
     h_inner_batch,
     mixed_norm,
+    poisson_solve,
     sweep_bands,
 )
 from .models import (
@@ -65,17 +73,19 @@ MAX_HALVINGS = 30
 class SolveOptions:
     """Minimizer controls.
 
-    ``grad_tol`` stops on the time-weighted gradient norm, ``energy_tol`` on
-    the normalized energy; whichever hits first.  The line search is Armijo
-    backtracking on the energy with slope fraction ``armijo_c1`` and step
-    factor ``backtrack``, from the unit Gauss-Newton step; the descent is
-    deterministic.  A ``ValueError`` for a field out of range starts with
+    A run stops once the certificate verdict at ``tol`` is solved with the
+    normalized energy at most ``energy_tol``, or as stalled once the
+    time-weighted norm of the merit gradient is at most ``grad_tol``.  The
+    line search is Armijo backtracking on the merit with slope fraction
+    ``armijo_c1`` and step factor ``backtrack``, from the unit Gauss-Newton
+    step.  A ``ValueError`` for a field out of range starts with
     ``"<field>: "``.
     """
 
     max_iters: int = 500
     grad_tol: float = 1e-9
     energy_tol: float = 1e-12
+    tol: float = 1e-6
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
     max_line_trials: int = 40
@@ -83,7 +93,7 @@ class SolveOptions:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters: must be nonnegative")
-        for name in ("grad_tol", "energy_tol", "armijo_c1"):
+        for name in ("grad_tol", "energy_tol", "tol", "armijo_c1"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name}: must be positive")
         if not 0.0 < self.backtrack < 1.0:
@@ -92,34 +102,58 @@ class SolveOptions:
             raise ValueError("max_line_trials: must be at least 1")
 
 
+@dataclass(frozen=True)
+class _Merit:
+    """Gauss-Newton state of one trajectory: the midpoints and midpoint
+    times of every interval, the midpoint residuals ``R``, their lift
+    ``W = (-Delta)^{-1} R`` and the merit ``phi``."""
+
+    model: ModelSpec
+    traj: Trajectory
+    mids: np.ndarray
+    t_mid: np.ndarray
+    R: np.ndarray
+    W: np.ndarray
+    phi: float
+
+    @cached_property
+    def bands(self) -> np.ndarray:
+        """Bands of ``P_k = I/tau + DF(m_k)/2``, one block per (slice,
+        component): ``R'`` has ``P_k`` on its block diagonal and
+        ``P_k - 2I/tau`` below it."""
+        grid, traj = self.traj.grid, self.traj
+        return jacobian_bands(self.model, grid,
+                              self.mids.reshape((-1, 1) + grid.shape),
+                              np.repeat(self.t_mid, traj.k), 1.0 / traj.tau, 0.5)
+
+
 @dataclass
 class SolveOutcome:
     """Result of one minimization run.
 
-    ``state`` is the assembly that priced the last accepted iterate; the
-    ``trajectory``, ``report`` and :meth:`verdict` read from it (after a
-    failed line search it holds only what they read).  ``history``
-    holds one ``(J, grad_norm)`` row per evaluated iterate (including the
-    initial one); the energy column is nonincreasing because only
-    Armijo-accepted steps are recorded.
+    ``merit`` is the state of the last accepted iterate and ``state`` its
+    assembly, which ``report`` and :meth:`verdict` read (``None`` if it
+    raised).  ``history`` holds one ``(phi, |grad phi|)`` row per accepted
+    iterate, the initial one included; ``phi`` is nonincreasing.
     """
 
-    state: _Assembly = field(repr=False)
+    merit: _Merit = field(repr=False)
+    state: _Assembly | None = field(repr=False)
     iterations: int
     converged: bool
     history: np.ndarray = field(repr=False)
 
     @property
     def trajectory(self) -> Trajectory:
-        return self.state.traj
+        return self.merit.traj
 
     @property
-    def report(self) -> EnergyReport:
-        return self.state.report
+    def report(self) -> EnergyReport | None:
+        return None if self.state is None else self.state.report
 
-    def verdict(self, tol: float) -> CertificateVerdict:
+    def verdict(self, tol: float) -> CertificateVerdict | None:
         """:func:`~benpde.energy.certificate` of the final iterate at ``tol``."""
-        return self.state.verdict(tol)
+        return None if self.state is None else self.state.verdict(tol)
 
 
 @dataclass(frozen=True)
@@ -182,23 +216,43 @@ def _theta_sweep(bands, rhs, tau: float, theta: float):
     return sweep_bands(bands, rhs, 1.0 / (theta * tau), theta != 1.0)
 
 
+def _merit(model: ModelSpec, traj: Trajectory) -> _Merit:
+    """The merit ``phi = (tau/2) sum_k <R_k, (-Delta)^{-1} R_k>_H`` of the
+    midpoint residuals ``R_k = -H_k + lam DPsi(lam m_k)``: Lambda, DPsi and
+    one Poisson solve, no conjugate.  It vanishes exactly where ``J`` does
+    and equals ``(a + eps) J`` for quadratic densities."""
+    grid, lam = traj.grid, float(model.lam)
+    mids, t_mid, H = _dual_residuals(model, grid, traj.tau, traj.times,
+                                     traj.states)
+    R = (-H + lam * psi_gradient_density(model.density, grid, lam * mids)
+         if model.lam else -H)
+    W = poisson_solve(grid, -R)
+    return _Merit(model, traj, mids, t_mid, R, W,
+                  0.5 * traj.tau * h_inner(grid, R, W))
+
+
+def _merit_gradient(state: _Merit) -> np.ndarray:
+    """Nodal gradient ``R'^T W`` of ``phi``, its Riesz representer in the
+    time-weighted H product: :func:`~benpde.energy._node_gradient` of ``W``
+    and ``C_k = DF(m_k)^T W_k = 2 (P_k^T W_k - W_k/tau)``."""
+    traj, W = state.traj, state.W
+    PW = bands_transpose_apply(traj.grid, state.bands,
+                               W.reshape(traj.n_steps, -1)).reshape(W.shape)
+    return _node_gradient(traj, 2.0 * (PW - W / traj.tau), W)
+
+
 def _gauss_newton_direction(model: ModelSpec, traj: Trajectory, state=None):
     """Gauss-Newton step ``delta = -R'(u)^{-1} R(u)`` on the midpoint
     residuals ``R_k = -H_k + lam DPsi(lam m_k)``, or ``None`` when the sweep
     fails: the theta = 1/2 sweep of :func:`_theta_sweep` with
-    ``DF = DLambda(m_k) + lam D^2Psi(lam m_k)``, all bands from one
-    :func:`~benpde.models.jacobian_bands` call.  The midpoints, dual
-    residuals and ``DPsi(lam m_k)`` are read from ``state``, the gradient
-    assembly of ``traj``, which is built when not given.
+    ``DF = DLambda(m_k) + lam D^2Psi(lam m_k)``.  The residuals and bands
+    are read from ``state``, the :func:`_merit` of ``traj``, built when not
+    given.  Along ``delta`` the merit has slope ``-2 phi``.
     """
     if state is None:
-        state = _assemble(model, traj, gradient=True)
-    grid, tau = traj.grid, traj.tau
-    R = -state.H + float(model.lam) * state.dpsi if model.lam else -state.H
-    blocks = state.mids.reshape((-1, 1) + grid.shape)  # one per (slice, component)
-    bands = jacobian_bands(model, grid, blocks, np.repeat(state.t_mid, traj.k),
-                           1.0 / tau, 0.5)
-    delta, singular = _theta_sweep(bands, -R.reshape(traj.n_steps, -1), tau, 0.5)
+        state = _merit(model, traj)
+    delta, singular = _theta_sweep(
+        state.bands, -state.R.reshape(traj.n_steps, -1), traj.tau, 0.5)
     return None if singular is not None else delta.reshape(traj.states.shape)
 
 
@@ -207,63 +261,74 @@ def minimize(model: ModelSpec, init: Trajectory,
     """Drive the certificate energy to zero over the free trajectory nodes.
 
     Damped Gauss-Newton on the midpoint residuals (see
-    :func:`_gauss_newton_direction`), with Armijo backtracking on ``J`` from
-    the unit step; the initial state never moves.  When the sweep fails or
-    its direction is not a descent direction in the time-weighted inner
-    product, the step is ``-g`` with first trial ``min(1, 1/|g|)``.  Each
-    trial is one assembly with its gradient; the accepted one is kept for
-    the next direction and the outcome's verdict, so an iterate is assembled
-    once.  Deterministic for fixed inputs.  A trial whose energy raises
-    :class:`~benpde.errors.ConjugateSolveError` or
-    :class:`~benpde.errors.ModelEvaluationError` is rejected like one that
-    fails the Armijo test.  Raises :class:`~benpde.errors.LineSearchError`
-    (carrying the last outcome) if no trial step is accepted.
+    :func:`_gauss_newton_direction`) with Armijo backtracking from the unit
+    step on the merit ``phi`` of :func:`_merit`; the initial state never
+    moves.  When the sweep fails the step is ``-grad phi``, first trial
+    ``min(1, 1/|grad phi|)``.  A trial that raises
+    :class:`~benpde.errors.ModelEvaluationError` or is not finite is
+    rejected.  The energy is assembled to test a stop on the certificate
+    only once Deuflhard's estimate of the error left after a step
+    ``s delta``, ``sqrt(phi_new/phi_old) |s delta|``, is at most
+    ``sqrt(energy_tol) (|u| + 1)``, and for the last iterate.  Raises
+    :class:`~benpde.errors.LineSearchError` if no trial is accepted; it,
+    and a ``ConjugateSolveError`` or ``ModelEvaluationError`` of an
+    assembly, carry the last accepted iterate's outcome in ``outcome``.
     """
-    weight = init.tau * init.grid.cell_volume
-    state = _assemble(model, init, gradient=True)
-    gnorm = mixed_norm(init, state.gradient)
-    history = [(state.report.total, gnorm)]
+    merit, state, iterations, history = _merit(model, init), None, 0, []
 
-    def done(st, gn):
-        return gn <= opts.grad_tol or st.report.normalized <= opts.energy_tol
+    def outcome(converged=False):
+        return SolveOutcome(merit, state, iterations, converged,
+                            np.asarray(history))
 
-    def outcome(converged):
-        return SolveOutcome(state=state, iterations=iterations,
-                            converged=converged, history=np.asarray(history))
+    def assemble():
+        try:
+            return _assemble(model, merit.traj)
+        except (ConjugateSolveError, ModelEvaluationError) as exc:
+            exc.outcome = outcome()
+            raise
 
-    iterations = 0
-    while not done(state, gnorm) and iterations < opts.max_iters:
-        traj, total = state.traj, state.report.total
-        direction, step = _gauss_newton_direction(model, traj, state), 1.0
-        slope = (np.nan if direction is None
-                 else weight * float(np.vdot(state.gradient, direction)))
-        if not slope < 0.0:  # NaN too: the sweep failed
-            direction, slope = -state.gradient, -gnorm**2
+    estimate = np.inf if merit.phi else 0.0
+    while True:
+        grad = _merit_gradient(merit)
+        with np.errstate(over="ignore"):  # an overflowed norm reads inf
+            gnorm = mixed_norm(merit.traj, grad)
+        history.append((merit.phi, gnorm))
+        flat = gnorm <= opts.grad_tol  # a stationary point of phi
+        if flat or estimate <= (np.sqrt(opts.energy_tol)
+                                * (mixed_norm(merit.traj) + 1.0)):
+            state = assemble()
+            if flat or (state.verdict(opts.tol).solved
+                        and state.report.normalized <= opts.energy_tol):
+                return outcome(True)
+        if iterations >= opts.max_iters:
+            break
+        traj, phi = merit.traj, merit.phi
+        direction, step = _gauss_newton_direction(model, traj, merit), 1.0
+        slope = -2.0 * phi
+        if direction is None:  # the sweep failed
+            direction, slope = -grad, -gnorm**2
             step = min(1.0, 1.0 / max(gnorm, 1e-30))
-        # the trials need only what the verdict reads of the accepted state
-        state = replace(state, H=None, dpsi=None, gradient=None)
         for _ in range(opts.max_line_trials):
             try:
-                trial = _assemble(model, traj.with_tail(
-                    traj.states[1:] + step * direction[1:]), gradient=True)
-            except (ConjugateSolveError, ModelEvaluationError):
+                trial = _merit(model, traj.with_tail(
+                    traj.states[1:] + step * direction[1:]))
+            except (ModelEvaluationError, NonFiniteInputError):
                 trial = None  # a trial that cannot be priced is rejected
-            if (trial is not None and trial.report.total
-                    <= total + opts.armijo_c1 * step * slope):
+            if (trial is not None
+                    and trial.phi <= phi + opts.armijo_c1 * step * slope):
                 break
             step *= opts.backtrack
         else:
+            state = state or assemble()
             raise LineSearchError(
                 f"line search found no descent step after "
                 f"{opts.max_line_trials} trials at iteration {iterations}",
-                outcome=outcome(False))
+                outcome=outcome())
+        estimate = np.sqrt(trial.phi / phi) * step * mixed_norm(traj, direction)
+        merit, state, iterations = trial, None, iterations + 1
 
-        state, trial, direction = trial, None, None  # drop the spent arrays
-        gnorm = mixed_norm(state.traj, state.gradient)
-        history.append((state.report.total, gnorm))
-        iterations += 1
-
-    return outcome(done(state, gnorm))
+    state = state or assemble()
+    return outcome()
 
 
 # -- implicit stepping baseline --------------------------------------------------------

@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 import benpde
+import benpde.solver
 from benpde.cli import (_ACCEPTED, _parse_lines, _resolve_config,
                         _write_history, _write_profiles, load_config, main)
 from benpde.energy import energy_and_gradient, eval_energy
-from benpde.errors import ConfigError
+from benpde.errors import ConfigError, ConjugateSolveError
 from benpde.grid import (SpaceGrid, Trajectory, h_inner, load_trajectory_csv,
                          save_trajectory_csv, uniform_times)
 
@@ -47,7 +48,7 @@ def test_heat_config_solves_and_writes_artifacts(heat_run):
     assert report["normalized"] <= 1e-6
     assert report["certificate"]["solved"] is True
     history = (out_dir / "history.csv").read_text().splitlines()
-    assert history[0] == "iter,J,grad_norm"
+    assert history[0] == "iter,phi,grad_norm"
     assert len(history) == report["iterations"] + 2
     first = history[1].split(",")
     assert first[0] == "0" and float(first[1]) > 0.0
@@ -83,11 +84,86 @@ def test_line_search_failure_writes_last_iterate(tmp_path, monkeypatch,
     assert len(history) == report["iterations"] + 2
 
 
+def _derived_config(path: Path, base: str, **keys) -> Path:
+    """``base.cfg`` with the given ``section.key`` values (``__`` for the
+    dot) replacing its own, written to ``path``."""
+    keys = {k.replace("__", "."): v for k, v in keys.items()}
+    lines = [line for line in _resolve_config(f"{base}.cfg").read_text()
+             .splitlines() if line.split("=")[0].strip() not in keys]
+    path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in keys.items()])
+                    + "\n")
+    return path
+
+
+def _assert_failed_run_artifacts(out_dir: Path, kind: str, capsys):
+    """Exit-3 artifacts: the last iterate, its history, a ``failure`` block
+    and one summary line."""
+    captured = capsys.readouterr()
+    assert len(captured.out.strip().splitlines()) == 1
+    assert "solved=False" in captured.out
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["failure"]["kind"] == kind
+    assert report["failure"]["message"] in captured.err
+    assert report["converged"] is False
+    history = (out_dir / "history.csv").read_text().splitlines()
+    assert len(history) == report["iterations"] + 2
+    assert (out_dir / "trajectory.csv").exists()
+    return report
+
+
+def test_fine_divform_stop_agrees_with_the_certificate(tmp_path, monkeypatch):
+    # At n = 65, M = 128 and seed 4 a stop on the normalized energy alone
+    # left a defect of 2.5e-6 against the 1e-6 certificate; a stop must
+    # now pass the certificate at solve.tol.
+    monkeypatch.chdir(tmp_path)
+    cfg = _derived_config(tmp_path / "fine.cfg", "divform_q4", grid__n=65,
+                          time__M=128, solve__seed=4, solve__tol="1e-6",
+                          outputs__dir="out")
+    assert main(["solve", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["certificate"]["solved"] is True
+    assert report["converged"] is True
+
+
+def test_failed_certificate_assembly_writes_last_iterate(tmp_path, monkeypatch,
+                                                         capsys):
+    # The conjugate runs only in the certificate assembly; its failure must
+    # still leave the last iterate, a failure block and exit code 3.
+    def fail(model, traj):
+        raise ConjugateSolveError("slice 0: injected failure", 1.0, 0)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(benpde.solver, "_assemble", fail)
+    cfg = _derived_config(tmp_path / "q4.cfg", "divform_q4",
+                          outputs__dir="out")
+    assert main(["solve", str(cfg)]) == 3
+    report = _assert_failed_run_artifacts(tmp_path / "out",
+                                          "ConjugateSolveError", capsys)
+    assert report["certificate"] is None and "normalized" not in report
+
+
+def test_huge_2d_quartic_start_exits_3_with_artifacts(tmp_path, monkeypatch,
+                                                      capsys):
+    # Just inside the Psi(w0)^2 bound the merit descends, but the certifying
+    # conjugate at the stop test stalls: the run still writes its artifacts.
+    monkeypatch.chdir(tmp_path)
+    cfg = _derived_config(tmp_path / "huge.cfg", "divform_q4", grid__dim=2,
+                          grid__n=6, time__M=8, initial__amplitude="2.1e38",
+                          outputs__dir="out")
+    assert main(["solve", str(cfg)]) == 3
+    report = _assert_failed_run_artifacts(tmp_path / "out",
+                                          "ConjugateSolveError", capsys)
+    assert report["iterations"] > 0
+
+
 def test_history_energy_is_nonincreasing(heat_run):
+    # the merit column: only Armijo-accepted steps are recorded
     _, out_dir = heat_run
-    rows = np.loadtxt(out_dir / "history.csv", delimiter=",", skiprows=1)
-    energies = rows[:, 1]
-    assert np.all(np.diff(energies) <= 1e-18)
+    lines = (out_dir / "history.csv").read_text().splitlines()
+    assert lines[0] == "iter,phi,grad_norm"
+    rows = np.loadtxt(out_dir / "history.csv", delimiter=",", skiprows=1,
+                      ndmin=2)
+    assert np.all(np.diff(rows[:, 1]) <= 0.0)
 
 
 def test_trajectory_csv_round_trips_bit_exact(heat_run, tmp_path):
@@ -120,7 +196,7 @@ def test_artifact_rows_match_per_value_formatting(tmp_path):
         "trajectory.csv": ["t," + ",".join(f"node_{i}" for i in range(10))]
         + [",".join([fmt % t] + [fmt % v for v in row])
            for t, row in zip(traj.times, flat)],
-        "history.csv": ["iter,J,grad_norm"]
+        "history.csv": ["iter,phi,grad_norm"]
         + [f"{i},{fmt % j},{fmt % g}" for i, (j, g) in enumerate(history)],
         "profiles.dat": ["# t node_2 node_5 node_7"]
         + [" ".join([fmt % t] + [fmt % row[p] for p in (2, 5, 7)])
@@ -224,6 +300,7 @@ def test_malformed_keys_rejected(tmp_path, monkeypatch, capsys, line, key):
     ("heat", "solve", "solve.backtrack = 2", "solve.backtrack"),
     ("heat", "solve", "solve.max_line_trials = 0", "solve.max_line_trials"),
     ("heat", "solve", "solve.grad_tol = 0", "solve.grad_tol"),
+    ("heat", "solve", "solve.tol = 0", "solve.tol"),
     ("heat", "solve", "solve.max_iters = -1", "solve.max_iters"),
 ])
 def test_out_of_range_values_rejected(tmp_path, monkeypatch, capsys, model,

@@ -1,5 +1,7 @@
 """Pointwise density operations: values, gradients, conjugates, gaps."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -214,6 +216,22 @@ def test_general_q_radius_at_huge_magnitudes():
         assert r == pytest.approx(s ** (1.0 / (q - 1.0)), rel=1e-12)
         assert abs(float(radial_slope(d, r)) - s) <= 1e-13 * s
         assert iters <= 60
+
+
+@pytest.mark.parametrize("q", [3.0, 10.0])
+def test_general_q_radius_at_the_float_maximum(q):
+    # The root's r^{q-1} sits at the float maximum: a step just above it
+    # overflows, and the bracket closing on two adjacent floats ends the
+    # solve at the lower one instead of cycling to the iteration cap.
+    s = np.finfo(float).max
+    d = PowerDensity(1.0, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, iters = conjugate_radius(d, s)
+        slope = float(radial_slope(d, r))
+    assert r == pytest.approx(s ** (1.0 / (q - 1.0)), rel=1e-14)
+    assert abs(slope - s) <= 1e-13 * s
+    assert iters <= 10
 
 
 def test_conjugate_radius_batch_matches_scalar():

@@ -13,6 +13,7 @@ from benpde.grid import (
     Field,
     SpaceGrid,
     Trajectory,
+    bands_transpose_apply,
     divergence,
     dual_grad_norm,
     grad_norm,
@@ -187,6 +188,22 @@ def test_solve_bands_equals_solve_banded(dim, n):
         x, failed = sweep_bands(bands, rhs[None])
         assert failed is None
         assert np.array_equal(x[1], want)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1), (1, 7), (2, 1), (2, 4)])
+def test_bands_transpose_apply_equals_dense_transpose(dim, n):
+    # Nonsymmetric stencils (node coefficients), three slices side by side.
+    g = SpaceGrid(dim=dim, n=n)
+    rng = np.random.default_rng(7 * dim + n)
+    lead = (3,)
+    bands = stencil_bands(
+        g, rng.normal(size=lead + g.shape),
+        [rng.uniform(0.5, 2.0, size=lead + g.edge_shape(a)) for a in range(dim)],
+        [rng.normal(size=lead + g.shape) for _ in range(dim)])
+    x = rng.normal(size=(3, g.n_nodes))
+    want = band_matrix(bands).T @ x.ravel()
+    np.testing.assert_allclose(bands_transpose_apply(g, bands, x).ravel(), want,
+                               rtol=1e-14, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 1), (1, 7), (2, 4)],

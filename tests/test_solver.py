@@ -45,6 +45,8 @@ def _sine_setup(n=9, n_steps=8, t_end=0.1):
 def test_options_validation():
     with pytest.raises(ValueError, match="grad_tol"):
         SolveOptions(grad_tol=0.0)
+    with pytest.raises(ValueError, match="^tol: "):
+        SolveOptions(tol=0.0)
     with pytest.raises(ValueError, match="backtrack"):
         SolveOptions(backtrack=1.0)
     with pytest.raises(ValueError, match="max_line_trials"):
@@ -140,18 +142,19 @@ def test_line_search_rejects_a_trial_that_raises(monkeypatch):
     opts = SolveOptions(max_iters=2000, grad_tol=1e-13, energy_tol=1e-12,
                         armijo_c1=0.75)
     model = build_model("divergence_form", q=4.0)
+    merit = benpde.solver._merit
 
     def run(fail_first):
         trials = []
 
-        def price_or_raise(m, traj, **kwargs):
+        def price_or_raise(m, traj):
             if traj is not init:  # the start is priced before any trial
                 trials.append(traj.states[1:] - init.states[1:])
                 if fail_first and len(trials) == 1:
                     raise ModelEvaluationError("injected failure")
-            return _assemble(m, traj, **kwargs)
+            return merit(m, traj)
 
-        monkeypatch.setattr(benpde.solver, "_assemble", price_or_raise)
+        monkeypatch.setattr(benpde.solver, "_merit", price_or_raise)
         return minimize(model, init, opts), trials
 
     clean, clean_trials = run(False)
@@ -263,11 +266,13 @@ def _direction_from_scratch(model, traj):
     return delta.reshape(traj.states.shape)
 
 
+_MODELS = [("heat", {}), ("burgers", {}), ("divergence_form", {"q": 4.0}),
+           ("adversarial", {})]
+_MODEL_IDS = ["heat", "burgers", "divform_q4", "adversarial"]
+
+
 @pytest.mark.parametrize("dim,n", [(1, 9), (2, 6)])
-@pytest.mark.parametrize("name,params", [
-    ("heat", {}), ("burgers", {}), ("divergence_form", {"q": 4.0}),
-    ("adversarial", {}),
-], ids=["heat", "burgers", "divform_q4", "adversarial"])
+@pytest.mark.parametrize("name,params", _MODELS, ids=_MODEL_IDS)
 def test_kept_state_gives_the_same_direction_and_verdict(name, params, dim, n):
     grid = SpaceGrid(dim=dim, n=n)
     w0 = np.sin(np.pi * grid.node_coords[0])
@@ -275,7 +280,7 @@ def test_kept_state_gives_the_same_direction_and_verdict(name, params, dim, n):
     model = build_model(name, **params)
     out = minimize(model, init, SolveOptions(max_iters=1))
     traj = out.trajectory
-    kept = benpde.solver._gauss_newton_direction(model, traj, out.state)
+    kept = benpde.solver._gauss_newton_direction(model, traj, out.merit)
     fresh = benpde.solver._gauss_newton_direction(model, traj)
     np.testing.assert_array_equal(kept, fresh)
     np.testing.assert_array_equal(kept, _direction_from_scratch(model, traj))
@@ -291,10 +296,60 @@ def test_line_search_failure_verdict_equals_certificate():
         minimize(model, init, SolveOptions(max_line_trials=1, armijo_c1=0.75))
     out = info.value.outcome
     # the state of the last accepted iterate, not of a rejected trial
-    assert out.report.total == out.history[-1, 0]
+    assert out.history[-1, 0] == benpde.solver._merit(model, out.trajectory).phi
     assert out.report == eval_energy(model, out.trajectory)
     for tol in (1e-4, 1e-16):
         assert out.verdict(tol) == certificate(model, out.trajectory, tol)
+
+
+def _noisy_trajectory(dim, n, seed, k=1):
+    grid = SpaceGrid(dim=dim, n=n)
+    w0 = np.prod(np.sin(np.pi * grid.node_coords), axis=0)
+    w0 = np.stack([w0 * (1.0 - 3.0 * c) for c in range(k)])
+    return random_initial_trajectory(grid, uniform_times(0.1, 6), w0, seed=seed)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 6)])
+@pytest.mark.parametrize("name", ["heat", "burgers", "adversarial"])
+def test_merit_is_a_multiple_of_the_energy_for_quadratic_densities(name, dim, n):
+    # Psi*(y) = <y, (-Delta)^{-1} y>/(2(a + eps)), so each Fenchel-Young gap
+    # is <R_k, (-Delta)^{-1} R_k>/(2(a + eps)) and phi = (a + eps) J.
+    model = build_model(name)
+    d = model.density
+    for seed in range(3):
+        u = _noisy_trajectory(dim, n, seed)
+        phi = benpde.solver._merit(model, u).phi
+        total = eval_energy(model, u).total
+        assert abs(phi - (d.coefficient + d.regularizer) * total) <= 1e-14 * phi
+
+
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 6)])
+@pytest.mark.parametrize("name,params,k", [(*m, 1) for m in _MODELS]
+                         + [("heat", {}, 2)], ids=_MODEL_IDS + ["heat_2comp"])
+def test_merit_gradient_and_gauss_newton_slope(name, params, k, dim, n):
+    # grad phi against central differences, and the slope -2 phi along the
+    # Gauss-Newton direction, both analytically and by differences.
+    model = build_model(name, **params)
+    rng = np.random.default_rng(6)
+    e = 1e-6
+
+    def phi_at(u, s, t):
+        return benpde.solver._merit(model, u.with_tail(u.states[1:]
+                                                       + t * s[1:])).phi
+
+    for seed in range(2):
+        u = _noisy_trajectory(dim, n, seed, k)
+        state = benpde.solver._merit(model, u)
+        g = benpde.solver._merit_gradient(state)
+        assert np.all(g[0] == 0.0)
+        delta = benpde.solver._gauss_newton_direction(model, u, state)
+        assert _slope(u, g, delta) == pytest.approx(-2.0 * state.phi, rel=1e-12)
+        fd = (phi_at(u, delta, e) - phi_at(u, delta, -e)) / (2.0 * e)
+        assert fd == pytest.approx(-2.0 * state.phi, rel=1e-6)
+        for _ in range(3):
+            s = rng.normal(size=u.states.shape)
+            fd = (phi_at(u, s, e) - phi_at(u, s, -e)) / (2.0 * e)
+            assert _slope(u, g, s) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_gauss_newton_descends_for_quartic_density():
