@@ -44,8 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .convex import PowerDensity, conjugate_radius, radial_value
-from .energy import (_report_and_certificate, energy_and_gradient,
-                     energy_totals, eval_energy)
+from .energy import _assemble, energy_and_gradient, energy_totals, eval_energy
 from .errors import (
     BenpdeError,
     ConfigError,
@@ -350,6 +349,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
             raise
         outcome, failure = exc.outcome, exc
     report, verdict = outcome.report, outcome.verdict(cfg.keys["solve.tol"])
+    where = ""  # the stage that failed, when it is not the minimizer
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_trajectory_csv(outcome.trajectory, cfg.out_dir / "trajectory.csv")
@@ -365,13 +365,18 @@ def _cmd_solve(cfg: RunConfig) -> int:
                               "message": str(failure),
                               "iterations": outcome.iterations}
     elif cfg.keys["compare.baseline"]:
-        base = implicit_baseline(cfg.model, cfg.w0, cfg.times)
-        result = compare(outcome.trajectory, base)
-        payload["compare_baseline"] = {
-            "rel_l2": result.rel_l2,
-            "max_node": result.max_node,
-            "baseline_energy": eval_energy(cfg.model, base).to_json_dict(),
-        }
+        try:
+            base = implicit_baseline(cfg.model, cfg.w0, cfg.times)
+            result = compare(outcome.trajectory, base)
+            payload["compare_baseline"] = {
+                "rel_l2": result.rel_l2,
+                "max_node": result.max_node,
+                "baseline_energy": eval_energy(cfg.model, base).to_json_dict(),
+            }
+        except BenpdeError as exc:  # the solve's own artifacts still stand
+            failure, where = exc, "compare.baseline: "
+            payload["compare_baseline"] = {"failure": {
+                "kind": type(exc).__name__, "message": str(exc)}}
     _write_report(cfg.out_dir / "report.json", payload)
 
     shown = (np.nan, np.nan) if report is None else (report.normalized,
@@ -380,15 +385,15 @@ def _cmd_solve(cfg: RunConfig) -> int:
           f"normalized={shown[0]:.3e} defect={shown[1]:.3e} "
           f"iterations={outcome.iterations} -> {cfg.out_dir}")
     if failure is not None:
-        print(f"solve: {failure}", file=sys.stderr)
+        print(f"solve: {where}{failure}", file=sys.stderr)
         return 3
     return 0 if verdict.solved else 1
 
 
 def _cmd_baseline(cfg: RunConfig) -> int:
     traj = implicit_baseline(cfg.model, cfg.w0, cfg.times)
-    report, verdict = _report_and_certificate(cfg.model, traj,
-                                             cfg.keys["solve.tol"])
+    state = _assemble(cfg.model, traj)
+    report, verdict = state.report, state.verdict(cfg.keys["solve.tol"])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_trajectory_csv(traj, cfg.out_dir / "trajectory.csv")
     _write_profiles(cfg.out_dir / "profiles.dat", traj)

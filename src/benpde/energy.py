@@ -366,15 +366,16 @@ class _Assembly:
                                   defect_norm=rep.defect_norm, scale=scale, tol=tol)
 
 
-def _node_gradient(traj: Trajectory, C, B) -> np.ndarray:
+def _node_gradient(traj: Trajectory, C, B, theta: float = 0.5) -> np.ndarray:
     """Nodal gradient of a sum over intervals whose derivative along ``s``
-    (``s_0 = 0``) is ``sum_k tau (<C_k, (s_k + s_{k+1})/2>_H + <B_k,
-    (s_{k+1} - s_k)/tau>_H)``, in the time-weighted H product: the edge sum
-    that both ``J`` and the Gauss-Newton merit take."""
+    (``s_0 = 0``) is ``sum_k tau (<C_k, (1 - theta) s_k + theta s_{k+1}>_H
+    + <B_k, (s_{k+1} - s_k)/tau>_H)``, in the time-weighted H product: the
+    edge sum that both ``J`` and the Gauss-Newton merit take."""
     g = np.zeros_like(traj.states)
     if traj.n_steps > 1:
-        g[1:-1] = 0.5 * (C[:-1] + C[1:]) + (B[:-1] - B[1:]) / traj.tau
-    g[-1] = 0.5 * C[-1] + B[-1] / traj.tau
+        g[1:-1] = (theta * C[:-1] + (1.0 - theta) * C[1:]
+                   + (B[:-1] - B[1:]) / traj.tau)
+    g[-1] = theta * C[-1] + B[-1] / traj.tau
     return g
 
 
@@ -452,8 +453,3 @@ def certificate(model: ModelSpec, traj: Trajectory,
     """
     return _assemble(model, traj).verdict(tol)
 
-
-def _report_and_certificate(model: ModelSpec, traj: Trajectory, tol: float):
-    """:func:`eval_energy` and :func:`certificate` from one assembly."""
-    state = _assemble(model, traj)
-    return state.report, state.verdict(tol)

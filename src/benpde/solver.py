@@ -1,21 +1,19 @@
 """Trajectory-space minimization and the implicit stepping baseline.
 
-Two independent routes to a discrete solution:
+Both routes to a discrete solution are damped Gauss-Newton on the residuals
+``R_k = (u_{k+1} - u_k)/tau + F(m_k)`` of a theta scheme, ``m_k`` the
+theta-point of interval ``k``: each direction is one forward sweep of
+linearised steps, along which the merit
+``phi = (tau/2) sum_k <R_k, (-Delta)^{-1} R_k>_H`` has slope ``-2 phi``,
+and one Armijo line search on ``phi`` damps it.
 
-* :func:`minimize` drives the certificate energy to zero over all trajectory
-  nodes past the locked initial state by damped Gauss-Newton on the
-  midpoint residuals ``R_k``, which vanish exactly where the energy does.
-  Each direction costs one forward sweep of linearised midpoint steps, and
-  a monotone Armijo line search on the residual merit
-  ``phi = (tau/2) sum_k <R_k, (-Delta)^{-1} R_k>_H`` accepts it, so heat
-  flow is solved in one step and drifts or exponents above two take a few.
+* :func:`minimize` drives the certificate energy to zero on the midpoint
+  (theta = 1/2) residuals, which vanish exactly where the energy does.
   Pricing a trial needs no conjugate: the energy is assembled only to test
-  a stop, once the estimated remaining error is small, and a stop stands
-  only when that assembly's certificate verdict is solved.
-* :func:`implicit_baseline` solves the classical fully implicit scheme by
-  damped Newton on the whole trajectory.  Each iteration is one forward
-  sweep of the same block-bidiagonal kind, and the leading steps that
-  have converged are frozen.
+  a stop, and a stop stands only when its certificate verdict is solved.
+* :func:`implicit_baseline` is the theta = 1 run from the constant start:
+  the classical fully implicit scheme, stopped once every step meets its
+  own residual target.
 
 :func:`compare` measures trajectory discrepancies in a relative mixed norm.
 """
@@ -28,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .energy import (CertificateVerdict, EnergyReport, _assemble, _Assembly,
-                     _dual_residuals, _node_gradient)
+                     _node_gradient)
 from .errors import (
     ConjugateSolveError,
     LineSearchError,
@@ -64,9 +62,6 @@ __all__ = [
     "implicit_baseline",
     "compare",
 ]
-
-#: Newton damping: maximum step halvings per implicit baseline iteration.
-MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -104,27 +99,31 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class _Merit:
-    """Gauss-Newton state of one trajectory: the midpoints and midpoint
-    times of every interval, the midpoint residuals ``R``, their lift
-    ``W = (-Delta)^{-1} R`` and the merit ``phi``."""
+    """Gauss-Newton state of one trajectory: the theta-points and their
+    times, the residuals ``R``, their lift ``W = (-Delta)^{-1} R``, the merit
+    ``phi`` and ``F0``, the terms ``F(u_k)`` at ``t_{k+1}`` that scale the
+    targets of :func:`implicit_baseline` (empty unless theta = 1)."""
 
     model: ModelSpec
     traj: Trajectory
+    theta: float
     mids: np.ndarray
     t_mid: np.ndarray
     R: np.ndarray
     W: np.ndarray
     phi: float
+    F0: np.ndarray
 
     @cached_property
     def bands(self) -> np.ndarray:
-        """Bands of ``P_k = I/tau + DF(m_k)/2``, one block per (slice,
+        """Bands of ``P_k = I/tau + theta DF(m_k)``, one block per (slice,
         component): ``R'`` has ``P_k`` on its block diagonal and
-        ``P_k - 2I/tau`` below it."""
+        ``-I/tau + (1 - theta) DF(m_k)`` below it."""
         grid, traj = self.traj.grid, self.traj
         return jacobian_bands(self.model, grid,
                               self.mids.reshape((-1, 1) + grid.shape),
-                              np.repeat(self.t_mid, traj.k), 1.0 / traj.tau, 0.5)
+                              np.repeat(self.t_mid, traj.k), 1.0 / traj.tau,
+                              self.theta)
 
 
 @dataclass
@@ -196,7 +195,7 @@ def random_initial_trajectory(grid: SpaceGrid, times, w0, seed: int,
     return Trajectory(grid, t, np.concatenate([arr[None], tail], axis=0))
 
 
-# -- minimization ---------------------------------------------------------------------
+# -- damped Gauss-Newton: the minimizer and the implicit baseline ----------------------
 
 
 def _theta_sweep(bands, rhs, tau: float, theta: float):
@@ -216,63 +215,84 @@ def _theta_sweep(bands, rhs, tau: float, theta: float):
     return sweep_bands(bands, rhs, 1.0 / (theta * tau), theta != 1.0)
 
 
-def _merit(model: ModelSpec, traj: Trajectory) -> _Merit:
+def _merit(model: ModelSpec, traj: Trajectory, theta: float = 0.5) -> _Merit:
     """The merit ``phi = (tau/2) sum_k <R_k, (-Delta)^{-1} R_k>_H`` of the
-    midpoint residuals ``R_k = -H_k + lam DPsi(lam m_k)``: Lambda, DPsi and
-    one Poisson solve, no conjugate.  It vanishes exactly where ``J`` does
-    and equals ``(a + eps) J`` for quadratic densities."""
-    grid, lam = traj.grid, float(model.lam)
-    mids, t_mid, H = _dual_residuals(model, grid, traj.tau, traj.times,
-                                     traj.states)
-    R = (-H + lam * psi_gradient_density(model.density, grid, lam * mids)
-         if model.lam else -H)
+    residuals ``R_k = (u_{k+1} - u_k)/tau + Lambda(m_k) + lam DPsi(lam m_k)``
+    at ``m_k = (1 - theta) u_k + theta u_{k+1}`` and ``t_k + theta tau``,
+    theta 1/2 or 1: no conjugate.  At theta = 1/2, ``R_k = -H_k + lam
+    DPsi(lam m_k)``, so ``phi = (a + eps) J`` for quadratic densities and
+    vanishes exactly where ``J`` does."""
+    grid, u, t, m = traj.grid, traj.states, traj.times, traj.n_steps
+    one = theta == 1.0  # then F(u_k) at t_{k+1} rides along in the batch
+    mids = u[1:] if one else 0.5 * (u[:-1] + u[1:])
+    t_mid = t[1:] if one else 0.5 * (t[:-1] + t[1:])
+    x = np.concatenate([mids, u[:-1]]) if one else mids
+    F = lambda_density(model, grid, x, np.concatenate([t_mid] * (1 + one)))
+    R, F0 = (u[1:] - u[:-1]) / traj.tau + F[:m], F[m:]
+    if model.lam:  # lam = 1
+        D = psi_gradient_density(model.density, grid, x)
+        R, F0 = R + D[:m], F0 + D[m:]
     W = poisson_solve(grid, -R)
-    return _Merit(model, traj, mids, t_mid, R, W,
-                  0.5 * traj.tau * h_inner(grid, R, W))
+    return _Merit(model, traj, theta, mids, t_mid, R, W,
+                  0.5 * traj.tau * h_inner(grid, R, W), F0)
 
 
 def _merit_gradient(state: _Merit) -> np.ndarray:
     """Nodal gradient ``R'^T W`` of ``phi``, its Riesz representer in the
     time-weighted H product: :func:`~benpde.energy._node_gradient` of ``W``
-    and ``C_k = DF(m_k)^T W_k = 2 (P_k^T W_k - W_k/tau)``."""
+    and ``C_k = DF(m_k)^T W_k = (P_k^T W_k - W_k/tau)/theta``."""
     traj, W = state.traj, state.W
     PW = bands_transpose_apply(traj.grid, state.bands,
                                W.reshape(traj.n_steps, -1)).reshape(W.shape)
-    return _node_gradient(traj, 2.0 * (PW - W / traj.tau), W)
+    return _node_gradient(traj, (PW - W / traj.tau) / state.theta, W,
+                          state.theta)
 
 
-def _gauss_newton_direction(model: ModelSpec, traj: Trajectory, state=None):
-    """Gauss-Newton step ``delta = -R'(u)^{-1} R(u)`` on the midpoint
-    residuals ``R_k = -H_k + lam DPsi(lam m_k)``, or ``None`` when the sweep
-    fails: the theta = 1/2 sweep of :func:`_theta_sweep` with
-    ``DF = DLambda(m_k) + lam D^2Psi(lam m_k)``.  The residuals and bands
-    are read from ``state``, the :func:`_merit` of ``traj``, built when not
-    given.  Along ``delta`` the merit has slope ``-2 phi``.
-    """
-    if state is None:
-        state = _merit(model, traj)
-    delta, singular = _theta_sweep(
-        state.bands, -state.R.reshape(traj.n_steps, -1), traj.tau, 0.5)
+def _gauss_newton_direction(state: _Merit):
+    """Gauss-Newton step ``delta = -R'(u)^{-1} R(u)`` on the residuals of the
+    :func:`_merit` state of ``u``, or ``None`` when its :func:`_theta_sweep`
+    fails; ``DF = DLambda(m_k) + lam D^2Psi(lam m_k)``.  Along ``delta`` the
+    merit has slope ``-2 phi``."""
+    traj = state.traj
+    delta, singular = _theta_sweep(state.bands,
+                                   -state.R.reshape(traj.n_steps, -1),
+                                   traj.tau, state.theta)
     return None if singular is not None else delta.reshape(traj.states.shape)
+
+
+def _line_search(merit: _Merit, direction, slope: float, step: float,
+                 opts: SolveOptions):
+    """Armijo backtracking on the merit along ``direction`` from ``step``,
+    as ``opts`` sets it: the accepted trial's :func:`_merit` and step, or
+    ``None``.  A trial that raises ``ModelEvaluationError`` or
+    ``NonFiniteInputError`` is rejected."""
+    traj, phi = merit.traj, merit.phi
+    for _ in range(opts.max_line_trials):
+        try:
+            trial = _merit(merit.model, traj.with_tail(
+                traj.states[1:] + step * direction[1:]), merit.theta)
+        except (ModelEvaluationError, NonFiniteInputError):
+            trial = None  # a trial that cannot be priced is rejected
+        if trial is not None and trial.phi <= phi + opts.armijo_c1 * step * slope:
+            return trial, step
+        step *= opts.backtrack
+    return None
 
 
 def minimize(model: ModelSpec, init: Trajectory,
              opts: SolveOptions = SolveOptions()) -> SolveOutcome:
     """Drive the certificate energy to zero over the free trajectory nodes.
 
-    Damped Gauss-Newton on the midpoint residuals (see
-    :func:`_gauss_newton_direction`) with Armijo backtracking from the unit
-    step on the merit ``phi`` of :func:`_merit`; the initial state never
-    moves.  When the sweep fails the step is ``-grad phi``, first trial
-    ``min(1, 1/|grad phi|)``.  A trial that raises
-    :class:`~benpde.errors.ModelEvaluationError` or is not finite is
-    rejected.  The energy is assembled to test a stop on the certificate
-    only once Deuflhard's estimate of the error left after a step
-    ``s delta``, ``sqrt(phi_new/phi_old) |s delta|``, is at most
+    Damped Gauss-Newton on the midpoint residuals, each step taken by the
+    :func:`_line_search` from the unit step; the initial state never moves.
+    When the sweep fails the step is ``-grad phi``, first trial
+    ``min(1, 1/|grad phi|)``.  The energy is assembled to test a stop only
+    once Deuflhard's estimate of the error left after a step ``s delta``,
+    ``sqrt(phi_new/phi_old) |s delta|``, is at most
     ``sqrt(energy_tol) (|u| + 1)``, and for the last iterate.  Raises
-    :class:`~benpde.errors.LineSearchError` if no trial is accepted; it,
-    and a ``ConjugateSolveError`` or ``ModelEvaluationError`` of an
-    assembly, carry the last accepted iterate's outcome in ``outcome``.
+    :class:`~benpde.errors.LineSearchError` if no trial is accepted; it, and
+    a ``ConjugateSolveError`` or ``ModelEvaluationError`` of an assembly,
+    carry the last accepted iterate's outcome in ``outcome``.
     """
     merit, state, iterations, history = _merit(model, init), None, 0, []
 
@@ -302,36 +322,25 @@ def minimize(model: ModelSpec, init: Trajectory,
                 return outcome(True)
         if iterations >= opts.max_iters:
             break
-        traj, phi = merit.traj, merit.phi
-        direction, step = _gauss_newton_direction(model, traj, merit), 1.0
-        slope = -2.0 * phi
+        direction, step = _gauss_newton_direction(merit), 1.0
+        slope = -2.0 * merit.phi
         if direction is None:  # the sweep failed
             direction, slope = -grad, -gnorm**2
             step = min(1.0, 1.0 / max(gnorm, 1e-30))
-        for _ in range(opts.max_line_trials):
-            try:
-                trial = _merit(model, traj.with_tail(
-                    traj.states[1:] + step * direction[1:]))
-            except (ModelEvaluationError, NonFiniteInputError):
-                trial = None  # a trial that cannot be priced is rejected
-            if (trial is not None
-                    and trial.phi <= phi + opts.armijo_c1 * step * slope):
-                break
-            step *= opts.backtrack
-        else:
+        found = _line_search(merit, direction, slope, step, opts)
+        if found is None:
             state = state or assemble()
             raise LineSearchError(
                 f"line search found no descent step after "
                 f"{opts.max_line_trials} trials at iteration {iterations}",
                 outcome=outcome())
-        estimate = np.sqrt(trial.phi / phi) * step * mixed_norm(traj, direction)
+        trial, step = found
+        estimate = (np.sqrt(trial.phi / merit.phi) * step
+                    * mixed_norm(merit.traj, direction))
         merit, state, iterations = trial, None, iterations + 1
 
     state = state or assemble()
     return outcome()
-
-
-# -- implicit stepping baseline --------------------------------------------------------
 
 
 def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
@@ -340,74 +349,38 @@ def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
 
         (u_{k+1} - u_k)/tau + Lambda_{t_{k+1}}(u_{k+1}) + DPsi(lam u_{k+1}) = 0,
 
-    by Newton on the whole trajectory from the constant extension of
-    ``w0``, one theta = 1 :func:`_theta_sweep` per iteration.  Step ``k``
-    is done once its residual is at most ``newton_tol * max(1, |R_k(u_k ->
-    u_k)|_H)``.  Done leading steps are frozen; damping halves the update of
-    the rest until the residual of the first of them, the front step,
-    drops.  Raises :class:`~benpde.errors.TimeStepError` naming the front
-    step when it has taken ``max_newton`` Newton steps, when its Jacobian is
-    singular or when damping stalls; a later singular step only stops the
-    sweep there.
+    as the theta = 1 run of :func:`minimize`'s iteration from the constant
+    extension of ``w0`` over the whole trajectory, damped by the
+    :func:`_line_search` of the default :class:`SolveOptions`.  It stops
+    once every step ``k`` has a residual of at most
+    ``newton_tol * max(1, |F(u_k)|_H)``, ``F`` taken at ``t_{k+1}``.  Raises
+    :class:`~benpde.errors.TimeStepError` naming the first step above its
+    target when ``max_newton`` Newton steps in all do not suffice, when the
+    sweep is singular or not finite, or when the line search stalls.
     """
-    t = np.asarray(times, dtype=float)
     if not isinstance(w0, Field):
         raise ValueError("implicit_baseline needs a Field initial state")
-    grid = w0.grid
-    tau = float(t[1] - t[0])
-
-    def residuals(u, tu):
-        """Residuals of consecutive states ``u`` at times ``tu``, their H
-        norms and the norms of ``R_k(u_k -> u_k)``, from one batched ``F``."""
-        m = u.shape[0] - 1
-        both = np.concatenate([u[1:], u[:-1]])
-        F = lambda_density(model, grid, both, np.concatenate([tu[1:]] * 2))
-        if model.lam:
-            F = F + psi_gradient_density(model.density, grid,
-                                         float(model.lam) * both)
-        R = (u[1:] - u[:-1]) / tau + F[:m]
-        both = np.concatenate([R, F[m:]])
-        norms = np.sqrt(h_inner_batch(grid, both, both))
-        return R, norms[:m], norms[m:]
-
-    u = np.repeat(_initial_state(grid, w0)[None], t.size, axis=0)
-    R, rnorm, start = residuals(u, t)
-    front = steps = 0  # the front step and the Newton steps taken on it
-
-    def failure(why):
-        return TimeStepError(f"step {front}: {why} at residual "
-                             f"{rnorm[0]:.3e}", front, rnorm[0])
-
+    grid, steps = w0.grid, 0
+    merit = _merit(model, constant_initial_trajectory(grid, times, w0), 1.0)
     while True:
-        met = rnorm <= newton_tol * np.maximum(1.0, start)
-        if met.all():
-            return Trajectory(grid, t, u)
-        lead = int(np.argmin(met))  # steps newly done ahead of the front
-        if lead:
-            front, steps, R, rnorm = front + lead, 0, R[lead:], rnorm[lead:]
+        both = np.concatenate([merit.R, merit.F0])
+        rnorm, scale = np.sqrt(h_inner_batch(grid, both, both)).reshape(2, -1)
+        unmet = np.flatnonzero(~(rnorm <= newton_tol * np.maximum(1.0, scale)))
+        if not unmet.size:
+            return merit.traj
         if steps >= max_newton:
-            raise failure("Newton hit the iteration cap")
-        blocks = u[front + 1:].reshape((-1, 1) + grid.shape)
-        bands = jacobian_bands(model, grid, blocks,
-                               np.repeat(t[front + 1:], u.shape[1]),
-                               1.0 / tau, 1.0)
-        delta, singular = _theta_sweep(bands, -R.reshape(len(R), -1), tau,
-                                       1.0)
-        if singular == 0:
-            raise failure("singular Newton Jacobian")
-        delta, scale = delta[1:].reshape(R.shape), 1.0
-        for _ in range(MAX_HALVINGS):
-            trial = np.concatenate([u[front:front + 1],
-                                    u[front + 1:] + scale * delta])
-            found = residuals(trial, t[front:])
-            if found[1][0] < rnorm[0]:
-                break
-            scale *= 0.5
+            why = "Newton hit the iteration cap"
+        elif (direction := _gauss_newton_direction(merit)) is None:
+            why = "singular Newton Jacobian"
+        elif (found := _line_search(merit, direction, -2.0 * merit.phi, 1.0,
+                                    SolveOptions())) is None:
+            why = "Newton damping stalled"
         else:
-            raise failure("Newton damping stalled")
-        u[front:] = trial
-        R, rnorm, start = found
-        steps += 1
+            merit, steps = found[0], steps + 1
+            continue
+        k = unmet[0]
+        raise TimeStepError(f"step {k}: {why} at residual {rnorm[k]:.3e}", k,
+                            rnorm[k])
 
 
 # -- cross-validation -------------------------------------------------------------------

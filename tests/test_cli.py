@@ -252,6 +252,33 @@ def test_singular_baseline_jacobian_exits_3(tmp_path, monkeypatch, capsys):
     assert "step 0" in err and "singular" in err
 
 
+def test_failed_compare_baseline_keeps_the_solve_report(tmp_path, monkeypatch,
+                                                      capsys):
+    # The singular config above: the midpoint solve certifies, but the
+    # implicit baseline it is compared against has a singular first step.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "singular.cfg").write_text(
+        "model.name = adversarial\nmodel.kappa = 24\ngrid.n = 1\n"
+        "time.T0 = 0.125\ntime.M = 2\ncompare.baseline = true\n"
+        "outputs.dir = out\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "singular.cfg"]) == 3
+    captured = capsys.readouterr()
+    assert len(captured.out.strip().splitlines()) == 1
+    assert "solved=True" in captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["certificate"]["solved"] is True
+    assert "failure" not in report
+    failure = report["compare_baseline"]["failure"]
+    assert failure == {"kind": "TimeStepError", "message": failure["message"]}
+    assert failure["message"].startswith("step 0: singular")
+    assert failure["message"] in captured.err
+    for name in ("trajectory.csv", "history.csv", "profiles.dat"):
+        assert (tmp_path / "out" / name).exists()
+
+
 def test_zero_time_steps_rejected_naming_key(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text(

@@ -430,7 +430,9 @@ def test_report_and_certificate_share_one_assembly(name):
     g = SpaceGrid(dim=1, n=9)
     traj = _random_trajectory(g, np.random.default_rng(6))
     model = build_model(name)
-    report, verdict = benpde.energy._report_and_certificate(model, traj, 1e-6)
+    # the baseline command reads both off one assembly
+    state = benpde.energy._assemble(model, traj)
+    report, verdict = state.report, state.verdict(1e-6)
     assert report == eval_energy(model, traj)
     assert verdict == certificate(model, traj, 1e-6)
 

@@ -147,12 +147,12 @@ def test_line_search_rejects_a_trial_that_raises(monkeypatch):
     def run(fail_first):
         trials = []
 
-        def price_or_raise(m, traj):
+        def price_or_raise(m, traj, theta=0.5):
             if traj is not init:  # the start is priced before any trial
                 trials.append(traj.states[1:] - init.states[1:])
                 if fail_first and len(trials) == 1:
                     raise ModelEvaluationError("injected failure")
-            return merit(m, traj)
+            return merit(m, traj, theta)
 
         monkeypatch.setattr(benpde.solver, "_merit", price_or_raise)
         return minimize(model, init, opts), trials
@@ -213,13 +213,18 @@ def _midpoint_case(case):
             _heat_midpoint_solution(n=9, n_steps=8, t_end=0.1, a=0.0)[1])
 
 
+def _direction(model, traj):
+    """The Gauss-Newton direction at the midpoint merit state of ``traj``."""
+    return benpde.solver._gauss_newton_direction(benpde.solver._merit(model, traj))
+
+
 @pytest.mark.parametrize("case", ["1d", "2d", "lam0", "2comp"])
 def test_gauss_newton_direction_is_midpoint_error(case):
     model, exact = _midpoint_case(case)
     rng = np.random.default_rng(4)
     u = exact.with_tail(exact.states[1:]
                         + rng.normal(size=exact.states[1:].shape))
-    delta = benpde.solver._gauss_newton_direction(model, u)
+    delta = _direction(model, u)
     err = u.states - exact.states
     np.testing.assert_allclose(-delta, err, rtol=0.0,
                                atol=1e-9 * np.max(np.abs(err)))
@@ -246,7 +251,7 @@ def test_gauss_newton_slope_is_minus_twice_the_energy(case):
         u = base.with_tail(base.states[1:]
                            + rng.normal(size=base.states[1:].shape))
         report, g = energy_and_gradient(model, u)
-        delta = benpde.solver._gauss_newton_direction(model, u)
+        delta = _direction(model, u)
         assert _slope(u, g, delta) == pytest.approx(-2.0 * report.total,
                                                     rel=1e-12)
 
@@ -280,8 +285,8 @@ def test_kept_state_gives_the_same_direction_and_verdict(name, params, dim, n):
     model = build_model(name, **params)
     out = minimize(model, init, SolveOptions(max_iters=1))
     traj = out.trajectory
-    kept = benpde.solver._gauss_newton_direction(model, traj, out.merit)
-    fresh = benpde.solver._gauss_newton_direction(model, traj)
+    kept = benpde.solver._gauss_newton_direction(out.merit)
+    fresh = _direction(model, traj)
     np.testing.assert_array_equal(kept, fresh)
     np.testing.assert_array_equal(kept, _direction_from_scratch(model, traj))
     for tol in (1e-6, 1e-16):
@@ -323,26 +328,33 @@ def test_merit_is_a_multiple_of_the_energy_for_quadratic_densities(name, dim, n)
         assert abs(phi - (d.coefficient + d.regularizer) * total) <= 1e-14 * phi
 
 
+_MERIT_CASES = [(*m, 1) for m in _MODELS] + [("heat", {}, 2)]
+_MERIT_IDS = _MODEL_IDS + ["heat_2comp"]
+
+
 @pytest.mark.parametrize("dim,n", [(1, 9), (2, 6)])
-@pytest.mark.parametrize("name,params,k", [(*m, 1) for m in _MODELS]
-                         + [("heat", {}, 2)], ids=_MODEL_IDS + ["heat_2comp"])
-def test_merit_gradient_and_gauss_newton_slope(name, params, k, dim, n):
+@pytest.mark.parametrize(
+    "name,params,k,theta",
+    [(*c, 0.5) for c in _MERIT_CASES] + [(*c, 1.0) for c in _MERIT_CASES],
+    ids=_MERIT_IDS + [f"{i}_theta1" for i in _MERIT_IDS])
+def test_merit_gradient_and_gauss_newton_slope(name, params, k, theta, dim, n):
     # grad phi against central differences, and the slope -2 phi along the
-    # Gauss-Newton direction, both analytically and by differences.
+    # Gauss-Newton direction, both analytically and by differences, for the
+    # midpoint scheme (theta = 1/2) and the implicit one (theta = 1).
     model = build_model(name, **params)
     rng = np.random.default_rng(6)
     e = 1e-6
 
     def phi_at(u, s, t):
-        return benpde.solver._merit(model, u.with_tail(u.states[1:]
-                                                       + t * s[1:])).phi
+        return benpde.solver._merit(model, u.with_tail(u.states[1:] + t * s[1:]),
+                                    theta).phi
 
     for seed in range(2):
         u = _noisy_trajectory(dim, n, seed, k)
-        state = benpde.solver._merit(model, u)
+        state = benpde.solver._merit(model, u, theta)
         g = benpde.solver._merit_gradient(state)
         assert np.all(g[0] == 0.0)
-        delta = benpde.solver._gauss_newton_direction(model, u, state)
+        delta = benpde.solver._gauss_newton_direction(state)
         assert _slope(u, g, delta) == pytest.approx(-2.0 * state.phi, rel=1e-12)
         fd = (phi_at(u, delta, e) - phi_at(u, delta, -e)) / (2.0 * e)
         assert fd == pytest.approx(-2.0 * state.phi, rel=1e-6)
@@ -358,7 +370,7 @@ def test_gauss_newton_descends_for_quartic_density():
     for seed in range(3):
         u = random_initial_trajectory(grid, times, w0, seed=seed, noise=1.0)
         report, g = energy_and_gradient(model, u)
-        delta = benpde.solver._gauss_newton_direction(model, u)
+        delta = _direction(model, u)
         assert _slope(u, g, delta) < -report.total
 
 
@@ -371,7 +383,7 @@ def test_singular_gauss_newton_step_falls_back_to_gradient():
     model = adversarial_model(kappa=24.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert benpde.solver._gauss_newton_direction(model, init) is None
+        assert _direction(model, init) is None
         out = minimize(model, init)
     assert out.converged
     assert out.iterations > 0
@@ -519,6 +531,33 @@ def test_baseline_components_step_independently():
         one = implicit_baseline(build_model("heat"), Field(g, w0[c]), times)
         np.testing.assert_allclose(both.states[:, c], one.states[:, 0],
                                    rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name,params,dim,n,n_steps,t_end,cap", [
+    ("heat", {}, 1, 33, 64, 0.1, 1),
+    ("burgers", {}, 1, 33, 64, 0.1, 4),
+    ("burgers", {}, 1, 65, 128, 0.1, 4),
+    ("divergence_form", {"q": 4.0}, 1, 17, 16, 0.05, 7),
+    ("burgers", {}, 2, 6, 8, 0.1, 3),
+    ("divergence_form", {"q": 4.0}, 2, 6, 8, 0.05, 7),
+])
+def test_baseline_newton_sweep_counts(monkeypatch, name, params, dim, n,
+                                      n_steps, t_end, cap):
+    # The bundled models and initial states at the sizes the benchmark and
+    # CI run: a line search that damped more would take more sweeps.
+    g = SpaceGrid(dim=dim, n=n)
+    w0 = Field(g, np.prod(np.sin(np.pi * g.node_coords), axis=0))
+    thetas, sweep = [], benpde.solver._theta_sweep
+
+    def counted(bands, rhs, tau, theta):
+        thetas.append(theta)
+        return sweep(bands, rhs, tau, theta)
+
+    monkeypatch.setattr(benpde.solver, "_theta_sweep", counted)
+    implicit_baseline(build_model(name, **params), w0,
+                      uniform_times(t_end, n_steps))
+    assert 1 <= len(thetas) <= cap
+    assert set(thetas) == {1.0}
 
 
 def _dense_sweep_case(dim, n, theta, n_steps=5):
