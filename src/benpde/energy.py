@@ -51,6 +51,7 @@ from .grid import (
     dual_grad_norm,
     grad_norm,
     h_inner_batch,
+    h_norm,
     poisson_solve,
     stencil_bands,
     sweep_bands,
@@ -145,18 +146,12 @@ def _conjugate_newton_2d(density: PowerDensity, grid: SpaceGrid,
     A slice whose starting residual or target is not finite (an overflowed
     norm) fails before the first step.
     """
-    def norms(v):  # h_norm of each slice, through the BLAS dot vdot uses
-        rows = v.reshape(len(v), 1, grid.n_nodes)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf is checked
-            return np.sqrt(np.maximum(grid.cell_volume * (
-                rows @ rows.transpose(0, 2, 1))[:, 0, 0], 0.0))
-
     def fail(i, why, steps):
         return ConjugateSolveError(f"slice {i}: dual Newton {why} at residual "
                                    f"{res[i]:.3e}", res[i], steps)
 
     z, g = np.zeros_like(y), -y
-    res, target = norms(g), tol * np.maximum(1.0, norms(y))
+    res, target = h_norm(grid, g), tol * np.maximum(1.0, h_norm(grid, y))
     bad = np.flatnonzero(~(np.isfinite(res) & np.isfinite(target)))
     if bad.size:
         raise fail(bad[0], "cannot start from a non-finite norm", 0)
@@ -179,7 +174,7 @@ def _conjugate_newton_2d(density: PowerDensity, grid: SpaceGrid,
             rows = todo[left]
             z_new = z[rows] + s[left, None, None, None] * step[left]
             g_new = psi_gradient_density(density, grid, z_new) - y[rows]
-            res_new = norms(g_new)
+            res_new = h_norm(grid, g_new)
             ok = res_new <= (1.0 - 1e-4 * s[left]) * res[rows]
             z[rows[ok]], g[rows[ok]], res[rows[ok]] = z_new[ok], g_new[ok], res_new[ok]
             left = left[~ok]

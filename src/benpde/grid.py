@@ -52,7 +52,7 @@ __all__ = [
     "poisson_solve",
     "stencil_bands",
     "sweep_bands",
-    "bands_transpose_apply",
+    "bands_apply",
     "h_inner",
     "h_inner_batch",
     "h_norm",
@@ -316,17 +316,20 @@ def sweep_bands(bands: np.ndarray, rhs: np.ndarray, lag: float = 0.0,
     return x, (None if failed == slices else failed)
 
 
-def bands_transpose_apply(grid: SpaceGrid, bands: np.ndarray,
-                          x: np.ndarray) -> np.ndarray:
-    """``A_k^T x_k`` for every row ``x_k`` of ``x`` ``(slices, size)``, the
-    :func:`stencil_bands` bands of every ``A_k`` side by side in ``bands``:
-    column ``j`` of band ``w + d`` multiplies ``x_{j+d}``."""
+def bands_apply(grid: SpaceGrid, bands: np.ndarray, x: np.ndarray,
+                transpose: bool = False) -> np.ndarray:
+    """``A_k x_k`` (``A_k^T x_k`` if ``transpose``) for every row ``x_k`` of
+    ``x`` ``(slices, size)``, the :func:`stencil_bands` bands of every
+    ``A_k`` side by side in ``bands``: column ``j`` of band ``w + d``,
+    ``A_{j+d,j}``, takes ``x_j`` to ``y_{j+d}`` (``x_{j+d}`` to ``y_j``)."""
     width = bands.shape[0] // 2
     per = bands.reshape((2 * width + 1,) + x.shape)
     y = per[width] * x
     for d in {grid.n ** a for a in range(grid.dim)}:  # the nonzero offsets
-        y[:, :-d] += per[width + d, :, :-d] * x[:, d:]
-        y[:, d:] += per[width - d, :, d:] * x[:, :-d]
+        head, tail = np.s_[:, :-d], np.s_[:, d:]
+        to, fro = (head, tail) if transpose else (tail, head)
+        y[to] += per[width + d][head] * x[fro]
+        y[fro] += per[width - d][tail] * x[to]
     return y
 
 
@@ -348,8 +351,15 @@ def h_inner_batch(grid: SpaceGrid, u, w) -> np.ndarray:
     return grid.cell_volume * np.sum(ua * wa, axis=axes)
 
 
-def h_norm(grid: SpaceGrid, u) -> float:
-    return float(np.sqrt(max(h_inner(grid, u, u), 0.0)))
+def h_norm(grid: SpaceGrid, u):
+    """H norm of each field ``(..., k, *shape)`` by one BLAS dot, batched in
+    front (a float for a single field); an overflowed norm reads inf."""
+    arr, comp = _batched(u, grid), -(grid.dim + 1)
+    rows = arr.reshape(-1, 1, arr.shape[comp] * grid.n_nodes)
+    with np.errstate(over="ignore"):
+        out = np.sqrt(grid.cell_volume * (rows @ rows.transpose(0, 2, 1)))
+    out = out.reshape(arr.shape[:comp])
+    return float(out) if out.ndim == 0 else out
 
 
 def edge_sum(grid: SpaceGrid, values, f) -> np.ndarray:
@@ -449,9 +459,6 @@ class Trajectory:
     @property
     def tau(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    def state(self, idx: int) -> Field:
-        return Field(self.grid, self.states[idx].copy())
 
     def with_tail(self, tail: np.ndarray) -> "Trajectory":
         """New trajectory with the same locked initial state and new rows

@@ -32,7 +32,10 @@ sample order, from three NumPy streams spawned from ``seed`` and the condition.
 All operator entry points accept leading batch axes, so a whole trajectory
 or a checker block of :data:`BLOCK_SIZE` samples evaluates in one vectorised
 sweep.  Models with reaction/flux terms are scalar (one component); pure
-dissipation models work for any component count.
+dissipation models work for any component count.  The linearization of
+``Lambda`` exists once, as the bands of :func:`jacobian_bands`: the
+Gauss-Newton sweep solves them, and ``grad phi``, ``J``'s gradient and the
+checker's margins apply them through :func:`~benpde.grid.bands_apply`.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .grid import (
     Field,
     SpaceGrid,
     _batched,
+    bands_apply,
     divergence,
     dual_grad_norm,
     edge_sum,
@@ -210,13 +214,12 @@ def psi_gradient_density(density: PowerDensity, grid: SpaceGrid, values):
 
 
 def psi_hessian_edge_weights(density: PowerDensity, grid: SpaceGrid, values) -> list:
-    """Per-axis edge weights ``(..., *edge_shape)`` of ``D^2 psi`` for scalar
-    fields ``(..., 1, *shape)``.
-
-    For one-component fields the second derivative along each edge is the
-    scalar ``a (q-1) |g|^{q-2} + eps``; :func:`~benpde.grid.stencil_bands`
-    turns the weights into the SPD weighted Laplacian that every Newton
-    solve (Gauss-Newton, implicit stepper, 2-D dual Newton) factorizes.
+    """Per-axis edge weights ``(..., *edge_shape)`` of ``D^2 psi`` at scalar
+    fields ``(..., 1, *shape)``: the edge scalars ``a (q-1) |g|^{q-2} + eps``.
+    :func:`~benpde.grid.stencil_bands` turns them into the SPD weighted
+    Laplacian the 2-D dual Newton solves; :func:`jacobian_bands` adds them to
+    the drift's bands, the one set that the Gauss-Newton sweep solves and
+    that ``grad phi``, ``J``'s gradient and the condition checker apply.
     """
     arr, comp = _batched(values, grid), -(grid.dim + 1)
     if arr.shape[comp] != 1:
@@ -281,76 +284,46 @@ def lambda_density(model: ModelSpec, grid: SpaceGrid, values, t):
     return np.expand_dims(acc, comp)
 
 
-def _linearization(model: ModelSpec, grid: SpaceGrid, values, t):
-    """Scalar states ``B`` ``(..., *shape)`` of ``values`` (``ValueError``
-    unless one-component), the reaction derivative ``dtheta/dB`` (``None``
-    without a reaction) and the per-axis nodal derivatives of the flux
-    (``[]`` without one): the linearization of ``Lambda_t`` that
-    :func:`dlambda_density`, its adjoint and :func:`jacobian_bands` share."""
+def jacobian_bands(model: ModelSpec, grid: SpaceGrid, values, t, shift: float,
+                   theta: float) -> np.ndarray:
+    """Bands (:func:`~benpde.grid.stencil_bands`) of ``shift I + theta
+    (DLambda_t(u) + lam D^2Psi(lam u))``, the one linearization of ``Lambda``,
+    block-diagonal over the leading axes of the scalar states ``values``
+    ``(..., 1, *shape)`` (``ValueError`` otherwise) at times ``t``."""
     B = np.squeeze(_batched(values, grid), axis=-(grid.dim + 1))
     tb, x = _time_broadcast(t, grid.dim), grid.node_coords
-    dtheta = None if model.reaction is None else model.reaction.deriv(B, x, tb)
-    dflux = [] if model.flux is None else [model.flux.deriv(B, x, tb, axis)
-                                           for axis in range(grid.dim)]
-    return B, dtheta, dflux
+    diag, weights, coefs = np.full_like(B, shift), (), ()
+    if model.reaction is not None:
+        diag = diag - theta * model.reaction.deriv(B, x, tb)
+    if model.flux is not None:
+        coefs = [theta * model.flux.deriv(B, x, tb, a) for a in range(grid.dim)]
+    if model.lam:  # lam = 1
+        weights = [theta * w for w in
+                   psi_hessian_edge_weights(model.density, grid, values)]
+    return stencil_bands(grid, diag, weights, coefs)
+
+
+def _drift_apply(model, grid, values, t, vector, transpose: bool):
+    """``DLambda_t(u)`` (transposed if ``transpose``) applied to ``vector``
+    of the shape of ``values``: the :func:`jacobian_bands` of ``Lambda``
+    alone through :func:`~benpde.grid.bands_apply`."""
+    arr, vec = _batched(values, grid), _batched(vector, grid)
+    if not model.has_terms:
+        return np.zeros(np.broadcast_shapes(arr.shape, vec.shape))
+    bands = jacobian_bands(replace(model, lam=0), grid, arr, t, 0.0, 1.0)
+    return bands_apply(grid, bands, vec.reshape(-1, grid.n_nodes),
+                       transpose).reshape(vec.shape)
 
 
 def dlambda_density(model: ModelSpec, grid: SpaceGrid, values, t, direction):
     """Directional derivative ``DLambda_t(u) . delta`` as a nodal density."""
-    arr, dlt = _batched(values, grid), _batched(direction, grid)
-    if not model.has_terms:
-        return np.zeros(np.broadcast_shapes(arr.shape, dlt.shape))
-    comp = -(grid.dim + 1)
-    B, dtheta, dflux = _linearization(model, grid, arr, t)
-    D = np.squeeze(dlt, axis=comp)
-    acc = np.zeros(np.broadcast_shapes(B.shape, D.shape))
-    if dflux:
-        acc = acc + -divergence(grid, [
-            pair_mean(grid, pad_boundary(grid, c * D, axis), axis)
-            for axis, c in enumerate(dflux)])
-    if dtheta is not None:
-        acc = acc - dtheta * D
-    return np.expand_dims(acc, comp)
-
-
-def jacobian_bands(model: ModelSpec, grid: SpaceGrid, values, t, shift: float,
-                   theta: float) -> np.ndarray:
-    """Bands of ``shift I + theta (DLambda_t(u) + lam D^2Psi(lam u))``.
-
-    ``values`` are scalar states ``(..., 1, *shape)`` with times ``t``
-    matching the leading axes; the matrix is block-diagonal over them and
-    matches :func:`dlambda_density` plus the Hessian of :func:`psi_total` on
-    flattened nodal vectors (layout of :func:`~benpde.grid.stencil_bands`).
-    """
-    B, dtheta, dflux = _linearization(model, grid, values, t)
-    diag, weights = np.full_like(B, shift), ()
-    if dtheta is not None:
-        diag = diag - theta * dtheta
-    if model.lam:  # lam = 1
-        weights = [theta * w for w in
-                   psi_hessian_edge_weights(model.density, grid, values)]
-    return stencil_bands(grid, diag, weights, [theta * c for c in dflux])
+    return _drift_apply(model, grid, values, t, direction, False)
 
 
 def dlambda_adjoint_density(model: ModelSpec, grid: SpaceGrid, values, t, covector):
-    """Adjoint ``DLambda_t(u)^T B`` as a nodal density.
-
-    Satisfies ``<B, DLambda(u) . delta> = <delta, DLambda(u)^T B>`` in the
-    volume-weighted pairing, exactly (up to roundoff) by construction.
-    """
-    arr, cov = _batched(values, grid), _batched(covector, grid)
-    if not model.has_terms:
-        return np.zeros(np.broadcast_shapes(arr.shape, cov.shape))
-    comp = -(grid.dim + 1)
-    B, dtheta, dflux = _linearization(model, grid, arr, t)
-    C = np.squeeze(cov, axis=comp)
-    acc = np.zeros(np.broadcast_shapes(B.shape, C.shape))
-    if dflux:
-        for axis, g in enumerate(gradient(grid, cov)):
-            acc = acc + dflux[axis] * pair_mean(grid, np.squeeze(g, axis=comp), axis)
-    if dtheta is not None:
-        acc = acc - dtheta * C
-    return np.expand_dims(acc, comp)
+    """Adjoint ``DLambda_t(u)^T B`` as a nodal density: the bands of
+    :func:`dlambda_density` transposed, so the H pairings agree to roundoff."""
+    return _drift_apply(model, grid, values, t, covector, True)
 
 
 # -- built-in models --------------------------------------------------------------

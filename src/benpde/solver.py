@@ -38,9 +38,9 @@ from .grid import (
     Field,
     SpaceGrid,
     Trajectory,
-    bands_transpose_apply,
+    bands_apply,
     h_inner,
-    h_inner_batch,
+    h_norm,
     mixed_norm,
     poisson_solve,
     sweep_bands,
@@ -242,8 +242,8 @@ def _merit_gradient(state: _Merit) -> np.ndarray:
     time-weighted H product: :func:`~benpde.energy._node_gradient` of ``W``
     and ``C_k = DF(m_k)^T W_k = (P_k^T W_k - W_k/tau)/theta``."""
     traj, W = state.traj, state.W
-    PW = bands_transpose_apply(traj.grid, state.bands,
-                               W.reshape(traj.n_steps, -1)).reshape(W.shape)
+    PW = bands_apply(traj.grid, state.bands, W.reshape(traj.n_steps, -1),
+                     transpose=True).reshape(W.shape)
     return _node_gradient(traj, (PW - W / traj.tau) / state.theta, W,
                           state.theta)
 
@@ -356,19 +356,23 @@ def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
     ``newton_tol * max(1, |F(u_k)|_H)``, ``F`` taken at ``t_{k+1}``.  Raises
     :class:`~benpde.errors.TimeStepError` naming the first step above its
     target when ``max_newton`` Newton steps in all do not suffice, when the
-    sweep is singular or not finite, or when the line search stalls.
+    sweep is singular or not finite, or when the line search stalls; at
+    once for a residual norm or target that overflows, which is never met.
     """
     if not isinstance(w0, Field):
         raise ValueError("implicit_baseline needs a Field initial state")
     grid, steps = w0.grid, 0
     merit = _merit(model, constant_initial_trajectory(grid, times, w0), 1.0)
     while True:
-        both = np.concatenate([merit.R, merit.F0])
-        rnorm, scale = np.sqrt(h_inner_batch(grid, both, both)).reshape(2, -1)
-        unmet = np.flatnonzero(~(rnorm <= newton_tol * np.maximum(1.0, scale)))
+        rnorm, scale = h_norm(grid, np.concatenate([merit.R, merit.F0])).reshape(2, -1)
+        target = newton_tol * np.maximum(1.0, scale)
+        bad = np.flatnonzero(~np.isfinite(rnorm + target))  # never met
+        unmet = bad if bad.size else np.flatnonzero(~(rnorm <= target))
         if not unmet.size:
             return merit.traj
-        if steps >= max_newton:
+        if bad.size:
+            why = "non-finite residual norm or target"
+        elif steps >= max_newton:
             why = "Newton hit the iteration cap"
         elif (direction := _gauss_newton_direction(merit)) is None:
             why = "singular Newton Jacobian"

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 from benpde.convex import PowerDensity, conjugate_radius
 from benpde.energy import certificate, energy_and_gradient, eval_energy
@@ -23,6 +24,7 @@ from benpde.models import (
     adversarial_model,
     burgers_model,
     check_condition,
+    divergence_form_model,
     heat_model,
     lambda_density,
 )
@@ -304,3 +306,46 @@ def test_criterion_9_baseline_convergence_order():
     _report(9, ok, f"exact-solution error {errors[0]:.2e} -> {errors[1]:.2e}, "
                    f"ratio {ratio:.2f} within [{lo}, {hi}]")
     assert lo <= ratio <= hi
+
+
+@pytest.mark.parametrize("dim,builder", [
+    (1, heat_model),
+    (1, burgers_model),
+    (1, lambda: divergence_form_model(2.0)),
+    (1, lambda: divergence_form_model(4.0)),
+    (1, adversarial_model),
+    (2, burgers_model),
+    (2, lambda: divergence_form_model(4.0)),
+], ids=["heat", "burgers", "divform_q2", "divform_q4", "adversarial",
+        "burgers_2d", "divform_q4_2d"])
+def test_criterion_10_critical_points_are_solutions(dim, builder):
+    # The paper's theorem: every critical point of J solves the scheme.  A
+    # descent that sees only J and its gradient (dJ[s] = sum tau h^d s . g,
+    # whose drift part is DLambda^T B) must stop at a certified solution.
+    model = builder()
+    grid = SpaceGrid(dim=dim, n=9 if dim == 1 else 4)
+    w0 = Field(grid, np.prod(np.sin(np.pi * grid.node_coords), axis=0))
+    times = uniform_times(0.1, 8)
+    lbfgs, gauss_newton, solved = [], [], []
+    for seed in range(5):
+        init = random_initial_trajectory(grid, times, w0, seed=seed, noise=2.0)
+        shape = init.states[1:].shape
+
+        def energy(x):
+            traj = init.with_tail(x.reshape(shape))
+            report, grad = energy_and_gradient(model, traj)
+            return report.total, traj.tau * grid.cell_volume * grad[1:].ravel()
+
+        res = scipy_minimize(energy, init.states[1:].ravel(), jac=True,
+                             method="L-BFGS-B", options={
+                                 "maxiter": 1000, "maxcor": 20, "ftol": 0.0,
+                                 "gtol": 1e-13})
+        traj = init.with_tail(res.x.reshape(shape))
+        solved.append(certificate(model, traj, NORMALIZED_TOL).solved)
+        lbfgs.append(res.nit)
+        gauss_newton.append(minimize(model, init).iterations)
+    ok = all(solved)
+    _report(10, ok, f"{model.name} ({dim}-D): {sum(solved)}/5 gradient-only "
+                    f"L-BFGS runs certified; iterations {lbfgs}, "
+                    f"Gauss-Newton {gauss_newton}")
+    assert ok

@@ -13,7 +13,7 @@ from benpde.grid import (
     Field,
     SpaceGrid,
     Trajectory,
-    bands_transpose_apply,
+    bands_apply,
     divergence,
     dual_grad_norm,
     grad_norm,
@@ -190,8 +190,9 @@ def test_solve_bands_equals_solve_banded(dim, n):
         assert np.array_equal(x[1], want)
 
 
+@pytest.mark.parametrize("transpose", [False, True], ids=["forward", "transpose"])
 @pytest.mark.parametrize("dim,n", [(1, 1), (1, 7), (2, 1), (2, 4)])
-def test_bands_transpose_apply_equals_dense_transpose(dim, n):
+def test_bands_apply_equals_dense_matrix(dim, n, transpose):
     # Nonsymmetric stencils (node coefficients), three slices side by side.
     g = SpaceGrid(dim=dim, n=n)
     rng = np.random.default_rng(7 * dim + n)
@@ -201,8 +202,9 @@ def test_bands_transpose_apply_equals_dense_transpose(dim, n):
         [rng.uniform(0.5, 2.0, size=lead + g.edge_shape(a)) for a in range(dim)],
         [rng.normal(size=lead + g.shape) for _ in range(dim)])
     x = rng.normal(size=(3, g.n_nodes))
-    want = band_matrix(bands).T @ x.ravel()
-    np.testing.assert_allclose(bands_transpose_apply(g, bands, x).ravel(), want,
+    dense = band_matrix(bands)
+    want = (dense.T if transpose else dense) @ x.ravel()
+    np.testing.assert_allclose(bands_apply(g, bands, x, transpose).ravel(), want,
                                rtol=1e-14, atol=1e-12)
 
 
@@ -243,6 +245,23 @@ def test_grad_norm_single_node():
     # |grad u| = 2 on both edges, h = 1/2: (2 * 0.5 * 2^q)^(1/q) = 2 for all q
     assert grad_norm(g, np.array([1.0]), 2.0) == pytest.approx(2.0)
     assert grad_norm(g, np.array([1.0]), 4.0) == pytest.approx(2.0)
+
+
+def test_h_norm_per_field():
+    # One norm per (k, *shape) field over the leading axes, a float for a
+    # single field, inf once the squares overflow.
+    g = SpaceGrid(dim=2, n=3)
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=(4, 2, 2) + g.shape)
+    norms = h_norm(g, u)
+    assert norms.shape == (4, 2)
+    for i in range(4):
+        for j in range(2):
+            assert norms[i, j] == pytest.approx(np.sqrt(h_inner(g, u[i, j], u[i, j])),
+                                                rel=1e-14)
+    assert isinstance(h_norm(g, u[0, 0]), float)
+    assert isinstance(h_norm(g, u[0, 0, 0]), float)
+    assert list(h_norm(g, np.stack([u[0, 0], 1e200 * u[0, 0]]))) == [norms[0, 0], np.inf]
 
 
 def test_dual_grad_norm_is_lifted_gradient_norm():

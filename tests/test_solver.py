@@ -492,6 +492,22 @@ def test_baseline_step_failure_reports_index():
     assert info.value.residual > 0.0
 
 
+def test_baseline_overflowed_residual_is_never_met():
+    # At 1e155 every step's residual norm and target overflow to inf; that
+    # must fail at step 0, not pass inf <= inf and return the constant start.
+    g = SpaceGrid(dim=1, n=9)
+    wave = np.sin(np.pi * g.node_coords[0])
+    times = uniform_times(0.1, 4)
+    with np.errstate(over="ignore"):  # pricing the merit overflows too
+        with pytest.raises(TimeStepError, match="step 0: non-finite") as info:
+            implicit_baseline(build_model("heat"), Field(g, 1e155 * wave), times)
+    assert info.value.step_index == 0
+    assert info.value.residual == np.inf
+    peaks = np.max(np.abs(implicit_baseline(
+        build_model("heat"), Field(g, 1e150 * wave), times).states), axis=(1, 2))
+    np.testing.assert_allclose(peaks[1:] / peaks[:-1], 0.8, rtol=0.02)
+
+
 @pytest.mark.parametrize("name,params,dim,n", [
     ("burgers", {}, 1, 17),
     ("divergence_form", {"q": 4.0}, 1, 17),
