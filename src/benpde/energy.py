@@ -296,14 +296,16 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
 # -- residual and energy ------------------------------------------------------------
 
 
-def _dual_residuals(model: ModelSpec, grid: SpaceGrid, tau: float, times, states):
-    """Midpoints ``m_k``, midpoint times and dual residuals ``H_k`` of every
-    interval of ``states`` ``(..., M+1, k, *shape)`` at ``times``; the
-    interval axis keeps its place."""
+def _dual_residuals(model: ModelSpec, grid: SpaceGrid, tau: float, times,
+                    states, theta: float = 0.5):
+    """theta-points ``m_k`` (midpoints at theta = 1/2, ``u_{k+1}`` at 1), their
+    times ``t_k + theta tau`` and dual residuals ``H_k = -(u_{k+1} - u_k)/tau
+    - Lambda(m_k)`` of every interval of ``states`` ``(..., M+1, k, *shape)``
+    at ``times``; the interval axis keeps its place."""
     lead = (slice(None),) * (states.ndim - grid.dim - 2)
     u0, u1 = states[lead + (slice(None, -1),)], states[lead + (slice(1, None),)]
-    mids = 0.5 * (u0 + u1)
-    t_mid = 0.5 * (times[:-1] + times[1:])
+    mids, t_mid = ((u1, times[1:]) if theta == 1.0 else
+                   (0.5 * (u0 + u1), 0.5 * (times[:-1] + times[1:])))
     H = -(u1 - u0) / tau - lambda_density(model, grid, mids, t_mid)
     return mids, t_mid, H
 

@@ -56,6 +56,7 @@ __all__ = [
     "h_inner",
     "h_inner_batch",
     "h_norm",
+    "edge_magnitude",
     "edge_sum",
     "grad_norm",
     "dual_grad_norm",
@@ -362,16 +363,24 @@ def h_norm(grid: SpaceGrid, u):
     return float(out) if out.ndim == 0 else out
 
 
+def edge_magnitude(grid: SpaceGrid, g) -> np.ndarray:
+    """``|g|`` of staggered gradients ``(..., k, *edge_shape)`` over the
+    component axis, kept at length 1: ``abs`` for k = 1, which cannot
+    overflow, else ``sqrt(sum g^2)``."""
+    comp = -(grid.dim + 1)
+    return (np.abs(g) if g.shape[comp] == 1
+            else np.sqrt(np.sum(g**2, axis=comp, keepdims=True)))
+
+
 def edge_sum(grid: SpaceGrid, values, f) -> np.ndarray:
     """``sum_edges h^dim f(|grad u|)`` per field, ``|grad u|`` being the
-    k-vector magnitude of the staggered gradient over the component axis
-    just before the spatial axes.  Returns an array over the leading batch
-    axes, 0-d for a single field."""
+    :func:`edge_magnitude` of the staggered gradient.  Returns an array over
+    the leading batch axes, 0-d for a single field."""
     arr = _batched(values, grid)
     comp, spatial = -(grid.dim + 1), tuple(range(-grid.dim, 0))
     acc = None
     for g in gradient(grid, arr[None] if arr.ndim == grid.dim + 1 else arr):
-        term = grid.cell_volume * np.sum(f(np.sqrt(np.sum(g**2, axis=comp))),
+        term = grid.cell_volume * np.sum(f(edge_magnitude(grid, g)),
                                          axis=spatial)
         acc = term if acc is None else acc + term
     return acc.reshape(arr.shape[:comp])

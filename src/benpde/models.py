@@ -54,6 +54,7 @@ from .grid import (
     bands_apply,
     divergence,
     dual_grad_norm,
+    edge_magnitude,
     edge_sum,
     grad_norm,
     gradient,
@@ -200,12 +201,8 @@ def psi_total(density: PowerDensity, grid: SpaceGrid, values):
 
 def psi_grad_edges(density: PowerDensity, grid: SpaceGrid, values) -> list:
     """Per-axis edge values of ``Dpsi(grad u)`` (radial gradient law)."""
-    comp = -(grid.dim + 1)
-    out = []
-    for g in gradient(grid, _batched(values, grid)):
-        mag = np.sqrt(np.sum(g**2, axis=comp, keepdims=True))
-        out.append(radial_coefficient(density, mag) * g)
-    return out
+    return [radial_coefficient(density, edge_magnitude(grid, g)) * g
+            for g in gradient(grid, _batched(values, grid))]
 
 
 def psi_gradient_density(density: PowerDensity, grid: SpaceGrid, values):
@@ -224,7 +221,7 @@ def psi_hessian_edge_weights(density: PowerDensity, grid: SpaceGrid, values) -> 
     arr, comp = _batched(values, grid), -(grid.dim + 1)
     if arr.shape[comp] != 1:
         raise ValueError("hessian edge weights require a one-component field")
-    return [radial_coefficient(density, np.abs(np.squeeze(g, axis=comp)),
+    return [radial_coefficient(density, np.squeeze(edge_magnitude(grid, g), comp),
                                curvature=True) for g in gradient(grid, arr)]
 
 

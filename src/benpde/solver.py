@@ -5,7 +5,10 @@ Both routes to a discrete solution are damped Gauss-Newton on the residuals
 theta-point of interval ``k``: each direction is one forward sweep of
 linearised steps, along which the merit
 ``phi = (tau/2) sum_k <R_k, (-Delta)^{-1} R_k>_H`` has slope ``-2 phi``,
-and one Armijo line search on ``phi`` damps it.
+and one Armijo line search on ``phi`` damps it.  ``R_k = lam DPsi(lam m_k)
+- H_k`` is read off the certificate's dual residuals ``H_k``
+(:func:`~benpde.energy._dual_residuals`), so the energy, the merit and the
+baseline share one theta-point residual.
 
 * :func:`minimize` drives the certificate energy to zero on the midpoint
   (theta = 1/2) residuals, which vanish exactly where the energy does.
@@ -13,7 +16,7 @@ and one Armijo line search on ``phi`` damps it.
   a stop, and a stop stands only when its certificate verdict is solved.
 * :func:`implicit_baseline` is the theta = 1 run from the constant start:
   the classical fully implicit scheme, stopped once every step meets its
-  own residual target.
+  own residual target ``newton_tol max(1, |F(u_{k+1})|_H)``.
 
 :func:`compare` measures trajectory discrepancies in a relative mixed norm.
 """
@@ -26,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .energy import (CertificateVerdict, EnergyReport, _assemble, _Assembly,
-                     _node_gradient)
+                     _dual_residuals, _node_gradient)
 from .errors import (
     ConjugateSolveError,
     LineSearchError,
@@ -45,12 +48,7 @@ from .grid import (
     poisson_solve,
     sweep_bands,
 )
-from .models import (
-    ModelSpec,
-    jacobian_bands,
-    lambda_density,
-    psi_gradient_density,
-)
+from .models import ModelSpec, jacobian_bands, psi_gradient_density
 
 __all__ = [
     "SolveOptions",
@@ -99,10 +97,9 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class _Merit:
-    """Gauss-Newton state of one trajectory: the theta-points and their
-    times, the residuals ``R``, their lift ``W = (-Delta)^{-1} R``, the merit
-    ``phi`` and ``F0``, the terms ``F(u_k)`` at ``t_{k+1}`` that scale the
-    targets of :func:`implicit_baseline` (empty unless theta = 1)."""
+    """Gauss-Newton state of one trajectory (:func:`_merit`): the theta-points,
+    their times, the residuals ``R``, their lift ``W = (-Delta)^{-1} R`` and
+    the merit ``phi``."""
 
     model: ModelSpec
     traj: Trajectory
@@ -112,7 +109,6 @@ class _Merit:
     R: np.ndarray
     W: np.ndarray
     phi: float
-    F0: np.ndarray
 
     @cached_property
     def bands(self) -> np.ndarray:
@@ -198,43 +194,19 @@ def random_initial_trajectory(grid: SpaceGrid, times, w0, seed: int,
 # -- damped Gauss-Newton: the minimizer and the implicit baseline ----------------------
 
 
-def _theta_sweep(bands, rhs, tau: float, theta: float):
-    """Newton step of the theta scheme ``R_k = (u_{k+1} - u_k)/tau +
-    F(theta u_{k+1} + (1 - theta) u_k)``, block lower-bidiagonal in time:
-    from ``delta_0 = 0``,
-
-        delta_{k+1} = P_k^{-1}(-R_k + delta_k/(theta tau))
-                      - ((1 - theta)/theta) delta_k,
-
-    with the bands of ``P_k = I/tau + theta DF`` side by side in ``bands``
-    and ``-R_k`` in row ``k`` of ``rhs``: one :func:`~benpde.grid.sweep_bands`,
-    which returns ``delta`` (one row more than ``rhs``) and the first slice
-    whose solve is singular or not finite, or ``None``.  ``theta`` is 1/2 or
-    1, so ``(1 - theta)/theta`` is 1 or 0.
-    """
-    return sweep_bands(bands, rhs, 1.0 / (theta * tau), theta != 1.0)
-
-
 def _merit(model: ModelSpec, traj: Trajectory, theta: float = 0.5) -> _Merit:
-    """The merit ``phi = (tau/2) sum_k <R_k, (-Delta)^{-1} R_k>_H`` of the
-    residuals ``R_k = (u_{k+1} - u_k)/tau + Lambda(m_k) + lam DPsi(lam m_k)``
-    at ``m_k = (1 - theta) u_k + theta u_{k+1}`` and ``t_k + theta tau``,
-    theta 1/2 or 1: no conjugate.  At theta = 1/2, ``R_k = -H_k + lam
-    DPsi(lam m_k)``, so ``phi = (a + eps) J`` for quadratic densities and
-    vanishes exactly where ``J`` does."""
-    grid, u, t, m = traj.grid, traj.states, traj.times, traj.n_steps
-    one = theta == 1.0  # then F(u_k) at t_{k+1} rides along in the batch
-    mids = u[1:] if one else 0.5 * (u[:-1] + u[1:])
-    t_mid = t[1:] if one else 0.5 * (t[:-1] + t[1:])
-    x = np.concatenate([mids, u[:-1]]) if one else mids
-    F = lambda_density(model, grid, x, np.concatenate([t_mid] * (1 + one)))
-    R, F0 = (u[1:] - u[:-1]) / traj.tau + F[:m], F[m:]
-    if model.lam:  # lam = 1
-        D = psi_gradient_density(model.density, grid, x)
-        R, F0 = R + D[:m], F0 + D[m:]
+    """The merit ``phi`` of the residuals ``R_k = lam DPsi(lam m_k) - H_k`` at
+    the theta-points ``m_k``, theta 1/2 or 1: no conjugate.  At theta = 1/2
+    ``phi = (a + eps) J`` for quadratic densities and vanishes exactly where
+    ``J`` does."""
+    grid = traj.grid
+    mids, t_mid, H = _dual_residuals(model, grid, traj.tau, traj.times,
+                                     traj.states, theta)
+    # lam = 1 if set; -H is (u_{k+1} - u_k)/tau + Lambda(m_k) bit for bit
+    R = psi_gradient_density(model.density, grid, mids) - H if model.lam else -H
     W = poisson_solve(grid, -R)
     return _Merit(model, traj, theta, mids, t_mid, R, W,
-                  0.5 * traj.tau * h_inner(grid, R, W), F0)
+                  0.5 * traj.tau * h_inner(grid, R, W))
 
 
 def _merit_gradient(state: _Merit) -> np.ndarray:
@@ -250,13 +222,18 @@ def _merit_gradient(state: _Merit) -> np.ndarray:
 
 def _gauss_newton_direction(state: _Merit):
     """Gauss-Newton step ``delta = -R'(u)^{-1} R(u)`` on the residuals of the
-    :func:`_merit` state of ``u``, or ``None`` when its :func:`_theta_sweep`
-    fails; ``DF = DLambda(m_k) + lam D^2Psi(lam m_k)``.  Along ``delta`` the
-    merit has slope ``-2 phi``."""
-    traj = state.traj
-    delta, singular = _theta_sweep(state.bands,
-                                   -state.R.reshape(traj.n_steps, -1),
-                                   traj.tau, state.theta)
+    :func:`_merit` state of ``u``, or ``None`` when its sweep fails;
+    ``DF = DLambda(m_k) + lam D^2Psi(lam m_k)``.  ``R'`` is block
+    lower-bidiagonal in time, so one :func:`~benpde.grid.sweep_bands` over
+    the :attr:`_Merit.bands` of ``P_k`` gives, from ``delta_0 = 0``,
+
+        delta_{k+1} = P_k^{-1}(-R_k + delta_k/(theta tau))
+                      - ((1 - theta)/theta) delta_k,
+
+    the last term 0 at theta = 1.  Along it the merit has slope ``-2 phi``."""
+    traj, theta = state.traj, state.theta
+    delta, singular = sweep_bands(state.bands, -state.R.reshape(traj.n_steps, -1),
+                                  1.0 / (theta * traj.tau), theta != 1.0)
     return None if singular is not None else delta.reshape(traj.states.shape)
 
 
@@ -352,8 +329,9 @@ def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
     as the theta = 1 run of :func:`minimize`'s iteration from the constant
     extension of ``w0`` over the whole trajectory, damped by the
     :func:`_line_search` of the default :class:`SolveOptions`.  It stops
-    once every step ``k`` has a residual of at most
-    ``newton_tol * max(1, |F(u_k)|_H)``, ``F`` taken at ``t_{k+1}``.  Raises
+    once every step ``k`` has a residual ``R_k`` of at most
+    ``newton_tol * max(1, |F(u_{k+1})|_H)``, where ``F(u_{k+1}) = R_k -
+    (u_{k+1} - u_k)/tau`` are the terms at the step's own theta-point.  Raises
     :class:`~benpde.errors.TimeStepError` naming the first step above its
     target when ``max_newton`` Newton steps in all do not suffice, when the
     sweep is singular or not finite, or when the line search stalls; at
@@ -364,7 +342,8 @@ def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
     grid, steps = w0.grid, 0
     merit = _merit(model, constant_initial_trajectory(grid, times, w0), 1.0)
     while True:
-        rnorm, scale = h_norm(grid, np.concatenate([merit.R, merit.F0])).reshape(2, -1)
+        u, R, tau = merit.traj.states, merit.R, merit.traj.tau
+        rnorm, scale = h_norm(grid, np.stack([R, R - np.diff(u, axis=0) / tau]))
         target = newton_tol * np.maximum(1.0, scale)
         bad = np.flatnonzero(~np.isfinite(rnorm + target))  # never met
         unmet = bad if bad.size else np.flatnonzero(~(rnorm <= target))

@@ -235,6 +235,25 @@ def test_residual_frozen_single_node_step():
         residual(build_model("heat"), traj, 1)
 
 
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 6)])
+@pytest.mark.parametrize("name,params", [
+    ("heat", {}), ("burgers", {}), ("divergence_form", {"q": 4.0}),
+    ("adversarial", {})], ids=["heat", "burgers", "divform_q4", "adversarial"])
+def test_dual_residuals_at_theta_one_are_the_implicit_step_terms(name, params,
+                                                                 dim, n):
+    # theta = 1 puts the theta-point at u_{k+1} and its time at t_{k+1}
+    grid = SpaceGrid(dim=dim, n=n)
+    traj = _random_trajectory(grid, np.random.default_rng(3))
+    model = build_model(name, **params)
+    u, t, tau = traj.states, traj.times, traj.tau
+    mids, t_mid, H = benpde.energy._dual_residuals(model, grid, tau, t, u,
+                                                   theta=1.0)
+    np.testing.assert_array_equal(mids, u[1:])
+    np.testing.assert_array_equal(t_mid, t[1:])
+    np.testing.assert_array_equal(
+        H, -(u[1:] - u[:-1]) / tau - lambda_density(model, grid, u[1:], t[1:]))
+
+
 # -- energy -----------------------------------------------------------------------
 
 

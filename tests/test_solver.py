@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
+import benpde.energy
 import benpde.solver
 from benpde.energy import (_assemble, _dual_residuals, certificate,
                            energy_and_gradient, eval_energy, residual)
 from benpde.errors import LineSearchError, ModelEvaluationError, TimeStepError
-from benpde.grid import Field, SpaceGrid, Trajectory, h_norm, uniform_times
+from benpde.grid import (Field, SpaceGrid, Trajectory, h_norm, sweep_bands,
+                         uniform_times)
 from benpde.models import (adversarial_model, build_model, jacobian_bands,
                            lambda_density, psi_gradient_density)
 from benpde.solver import (
@@ -256,6 +258,13 @@ def test_gauss_newton_slope_is_minus_twice_the_energy(case):
                                                     rel=1e-12)
 
 
+def _theta_sweep(bands, rhs, tau, theta):
+    """The theta-scheme sweep that the Gauss-Newton direction takes:
+    ``delta_{k+1} = P_k^{-1}(rhs_k + delta_k/(theta tau))
+    - ((1 - theta)/theta) delta_k`` from ``delta_0 = 0``, theta 1/2 or 1."""
+    return sweep_bands(bands, rhs, 1.0 / (theta * tau), theta != 1.0)
+
+
 def _direction_from_scratch(model, traj):
     """Gauss-Newton direction with every input recomputed from ``traj``."""
     grid, tau, lam = traj.grid, traj.tau, float(model.lam)
@@ -265,8 +274,8 @@ def _direction_from_scratch(model, traj):
         R = R + lam * psi_gradient_density(model.density, grid, lam * mids)
     bands = jacobian_bands(model, grid, mids.reshape((-1, 1) + grid.shape),
                            np.repeat(t_mid, traj.k), 1.0 / tau, 0.5)
-    delta, failed = benpde.solver._theta_sweep(
-        bands, -R.reshape(traj.n_steps, -1), tau, 0.5)
+    delta, failed = _theta_sweep(bands, -R.reshape(traj.n_steps, -1), tau,
+                                 0.5)
     assert failed is None
     return delta.reshape(traj.states.shape)
 
@@ -362,6 +371,50 @@ def test_merit_gradient_and_gauss_newton_slope(name, params, k, theta, dim, n):
             s = rng.normal(size=u.states.shape)
             fd = (phi_at(u, s, e) - phi_at(u, s, -e)) / (2.0 * e)
             assert _slope(u, g, s) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 6)])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("name,params", _MODELS, ids=_MODEL_IDS)
+def test_merit_residual_is_the_theta_scheme_residual(name, params, theta, dim,
+                                                     n):
+    # The merit reads R = DPsi(m) - H off the certificate's dual residuals;
+    # that is the theta-scheme residual bit for bit, with and without Psi.
+    u = _noisy_trajectory(dim, n, seed=1)
+    x, t = u.states[1:], u.times[1:]
+    if theta == 0.5:
+        x, t = 0.5 * (u.states[:-1] + x), 0.5 * (u.times[:-1] + t)
+    built = build_model(name, **params)
+    for model in (built, replace(built, lam=0)):
+        want = ((u.states[1:] - u.states[:-1]) / u.tau
+                + lambda_density(model, u.grid, x, t))
+        if model.lam:
+            want = want + psi_gradient_density(model.density, u.grid, x)
+        np.testing.assert_array_equal(
+            benpde.solver._merit(model, u, theta).R, want)
+
+
+def test_baseline_prices_only_the_new_states(monkeypatch):
+    # Every theta = 1 merit of the baseline, trials included, prices Lambda
+    # and DPsi at the M states u_1, ..., u_M and at nothing else.
+    batches = []
+
+    def recorded(f):
+        def call(model, grid, values, *rest):
+            batches.append((f.__name__, len(values)))
+            return f(model, grid, values, *rest)
+        return call
+
+    monkeypatch.setattr(benpde.energy, "lambda_density",
+                        recorded(lambda_density))
+    monkeypatch.setattr(benpde.solver, "psi_gradient_density",
+                        recorded(psi_gradient_density))
+    g = SpaceGrid(dim=1, n=9)
+    times = uniform_times(0.1, 8)
+    implicit_baseline(build_model("burgers"),
+                      Field(g, np.sin(np.pi * g.node_coords[0])), times)
+    assert len(batches) >= 4  # the start and at least one trial
+    assert set(batches) == {("lambda_density", 8), ("psi_gradient_density", 8)}
 
 
 def test_gauss_newton_descends_for_quartic_density():
@@ -498,9 +551,8 @@ def test_baseline_overflowed_residual_is_never_met():
     g = SpaceGrid(dim=1, n=9)
     wave = np.sin(np.pi * g.node_coords[0])
     times = uniform_times(0.1, 4)
-    with np.errstate(over="ignore"):  # pricing the merit overflows too
-        with pytest.raises(TimeStepError, match="step 0: non-finite") as info:
-            implicit_baseline(build_model("heat"), Field(g, 1e155 * wave), times)
+    with pytest.raises(TimeStepError, match="step 0: non-finite") as info:
+        implicit_baseline(build_model("heat"), Field(g, 1e155 * wave), times)
     assert info.value.step_index == 0
     assert info.value.residual == np.inf
     peaks = np.max(np.abs(implicit_baseline(
@@ -516,8 +568,9 @@ def test_baseline_overflowed_residual_is_never_met():
 ])
 def test_baseline_meets_every_step_target(name, params, dim, n):
     # Recompute each backward-Euler residual one step at a time and hold it
-    # to the step's own target; a looser tolerance than the default leaves
-    # more steps to be frozen on their own residual.
+    # to the step's own target, scaled by the terms F(u_{k+1}) at t_{k+1}
+    # (and, as these residuals allow, by F(u_k)); a looser tolerance than
+    # the default lets the target, not rounding, decide when a step is met.
     tol = 1e-10
     g = SpaceGrid(dim=dim, n=n)
     x = g.node_coords
@@ -533,6 +586,7 @@ def test_baseline_meets_every_step_target(name, params, dim, n):
     for k in range(traj.n_steps):
         u0, u1, t1 = traj.states[k], traj.states[k + 1], times[k + 1]
         r = (u1 - u0) / traj.tau + F(u1, t1)
+        assert h_norm(g, r) <= tol * max(1.0, h_norm(g, F(u1, t1))), k
         assert h_norm(g, r) <= tol * max(1.0, h_norm(g, F(u0, t1))), k
 
 
@@ -563,17 +617,17 @@ def test_baseline_newton_sweep_counts(monkeypatch, name, params, dim, n,
     # CI run: a line search that damped more would take more sweeps.
     g = SpaceGrid(dim=dim, n=n)
     w0 = Field(g, np.prod(np.sin(np.pi * g.node_coords), axis=0))
-    thetas, sweep = [], benpde.solver._theta_sweep
+    carries = []
 
-    def counted(bands, rhs, tau, theta):
-        thetas.append(theta)
-        return sweep(bands, rhs, tau, theta)
+    def counted(bands, rhs, lag, carry):
+        carries.append(carry)
+        return sweep_bands(bands, rhs, lag, carry)
 
-    monkeypatch.setattr(benpde.solver, "_theta_sweep", counted)
+    monkeypatch.setattr(benpde.solver, "sweep_bands", counted)
     implicit_baseline(build_model(name, **params), w0,
                       uniform_times(t_end, n_steps))
-    assert 1 <= len(thetas) <= cap
-    assert set(thetas) == {1.0}
+    assert 1 <= len(carries) <= cap
+    assert set(carries) == {False}  # theta = 1 carries nothing
 
 
 def _dense_sweep_case(dim, n, theta, n_steps=5):
@@ -605,7 +659,7 @@ def _dense_sweep_case(dim, n, theta, n_steps=5):
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_theta_sweep_equals_dense_newton_solve(dim, n, theta):
     bands, rhs, tau, system, N = _dense_sweep_case(dim, n, theta)
-    delta, singular = benpde.solver._theta_sweep(bands, rhs, tau, theta)
+    delta, singular = _theta_sweep(bands, rhs, tau, theta)
     want = np.linalg.solve(system, rhs.ravel()).reshape(rhs.shape)
     assert singular is None
     np.testing.assert_array_equal(delta[0], 0.0)
@@ -619,7 +673,7 @@ def test_theta_sweep_stops_at_singular_slice(dim, n):
     bands[:, 3 * N:4 * N] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        delta, singular = benpde.solver._theta_sweep(bands, rhs, tau, 1.0)
+        delta, singular = _theta_sweep(bands, rhs, tau, 1.0)
     assert singular == 3
     # block lower-triangular: the first three slices solve on their own
     want = np.linalg.solve(system[:3 * N, :3 * N], rhs[:3].ravel())
@@ -648,7 +702,7 @@ def test_theta_sweep_reports_first_failing_slice(dim, n, theta):
     rhs[3, 1] = np.inf  # non-finite but not singular
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        delta, failed = benpde.solver._theta_sweep(bands, rhs, tau, theta)
+        delta, failed = _theta_sweep(bands, rhs, tau, theta)
     assert failed == 3
     np.testing.assert_array_equal(delta, _per_slice_sweep(bands, rhs, tau,
                                                           theta, 3))
@@ -657,7 +711,7 @@ def test_theta_sweep_reports_first_failing_slice(dim, n, theta):
     bands[:, 5 * N:6 * N] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        delta, failed = benpde.solver._theta_sweep(bands, rhs, tau, theta)
+        delta, failed = _theta_sweep(bands, rhs, tau, theta)
     assert failed == 2
     np.testing.assert_array_equal(delta, _per_slice_sweep(bands, rhs, tau,
                                                           theta, 2))
