@@ -11,7 +11,9 @@ Commands
     block in the report, then exits 3.
 ``baseline <cfg>``
     Solve the implicit stepping scheme and write the same artifacts (minus
-    the iteration history).
+    the iteration history).  A failed solve or assembly still writes
+    ``report.json`` with a ``failure`` block (and the trajectory, when only
+    its assembly failed), then exits 3.
 ``verify <cfg>``
     Run every structural-condition checker for the configured model and
     write ``conditions.json``.  Exit 0 iff all conditions pass.
@@ -62,6 +64,7 @@ from .grid import (
     h_inner,
     save_trajectory_csv,
     uniform_times,
+    write_lines,
 )
 from .models import _BUILDERS, ModelSpec, build_model, check_all_conditions, psi_total
 from .solver import (
@@ -302,13 +305,9 @@ def load_config(path) -> RunConfig:
 # -- artifact writers --------------------------------------------------------------
 
 
-def _write_lines(path: Path, lines: list) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def _write_history(path: Path, history: np.ndarray) -> None:
     rows = np.column_stack([np.arange(len(history)), history])
-    _write_lines(path, ["iter,phi,grad_norm", *format_rows(rows)])
+    write_lines(path, ["iter,phi,grad_norm", *format_rows(rows)])
 
 
 def _write_profiles(path: Path, traj: Trajectory) -> None:
@@ -318,11 +317,16 @@ def _write_profiles(path: Path, traj: Trajectory) -> None:
     picks = sorted({n // 4, n // 2, (3 * n) // 4})
     header = "# t " + " ".join(f"node_{p}" for p in picks)
     rows = np.column_stack([traj.times, flat[:, picks]])
-    _write_lines(path, [header, *format_rows(rows, " ")])
+    write_lines(path, [header, *format_rows(rows, " ")])
 
 
 def _write_report(path: Path, payload: dict) -> None:
-    _write_lines(path, [json.dumps(payload, indent=2)])
+    write_lines(path, [json.dumps(payload, indent=2)])
+
+
+def _failure(exc: BenpdeError) -> dict:
+    """The ``failure`` block of a report: the error's class and message."""
+    return {"kind": type(exc).__name__, "message": str(exc)}
 
 
 # -- commands ----------------------------------------------------------------------
@@ -361,8 +365,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     payload["iterations"] = outcome.iterations
     payload["converged"] = outcome.converged
     if failure is not None:
-        payload["failure"] = {"kind": type(failure).__name__,
-                              "message": str(failure),
+        payload["failure"] = {**_failure(failure),
                               "iterations": outcome.iterations}
     elif cfg.keys["compare.baseline"]:
         try:
@@ -375,8 +378,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
             }
         except BenpdeError as exc:  # the solve's own artifacts still stand
             failure, where = exc, "compare.baseline: "
-            payload["compare_baseline"] = {"failure": {
-                "kind": type(exc).__name__, "message": str(exc)}}
+            payload["compare_baseline"] = {"failure": _failure(exc)}
     _write_report(cfg.out_dir / "report.json", payload)
 
     shown = (np.nan, np.nan) if report is None else (report.normalized,
@@ -391,12 +393,23 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 
 def _cmd_baseline(cfg: RunConfig) -> int:
-    traj = implicit_baseline(cfg.model, cfg.w0, cfg.times)
-    state = _assemble(cfg.model, traj)
-    report, verdict = state.report, state.verdict(cfg.keys["solve.tol"])
+    traj = failure = None  # a trajectory exists when only its assembly fails
+    try:
+        traj = implicit_baseline(cfg.model, cfg.w0, cfg.times)
+        state = _assemble(cfg.model, traj)
+        report, verdict = state.report, state.verdict(cfg.keys["solve.tol"])
+    except BenpdeError as exc:
+        failure = exc
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    save_trajectory_csv(traj, cfg.out_dir / "trajectory.csv")
-    _write_profiles(cfg.out_dir / "profiles.dat", traj)
+    if traj is not None:
+        save_trajectory_csv(traj, cfg.out_dir / "trajectory.csv")
+        _write_profiles(cfg.out_dir / "profiles.dat", traj)
+    if failure is not None:
+        _write_report(cfg.out_dir / "report.json",
+                      {"failure": _failure(failure)})
+        print(f"baseline {cfg.model.name}: failed -> {cfg.out_dir}")
+        print(f"baseline: {failure}", file=sys.stderr)
+        return 3
     payload = report.to_json_dict()
     payload["certificate"] = verdict.to_json_dict()
     payload["steps"] = traj.n_steps
@@ -481,7 +494,7 @@ def _cmd_conjugate_table(args) -> int:
             failures += bool(why)
             rows.append(",".join(FMT % v for v in row) + why)
     out = Path(args.out)
-    _write_lines(out, ["y,psi_star,argmax"] + rows)
+    write_lines(out, ["y,psi_star,argmax"] + rows)
     print(f"conjugate-table q={args.exponent:g} a={args.coefficient:g} "
           f"eps={args.regularizer:g}: {len(rows)} rows, {failures} failures "
           f"-> {out}")

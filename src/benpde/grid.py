@@ -32,8 +32,11 @@ five-point scheme.
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv, dgtsv, dpbtrf, dpbtrs, dpttrf, dpttrs
@@ -63,6 +66,7 @@ __all__ = [
     "mixed_norm",
     "uniform_times",
     "format_rows",
+    "write_lines",
     "save_trajectory_csv",
     "load_trajectory_csv",
 ]
@@ -497,14 +501,35 @@ def format_rows(rows, sep: str = ","):
     return (line % tuple(row.tolist()) for row in rows)
 
 
+def write_lines(path, lines) -> None:
+    """Write each string of the iterable ``lines`` to ``path`` as one UTF-8
+    line ending in LF, streamed rather than joined first.
+
+    A plain file at ``path`` (regular, one link, writable by this process)
+    is unlinked first, so the text goes to a new file with a new inode and
+    umask permissions: ext4 (``auto_da_alloc``) starts writeback on the
+    ``close`` of a file truncated in place.  Anything else there (a
+    symlink, a hard-linked or read-only file, a directory, a FIFO, a
+    device) is written through, or fails, as a plain ``open(path, "w")``
+    would.  Nothing is fsynced.
+    """
+    try:
+        st = os.lstat(path)
+        if (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                and os.access(path, os.W_OK)):
+            os.unlink(path)
+    except OSError:  # nothing there, or not ours to unlink: write through
+        pass
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def save_trajectory_csv(traj: Trajectory, path) -> None:
     """Write ``t,node_0,...`` rows; %.17g so floats round-trip exactly."""
     n_vals = traj.k * traj.grid.n_nodes
     header = "t," + ",".join(f"node_{i}" for i in range(n_vals))
-    rows = format_rows(np.column_stack([traj.times, traj.states.reshape(-1, n_vals)]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(row + "\n" for row in rows)
+    rows = np.column_stack([traj.times, traj.states.reshape(-1, n_vals)])
+    write_lines(path, chain([header], format_rows(rows)))
 
 
 def load_trajectory_csv(path, grid: SpaceGrid) -> Trajectory:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import benpde
+import benpde.cli
 import benpde.solver
 from benpde.cli import (_ACCEPTED, _parse_lines, _resolve_config,
                         _write_history, _write_profiles, load_config, main)
@@ -248,8 +249,38 @@ def test_singular_baseline_jacobian_exits_3(tmp_path, monkeypatch, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["baseline", "singular.cfg"]) == 3
-    err = capsys.readouterr().err
-    assert "step 0" in err and "singular" in err
+    captured = capsys.readouterr()
+    assert captured.out == "baseline adversarial: failed -> out\n"
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert list(report) == ["failure"]
+    failure = report["failure"]
+    assert failure["kind"] == "TimeStepError"
+    assert failure["message"].startswith("step 0: singular")
+    assert captured.err == f"baseline: {failure['message']}\n"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "report.json"]
+
+
+def test_failed_baseline_assembly_writes_the_trajectory(tmp_path, monkeypatch,
+                                                        capsys):
+    def fail(model, traj):
+        raise ConjugateSolveError("slice 0: injected failure", 1.0, 0)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(benpde.cli, "_assemble", fail)
+    _write_quick_heat(tmp_path / "quick.cfg")
+    assert main(["baseline", "quick.cfg"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "baseline heat: failed -> out\n"
+    assert captured.err == "baseline: slice 0: injected failure\n"
+    out_dir = tmp_path / "out"
+    assert json.loads((out_dir / "report.json").read_text()) == {
+        "failure": {"kind": "ConjugateSolveError",
+                    "message": "slice 0: injected failure"}}
+    traj = load_trajectory_csv(out_dir / "trajectory.csv",
+                               load_config(tmp_path / "quick.cfg").grid)
+    assert traj.states.shape == (9, 1, 9)
+    assert len((out_dir / "profiles.dat").read_text().splitlines()) == 1 + 9
 
 
 def test_failed_compare_baseline_keeps_the_solve_report(tmp_path, monkeypatch,
@@ -603,6 +634,45 @@ def test_conjugate_table_counts_non_finite_rows_as_failures(tmp_path,
     rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
     assert rows[0].startswith("-2,1.8856180831641267,-1.41421356237309")
     assert all(row.endswith("  # not finite") for row in rows[1:])
+
+
+def test_solve_over_longer_stale_artifacts_writes_fresh_bytes(tmp_path,
+                                                             monkeypatch):
+    names = ("trajectory.csv", "history.csv", "profiles.dat", "report.json")
+    for side in ("fresh", "stale"):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        _write_quick_heat(tmp_path / side / "quick.cfg")
+        if side == "stale":
+            (tmp_path / side / "out").mkdir()
+            for name in names:
+                (tmp_path / side / "out" / name).write_bytes(b"junk," * 10**5)
+        assert main(["solve", "quick.cfg"]) == 0
+    for name in names:
+        assert ((tmp_path / "stale" / "out" / name).read_bytes()
+                == (tmp_path / "fresh" / "out" / name).read_bytes())
+
+
+def test_conjugate_table_into_a_directory_is_io_error(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table").mkdir()
+    assert main(["conjugate-table", "--out", "table"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert (tmp_path / "table").is_dir()
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+def test_conjugate_table_into_a_read_only_file_is_io_error(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("kept\n")
+    (tmp_path / "t.csv").chmod(0o444)
+    assert main(["conjugate-table", "--out", "t.csv"]) == 4
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert (tmp_path / "t.csv").read_text() == "kept\n"
 
 
 def test_conjugate_table_general_q_at_huge_arguments(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Difference calculus, norms, trajectories, and CSV persistence."""
 
+import os
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from benpde.grid import (
     stencil_bands,
     sweep_bands,
     uniform_times,
+    write_lines,
 )
 
 ADJOINT_TOL = 1e-12
@@ -358,3 +360,45 @@ def test_csv_round_trip_bit_exact(tmp_path, dim, n, k):
     assert header.split(",")[0] == "t"
     assert header.split(",")[1] == "node_0"
     assert header.split(",")[-1] == f"node_{k * g.n_nodes - 1}"
+
+
+def test_write_lines_replaces_a_plain_file(tmp_path):
+    # The old inode stays alive while open, so the new file cannot reuse
+    # its number, and the reader keeps the old text: nothing was truncated.
+    path = tmp_path / "a.csv"
+    path.write_text("old text that is longer than the new\n")
+    with open(path) as old:
+        write_lines(path, ["x,y", "1,2"])
+        assert os.stat(path).st_ino != os.fstat(old.fileno()).st_ino
+        assert old.read() == "old text that is longer than the new\n"
+    assert path.read_bytes() == b"x,y\n1,2\n"
+
+
+def test_write_lines_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("stale\n" * 10)
+    link.symlink_to(target)
+    write_lines(link, ["new"])
+    assert link.is_symlink()
+    assert target.read_bytes() == b"new\n"
+
+
+def test_write_lines_writes_through_a_hard_link(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text("stale\n" * 10)
+    os.link(first, second)
+    write_lines(second, ["new"])
+    assert os.stat(first).st_ino == os.stat(second).st_ino
+    assert first.read_bytes() == second.read_bytes() == b"new\n"
+
+
+def test_write_lines_writes_through_a_fifo(tmp_path):
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # so open("w") returns
+    try:
+        write_lines(path, ["a", "b"])
+        assert os.read(reader, 100) == b"a\nb\n"
+    finally:
+        os.close(reader)
+    assert path.is_fifo()
