@@ -12,8 +12,8 @@ Commands
 ``baseline <cfg>``
     Solve the implicit stepping scheme and write the same artifacts (minus
     the iteration history).  A failed solve or assembly still writes
-    ``report.json`` with a ``failure`` block (and the trajectory, when only
-    its assembly failed), then exits 3.
+    ``report.json`` with a ``failure`` block, and the trajectory when only
+    its assembly failed (else it removes an earlier one), then exits 3.
 ``verify <cfg>``
     Run every structural-condition checker for the configured model and
     write ``conditions.json``.  Exit 0 iff all conditions pass.
@@ -404,6 +404,9 @@ def _cmd_baseline(cfg: RunConfig) -> int:
     if traj is not None:
         save_trajectory_csv(traj, cfg.out_dir / "trajectory.csv")
         _write_profiles(cfg.out_dir / "profiles.dat", traj)
+    else:  # no earlier run's trajectory may sit next to this failure
+        (cfg.out_dir / "trajectory.csv").unlink(missing_ok=True)
+        (cfg.out_dir / "profiles.dat").unlink(missing_ok=True)
     if failure is not None:
         _write_report(cfg.out_dir / "report.json",
                       {"failure": _failure(failure)})

@@ -503,24 +503,22 @@ def format_rows(rows, sep: str = ","):
 
 def write_lines(path, lines) -> None:
     """Write each string of the iterable ``lines`` to ``path`` as one UTF-8
-    line ending in LF, streamed rather than joined first.
-
-    A plain file at ``path`` (regular, one link, writable by this process)
-    is unlinked first, so the text goes to a new file with a new inode and
-    umask permissions: ext4 (``auto_da_alloc``) starts writeback on the
-    ``close`` of a file truncated in place.  Anything else there (a
-    symlink, a hard-linked or read-only file, a directory, a FIFO, a
-    device) is written through, or fails, as a plain ``open(path, "w")``
-    would.  Nothing is fsynced.
-    """
+    line ending in LF.  A file there that this process may replace without
+    changing its owner, group or mode is replaced rather than truncated,
+    since ext4 starts writeback on closing a truncated file; anything else
+    is written through (README, Artifacts)."""
     try:
         st = os.lstat(path)
-        if (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
-                and os.access(path, os.W_OK)):
+        replace = (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                   and st.st_mode & stat.S_IWUSR
+                   and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid()))
+        if replace:
             os.unlink(path)
-    except OSError:  # nothing there, or not ours to unlink: write through
-        pass
+    except (OSError, AttributeError):  # nothing there, or no uids (Windows)
+        replace = False
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if replace:  # the mode the old file had, not the umask's
+            os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
         fh.writelines(line + "\n" for line in lines)
 
 

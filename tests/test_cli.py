@@ -261,6 +261,24 @@ def test_singular_baseline_jacobian_exits_3(tmp_path, monkeypatch, capsys):
         "report.json"]
 
 
+def test_failed_baseline_removes_an_earlier_trajectory(tmp_path,
+                                                      monkeypatch):
+    # The singular config above, run over an earlier run's artifacts: no
+    # trajectory may stay next to the failure report.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "singular.cfg").write_text(
+        "model.name = adversarial\nmodel.kappa = 24\ngrid.n = 1\n"
+        "time.T0 = 0.125\ntime.M = 2\noutputs.dir = out\n")
+    (tmp_path / "out").mkdir()
+    for name in ("trajectory.csv", "profiles.dat", "report.json"):
+        (tmp_path / "out" / name).write_text("from an earlier run\n")
+    assert main(["baseline", "singular.cfg"]) == 3
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "report.json"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["failure"]["kind"] == "TimeStepError"
+
+
 def test_failed_baseline_assembly_writes_the_trajectory(tmp_path, monkeypatch,
                                                         capsys):
     def fail(model, traj):

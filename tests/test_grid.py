@@ -1,6 +1,7 @@
 """Difference calculus, norms, trajectories, and CSV persistence."""
 
 import os
+import stat
 import warnings
 
 import numpy as np
@@ -362,16 +363,51 @@ def test_csv_round_trip_bit_exact(tmp_path, dim, n, k):
     assert header.split(",")[-1] == f"node_{k * g.n_nodes - 1}"
 
 
-def test_write_lines_replaces_a_plain_file(tmp_path):
+@pytest.mark.parametrize("mode", [0o600, 0o664], ids=oct)
+def test_write_lines_replaces_a_plain_file(tmp_path, mode):
     # The old inode stays alive while open, so the new file cannot reuse
     # its number, and the reader keeps the old text: nothing was truncated.
+    # The new file has the old mode, whatever the umask.
     path = tmp_path / "a.csv"
     path.write_text("old text that is longer than the new\n")
+    path.chmod(mode)
     with open(path) as old:
         write_lines(path, ["x,y", "1,2"])
         assert os.stat(path).st_ino != os.fstat(old.fileno()).st_ino
         assert old.read() == "old text that is longer than the new\n"
     assert path.read_bytes() == b"x,y\n1,2\n"
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+
+
+@pytest.mark.parametrize("getter, field", [("geteuid", "st_uid"),
+                                           ("getegid", "st_gid")])
+def test_write_lines_writes_through_a_file_of_another_owner(tmp_path,
+                                                            monkeypatch,
+                                                            getter, field):
+    # A new file would belong to the writer, so another user's or group's
+    # file keeps its inode, owner and mode.
+    path = tmp_path / "a.csv"
+    path.write_text("stale\n" * 10)
+    path.chmod(0o664)
+    before = os.stat(path)
+    monkeypatch.setattr(os, getter, lambda: getattr(before, field) + 1)
+    write_lines(path, ["new"])
+    after = os.stat(path)
+    assert (after.st_ino, after.st_uid, after.st_gid, after.st_mode) == (
+        before.st_ino, before.st_uid, before.st_gid, before.st_mode)
+    assert path.read_bytes() == b"new\n"
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="only root may write it")
+def test_write_lines_writes_a_read_only_file_through(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("stale\n" * 10)
+    path.chmod(0o444)
+    before = os.stat(path)
+    write_lines(path, ["new"])
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert path.read_bytes() == b"new\n"
 
 
 def test_write_lines_writes_through_a_symlink(tmp_path):
