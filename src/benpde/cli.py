@@ -10,10 +10,11 @@ Commands
     certificate assembly, still writes the last iterate, with a ``failure``
     block in the report, then exits 3.
 ``baseline <cfg>``
-    Solve the implicit stepping scheme and write the same artifacts (minus
-    the iteration history).  A failed solve or assembly still writes
-    ``report.json`` with a ``failure`` block, and the trajectory when only
-    its assembly failed (else it removes an earlier one), then exits 3.
+    Solve the implicit stepping scheme and write the same artifacts minus
+    the iteration history, removing an earlier run's ``history.csv``.  A
+    failed solve or assembly still writes ``report.json`` with a ``failure``
+    block, and the trajectory when only its assembly failed (else it
+    removes an earlier one), then exits 3.
 ``verify <cfg>``
     Run every structural-condition checker for the configured model and
     write ``conditions.json``.  Exit 0 iff all conditions pass.
@@ -45,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convex import PowerDensity, conjugate_radius, radial_value
+from .convex import PowerDensity, radial_value, solve_radius
 from .energy import _assemble, energy_and_gradient, energy_totals, eval_energy
 from .errors import (
     BenpdeError,
@@ -56,7 +57,6 @@ from .errors import (
     NonFiniteInputError,
 )
 from .grid import (
-    FMT,
     Field,
     SpaceGrid,
     Trajectory,
@@ -401,6 +401,7 @@ def _cmd_baseline(cfg: RunConfig) -> int:
     except BenpdeError as exc:
         failure = exc
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    (cfg.out_dir / "history.csv").unlink(missing_ok=True)  # a solve's, if any
     if traj is not None:
         save_trajectory_csv(traj, cfg.out_dir / "trajectory.csv")
         _write_profiles(cfg.out_dir / "profiles.dat", traj)
@@ -472,36 +473,30 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
 
 def _cmd_conjugate_table(args) -> int:
     if args.steps < 2:
-        print("conjugate-table: --steps must be at least 2", file=sys.stderr)
-        return 2
+        raise ConfigError("--steps must be at least 2")
     for flag, value in (("--y-min", args.y_min), ("--y-max", args.y_max)):
         if not np.isfinite(value):
-            print(f"conjugate-table: {flag} must be finite", file=sys.stderr)
-            return 2
+            raise ConfigError(f"{flag} must be finite")
     try:
         density = PowerDensity(args.coefficient, args.exponent,
                                args.regularizer)
     except ValueError as exc:
-        print(f"conjugate-table: {exc}", file=sys.stderr)
-        return 2
-    rows, failures = [], 0
+        raise ConfigError(str(exc)) from exc
     with np.errstate(all="ignore"):  # a row that overflows fails
-        for y in np.linspace(args.y_min, args.y_max, args.steps):
-            try:
-                r, _ = conjugate_radius(density, abs(y))
-                row = [y, r * abs(y) - float(radial_value(density, r)),
-                       np.sign(y) * r]
-                why = "" if np.all(np.isfinite(row)) else "  # not finite"
-            except ConjugateSolveError as exc:
-                row, why = [y, np.nan, np.nan], f"  # solve failed: {exc}"
-            failures += bool(why)
-            rows.append(",".join(FMT % v for v in row) + why)
+        ys = np.linspace(args.y_min, args.y_max, args.steps)
+        r, _, unsolved = solve_radius(density, np.abs(ys))
+        table = np.column_stack(
+            (ys, r * np.abs(ys) - radial_value(density, r), np.sign(ys) * r))
+    finite = np.all(np.isfinite(table), axis=1)  # NaN where a solve failed
+    rows = [text + (f"  # solve failed: {unsolved[i]}" if i in unsolved
+                    else "" if finite[i] else "  # not finite")
+            for i, text in enumerate(format_rows(table))]
     out = Path(args.out)
     write_lines(out, ["y,psi_star,argmax"] + rows)
     print(f"conjugate-table q={args.exponent:g} a={args.coefficient:g} "
-          f"eps={args.regularizer:g}: {len(rows)} rows, {failures} failures "
-          f"-> {out}")
-    return 3 if failures else 0
+          f"eps={args.regularizer:g}: {len(rows)} rows, "
+          f"{np.count_nonzero(~finite)} failures -> {out}")
+    return 0 if finite.all() else 3
 
 
 # -- entry point --------------------------------------------------------------------
@@ -557,14 +552,9 @@ _CONFIG_COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "conjugate-table":
-        try:
-            return _cmd_conjugate_table(args)
-        except OSError as exc:
-            print(f"conjugate-table: cannot write output: {exc}",
-                  file=sys.stderr)
-            return 4
     try:
+        if args.command == "conjugate-table":
+            return _cmd_conjugate_table(args)
         cfg = load_config(_resolve_config(args.config))
         return _CONFIG_COMMANDS[args.command](cfg)
     except ConfigError as exc:

@@ -36,6 +36,7 @@ __all__ = [
     "radial_slope",
     "radial_coefficient",
     "conjugate_radius",
+    "solve_radius",
 ]
 
 #: Default residual tolerance for the radial Newton solve.  The residual is
@@ -127,6 +128,16 @@ def _cubic_radius(a: float, eps: float, s: np.ndarray) -> np.ndarray:
 
 def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
                      max_iters: int = NEWTON_MAX_ITERS):
+    """:func:`solve_radius` returning ``(r, iterations)``; it raises the
+    :class:`ConjugateSolveError` of the first entry that failed instead."""
+    r, iterations, failures = solve_radius(density, s, tol, max_iters)
+    if failures:
+        raise failures[min(failures)]
+    return r, iterations
+
+
+def solve_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
+                 max_iters: int = NEWTON_MAX_ITERS):
     """Solve ``a r^{q-1} + eps r = s`` for ``r >= 0``, elementwise.
 
     ``q = 2`` is linear and ``q = 4`` a cubic, both solved in closed form.
@@ -138,8 +149,11 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
     monotonically onto the root, and a bisection step guards every update
     that would leave the bracket.  An entry whose bracket has shrunk to two
     adjacent floats is converged, at its lower end when ``r^{q-1}``
-    overflows at the upper one.  Returns ``(r, iterations)`` where
-    ``iterations`` is the worst case over the batch.
+    overflows at the upper one.  Each entry stops on its own and gets the
+    ``r`` of a solve of it alone; one still running after ``max_iters``
+    steps fails unless it meets its tolerance there.  Returns ``(r,
+    iterations, failures)``: the slowest entry's steps, and each failed
+    entry's :class:`ConjugateSolveError` by flat index (``r`` is NaN there).
     """
     s = np.asarray(s, dtype=float)
     scalar_in = s.ndim == 0
@@ -150,10 +164,10 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
 
     if q == 2.0:
         r = s / (a + eps)
-        return (float(r[0]) if scalar_in else r), 0
+        return (float(r[0]) if scalar_in else r), 0, {}
     if q == 4.0:
         r = _cubic_radius(a, eps, s)
-        return (float(r[0]) if scalar_in else r), 1
+        return (float(r[0]) if scalar_in else r), 1, {}
 
     lo = np.zeros_like(s)
     hi = np.maximum(1.0, s) ** (1.0 / (q - 1.0)) * a ** (-1.0 / (q - 1.0))
@@ -168,17 +182,16 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
     # Zero magnitudes are exact already and must not enter the bisection
     # guard (which would nudge them off the lower bracket end).
     polish = np.where(s == 0.0, -1, 2)
-    worst_iters = 0
-    for it in range(max_iters):
+    for it in range(max_iters + 1):
         with np.errstate(over="ignore"):  # the start may overshoot the range
             f = radial_slope(density, r) - s
+        if it == max_iters:
+            break
         done = (np.abs(f) <= target_tol) | (hi <= np.nextafter(lo, np.inf))
         polish = np.where(done, polish - 1, 2)
         active = polish >= 0
         if not np.any(active):
-            r = np.where(np.isfinite(f), r, lo)
             break
-        worst_iters = it + 1
         lo = np.where(f < 0.0, np.maximum(lo, r), lo)
         hi = np.where(f > 0.0, np.minimum(hi, r), hi)
         fp = radial_coefficient(density, r, curvature=True)
@@ -188,15 +201,12 @@ def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
         out = (r_new < lo) | (r_new > hi) | ~np.isfinite(r_new)
         r_new = np.where(out & active, 0.5 * (lo + hi), r_new)
         r = np.where(active, r_new, r)
-    else:
-        f = radial_slope(density, r) - s
-        bad = np.abs(f) > target_tol
-        if np.any(bad):
-            idx = int(np.argmax(np.abs(f)))
-            raise ConjugateSolveError(
-                f"radial conjugate solve failed to converge for |y|={s[idx]:.6g}",
-                residual=float(np.max(np.abs(f))),
-                iterations=max_iters,
-            )
-    return (float(r[0]) if scalar_in else r), worst_iters
+    stopped = polish < 0  # each with the r and f it stopped at
+    failed = ~stopped & (np.abs(f) > target_tol)
+    failures = {int(i): ConjugateSolveError(
+        f"radial conjugate solve failed to converge for |y|={s.flat[i]:.6g}",
+        residual=abs(f.flat[i]), iterations=max_iters)
+        for i in np.flatnonzero(failed)}
+    r = np.where(failed, np.nan, np.where(stopped & ~np.isfinite(f), lo, r))
+    return (float(r[0]) if scalar_in else r), it, failures
 

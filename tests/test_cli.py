@@ -270,13 +270,26 @@ def test_failed_baseline_removes_an_earlier_trajectory(tmp_path,
         "model.name = adversarial\nmodel.kappa = 24\ngrid.n = 1\n"
         "time.T0 = 0.125\ntime.M = 2\noutputs.dir = out\n")
     (tmp_path / "out").mkdir()
-    for name in ("trajectory.csv", "profiles.dat", "report.json"):
+    for name in ("trajectory.csv", "profiles.dat", "report.json",
+                 "history.csv"):
         (tmp_path / "out" / name).write_text("from an earlier run\n")
     assert main(["baseline", "singular.cfg"]) == 3
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "report.json"]
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["failure"]["kind"] == "TimeStepError"
+
+
+def test_baseline_after_solve_leaves_no_history(tmp_path, monkeypatch):
+    # One outputs.dir for both commands: the solve's iteration history must
+    # not sit next to the baseline's trajectory and report.
+    monkeypatch.chdir(tmp_path)
+    _write_quick_heat(tmp_path / "quick.cfg")
+    assert main(["solve", "quick.cfg"]) == 0
+    assert (tmp_path / "out" / "history.csv").is_file()
+    assert main(["baseline", "quick.cfg"]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "profiles.dat", "report.json", "trajectory.csv"]
 
 
 def test_failed_baseline_assembly_writes_the_trajectory(tmp_path, monkeypatch,
@@ -652,6 +665,43 @@ def test_conjugate_table_counts_non_finite_rows_as_failures(tmp_path,
     rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
     assert rows[0].startswith("-2,1.8856180831641267,-1.41421356237309")
     assert all(row.endswith("  # not finite") for row in rows[1:])
+
+
+FAILED_ROW = "nan,nan  # solve failed: radial conjugate solve failed to " \
+    "converge for |y|="
+
+
+@pytest.mark.parametrize("argv, summary, table", [
+    (["--exponent", "2.0000001", "--coefficient", "1e-10", "--regularizer",
+      "1", "--y-min=-1e300", "--y-max", "1e300", "--steps", "9"],
+     "q=2 a=1e-10 eps=1: 9 rows, 8 failures",
+     ["-1.0000000000000001e+300," + FAILED_ROW + "1e+300",
+      "-7.5000000000000004e+299," + FAILED_ROW + "7.5e+299",
+      "-5.0000000000000003e+299," + FAILED_ROW + "5e+299",
+      "-2.5000000000000001e+299," + FAILED_ROW + "2.5e+299",
+      "0,0,0",
+      "2.5000000000000001e+299," + FAILED_ROW + "2.5e+299",
+      "5.0000000000000003e+299," + FAILED_ROW + "5e+299",
+      "7.4999999999999989e+299," + FAILED_ROW + "7.5e+299",
+      "1.0000000000000001e+300," + FAILED_ROW + "1e+300"]),
+    (["--exponent", "3", "--coefficient", "1e-300", "--y-min",
+      "2.4007924772804366e+93", "--y-max", "1e300", "--steps", "2"],
+     "q=3 a=1e-300 eps=0: 2 rows, 2 failures",
+     ["2.4007924772804366e+93,-inf,1.3407807929942596e+154  # not finite",
+      "1.0000000000000001e+300," + FAILED_ROW + "1e+300"]),
+], ids=["eight-failed-around-zero", "not-finite-beside-failed"])
+def test_conjugate_table_failed_rows(tmp_path, monkeypatch, capsys, argv,
+                                     summary, table):
+    # Each row reads as a solve of its |y| alone: the first row of the second
+    # table stops on a two-float bracket whose upper end overflows, while
+    # the second runs to the iteration cap.
+    monkeypatch.chdir(tmp_path)
+    assert main(["conjugate-table", *argv, "--out", "t.csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == f"conjugate-table {summary} -> t.csv\n"
+    assert captured.err == ""
+    assert (tmp_path / "t.csv").read_bytes() == "\n".join(
+        ["y,psi_star,argmax", *table, ""]).encode()
 
 
 def test_solve_over_longer_stale_artifacts_writes_fresh_bytes(tmp_path,

@@ -13,7 +13,9 @@ from benpde.convex import (
     radial_coefficient,
     radial_slope,
     radial_value,
+    solve_radius,
 )
+from benpde.errors import ConjugateSolveError
 from benpde.grid import SpaceGrid, stencil_bands
 from benpde.models import psi_gradient_density, psi_hessian_edge_weights
 
@@ -240,3 +242,62 @@ def test_conjugate_radius_batch_matches_scalar():
     batch, _ = conjugate_radius(d, s)
     singles = np.array([conjugate_radius(d, float(v))[0] for v in s])
     np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-13)
+
+
+#: Magnitudes from zero and the smallest subnormal to the float maximum.
+BATCH_MAGNITUDES = np.concatenate((
+    [0.0, 5e-324], 10.0 ** np.arange(-300, 301, 25), [0.5, 7.3, 2.0**1023],
+    [np.finfo(float).max]))
+
+
+def _solved_alone(density, s):
+    """The radius of a solve of the magnitude ``s`` alone, or its error."""
+    try:
+        return conjugate_radius(density, s)[0]
+    except ConjugateSolveError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("q, a, eps, mags", [
+    (3.0, 1e-300, 0.0, BATCH_MAGNITUDES),
+    (2.5, 1e-300, 1e-300, BATCH_MAGNITUDES),
+    (2.0000001, 1e-10, 1.0, BATCH_MAGNITUDES),
+    (10.0, 1.0, 0.0, BATCH_MAGNITUDES),
+    (3.0, 0.7, 1e-8, BATCH_MAGNITUDES),
+    (6.0, 1e300, 1e300, BATCH_MAGNITUDES),
+    (3.0, 1e-300, 0.0, [2.4007924772804366e93, 1e300]),
+    (2.5, 1e-300, 1e-300, [1.6506483698471513e58, 1e300]),
+], ids=["q3-tiny-a", "q2.5-tiny-a-eps", "q2-plus-eps1", "q10", "q3",
+        "q6-huge-a-eps", "q3-mixed-pair", "q2.5-mixed-pair"])
+def test_batched_radius_equals_solves_alone(q, a, eps, mags):
+    # Each entry stops on its own: one whose bracket closed on two floats
+    # while its slope overflows keeps the lower end even when another entry
+    # runs to the iteration cap, and an entry is reported failed exactly
+    # when its own solve raises, with that solve's message.
+    d = PowerDensity(a, q, eps)
+    mags = np.asarray(mags, dtype=float)
+    with np.errstate(all="ignore"):  # the bracket overflows at huge |y|/a
+        r, _, failures = solve_radius(d, mags)
+        alone = [_solved_alone(d, float(s)) for s in mags]
+    assert sorted(failures) == [i for i, v in enumerate(alone)
+                                if isinstance(v, ConjugateSolveError)]
+    for i, v in enumerate(alone):
+        if i in failures:
+            assert np.isnan(r[i]) and str(failures[i]) == str(v)
+        else:
+            assert np.float64(v).tobytes() == r[i].tobytes(), mags[i]
+
+
+@pytest.mark.parametrize("q, a, eps, first, radius", [
+    (3.0, 1e-300, 0.0, 2.4007924772804366e93, 1.3407807929942596e154),
+    (2.5, 1e-300, 1e-300, 1.6506483698471513e58, 3.1852513365225147e205),
+])
+def test_mixed_pair_keeps_the_stopped_entry(q, a, eps, first, radius):
+    # The first magnitude stops on the lower end of a two-float bracket, the
+    # second fails at the iteration cap; the raised error names the failure.
+    d = PowerDensity(a, q, eps)
+    with np.errstate(all="ignore"):
+        r, _, failures = solve_radius(d, [first, 1e300])
+        with pytest.raises(ConjugateSolveError, match=r"\|y\|=1e\+300$"):
+            conjugate_radius(d, [first, 1e300])
+    assert r[0] == radius and np.isnan(r[1]) and list(failures) == [1]
