@@ -451,6 +451,7 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
                                 cfg.keys["gradcheck.directions"])
     rng = np.random.default_rng(cfg.keys["gradcheck.seed"])
     grid, times, e = cfg.grid, cfg.times, cfg.keys["gradcheck.step"]
+    one = (-1,) + grid.shape  # a trajectory as one field: one total
     an, fd = [], []
     with np.errstate(all="ignore"):  # an inf or nan error fails the check
         for _ in range(trajectories):
@@ -463,7 +464,8 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
                 tail, step = traj.states[1:], e * s[1:]
                 jp, jm = energy_totals(cfg.model, traj, [tail + step, tail - step])
                 fd.append((jp - jm) / (2.0 * e))
-                an.append(traj.tau * h_inner(grid, s, grad))
+                an.append(traj.tau * h_inner(grid, s.reshape(one),
+                                             grad.reshape(one)))
         fd = np.array(fd)
         worst = float(np.max(np.abs(np.array(an) - fd) / np.maximum(1.0, np.abs(fd))))
     print(f"gradcheck {cfg.model.name}: worst relative error {worst:.3e} "
@@ -474,7 +476,8 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
 def _cmd_conjugate_table(args) -> int:
     if args.steps < 2:
         raise ConfigError("--steps must be at least 2")
-    for flag, value in (("--y-min", args.y_min), ("--y-max", args.y_max)):
+    for flag, value in (("--y-min", args.y_min), ("--y-max", args.y_max),
+                        ("--y-max - --y-min", args.y_max - args.y_min)):
         if not np.isfinite(value):
             raise ConfigError(f"{flag} must be finite")
     try:

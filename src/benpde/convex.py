@@ -170,9 +170,10 @@ def solve_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
         return (float(r[0]) if scalar_in else r), 1, {}
 
     lo = np.zeros_like(s)
-    hi = np.maximum(1.0, s) ** (1.0 / (q - 1.0)) * a ** (-1.0 / (q - 1.0))
-    hi = np.minimum(hi + s / max(eps, 1.0),
-                    2.0 * (s / a) ** (1.0 / (q - 1.0)) + 1.0)
+    with np.errstate(over="ignore"):  # the minimum keeps a finite end
+        hi = np.maximum(1.0, s) ** (1.0 / (q - 1.0)) * a ** (-1.0 / (q - 1.0))
+        hi = np.minimum(hi + s / max(eps, 1.0),
+                        2.0 * (s / a) ** (1.0 / (q - 1.0)) + 1.0)
     r = hi.copy()
     r[s == 0.0] = 0.0
 
@@ -183,7 +184,7 @@ def solve_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
     # guard (which would nudge them off the lower bracket end).
     polish = np.where(s == 0.0, -1, 2)
     for it in range(max_iters + 1):
-        with np.errstate(over="ignore"):  # the start may overshoot the range
+        with np.errstate(over="ignore", invalid="ignore"):  # r may be inf
             f = radial_slope(density, r) - s
         if it == max_iters:
             break

@@ -50,7 +50,7 @@ from .grid import (
     Trajectory,
     dual_grad_norm,
     grad_norm,
-    h_inner_batch,
+    h_inner,
     h_norm,
     poisson_solve,
     stencil_bands,
@@ -264,10 +264,6 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
     when ``max_iters`` steps do not reach ``tol``.
     """
     arr = np.asarray(y, dtype=float)
-    single = arr.ndim == grid.dim + 1
-    if single:
-        arr = arr[None, ...]
-    lead = arr.shape[: -(grid.dim + 1)]
     a, q, eps = density.coefficient, density.exponent, density.regularizer
 
     if q == 2.0:
@@ -286,11 +282,7 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
             z, iters = _conjugate_newton_2d(density, grid, flat, tol, max_iters)
         z = z.reshape(arr.shape)
 
-    values = (h_inner_batch(grid, z, arr)
-              - np.atleast_1d(psi_total(density, grid, z)).reshape(lead))
-    if single:
-        return float(values[0]), z[0], iters
-    return values, z, iters
+    return h_inner(grid, z, arr) - psi_total(density, grid, z), z, iters
 
 
 # -- residual and energy ------------------------------------------------------------
@@ -333,7 +325,7 @@ def _interval_terms(model: ModelSpec, traj: Trajectory, states):
     psi = (psi_total(d, grid, lam * mids) if model.lam
            else np.zeros(H.shape[:-(grid.dim + 1)]))
     conj, z, _ = conjugate_on_dual(d, grid, H)
-    pair = -lam * h_inner_batch(grid, mids, H)
+    pair = -lam * h_inner(grid, mids, H)
     terms = tuple(tau * np.sum(s, axis=-1) for s in (psi, conj, pair))
     return terms, mids, t_mid, H, z
 

@@ -18,9 +18,11 @@ Laplacian is ``sum_a D_a^T D_a``, and summation by parts
 
     <grad u, E> = -<u, div E>
 
-holds to roundoff by construction.  The H inner product carries the cell
-volume ``h^dim``; dual-space elements are represented as nodal densities
-paired through the same weighted sum.
+holds to roundoff by construction.  :func:`h_inner` is the one H pairing,
+the sum carrying the cell volume ``h^dim``: per field, batched in front,
+and for a trajectory total over the trajectory passed as one field.  Norms
+are built on it, and dual-space elements are nodal densities paired
+through it.
 
 In one dimension (the fully supported case) the gradient of a k-component
 field is a k-vector per edge and the power densities of
@@ -39,6 +41,7 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dgbsv, dgtsv, dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .errors import NonFiniteInputError
@@ -57,7 +60,6 @@ __all__ = [
     "sweep_bands",
     "bands_apply",
     "h_inner",
-    "h_inner_batch",
     "h_norm",
     "edge_magnitude",
     "edge_sum",
@@ -341,30 +343,23 @@ def bands_apply(grid: SpaceGrid, bands: np.ndarray, x: np.ndarray,
 # -- inner products and norms --------------------------------------------------
 
 
-def h_inner(grid: SpaceGrid, u, w) -> float:
-    """Volume-weighted inner product ``h^dim * sum(u * w)`` over components."""
-    ua = u.values if isinstance(u, Field) else np.asarray(u, dtype=float)
-    wa = w.values if isinstance(w, Field) else np.asarray(w, dtype=float)
-    return grid.cell_volume * float(np.vdot(ua, wa))
-
-
-def h_inner_batch(grid: SpaceGrid, u, w) -> np.ndarray:
-    """H inner product reduced over components and space, batched in front."""
-    ua = _batched(u, grid)
-    wa = _batched(w, grid)
-    axes = tuple(range(-(grid.dim + 1), 0))
-    return grid.cell_volume * np.sum(ua * wa, axis=axes)
+def h_inner(grid: SpaceGrid, u, w):
+    """The H pairing ``h^dim sum(u * w)`` over the components and space of
+    each field ``(..., k, *shape)``, batched in front: one BLAS ``ddot`` per
+    field, a float for a single field.  A trajectory passed as one field of
+    ``M k`` components gives its total.  An overflow reads inf, unwarned."""
+    ua, wa, comp = _batched(u, grid), _batched(w, grid), -(grid.dim + 1)
+    if ua.ndim == grid.dim + 1 and ua.shape == wa.shape:  # no numpy FP check
+        return grid.cell_volume * ddot(ua.ravel(), wa.ravel())
+    size = ua.shape[comp] * grid.n_nodes
+    with np.errstate(over="ignore"):  # matmul runs the same ddot per field
+        return grid.cell_volume * (ua.reshape(ua.shape[:comp] + (1, size))
+                                   @ wa.reshape(wa.shape[:comp] + (size, 1)))[..., 0, 0]
 
 
 def h_norm(grid: SpaceGrid, u):
-    """H norm of each field ``(..., k, *shape)`` by one BLAS dot, batched in
-    front (a float for a single field); an overflowed norm reads inf."""
-    arr, comp = _batched(u, grid), -(grid.dim + 1)
-    rows = arr.reshape(-1, 1, arr.shape[comp] * grid.n_nodes)
-    with np.errstate(over="ignore"):
-        out = np.sqrt(grid.cell_volume * (rows @ rows.transpose(0, 2, 1)))
-    out = out.reshape(arr.shape[:comp])
-    return float(out) if out.ndim == 0 else out
+    """H norm ``sqrt(h_inner(u, u))`` of each field, batched in front."""
+    return np.sqrt(h_inner(grid, u, u))
 
 
 def edge_magnitude(grid: SpaceGrid, g) -> np.ndarray:
@@ -484,10 +479,11 @@ class Trajectory:
 
 
 def mixed_norm(traj: Trajectory, values=None) -> float:
-    """Space-time L2 norm ``sqrt(tau * h^dim * sum(values^2))`` on the
-    trajectory's grid and time step; ``values`` defaults to its states."""
+    """Space-time L2 norm ``sqrt(tau * h_inner(x, x))`` on the trajectory's
+    grid and time step, ``x`` its states or ``values`` as one field."""
     x = traj.states if values is None else np.asarray(values, dtype=float)
-    return float(np.sqrt(traj.tau * traj.grid.cell_volume * np.sum(x * x)))
+    x = x.reshape((-1,) + traj.grid.shape)
+    return float(np.sqrt(traj.tau * h_inner(traj.grid, x, x)))
 
 
 # -- persistence ---------------------------------------------------------------

@@ -58,7 +58,7 @@ from .grid import (
     edge_sum,
     grad_norm,
     gradient,
-    h_inner_batch,
+    h_inner,
     pad_boundary,
     pair_mean,
     poisson_solve,
@@ -563,12 +563,10 @@ def _scale(a, b):
 
 
 def _psi_pair_gap(model, grid, base, bump):
-    """<bump, Dpsi_int(base + bump) - Dpsi_int(base)> via edge values."""
-    d, axes = model.density, tuple(range(1, grid.dim + 2))
-    return sum(grid.cell_volume * np.sum((ga - gb) * gh, axis=axes)
-               for ga, gb, gh in zip(psi_grad_edges(d, grid, base + bump),
-                                     psi_grad_edges(d, grid, base),
-                                     gradient(grid, bump)))
+    """``<bump, DPsi(base + bump) - DPsi(base)>_H``."""
+    d = model.density
+    return h_inner(grid, bump, psi_gradient_density(d, grid, base + bump)
+                   - psi_gradient_density(d, grid, base))
 
 
 def _margin_growth(model, grid, x, h, t):
@@ -593,12 +591,12 @@ def _margin_deriv_growth(model, grid, x, h, t):
 
 
 def _margin_monotonicity(model, grid, x, h, t):
-    lhs = h_inner_batch(grid, h, dlambda_density(model, grid, x, t, h))
+    lhs = h_inner(grid, h, dlambda_density(model, grid, x, t, h))
     if model.lam:
         lhs = _psi_pair_gap(model, grid, x, h) + lhs
     ghat, muhat = model.constants.mono_ghat, model.constants.mono_muhat
     q = model.density.exponent
-    hh = h_inner_batch(grid, h, h)
+    hh = h_inner(grid, h, h)
     rhs = ghat * (grad_norm(grid, x, q) ** q + muhat) * hh
     return (lhs + rhs) / _scale(np.abs(lhs), rhs)
 
@@ -606,11 +604,11 @@ def _margin_monotonicity(model, grid, x, h, t):
 def _margin_positivity(model, grid, x, h, t):
     q = model.density.exponent
     val = psi_total(model.density, grid, x)
-    pair = h_inner_batch(grid, x, lambda_density(model, grid, x, t))
+    pair = h_inner(grid, x, lambda_density(model, grid, x, t))
     ctilde, mubar = model.constants.pos_ctilde, model.constants.pos_mubar
     xq = grad_norm(grid, x, q) ** q
     lhs = val + pair
-    rhs = xq / ctilde - mubar * (h_inner_batch(grid, x, x) + 1.0)
+    rhs = xq / ctilde - mubar * (h_inner(grid, x, x) + 1.0)
     return (lhs - rhs) / _scale(np.abs(lhs), np.abs(rhs))
 
 
@@ -677,7 +675,8 @@ def check_condition(model: ModelSpec, grid: SpaceGrid, condition: str, *,
     witnesses do not depend on the block size (margins only up to summation
     order).  The report keeps the worst margin, the first
     :data:`MAX_WITNESSES` failing samples in index order and the provenance
-    of the constants.  A negative ``seed`` raises :class:`ValueError`.
+    of the constants.  A negative ``seed`` raises :class:`ValueError`, and
+    a margin that is not finite :class:`ModelEvaluationError`.
     """
     if condition not in _CONDITIONS:
         raise ValueError(
@@ -689,10 +688,14 @@ def check_condition(model: ModelSpec, grid: SpaceGrid, condition: str, *,
     worst = np.inf
     witnesses = []
     for start in range(0, samples, BLOCK_SIZE):
-        t, fields = _draw_block(grid, rngs, min(BLOCK_SIZE, samples - start),
-                                amplitude, t_range, 2 if needs_h else 1)
-        x, h = fields[0], (fields[1] if needs_h else None)
-        m = margin_fn(model, grid, x, h, t)
+        with np.errstate(all="ignore"):  # a margin that is not finite raises
+            t, fields = _draw_block(grid, rngs, min(BLOCK_SIZE, samples - start),
+                                    amplitude, t_range, 2 if needs_h else 1)
+            x, h = fields[0], (fields[1] if needs_h else None)
+            m = margin_fn(model, grid, x, h, t)
+        if not np.isfinite(m).all():
+            raise ModelEvaluationError(f"{condition}: the margin of sample "
+                                       f"{start + np.argmin(np.isfinite(m))} is not finite")
         worst = min(worst, float(np.min(m)))
         room = MAX_WITNESSES - len(witnesses)
         for j in np.flatnonzero(m < MARGIN_FLOOR)[:room]:

@@ -163,19 +163,9 @@ class CompareResult:
 # -- initialization helpers ---------------------------------------------------------
 
 
-def _initial_state(grid: SpaceGrid, w0) -> np.ndarray:
-    arr = w0.values if isinstance(w0, Field) else np.asarray(w0, dtype=float)
-    if arr.ndim == grid.dim:
-        arr = arr[None, ...]
-    if arr.shape[1:] != grid.shape:
-        raise ValueError(f"initial state shape {arr.shape} does not match "
-                         f"grid shape {grid.shape}")
-    return arr
-
-
 def constant_initial_trajectory(grid: SpaceGrid, times, w0) -> Trajectory:
     """Constant-in-time extension of the initial state (default start)."""
-    arr = _initial_state(grid, w0)
+    arr = Field(grid, w0.values if isinstance(w0, Field) else w0).values
     t = np.asarray(times, dtype=float)
     states = np.broadcast_to(arr, (t.size,) + arr.shape).copy()
     return Trajectory(grid, t, states)
@@ -184,11 +174,9 @@ def constant_initial_trajectory(grid: SpaceGrid, times, w0) -> Trajectory:
 def random_initial_trajectory(grid: SpaceGrid, times, w0, seed: int,
                               noise: float = 0.5) -> Trajectory:
     """Initial state plus independent Gaussian noise on every later node."""
-    arr = _initial_state(grid, w0)
-    t = np.asarray(times, dtype=float)
-    rng = np.random.default_rng(seed)
-    tail = arr[None] + noise * rng.normal(size=(t.size - 1,) + arr.shape)
-    return Trajectory(grid, t, np.concatenate([arr[None], tail], axis=0))
+    init = constant_initial_trajectory(grid, times, w0)
+    rng, tail = np.random.default_rng(seed), init.states[1:]
+    return init.with_tail(tail + noise * rng.normal(size=tail.shape))
 
 
 # -- damped Gauss-Newton: the minimizer and the implicit baseline ----------------------
@@ -205,8 +193,9 @@ def _merit(model: ModelSpec, traj: Trajectory, theta: float = 0.5) -> _Merit:
     # lam = 1 if set; -H is (u_{k+1} - u_k)/tau + Lambda(m_k) bit for bit
     R = psi_gradient_density(model.density, grid, mids) - H if model.lam else -H
     W = poisson_solve(grid, -R)
+    one = (-1,) + grid.shape  # the trajectory as one field: phi is one dot
     return _Merit(model, traj, theta, mids, t_mid, R, W,
-                  0.5 * traj.tau * h_inner(grid, R, W))
+                  0.5 * traj.tau * h_inner(grid, R.reshape(one), W.reshape(one)))
 
 
 def _merit_gradient(state: _Merit) -> np.ndarray:
@@ -287,8 +276,7 @@ def minimize(model: ModelSpec, init: Trajectory,
     estimate = np.inf if merit.phi else 0.0
     while True:
         grad = _merit_gradient(merit)
-        with np.errstate(over="ignore"):  # an overflowed norm reads inf
-            gnorm = mixed_norm(merit.traj, grad)
+        gnorm = mixed_norm(merit.traj, grad)  # an overflowed norm reads inf
         history.append((merit.phi, gnorm))
         flat = gnorm <= opts.grad_tol  # a stationary point of phi
         if flat or estimate <= (np.sqrt(opts.energy_tol)

@@ -509,6 +509,19 @@ def test_verify_adversarial_fails_positivity(tmp_path, monkeypatch, capsys):
     assert len(witness["x"]) == 9
 
 
+def test_verify_with_overflowed_margins_exits_3(tmp_path, monkeypatch, capsys):
+    # Every margin overflows at this amplitude: the first condition in the
+    # checker's order names its first sample, and no warning escapes.
+    monkeypatch.chdir(tmp_path)
+    cfg = _derived_config(tmp_path / "big.cfg", "adversarial",
+                          verify__amplitude="1e200")
+    assert main(["verify", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "verify: growth: the margin of sample 0 is not finite\n"
+    assert not (tmp_path / "runs").exists()
+
+
 #: ``(t, margin)`` of the positivity witnesses of ``verify adversarial.cfg``
 #: in index order, as the one-sample-at-a-time replay of ``test_models``
 #: records them.  They pin the ``(seed, condition)`` sample streams: ``t``
@@ -590,7 +603,8 @@ def _gradcheck_reference(cfg):
             jm = eval_energy(cfg.model,
                              traj.with_tail(traj.states[1:] - e * s[1:])).total
             fd = (jp - jm) / (2.0 * e)
-            an = traj.tau * h_inner(cfg.grid, s, grad)
+            one = (-1,) + cfg.grid.shape  # the trajectory as one field
+            an = traj.tau * h_inner(cfg.grid, s.reshape(one), grad.reshape(one))
             worst = max(worst, abs(an - fd) / max(1.0, abs(fd)))
     return (f"gradcheck {cfg.model.name}: worst relative error {worst:.3e} "
             f"over {cfg.keys['gradcheck.trajectories']} trajectories x "
@@ -646,7 +660,10 @@ def test_conjugate_table_rejects_bad_arguments(tmp_path, monkeypatch, capsys):
     for argv, flag in ((["--steps", "1"], "--steps"),
                        (["--exponent", "1.5"], "exponent"),
                        (["--y-min", "nan"], "--y-min"),
-                       (["--y-max", "inf"], "--y-max")):
+                       (["--y-max", "inf"], "--y-max"),
+                       (["--exponent", "10", "--coefficient", "1e-300",
+                         "--y-min=-1e308", "--y-max", "1e308"],
+                        "--y-max - --y-min")):
         assert main(["conjugate-table", *argv]) == 2
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and flag in err

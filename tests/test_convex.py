@@ -236,6 +236,21 @@ def test_general_q_radius_at_the_float_maximum(q):
     assert iters <= 10
 
 
+@pytest.mark.parametrize("a,q,eps,s", [
+    (1e-300, 3.0, 0.0, 1e300), (1e-300, 3.0, 0.0, np.finfo(float).max),
+    (1e-300, 2.5, 1e-300, 1e300), (1e-10, 2.0000001, 1.0, 1e300)])
+def test_radius_bracket_overflow_warns_nowhere(a, q, eps, s):
+    # The end 2 (s/a)^{1/(q-1)} + 1 of the Newton bracket, or the start it
+    # gives, overflows; the suite's filter turns any numpy warning into an
+    # error, and no caller needs an errstate of its own.
+    d = PowerDensity(a, q, eps)
+    r, iters, failures = solve_radius(d, s)
+    with np.errstate(all="ignore"):
+        wrapped = solve_radius(d, s)
+    assert np.array(r).tobytes() == np.array(wrapped[0]).tobytes()
+    assert (iters, list(failures)) == (wrapped[1], list(wrapped[2]))
+
+
 def test_conjugate_radius_batch_matches_scalar():
     d = PowerDensity(0.7, 3.0, 0.0)
     s = np.array([0.0, 0.5, 1.0, 10.0, 1e3])

@@ -22,7 +22,6 @@ from benpde.grid import (
     SpaceGrid,
     Trajectory,
     h_inner,
-    h_inner_batch,
     mixed_norm,
     uniform_times,
 )
@@ -424,9 +423,9 @@ def test_gradient_against_summed_defects_splits_into_defect_and_drift(
         psi_gradient_density(model.density, grid, lam * asm.mids) - asm.H)
     s = np.concatenate([np.zeros_like(B[:1]), tau * np.cumsum(B, axis=0)])
     _, grad = energy_and_gradient(model, traj)
-    paired = tau * np.sum(h_inner_batch(grid, s, grad))
-    defect = tau * np.sum(h_inner_batch(grid, B, B))
-    drift = tau * np.sum(h_inner_batch(grid, 0.5 * (s[:-1] + s[1:]), C))
+    paired = tau * np.sum(h_inner(grid, s, grad))
+    defect = tau * np.sum(h_inner(grid, B, B))
+    drift = tau * np.sum(h_inner(grid, 0.5 * (s[:-1] + s[1:]), C))
     assert defect > 0.0
     assert abs(paired - (defect + drift)) <= 1e-12 * (defect + abs(drift))
 

@@ -24,6 +24,7 @@ from benpde.grid import (
     h_norm,
     laplacian,
     load_trajectory_csv,
+    mixed_norm,
     pad_boundary,
     pair_mean,
     poisson_solve,
@@ -33,6 +34,8 @@ from benpde.grid import (
     uniform_times,
     write_lines,
 )
+from benpde.models import (_psi_pair_gap, divergence_form_model,
+                           psi_grad_edges)
 
 ADJOINT_TOL = 1e-12
 PAIRING_TOL = 1e-12
@@ -265,6 +268,74 @@ def test_h_norm_per_field():
     assert isinstance(h_norm(g, u[0, 0]), float)
     assert isinstance(h_norm(g, u[0, 0, 0]), float)
     assert list(h_norm(g, np.stack([u[0, 0], 1e200 * u[0, 0]]))) == [norms[0, 0], np.inf]
+
+
+@pytest.mark.parametrize("dim,n", [(1, 7), (2, 4)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_h_inner_batch_equals_single_fields_bit_for_bit(dim, n, k):
+    # One dot per field over its components and space, whatever the batch.
+    g = SpaceGrid(dim=dim, n=n)
+    rng = np.random.default_rng(11)
+    u, w = rng.normal(size=(2, 3, 5, k) + g.shape)
+    batch = h_inner(g, u, w)
+    assert batch.shape == (3, 5)
+    for i in range(3):
+        for j in range(5):
+            single = h_inner(g, u[i, j], w[i, j])
+            assert isinstance(single, float) and batch[i, j] == single
+    assert h_inner(g, Field(g, u[0, 0]), w[0, 0]) == batch[0, 0]
+
+
+def test_h_norm_is_the_root_of_h_inner_bit_for_bit():
+    g = SpaceGrid(dim=2, n=5)
+    u = np.random.default_rng(12).normal(size=(4, 2) + g.shape)
+    assert np.array_equal(h_norm(g, u), np.sqrt(h_inner(g, u, u)))
+    assert h_norm(g, u[0]) == np.sqrt(h_inner(g, u[0], u[0]))
+
+
+@pytest.mark.parametrize("dim,n,k", [(1, 17, 1), (2, 5, 2)])
+def test_mixed_norm_is_the_time_weighted_sum_of_h_inner(dim, n, k):
+    g = SpaceGrid(dim=dim, n=n)
+    rng = np.random.default_rng(13)
+    traj = Trajectory(g, uniform_times(0.3, 16), rng.normal(size=(17, k) + g.shape))
+    x = rng.normal(size=traj.states.shape)
+    for values in (None, x):
+        v = traj.states if values is None else x
+        want = np.sqrt(traj.tau * sum(h_inner(g, s, s) for s in v))
+        assert mixed_norm(traj, values) == pytest.approx(want, rel=1e-15)
+
+
+def test_h_inner_overflow_reads_inf_without_a_warning():
+    g = SpaceGrid(dim=1, n=6)
+    u = np.full((2, 1) + g.shape, 1e200)
+    u[0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(h_inner(g, u, u)) == [g.cell_volume * g.n, np.inf]
+        assert h_inner(g, u[1], u[1]) == np.inf
+        assert h_norm(g, u[1]) == np.inf
+
+
+def _edge_pair_gap(density, grid, base, bump):
+    """``<bump, DPsi(base + bump) - DPsi(base)>_H`` summed on the edges:
+    ``<grad bump, Dpsi(grad(base + bump)) - Dpsi(grad base)>``."""
+    axes = tuple(range(1, grid.dim + 2))
+    return sum(grid.cell_volume * np.sum((ga - gb) * gh, axis=axes)
+               for ga, gb, gh in zip(psi_grad_edges(density, grid, base + bump),
+                                     psi_grad_edges(density, grid, base),
+                                     gradient(grid, bump)))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 5)])
+@pytest.mark.parametrize("q", [2.0, 4.0])
+def test_psi_pair_gap_is_the_edge_sum_by_parts(dim, n, q):
+    g = SpaceGrid(dim=dim, n=n)
+    model = divergence_form_model(q=q)
+    rng = np.random.default_rng(14)
+    base, bump = rng.normal(size=(2, 32, 1) + g.shape)
+    np.testing.assert_allclose(_psi_pair_gap(model, g, base, bump),
+                               _edge_pair_gap(model.density, g, base, bump),
+                               rtol=1e-13, atol=0.0)
 
 
 def test_dual_grad_norm_is_lifted_gradient_norm():

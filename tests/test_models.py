@@ -14,7 +14,6 @@ from benpde.errors import ModelEvaluationError, NonFiniteInputError
 from benpde.grid import (
     SpaceGrid,
     h_inner,
-    h_inner_batch,
     h_norm,
     laplacian,
     poisson_solve,
@@ -262,8 +261,8 @@ def test_dlambda_adjoint_identity(dim, builder):
         for trial in range(6):
             b = rng.normal(size=u.shape)
             delta = rng.normal(size=u.shape)
-            lhs = h_inner_batch(g, b, dlambda_density(m, g, u, t, delta))
-            rhs = h_inner_batch(g, delta, dlambda_adjoint_density(m, g, u, t, b))
+            lhs = h_inner(g, b, dlambda_density(m, g, u, t, delta))
+            rhs = h_inner(g, delta, dlambda_adjoint_density(m, g, u, t, b))
             assert np.all(np.abs(lhs - rhs)
                           <= ADJOINT_TOL * np.maximum(1.0, np.abs(lhs)))
 
@@ -389,6 +388,16 @@ def test_adversarial_fails_positivity_with_witnesses():
         replay = condition_margin(m, g, "positivity", np.array(wit["x"]),
                                   t=wit["t"])
         assert replay == pytest.approx(wit["margin"], rel=1e-12)
+
+
+def test_overflowed_margin_raises_instead_of_passing():
+    # At amplitude 1e200 the margins overflow to inf or nan. Neither may pass:
+    # a nan is never below the floor, and min(inf, nan) is inf.
+    g = SpaceGrid(dim=1, n=9)
+    with pytest.raises(ModelEvaluationError,
+                       match=r"^positivity: the margin of sample 0 is not finite$"):
+        check_condition(adversarial_model(), g, "positivity", samples=300,
+                        amplitude=1e200)
 
 
 def test_adversarial_passes_lipschitz_style_conditions():
