@@ -425,10 +425,14 @@ def _cmd_baseline(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    reports = check_all_conditions(
-        cfg.model, cfg.grid, samples=cfg.keys["verify.samples"],
-        seed=cfg.keys["verify.seed"], amplitude=cfg.keys["verify.amplitude"],
-        t_range=(0.0, float(cfg.times[-1])))
+    try:
+        reports = check_all_conditions(
+            cfg.model, cfg.grid, samples=cfg.keys["verify.samples"],
+            seed=cfg.keys["verify.seed"], amplitude=cfg.keys["verify.amplitude"],
+            t_range=(0.0, float(cfg.times[-1])))
+    except BenpdeError:  # no earlier run's conditions may outlive this failure
+        (cfg.out_dir / "conditions.json").unlink(missing_ok=True)
+        raise
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(cfg.out_dir / "conditions.json",
                   [r.to_json_dict() for r in reports])
@@ -560,15 +564,10 @@ def main(argv=None) -> int:
             return _cmd_conjugate_table(args)
         cfg = load_config(_resolve_config(args.config))
         return _CONFIG_COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (BenpdeError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
-    except BenpdeError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 4
+        return (2 if isinstance(exc, ConfigError)
+                else 3 if isinstance(exc, BenpdeError) else 4)
 
 
 if __name__ == "__main__":

@@ -203,7 +203,7 @@ def solve_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
         r_new = np.where(out & active, 0.5 * (lo + hi), r_new)
         r = np.where(active, r_new, r)
     stopped = polish < 0  # each with the r and f it stopped at
-    failed = ~stopped & (np.abs(f) > target_tol)
+    failed = ~stopped & ~(np.abs(f) <= target_tol)  # a NaN residual fails
     failures = {int(i): ConjugateSolveError(
         f"radial conjugate solve failed to converge for |y|={s.flat[i]:.6g}",
         residual=abs(f.flat[i]), iterations=max_iters)

@@ -35,7 +35,6 @@ five-point scheme.
 from __future__ import annotations
 
 import os
-import stat
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -498,24 +497,18 @@ def format_rows(rows, sep: str = ","):
 
 
 def write_lines(path, lines) -> None:
-    """Write each string of the iterable ``lines`` to ``path`` as one UTF-8
-    line ending in LF.  A file there that this process may replace without
-    changing its owner, group or mode is replaced rather than truncated,
-    since ext4 starts writeback on closing a truncated file; anything else
-    is written through (README, Artifacts)."""
-    try:
-        st = os.lstat(path)
-        replace = (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
-                   and st.st_mode & stat.S_IWUSR
-                   and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid()))
-        if replace:
-            os.unlink(path)
-    except (OSError, AttributeError):  # nothing there, or no uids (Windows)
-        replace = False
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if replace:  # the mode the old file had, not the umask's
-            os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
-        fh.writelines(line + "\n" for line in lines)
+    """Write each string of ``lines`` to ``path`` as one UTF-8 line ending in
+    LF, through the file already there (so it keeps its inode, owner, mode
+    and links), cut to length when writing ends or fails.  Never to zero
+    first: ext4 writes such a file back on close (README, Artifacts)."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)  # O_BINARY: LF endings on Windows
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh.writelines(line + "\n" for line in lines)
+        finally:  # a pipe or device has no length to cut
+            if fh.seekable() and fh.tell() < os.fstat(fd).st_size:
+                fh.truncate()
 
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:

@@ -522,6 +522,23 @@ def test_verify_with_overflowed_margins_exits_3(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_failed_verify_removes_an_earlier_conditions_file(tmp_path,
+                                                           monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    cfg = _derived_config(tmp_path / "a.cfg", "adversarial",
+                          outputs__dir=str(out))
+    assert main(["verify", str(cfg)]) == 1
+    assert (out / "conditions.json").exists()
+    capsys.readouterr()
+    cfg = _derived_config(tmp_path / "a.cfg", "adversarial",
+                          outputs__dir=str(out), verify__amplitude="1e200")
+    assert main(["verify", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "verify: growth: the margin of sample 0 is not finite\n")
+    assert list(out.iterdir()) == []
+
+
 #: ``(t, margin)`` of the positivity witnesses of ``verify adversarial.cfg``
 #: in index order, as the one-sample-at-a-time replay of ``test_models``
 #: records them.  They pin the ``(seed, condition)`` sample streams: ``t``

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from benpde.convex import (
+    NEWTON_MAX_ITERS,
     PowerDensity,
     conjugate_radius,
     radial_coefficient,
@@ -249,6 +250,17 @@ def test_radius_bracket_overflow_warns_nowhere(a, q, eps, s):
         wrapped = solve_radius(d, s)
     assert np.array(r).tobytes() == np.array(wrapped[0]).tobytes()
     assert (iters, list(failures)) == (wrapped[1], list(wrapped[2]))
+
+
+def test_radius_with_a_nan_residual_at_the_cap_fails():
+    # The bracket end and start are inf and the residual 0·inf is NaN, which
+    # is never above the tolerance: the entry must still fail at the cap,
+    # not return r = inf (the root is about 1.34e304).
+    d, s = PowerDensity(1e-300, 3.0), np.finfo(float).max
+    r, iters, failures = solve_radius(d, s)
+    assert np.isnan(r) and iters == NEWTON_MAX_ITERS and list(failures) == [0]
+    with pytest.raises(ConjugateSolveError, match=r"\|y\|=1.79769e\+308$"):
+        conjugate_radius(d, s)
 
 
 def test_conjugate_radius_batch_matches_scalar():

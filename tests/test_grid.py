@@ -434,20 +434,56 @@ def test_csv_round_trip_bit_exact(tmp_path, dim, n, k):
     assert header.split(",")[-1] == f"node_{k * g.n_nodes - 1}"
 
 
+@pytest.fixture
+def umask_077():
+    old = os.umask(0o077)
+    yield 0o077
+    os.umask(old)
+
+
 @pytest.mark.parametrize("mode", [0o600, 0o664], ids=oct)
-def test_write_lines_replaces_a_plain_file(tmp_path, mode):
-    # The old inode stays alive while open, so the new file cannot reuse
-    # its number, and the reader keeps the old text: nothing was truncated.
-    # The new file has the old mode, whatever the umask.
+def test_write_lines_rewrites_a_plain_file_in_place(tmp_path, umask_077,
+                                                    mode):
+    # Shorter text is written through the old inode and cut to length, so
+    # a reader opened before sees the new text, and the mode ignores the
+    # umask.
     path = tmp_path / "a.csv"
     path.write_text("old text that is longer than the new\n")
     path.chmod(mode)
-    with open(path) as old:
+    before = os.stat(path)
+    with open(path, "rb") as old:
         write_lines(path, ["x,y", "1,2"])
-        assert os.stat(path).st_ino != os.fstat(old.fileno()).st_ino
-        assert old.read() == "old text that is longer than the new\n"
+        assert old.read() == b"x,y\n1,2\n"
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert stat.S_IMODE(after.st_mode) == mode
     assert path.read_bytes() == b"x,y\n1,2\n"
-    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+
+
+def test_write_lines_keeps_what_was_written_when_lines_raise(tmp_path):
+    def lines():
+        yield "first"
+        yield "second"
+        raise RuntimeError("no third line")
+
+    path = tmp_path / "a.csv"
+    path.write_text("stale\n" * 10)
+    inode = os.stat(path).st_ino
+    with pytest.raises(RuntimeError, match="no third line"):
+        write_lines(path, lines())
+    assert os.stat(path).st_ino == inode
+    assert path.read_bytes() == b"first\nsecond\n"
+
+
+def test_write_lines_creates_a_file_with_the_umask_mode(tmp_path, umask_077):
+    path = tmp_path / "a.csv"
+    write_lines(path, ["new"])
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask_077
+    assert path.read_bytes() == b"new\n"
+
+
+def test_write_lines_writes_to_the_null_device():
+    write_lines(os.devnull, ["a", "b"])  # it has no length to cut
 
 
 @pytest.mark.parametrize("getter, field", [("geteuid", "st_uid"),

@@ -429,6 +429,15 @@ def test_condition_margin_validation():
         condition_margin(m, g, "growth", np.full(4, np.nan))
 
 
+def test_condition_margin_that_is_not_finite_raises():
+    # As in the checker: no NaN and no warning (the suite's filter would
+    # turn one into an error), but the error naming sample 0.
+    x = 1e200 * np.sin(np.arange(1, 10))
+    with pytest.raises(ModelEvaluationError,
+                       match="^positivity: the margin of sample 0 is not finite$"):
+        condition_margin(adversarial_model(), SpaceGrid(1, 9), "positivity", x)
+
+
 def test_report_json_shape():
     g = SpaceGrid(dim=1, n=9)
     r = check_condition(heat_model(), g, "growth", samples=10, seed=1)
