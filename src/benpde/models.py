@@ -148,13 +148,10 @@ class ConditionConstants:
 
     growth_c0: float
     deriv_g: float
-    deriv_mu: float
     mono_ghat: float
-    mono_muhat: float
     pos_ctilde: float
     pos_mubar: float
     uniconv_c0: float
-    lipschitz_c: float
     fitted: tuple = ()
 
 
@@ -326,26 +323,38 @@ def dlambda_adjoint_density(model: ModelSpec, grid: SpaceGrid, values, t, covect
 # -- built-in models --------------------------------------------------------------
 
 
-def _truncated_square(u, cap: float):
-    """C^1 truncation of ``u^2 / 2`` beyond ``|u| = cap`` (linear growth)."""
-    au = np.abs(u)
-    return np.where(au <= cap, 0.5 * u**2, cap * au - 0.5 * cap**2)
+def _square_flux(amp: float, cap: float) -> FluxTerm:
+    """Flux ``amp * u^2/2`` along the first axis, zero across, continued
+    linearly beyond ``|u| = cap`` (C^1, globally Lipschitz ``amp * cap``)."""
+
+    def func(u, x, t, axis):
+        if axis != 0:
+            return np.zeros_like(u)
+        au = np.abs(u)
+        return amp * np.where(au <= cap, 0.5 * u**2, cap * au - 0.5 * cap**2)
+
+    def deriv(u, x, t, axis):
+        return amp * np.clip(u, -cap, cap) if axis == 0 else np.zeros_like(u)
+
+    return FluxTerm(func=func, deriv=deriv, lipschitz=amp * cap)
 
 
-def _truncated_square_deriv(u, cap: float):
-    return np.clip(u, -cap, cap)
-
-
-def _first_axis(fn):
-    """Flux ``(u, x, t, axis) -> fn(u)`` along the first axis, zero across."""
-    return lambda u, x, t, axis: fn(u) if axis == 0 else np.zeros_like(u)
+def _affine_reaction(const: float, slope: float, dissipation: float) -> ReactionTerm:
+    """Reaction ``const + slope * u`` with the declared one-sided bound."""
+    return ReactionTerm(
+        func=lambda u, x, t: const + slope * u,
+        deriv=lambda u, x, t: np.broadcast_to(float(slope), np.shape(u)).astype(float),
+        lipschitz=abs(slope), dissipation=dissipation)
 
 
 def _require(kind: str, **params) -> None:
-    """Raise ``ValueError("<name>: must be <kind>")`` for the first of
-    ``params`` that is not ``kind`` ("positive" or "nonnegative")."""
+    """Raise ``ValueError("<name>: must be finite")``, or ``"... must be
+    <kind>"``, for the first of ``params`` that is not finite, or not
+    ``kind`` ("positive" or "nonnegative"; "finite" asks for nothing more)."""
     for name, value in params.items():
-        if not (value > 0.0 or (kind == "nonnegative" and value == 0.0)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name}: must be finite")
+        if value < 0.0 and kind != "finite" or value == 0.0 and kind == "positive":
             raise ValueError(f"{name}: must be {kind}")
 
 
@@ -363,15 +372,8 @@ def burgers_model(a: float = 1.0, u_max: float = 10.0) -> ModelSpec:
     first spatial axis.
     """
     _require("positive", a=a, u_max=u_max)
-    return ModelSpec(
-        name="burgers",
-        density=PowerDensity(a, 2.0, 0.0),
-        lam=1,
-        flux=FluxTerm(
-            func=_first_axis(lambda u: _truncated_square(u, u_max)),
-            deriv=_first_axis(lambda u: _truncated_square_deriv(u, u_max)),
-            lipschitz=u_max),
-    )
+    return ModelSpec(name="burgers", density=PowerDensity(a, 2.0, 0.0), lam=1,
+                     flux=_square_flux(1.0, u_max))
 
 
 def divergence_form_model(q: float = 2.0, a: float = 1.0, eps: float | None = None,
@@ -392,28 +394,14 @@ def divergence_form_model(q: float = 2.0, a: float = 1.0, eps: float | None = No
     _require("positive", a=a, flux_cap=flux_cap)
     _require("nonnegative", flux_amp=flux_amp, reaction_slope=reaction_slope)
     _require("nonnegative" if q == 2.0 else "positive", eps=eps)
-
-    xi = _first_axis(lambda u: flux_amp * _truncated_square(u, flux_cap))
-    xiprime = _first_axis(
-        lambda u: flux_amp * _truncated_square_deriv(u, flux_cap))
-
-    def theta(u, x, t):
-        return reaction_const - reaction_slope * u
-
-    def thetaprime(u, x, t):
-        return np.broadcast_to(-reaction_slope, np.shape(u)).astype(float)
-
+    _require("finite", reaction_const=reaction_const)
     # one-sided bound: B(c - sB) <= c^2/(4s) pointwise (s > 0)
     rho = reaction_const**2 / (4.0 * reaction_slope) if reaction_slope > 0 \
         else abs(reaction_const)
-    model = ModelSpec(
-        name=f"divergence_form_q{int(q)}",
-        density=PowerDensity(a, q, eps),
-        lam=1,
-        reaction=ReactionTerm(func=theta, deriv=thetaprime,
-                              lipschitz=reaction_slope, dissipation=rho),
-        flux=FluxTerm(func=xi, deriv=xiprime, lipschitz=flux_amp * flux_cap),
-    )
+    model = ModelSpec(name=f"divergence_form_q{int(q)}",
+                      density=PowerDensity(a, q, eps), lam=1,
+                      reaction=_affine_reaction(reaction_const, -reaction_slope, rho),
+                      flux=_square_flux(flux_amp, flux_cap))
     if q == 4.0:
         # Sample-range-fitted uniform-convexity constant: the regularizer
         # only controls the quadratic part of the gap, so the constant is
@@ -433,20 +421,8 @@ def adversarial_model(kappa: float = 50.0, a: float = 1.0) -> ModelSpec:
     """
     _require("positive", a=a)
     _require("nonnegative", kappa=kappa)
-
-    def theta(u, x, t):
-        return kappa * u
-
-    def thetaprime(u, x, t):
-        return np.broadcast_to(float(kappa), np.shape(u)).astype(float)
-
-    return ModelSpec(
-        name="adversarial",
-        density=PowerDensity(a, 2.0, 0.0),
-        lam=1,
-        reaction=ReactionTerm(func=theta, deriv=thetaprime, lipschitz=kappa,
-                              dissipation=0.0),
-    )
+    return ModelSpec(name="adversarial", density=PowerDensity(a, 2.0, 0.0), lam=1,
+                     reaction=_affine_reaction(0.0, kappa, 0.0))
 
 
 _BUILDERS = {
@@ -460,8 +436,8 @@ _BUILDERS = {
 def build_model(name: str, **params) -> ModelSpec:
     """Construct a built-in model by name (heat, burgers, divergence_form,
     adversarial).  A ``ValueError`` from a builder starts with the name of
-    the parameter out of range (``a`` and the caps must be positive, the
-    other coefficients nonnegative, ``eps`` positive when ``q > 2``)."""
+    the parameter out of range (each must be finite, ``a`` and the caps
+    positive, the others nonnegative, ``eps`` positive when ``q > 2``)."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown model '{name}'; available: {sorted(_BUILDERS)}")
     return _BUILDERS[name](**params)
@@ -499,18 +475,14 @@ def fit_constants(model: ModelSpec) -> ConditionConstants:
     s_slope = np.sqrt(2.0) * l_flux
     pos_mubar = rho + cy * (2.0**qstar) * (s_slope**qstar + 1.0) + 1.0
     uniconv_c0 = 2.0 / c_unif if q == 2.0 else 4.0 / eps
-    lipschitz_c = deriv_g
 
     return ConditionConstants(
         growth_c0=float(growth_c0),
         deriv_g=float(deriv_g),
-        deriv_mu=1.0,
         mono_ghat=float(mono_ghat),
-        mono_muhat=1.0,
         pos_ctilde=float(2.0 * q / a),
         pos_mubar=float(pos_mubar),
         uniconv_c0=float(uniconv_c0),
-        lipschitz_c=float(lipschitz_c),
     )
 
 
@@ -582,11 +554,9 @@ def _margin_growth(model, grid, x, h, t):
 def _margin_deriv_growth(model, grid, x, h, t):
     q = model.density.exponent
     qstar = q / (q - 1.0)
-    dl = dlambda_density(model, grid, x, t, h)
-    lhs = dual_grad_norm(grid, dl, qstar)
-    g, mu = model.constants.deriv_g, model.constants.deriv_mu
-    rhs = g * (grad_norm(grid, x, q) ** (q - 2.0)
-               + mu ** ((q - 2.0) / q)) * grad_norm(grid, h, q)
+    lhs = dual_grad_norm(grid, dlambda_density(model, grid, x, t, h), qstar)
+    rhs = model.constants.deriv_g * (grad_norm(grid, x, q) ** (q - 2.0)
+                                     + 1.0) * grad_norm(grid, h, q)
     return (rhs - lhs) / _scale(lhs, rhs)
 
 
@@ -594,10 +564,9 @@ def _margin_monotonicity(model, grid, x, h, t):
     lhs = h_inner(grid, h, dlambda_density(model, grid, x, t, h))
     if model.lam:
         lhs = _psi_pair_gap(model, grid, x, h) + lhs
-    ghat, muhat = model.constants.mono_ghat, model.constants.mono_muhat
     q = model.density.exponent
     hh = h_inner(grid, h, h)
-    rhs = ghat * (grad_norm(grid, x, q) ** q + muhat) * hh
+    rhs = model.constants.mono_ghat * (grad_norm(grid, x, q) ** q + 1.0) * hh
     return (lhs + rhs) / _scale(np.abs(lhs), rhs)
 
 
@@ -625,7 +594,7 @@ def _margin_lipschitz(model, grid, x, h, t):
     qstar = q / (q - 1.0)
     du = lambda_density(model, grid, x, t) - lambda_density(model, grid, h, t)
     lhs = dual_grad_norm(grid, du, qstar)
-    rhs = model.constants.lipschitz_c * grad_norm(grid, x - h, q)
+    rhs = model.constants.deriv_g * grad_norm(grid, x - h, q)
     return (rhs - lhs) / _scale(lhs, rhs)
 
 

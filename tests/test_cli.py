@@ -357,13 +357,16 @@ def test_zero_time_steps_rejected_naming_key(tmp_path, monkeypatch, capsys):
     ("model.kappa = 2.0", "model.kappa"),  # not a heat-model parameter
     ("solve.use_lbfgs = false", "solve.use_lbfgs"),
     ("solve.memory = 10", "solve.memory"),
+    ("solve.tol 1e-6", "solve.tol 1e-6"),  # no '='
+    ("tol = 1e-6", "'tol'"),  # no section
 ])
 def test_malformed_keys_rejected(tmp_path, monkeypatch, capsys, line, key):
     monkeypatch.chdir(tmp_path)
     base = "model.name = heat\ngrid.n = 9\ntime.T0 = 0.1\ntime.M = 4\n"
     (tmp_path / "bad.cfg").write_text(base + line + "\n")
     assert main(["solve", "bad.cfg"]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("model,command,line,key", [
@@ -404,6 +407,50 @@ def test_out_of_range_values_rejected(tmp_path, monkeypatch, capsys, model,
         "".join(f"{k} = {v}\n" for k, v in base.items()))
     assert main([command, "bad.cfg"]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines,csv,key", [
+    ("model.name = heat\ntime.T0 = 0.1\ntime.M = 4", None, "grid.n"),
+    ("model.name = wave\ngrid.n = 9\ntime.T0 = 0.1\ntime.M = 4", None,
+     "model.name"),
+    ("initial.profile = square", None, "initial.profile"),
+    ("initial.profile = csv", None, "initial.path"),
+    ("initial.profile = csv\ninitial.path = w0.csv", None, "initial.path"),
+    ("initial.profile = csv\ninitial.path = w0.csv", "1,2,x\n", "initial.path"),
+    ("initial.profile = csv\ninitial.path = w0.csv", "0\n" * 8 + "nan\n",
+     "initial.path"),
+], ids=["no-grid-n", "unknown-model", "unknown-profile", "csv-without-path",
+        "csv-missing", "csv-unparsable", "csv-nan"])
+def test_missing_or_unknown_values_name_the_key(tmp_path, monkeypatch, capsys,
+                                                lines, csv, key):
+    monkeypatch.chdir(tmp_path)
+    if lines.startswith("initial."):  # a valid heat run otherwise
+        lines = ("model.name = heat\ngrid.n = 9\ntime.T0 = 0.1\ntime.M = 4\n"
+                 + lines)
+    if csv is not None:
+        (tmp_path / "w0.csv").write_text(csv)
+    (tmp_path / "bad.cfg").write_text(lines + "\n")
+    assert main(["solve", "bad.cfg"]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
+def test_lam_zero_replaces_the_built_model(tmp_path):
+    (tmp_path / "lam.cfg").write_text(
+        "model.name = burgers\nmodel.u_max = 3\nmodel.lam = 0\ngrid.n = 9\n"
+        "time.T0 = 0.1\ntime.M = 4\n")
+    model = load_config(tmp_path / "lam.cfg").model
+    assert model.lam == 0 and model.flux.lipschitz == 3.0
+
+
+def test_constant_start_solves(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_quick_heat(tmp_path / "quick.cfg", extra="solve.init = constant\n")
+    assert main(["solve", "quick.cfg"]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["certificate"]["solved"] and report["iterations"] > 0
 
 
 @pytest.mark.parametrize("command", ["solve", "baseline", "verify", "gradcheck"])

@@ -252,6 +252,11 @@ def test_radius_bracket_overflow_warns_nowhere(a, q, eps, s):
     assert (iters, list(failures)) == (wrapped[1], list(wrapped[2]))
 
 
+def test_radius_of_a_negative_magnitude_raises():
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_radius(PowerDensity(1.0, 3.0), [1.0, -1e-300])
+
+
 def test_radius_with_a_nan_residual_at_the_cap_fails():
     # The bracket end and start are inf and the residual 0·inf is NaN, which
     # is never above the tolerance: the entry must still fail at the cap,

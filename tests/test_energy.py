@@ -180,6 +180,14 @@ def test_conjugate_2d_failure_carries_slice_index():
                           max_iters=4)
 
 
+def test_conjugate_2d_singular_first_jacobian_raises():
+    # Without a regularizer the quartic Hessian vanishes at z = 0, where the
+    # dual Newton starts, so its first banded solve is singular.
+    g = SpaceGrid(dim=2, n=5)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        conjugate_on_dual(PowerDensity(1.0, 4.0, 0.0), g, np.ones((1, 5, 5)))
+
+
 def test_conjugate_2d_overflowed_norm_is_not_convergence():
     # |y|_H overflows to inf, and inf <= tol * inf must not count as met.
     g = SpaceGrid(dim=2, n=4)

@@ -1,5 +1,6 @@
 """Model assembly, derivative consistency, and structural condition checks."""
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -340,13 +341,25 @@ def test_fitted_constants_heat():
     assert c.pos_ctilde == pytest.approx(4.0)
     assert c.uniconv_c0 == pytest.approx(2.0)
     assert c.deriv_g == pytest.approx(1.0)
-    assert c.lipschitz_c == pytest.approx(1.0)
+    assert c.mono_ghat == pytest.approx(1.0)
 
 
 def test_builder_registry_round_trip():
     assert build_model("heat").name == "heat"
     assert build_model("divergence_form", q=4.0).name == "divergence_form_q4"
     assert build_model("adversarial", kappa=9.0).reaction.lipschitz == 9.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name,param", [
+    (name, param) for name, builder in models._BUILDERS.items()
+    for param in inspect.signature(builder).parameters])
+def test_builders_reject_non_finite_parameters(name, param, value):
+    # An infinite cap or amplitude would give deriv_g = inf, and a NaN
+    # reaction_const pos_mubar = NaN: the checker would fail later and
+    # elsewhere.  The message names the parameter, as build_model promises.
+    with pytest.raises(ValueError, match=f"^{param}: "):
+        build_model(name, **{param: value})
 
 
 # -- sampled condition checks -------------------------------------------------------
@@ -511,6 +524,17 @@ def _ramp_model():
                                            lipschitz=100.0))
 
 
+def _understated_lipschitz_model():
+    """Reaction ``theta = 1000 u`` declared with Lipschitz constant 0: the
+    constants derived from it are too small, so the conditions that read
+    them, three pair conditions among them, fail with witnesses."""
+    return ModelSpec(name="understated", density=PowerDensity(1.0, 2.0, 0.0),
+                     reaction=ReactionTerm(
+                         func=lambda u, x, t: 1000.0 * u,
+                         deriv=lambda u, x, t: np.full(np.shape(u), 1000.0),
+                         lipschitz=0.0))
+
+
 def _streams(entropy):
     """The three generators (times, white noise, coins) a condition seeded
     with ``entropy`` draws from."""
@@ -557,6 +581,7 @@ def _assert_margin_close(got, want):
     ("divform_q4", 1, lambda: divergence_form_model(4.0)),
     ("adversarial", 1, adversarial_model),
     ("ramp", 1, _ramp_model),
+    ("understated", 1, _understated_lipschitz_model),
 ], ids=lambda case: case[0])
 def test_batched_check_matches_one_sample_replay(case):
     _, dim, builder = case
@@ -587,6 +612,16 @@ def test_time_dependent_model_yields_witnesses():
                           t_range=(0.0, 1.0))
     assert len(rep.witnesses) == MAX_WITNESSES
     assert len({w["t"] for w in rep.witnesses}) == MAX_WITNESSES
+
+
+def test_understated_lipschitz_model_fails_pair_conditions():
+    # Keeps the replay test above checking the second field of pair-condition
+    # witnesses: no built-in model fails a pair condition.
+    reports = check_all_conditions(_understated_lipschitz_model(),
+                                   SpaceGrid(dim=1, n=9), samples=64, seed=3)
+    failed = {r.condition: len(r.witnesses) for r in reports if not r.passed}
+    assert failed == dict.fromkeys(["deriv_growth", "monotonicity",
+                                    "positivity", "lipschitz"], MAX_WITNESSES)
 
 
 @pytest.mark.parametrize("block", [1, 7])

@@ -545,6 +545,16 @@ def test_baseline_step_failure_reports_index():
     assert info.value.residual > 0.0
 
 
+@pytest.mark.xfail(strict=True, raises=TimeStepError, reason=(
+    "ROADMAP item 5: the step target 1e-12 * max(1, |F|_H) lies below the "
+    "residual's rounding floor, and the damping stalls at 6.666e-11"))
+def test_baseline_converges_on_a_fine_heat_grid():
+    g = SpaceGrid(dim=1, n=1025)
+    w0 = Field(g, np.sin(np.pi * g.node_coords[0]))
+    traj = implicit_baseline(build_model("heat"), w0, uniform_times(0.1, 64))
+    assert traj.states.shape == (65, 1, 1025)
+
+
 def test_baseline_overflowed_residual_is_never_met():
     # At 1e155 every step's residual norm and target overflow to inf; that
     # must fail at step 0, not pass inf <= inf and return the constant start.
