@@ -6,9 +6,9 @@ Commands
     Minimize the certificate energy for the configured model and write
     ``trajectory.csv``, ``report.json``, ``history.csv`` and ``profiles.dat``
     into the configured output directory.  Exit 0 iff the zero-energy
-    certificate accepts the result.  A stalled line search, or a failed
-    certificate assembly, still writes the last iterate, with a ``failure``
-    block in the report, then exits 3.
+    certificate accepts the result.  A run that ``minimize`` returns with a
+    ``failure`` still writes its last iterate, with a ``failure`` block in
+    the report, then exits 3.  A start it cannot price writes nothing.
 ``baseline <cfg>``
     Solve the implicit stepping scheme and write the same artifacts minus
     the iteration history, removing an earlier run's ``history.csv``.  A
@@ -48,14 +48,7 @@ import numpy as np
 
 from .convex import PowerDensity, radial_value, solve_radius
 from .energy import _assemble, energy_and_gradient, energy_totals, eval_energy
-from .errors import (
-    BenpdeError,
-    ConfigError,
-    ConjugateSolveError,
-    LineSearchError,
-    ModelEvaluationError,
-    NonFiniteInputError,
-)
+from .errors import BenpdeError, ConfigError, NonFiniteInputError
 from .grid import (
     Field,
     SpaceGrid,
@@ -98,10 +91,10 @@ _BOOL = {**dict.fromkeys(("true", "yes", "on", "1"), True),
 #: default, check)``: a default of None marks a required key, and ``...`` a
 #: key whose default its reader derives (``initial.path`` is required by the
 #: csv profile only; ``outputs.dir`` defaults to ``runs/<model>``).  The
-#: ``solve.*`` keys up to ``solve.max_line_trials`` are the
-#: :class:`SolveOptions` fields, whose ranges ``SolveOptions`` checks;
-#: ``solve.tol`` is also the certificate tolerance of ``solve`` and
-#: ``baseline``, and the other three shape the start.
+#: ``solve.*`` keys up to ``solve.tol`` are the :class:`SolveOptions` fields,
+#: whose defaults and ranges ``SolveOptions`` holds; ``solve.tol`` is also the
+#: certificate tolerance of ``solve`` and ``baseline``, and the other three
+#: ``solve.*`` keys shape the start.
 _KEYS = {
     "grid.dim": (int, 1, (lambda v: v in (1, 2), "must be 1 or 2")),
     "grid.n": (int, None, _AT_LEAST_1),
@@ -110,13 +103,8 @@ _KEYS = {
     "initial.profile": (str, "sin", None),
     "initial.path": (str, ..., None),
     "initial.amplitude": (float, 1.0, None),
-    "solve.max_iters": (int, 2000, None),
-    "solve.grad_tol": (float, 1e-13, None),
-    "solve.energy_tol": (float, 1e-12, None),
-    "solve.tol": (float, 1e-6, None),
-    "solve.armijo_c1": (float, 1e-4, None),
-    "solve.backtrack": (float, 0.5, None),
-    "solve.max_line_trials": (int, 40, None),
+    **{f"solve.{f.name}": (type(f.default), f.default, None)
+       for f in fields(SolveOptions)},
     "solve.seed": (int, 0, _SEED),
     "solve.init": (str, "random", (lambda v: v in ("random", "constant"),
                                    "must be 'random' or 'constant'")),
@@ -346,12 +334,8 @@ def _cmd_solve(cfg: RunConfig) -> int:
                                   key="solve.noise")
         _check_density(cfg.model.density, cfg.grid, init.states,
                        "solve.noise", "a state of the random start")
-    try:
-        outcome, failure = minimize(cfg.model, init, cfg.options), None
-    except (LineSearchError, ConjugateSolveError, ModelEvaluationError) as exc:
-        if exc.outcome is None:  # the start itself could not be priced
-            raise
-        outcome, failure = exc.outcome, exc
+    outcome = minimize(cfg.model, init, cfg.options)
+    failure = outcome.failure
     report, verdict = outcome.report, outcome.verdict(cfg.keys["solve.tol"])
     where = ""  # the stage that failed, when it is not the minimizer
 

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every numerical failure carries enough state to diagnose it: residuals,
-iteration counts, step indices, or the last iterate.  Callers that want to
-degrade gracefully can catch the specific type.
+iteration counts or step indices.  ``minimize`` returns its failure next to
+the last iterate; other callers can catch the specific type.
 """
 
 from __future__ import annotations
@@ -10,9 +10,6 @@ from __future__ import annotations
 
 class BenpdeError(Exception):
     """Base class for all package-specific errors."""
-
-    #: the last accepted iterate's outcome when raised out of ``minimize``
-    outcome = None
 
 
 class NonFiniteInputError(BenpdeError, ValueError):
@@ -41,17 +38,7 @@ class ModelEvaluationError(BenpdeError, RuntimeError):
 
 
 class LineSearchError(BenpdeError, RuntimeError):
-    """Backtracking line search stalled before the tolerances were met.
-
-    Attributes
-    ----------
-    outcome :
-        A solver outcome holding the last accepted iterate and history.
-    """
-
-    def __init__(self, message: str, outcome=None):
-        super().__init__(message)
-        self.outcome = outcome
+    """Backtracking line search stalled before the tolerances were met."""
 
 
 class TimeStepError(BenpdeError, RuntimeError):

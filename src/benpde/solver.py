@@ -31,6 +31,7 @@ import numpy as np
 from .energy import (CertificateVerdict, EnergyReport, _assemble, _Assembly,
                      _dual_residuals, _node_gradient)
 from .errors import (
+    BenpdeError,
     ConjugateSolveError,
     LineSearchError,
     ModelEvaluationError,
@@ -62,37 +63,32 @@ __all__ = [
 ]
 
 
+#: Armijo slope fraction, step factor and trial cap of every line search
+ARMIJO_C1, BACKTRACK, MAX_LINE_TRIALS = 1e-4, 0.5, 40
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Minimizer controls.
 
     A run stops once the certificate verdict at ``tol`` is solved with the
     normalized energy at most ``energy_tol``, or as stalled once the
-    time-weighted norm of the merit gradient is at most ``grad_tol``.  The
-    line search is Armijo backtracking on the merit with slope fraction
-    ``armijo_c1`` and step factor ``backtrack``, from the unit Gauss-Newton
-    step.  A ``ValueError`` for a field out of range starts with
-    ``"<field>: "``.
+    time-weighted norm of the merit gradient is at most ``grad_tol``, and
+    after ``max_iters`` iterations at the latest.  A ``ValueError`` for a
+    field out of range starts with ``"<field>: "``.
     """
 
-    max_iters: int = 500
-    grad_tol: float = 1e-9
+    max_iters: int = 2000
+    grad_tol: float = 1e-13
     energy_tol: float = 1e-12
     tol: float = 1e-6
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    max_line_trials: int = 40
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError("max_iters: must be nonnegative")
-        for name in ("grad_tol", "energy_tol", "tol", "armijo_c1"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name}: must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack: must lie in (0, 1)")
-        if self.max_line_trials < 1:
-            raise ValueError("max_line_trials: must be at least 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+            raise ValueError("max_iters: must be a nonnegative integer")
+        for name in ("grad_tol", "energy_tol", "tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name}: must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -130,6 +126,8 @@ class SolveOutcome:
     assembly, which ``report`` and :meth:`verdict` read (``None`` if it
     raised).  ``history`` holds one ``(phi, |grad phi|)`` row per accepted
     iterate, the initial one included; ``phi`` is nonincreasing.
+    ``failure`` is the ``LineSearchError`` of a stalled line search, the
+    ``ConjugateSolveError`` or ``ModelEvaluationError`` of the assembly, or ``None``.
     """
 
     merit: _Merit = field(repr=False)
@@ -137,6 +135,7 @@ class SolveOutcome:
     iterations: int
     converged: bool
     history: np.ndarray = field(repr=False)
+    failure: BenpdeError | None
 
     @property
     def trajectory(self) -> Trajectory:
@@ -226,23 +225,30 @@ def _gauss_newton_direction(state: _Merit):
     return None if singular is not None else delta.reshape(traj.states.shape)
 
 
-def _line_search(merit: _Merit, direction, slope: float, step: float,
-                 opts: SolveOptions):
+def _line_search(merit: _Merit, direction, slope: float, step: float):
     """Armijo backtracking on the merit along ``direction`` from ``step``,
-    as ``opts`` sets it: the accepted trial's :func:`_merit` and step, or
-    ``None``.  A trial that raises ``ModelEvaluationError`` or
-    ``NonFiniteInputError`` is rejected."""
+    by :data:`ARMIJO_C1`, :data:`BACKTRACK` and :data:`MAX_LINE_TRIALS`: the
+    accepted trial's :func:`_merit` and step, or ``None``.  A trial that
+    raises ``ModelEvaluationError`` or ``NonFiniteInputError`` is rejected."""
     traj, phi = merit.traj, merit.phi
-    for _ in range(opts.max_line_trials):
+    for _ in range(MAX_LINE_TRIALS):
         try:
             trial = _merit(merit.model, traj.with_tail(
                 traj.states[1:] + step * direction[1:]), merit.theta)
         except (ModelEvaluationError, NonFiniteInputError):
             trial = None  # a trial that cannot be priced is rejected
-        if trial is not None and trial.phi <= phi + opts.armijo_c1 * step * slope:
+        if trial is not None and trial.phi <= phi + ARMIJO_C1 * step * slope:
             return trial, step
-        step *= opts.backtrack
+        step *= BACKTRACK
     return None
+
+
+def _certify(model: ModelSpec, merit: _Merit):
+    """The iterate's assembly and ``None``, or ``None`` and what it raised."""
+    try:
+        return _assemble(model, merit.traj), None
+    except (ConjugateSolveError, ModelEvaluationError) as exc:
+        return None, exc
 
 
 def minimize(model: ModelSpec, init: Trajectory,
@@ -255,25 +261,13 @@ def minimize(model: ModelSpec, init: Trajectory,
     ``min(1, 1/|grad phi|)``.  The energy is assembled to test a stop only
     once Deuflhard's estimate of the error left after a step ``s delta``,
     ``sqrt(phi_new/phi_old) |s delta|``, is at most
-    ``sqrt(energy_tol) (|u| + 1)``, and for the last iterate.  Raises
-    :class:`~benpde.errors.LineSearchError` if no trial is accepted; it, and
-    a ``ConjugateSolveError`` or ``ModelEvaluationError`` of an assembly,
-    carry the last accepted iterate's outcome in ``outcome``.
+    ``sqrt(energy_tol) (|u| + 1)``, and for the last iterate.  A line search
+    that accepts no trial, or an assembly that raises, ends the run with the
+    last accepted iterate and the error in ``failure``.  Raises only when
+    the start cannot be priced.
     """
     merit, state, iterations, history = _merit(model, init), None, 0, []
-
-    def outcome(converged=False):
-        return SolveOutcome(merit, state, iterations, converged,
-                            np.asarray(history))
-
-    def assemble():
-        try:
-            return _assemble(model, merit.traj)
-        except (ConjugateSolveError, ModelEvaluationError) as exc:
-            exc.outcome = outcome()
-            raise
-
-    estimate = np.inf if merit.phi else 0.0
+    estimate, failure = np.inf if merit.phi else 0.0, None
     while True:
         grad = _merit_gradient(merit)
         gnorm = mixed_norm(merit.traj, grad)  # an overflowed norm reads inf
@@ -281,10 +275,11 @@ def minimize(model: ModelSpec, init: Trajectory,
         flat = gnorm <= opts.grad_tol  # a stationary point of phi
         if flat or estimate <= (np.sqrt(opts.energy_tol)
                                 * (mixed_norm(merit.traj) + 1.0)):
-            state = assemble()
-            if flat or (state.verdict(opts.tol).solved
-                        and state.report.normalized <= opts.energy_tol):
-                return outcome(True)
+            state, failure = _certify(model, merit)
+            if failure or flat or (state.verdict(opts.tol).solved
+                                   and state.report.normalized <= opts.energy_tol):
+                return SolveOutcome(merit, state, iterations, failure is None,
+                                    np.asarray(history), failure)
         if iterations >= opts.max_iters:
             break
         direction, step = _gauss_newton_direction(merit), 1.0
@@ -292,20 +287,22 @@ def minimize(model: ModelSpec, init: Trajectory,
         if direction is None:  # the sweep failed
             direction, slope = -grad, -gnorm**2
             step = min(1.0, 1.0 / max(gnorm, 1e-30))
-        found = _line_search(merit, direction, slope, step, opts)
+        found = _line_search(merit, direction, slope, step)
         if found is None:
-            state = state or assemble()
-            raise LineSearchError(
-                f"line search found no descent step after "
-                f"{opts.max_line_trials} trials at iteration {iterations}",
-                outcome=outcome())
+            failure = LineSearchError(
+                f"line search found no descent step after {MAX_LINE_TRIALS} "
+                f"trials at iteration {iterations}")
+            break
         trial, step = found
         estimate = (np.sqrt(trial.phi / merit.phi) * step
                     * mixed_norm(merit.traj, direction))
         merit, state, iterations = trial, None, iterations + 1
 
-    state = state or assemble()
-    return outcome()
+    if state is None:  # an assembly failure outranks a line search failure
+        state, failed = _certify(model, merit)
+        failure = failed or failure
+    return SolveOutcome(merit, state, iterations, False, np.asarray(history),
+                        failure)
 
 
 def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
@@ -316,10 +313,10 @@ def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
 
     as the theta = 1 run of :func:`minimize`'s iteration from the constant
     extension of ``w0`` over the whole trajectory, damped by the
-    :func:`_line_search` of the default :class:`SolveOptions`.  It stops
-    once every step ``k`` has a residual ``R_k`` of at most
-    ``newton_tol * max(1, |F(u_{k+1})|_H)``, where ``F(u_{k+1}) = R_k -
-    (u_{k+1} - u_k)/tau`` are the terms at the step's own theta-point.  Raises
+    :func:`_line_search`.  It stops once every step ``k`` has a residual
+    ``R_k`` of at most ``newton_tol * max(1, |F(u_{k+1})|_H)``, where
+    ``F(u_{k+1}) = R_k - (u_{k+1} - u_k)/tau`` are the terms at the step's
+    own theta-point.  Raises
     :class:`~benpde.errors.TimeStepError` naming the first step above its
     target when ``max_newton`` Newton steps in all do not suffice, when the
     sweep is singular or not finite, or when the line search stalls; at
@@ -343,8 +340,8 @@ def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
             why = "Newton hit the iteration cap"
         elif (direction := _gauss_newton_direction(merit)) is None:
             why = "singular Newton Jacobian"
-        elif (found := _line_search(merit, direction, -2.0 * merit.phi, 1.0,
-                                    SolveOptions())) is None:
+        elif (found := _line_search(merit, direction, -2.0 * merit.phi,
+                                    1.0)) is None:
             why = "Newton damping stalled"
         else:
             merit, steps = found[0], steps + 1

@@ -62,11 +62,12 @@ def test_heat_config_solves_and_writes_artifacts(heat_run):
 def test_line_search_failure_writes_last_iterate(tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(benpde.solver, "MAX_LINE_TRIALS", 1)
+    monkeypatch.setattr(benpde.solver, "ARMIJO_C1", 0.75)
     (tmp_path / "stall.cfg").write_text(
         "model.name = divergence_form\nmodel.q = 4\ngrid.n = 9\n"
         "time.T0 = 0.1\ntime.M = 8\n"
-        "solve.noise = 1.0\nsolve.max_line_trials = 1\n"
-        "solve.armijo_c1 = 0.75\noutputs.dir = out\n")
+        "solve.noise = 1.0\noutputs.dir = out\n")
     assert main(["solve", "stall.cfg"]) == 3
     captured = capsys.readouterr()
     assert len(captured.out.strip().splitlines()) == 1
@@ -359,6 +360,11 @@ def test_zero_time_steps_rejected_naming_key(tmp_path, monkeypatch, capsys):
     ("solve.memory = 10", "solve.memory"),
     ("solve.tol 1e-6", "solve.tol 1e-6"),  # no '='
     ("tol = 1e-6", "'tol'"),  # no section
+    # line-search controls that are module constants, not config keys
+    *(pytest.param(f"solve.{name} = {value}",
+                   f"unknown config key 'solve.{name}'", id=f"removed-{name}")
+      for name, value in (("armijo_c1", "1e-4"), ("backtrack", "2"),
+                          ("max_line_trials", "0"))),
 ])
 def test_malformed_keys_rejected(tmp_path, monkeypatch, capsys, line, key):
     monkeypatch.chdir(tmp_path)
@@ -389,8 +395,6 @@ def test_malformed_keys_rejected(tmp_path, monkeypatch, capsys, line, key):
     ("divergence_form", "solve", "model.q = 4; model.flux_amp = -0.4",
      "model.flux_amp"),
     ("adversarial", "verify", "model.kappa = -5", "model.kappa"),
-    ("heat", "solve", "solve.backtrack = 2", "solve.backtrack"),
-    ("heat", "solve", "solve.max_line_trials = 0", "solve.max_line_trials"),
     ("heat", "solve", "solve.grad_tol = 0", "solve.grad_tol"),
     ("heat", "solve", "solve.tol = 0", "solve.tol"),
     ("heat", "solve", "solve.max_iters = -1", "solve.max_iters"),

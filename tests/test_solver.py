@@ -12,7 +12,8 @@ import benpde.energy
 import benpde.solver
 from benpde.energy import (_assemble, _dual_residuals, certificate,
                            energy_and_gradient, eval_energy, residual)
-from benpde.errors import LineSearchError, ModelEvaluationError, TimeStepError
+from benpde.errors import (ConjugateSolveError, LineSearchError,
+                           ModelEvaluationError, TimeStepError)
 from benpde.grid import (Field, SpaceGrid, Trajectory, h_norm, sweep_bands,
                          uniform_times)
 from benpde.models import (adversarial_model, build_model, jacobian_bands,
@@ -49,12 +50,20 @@ def test_options_validation():
         SolveOptions(grad_tol=0.0)
     with pytest.raises(ValueError, match="^tol: "):
         SolveOptions(tol=0.0)
-    with pytest.raises(ValueError, match="backtrack"):
-        SolveOptions(backtrack=1.0)
-    with pytest.raises(ValueError, match="max_line_trials"):
-        SolveOptions(max_line_trials=0)
     with pytest.raises(ValueError, match="max_iters"):
         SolveOptions(max_iters=-1)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("grad_tol", np.inf), ("grad_tol", np.nan), ("energy_tol", np.inf),
+    ("energy_tol", np.nan), ("tol", np.inf), ("tol", -np.inf), ("tol", np.nan),
+    ("max_iters", 2.5), ("max_iters", 3.0), ("max_iters", np.inf),
+])
+def test_options_reject_non_finite_tolerances_and_fractional_iters(name, value):
+    # grad_tol = inf once stopped every run at iteration 0 as converged, and
+    # max_iters = 2.5 ran three iterations
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        SolveOptions(**{name: value})
 
 
 def test_constant_initialization_extends_w0():
@@ -124,14 +133,21 @@ def test_minimize_matches_baseline_at_coarse_tolerance():
     assert compare(out.trajectory, base).rel_l2 <= COARSE_SCHEME_GAP
 
 
-def test_line_search_failure_carries_last_outcome():
+def _stall_line_search(monkeypatch):
+    """One trial per line search, rejected unless it gains 3/4 of the slope."""
+    monkeypatch.setattr(benpde.solver, "MAX_LINE_TRIALS", 1)
+    monkeypatch.setattr(benpde.solver, "ARMIJO_C1", 0.75)
+
+
+def test_line_search_failure_carries_last_outcome(monkeypatch):
     grid, times, w0 = _sine_setup()
     init = random_initial_trajectory(grid, times, w0, seed=0, noise=1.0)
-    opts = SolveOptions(max_iters=200, max_line_trials=1, armijo_c1=0.75)
-    with pytest.raises(LineSearchError) as info:
-        minimize(build_model("divergence_form", q=4.0), init, opts)
-    out = info.value.outcome
-    assert out is not None and not out.converged
+    _stall_line_search(monkeypatch)
+    out = minimize(build_model("divergence_form", q=4.0), init,
+                   SolveOptions(max_iters=200))
+    assert isinstance(out.failure, LineSearchError)
+    assert "after 1 trials" in str(out.failure)
+    assert not out.converged
     assert out.history.shape[0] >= 1
     assert out.trajectory.states.shape == init.states.shape
 
@@ -141,8 +157,8 @@ def test_line_search_rejects_a_trial_that_raises(monkeypatch):
     # line search, so a raise there must cost nothing but that one trial.
     grid, times, w0 = _sine_setup()
     init = random_initial_trajectory(grid, times, w0, seed=1)
-    opts = SolveOptions(max_iters=2000, grad_tol=1e-13, energy_tol=1e-12,
-                        armijo_c1=0.75)
+    opts = SolveOptions(max_iters=2000, grad_tol=1e-13, energy_tol=1e-12)
+    monkeypatch.setattr(benpde.solver, "ARMIJO_C1", 0.75)
     model = build_model("divergence_form", q=4.0)
     merit = benpde.solver._merit
 
@@ -161,8 +177,8 @@ def test_line_search_rejects_a_trial_that_raises(monkeypatch):
 
     clean, clean_trials = run(False)
     out, trials = run(True)
-    assert out.converged
-    np.testing.assert_allclose(trials[1], opts.backtrack * trials[0],
+    assert out.converged and out.failure is None
+    np.testing.assert_allclose(trials[1], benpde.solver.BACKTRACK * trials[0],
                                rtol=1e-10, atol=0.0)
     assert len(trials) == len(clean_trials)
     np.testing.assert_array_equal(out.history, clean.history)
@@ -175,6 +191,34 @@ def test_max_iters_reached_is_a_valid_outcome():
                    SolveOptions(max_iters=3, grad_tol=1e-15, energy_tol=1e-15))
     assert not out.converged
     assert out.iterations == 3
+    assert out.failure is None
+
+
+def test_failed_certifying_assembly_is_returned_not_raised():
+    # The bundled q = 4 model in 2-D from a start just inside the Psi(w0)^2
+    # bound: the merit descends, but the conjugate of the stop test stalls.
+    grid = SpaceGrid(dim=2, n=6)
+    w0 = 2.1e38 * np.prod(np.sin(np.pi * grid.node_coords), axis=0)
+    init = random_initial_trajectory(grid, uniform_times(0.05, 8), w0,
+                                     seed=3, noise=0.25)
+    opts = SolveOptions(max_iters=3000, tol=1e-4)
+    out = minimize(build_model("divergence_form", q=4.0), init, opts)
+    assert isinstance(out.failure, ConjugateSolveError)
+    assert out.state is None and out.report is None
+    assert out.verdict(opts.tol) is None
+    assert not out.converged
+    assert out.iterations > 0
+    assert out.history.shape == (out.iterations + 1, 2)
+
+
+def test_a_start_that_cannot_be_priced_raises():
+    grid, times, w0 = _sine_setup()
+    model = build_model("divergence_form")
+    model = replace(model, reaction=replace(
+        model.reaction, func=lambda u, x, t: np.full_like(u, np.nan)))
+    init = random_initial_trajectory(grid, times, w0, seed=0)
+    with pytest.raises(ModelEvaluationError, match="non-finite"):
+        minimize(model, init)
 
 
 # -- Gauss-Newton direction ---------------------------------------------------------
@@ -302,13 +346,13 @@ def test_kept_state_gives_the_same_direction_and_verdict(name, params, dim, n):
         assert out.verdict(tol) == certificate(model, traj, tol)
 
 
-def test_line_search_failure_verdict_equals_certificate():
+def test_line_search_failure_verdict_equals_certificate(monkeypatch):
     grid, times, w0 = _sine_setup()
     init = random_initial_trajectory(grid, times, w0, seed=0, noise=1.0)
     model = build_model("divergence_form", q=4.0)
-    with pytest.raises(LineSearchError) as info:
-        minimize(model, init, SolveOptions(max_line_trials=1, armijo_c1=0.75))
-    out = info.value.outcome
+    _stall_line_search(monkeypatch)
+    out = minimize(model, init)
+    assert isinstance(out.failure, LineSearchError)
     # the state of the last accepted iterate, not of a rejected trial
     assert out.history[-1, 0] == benpde.solver._merit(model, out.trajectory).phi
     assert out.report == eval_energy(model, out.trajectory)

@@ -7,7 +7,6 @@ tests use it to expose (non-)uniqueness of the reachable minimizer.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from benpde.errors import LineSearchError
 from benpde.grid import SpaceGrid, mixed_norm
 from benpde.models import ModelSpec
 from benpde.solver import (SolveOptions, compare, minimize,
@@ -37,7 +36,8 @@ def uniqueness_probe(model: ModelSpec, grid: SpaceGrid, times, w0,
     report the worst pairwise discrepancy among converged minimizers.
 
     Seeds that fail (line-search stall or no convergence) are recorded, not
-    fatal; the probe itself fails only when fewer than two runs converge.
+    fatal; the probe raises ``RuntimeError`` only when fewer than two runs
+    converge.
     Pairs of minimizers that both collapsed below :data:`DEGENERATE_SCALE`
     are scored by their absolute mixed-norm difference instead of the
     relative one.
@@ -49,17 +49,13 @@ def uniqueness_probe(model: ModelSpec, grid: SpaceGrid, times, w0,
     flags = []
     for s in seeds:
         init = random_initial_trajectory(grid, times, w0, seed=s, noise=noise)
-        try:
-            out = minimize(model, init, opts)
-        except LineSearchError as exc:
-            out = exc.outcome
+        out = minimize(model, init, opts)
         outcomes.append(out)
-        flags.append(bool(out is not None and out.converged))
+        flags.append(out.converged)
     converged = [o for o, f in zip(outcomes, flags) if f]
     if len(converged) < 2:
-        raise LineSearchError(
-            f"uniqueness probe: only {len(converged)} of {n_seeds} runs "
-            f"converged", outcome=None)
+        raise RuntimeError(f"uniqueness probe: only {len(converged)} of "
+                           f"{n_seeds} runs converged")
 
     worst = 0.0
     for a, b in combinations([o.trajectory for o in converged], 2):
