@@ -40,6 +40,7 @@ import argparse
 import inspect
 import json
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -54,7 +55,7 @@ from .grid import (
     SpaceGrid,
     Trajectory,
     format_rows,
-    h_inner,
+    mixed_inner,
     save_trajectory_csv,
     uniform_times,
     write_lines,
@@ -249,7 +250,9 @@ def _initial_profile(keys: dict, grid: SpaceGrid, cfg_dir: Path,
             raise ConfigError(f"config key 'initial.path': file '{path}' "
                               f"does not exist", key="initial.path")
         try:
-            data = np.loadtxt(path, delimiter=",", dtype=float)
+            with warnings.catch_warnings():  # an empty file fails below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(path, delimiter=",", dtype=float)
         except ValueError as exc:
             raise ConfigError(f"config key 'initial.path': {exc}",
                               key="initial.path")
@@ -439,11 +442,10 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
                                 cfg.keys["gradcheck.directions"])
     rng = np.random.default_rng(cfg.keys["gradcheck.seed"])
     grid, times, e = cfg.grid, cfg.times, cfg.keys["gradcheck.step"]
-    one = (-1,) + grid.shape  # a trajectory as one field: one total
     an, fd = [], []
     with np.errstate(all="ignore"):  # an inf or nan error fails the check
         for _ in range(trajectories):
-            states = 0.5 * rng.normal(size=(times.size, 1) + grid.shape)
+            states = 0.5 * rng.normal(size=(times.size,) + grid.shape)
             traj = Trajectory(grid, times, states)
             _, grad = energy_and_gradient(cfg.model, traj)
             for _ in range(directions):
@@ -452,8 +454,7 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
                 tail, step = traj.states[1:], e * s[1:]
                 jp, jm = energy_totals(cfg.model, traj, [tail + step, tail - step])
                 fd.append((jp - jm) / (2.0 * e))
-                an.append(traj.tau * h_inner(grid, s.reshape(one),
-                                             grad.reshape(one)))
+                an.append(mixed_inner(traj, s, grad))
         fd = np.array(fd)
         worst = float(np.max(np.abs(np.array(an) - fd) / np.maximum(1.0, np.abs(fd))))
     print(f"gradcheck {cfg.model.name}: worst relative error {worst:.3e} "

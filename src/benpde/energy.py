@@ -136,7 +136,7 @@ class CertificateVerdict:
 def _conjugate_newton_2d(density: PowerDensity, grid: SpaceGrid,
                          y: np.ndarray, tol: float, max_iters: int):
     """Damped Newton for ``DPsi(z) = y`` on all 2-D slices of ``y``
-    ``(slices, 1, *shape)`` at once: each step is one uncoupled
+    ``(slices, *shape)`` at once: each step is one uncoupled
     :func:`~benpde.grid.sweep_bands` over the unconverged slices, and each
     slice halves its own step length until its H-norm residual drops.  A
     slice is frozen once that residual meets ``tol * max(1, |y_i|_H)``.
@@ -172,7 +172,7 @@ def _conjugate_newton_2d(density: PowerDensity, grid: SpaceGrid,
             if not left.size:
                 break
             rows = todo[left]
-            z_new = z[rows] + s[left, None, None, None] * step[left]
+            z_new = z[rows] + s[left, None, None] * step[left]
             g_new = psi_gradient_density(density, grid, z_new) - y[rows]
             res_new = h_norm(grid, g_new)
             ok = res_new <= (1.0 - 1e-4 * s[left]) * res[rows]
@@ -255,13 +255,13 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
     Returns ``(values, argmax, iterations)`` where ``argmax`` solves
     ``DPsi(argmax) = y`` and ``values = <argmax, y> - Psi(argmax)``.  ``y``
     may carry leading batch axes.  Quadratic densities are solved for all
-    batch entries in one factorized solve (``iterations`` is 0).  Other
-    exponents take one-component fields only: in 1-D all entries are solved
-    exactly at once and ``iterations`` counts the scalar-equation steps of
-    the slowest entry; in 2-D all entries run the dual Newton iteration at
-    once and ``iterations`` counts its steps on the slowest entry.  Either
-    raises :class:`~benpde.errors.ConjugateSolveError` tagged ``slice {i}:``
-    when ``max_iters`` steps do not reach ``tol``.
+    batch entries in one factorized solve (``iterations`` is 0).  For other
+    exponents, in 1-D all entries are solved exactly at once and
+    ``iterations`` counts the scalar-equation steps of the slowest entry; in
+    2-D all entries run the dual Newton iteration at once and ``iterations``
+    counts its steps on the slowest entry.  Either raises
+    :class:`~benpde.errors.ConjugateSolveError` tagged ``slice {i}:`` when
+    ``max_iters`` steps do not reach ``tol``.
     """
     arr = np.asarray(y, dtype=float)
     a, q, eps = density.coefficient, density.exponent, density.regularizer
@@ -271,13 +271,9 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
         z = poisson_solve(grid, -arr) / (a + eps)
         iters = 0
     else:
-        if arr.shape[-(grid.dim + 1)] != 1:
-            raise ValueError(
-                "non-quadratic conjugate solves support one-component fields")
-        flat = arr.reshape((-1,) + arr.shape[-(grid.dim + 1):])
+        flat = arr.reshape((-1,) + grid.shape)
         if grid.dim == 1:
-            z, iters = _conjugate_exact_1d(density, grid, flat[:, 0], tol,
-                                           max_iters)
+            z, iters = _conjugate_exact_1d(density, grid, flat, tol, max_iters)
         else:
             z, iters = _conjugate_newton_2d(density, grid, flat, tol, max_iters)
         z = z.reshape(arr.shape)
@@ -292,9 +288,9 @@ def _dual_residuals(model: ModelSpec, grid: SpaceGrid, tau: float, times,
                     states, theta: float = 0.5):
     """theta-points ``m_k`` (midpoints at theta = 1/2, ``u_{k+1}`` at 1), their
     times ``t_k + theta tau`` and dual residuals ``H_k = -(u_{k+1} - u_k)/tau
-    - Lambda(m_k)`` of every interval of ``states`` ``(..., M+1, k, *shape)``
+    - Lambda(m_k)`` of every interval of ``states`` ``(..., M+1, *shape)``
     at ``times``; the interval axis keeps its place."""
-    lead = (slice(None),) * (states.ndim - grid.dim - 2)
+    lead = (slice(None),) * (states.ndim - grid.dim - 1)
     u0, u1 = states[lead + (slice(None, -1),)], states[lead + (slice(1, None),)]
     mids, t_mid = ((u1, times[1:]) if theta == 1.0 else
                    (0.5 * (u0 + u1), 0.5 * (times[:-1] + times[1:])))
@@ -317,13 +313,13 @@ def _lq_time_norm(tau: float, slice_norms: np.ndarray, q: float) -> float:
 
 def _interval_terms(model: ModelSpec, traj: Trajectory, states):
     """The three ``J`` terms ``(psi, conj, pair)`` of ``states``
-    ``(..., M+1, k, *shape)`` on ``traj``'s grid and times, each summed over
+    ``(..., M+1, *shape)`` on ``traj``'s grid and times, each summed over
     the interval axis only, plus the midpoints, midpoint times, dual
     residuals and conjugate maximizers."""
     grid, tau, d, lam = traj.grid, traj.tau, model.density, float(model.lam)
     mids, t_mid, H = _dual_residuals(model, grid, tau, traj.times, states)
     psi = (psi_total(d, grid, lam * mids) if model.lam
-           else np.zeros(H.shape[:-(grid.dim + 1)]))
+           else np.zeros(H.shape[:-grid.dim]))
     conj, z, _ = conjugate_on_dual(d, grid, H)
     pair = -lam * h_inner(grid, mids, H)
     terms = tuple(tau * np.sum(s, axis=-1) for s in (psi, conj, pair))
@@ -390,7 +386,7 @@ def _assemble(model: ModelSpec, traj: Trajectory) -> _Assembly:
 
 def energy_totals(model: ModelSpec, traj: Trajectory, tails) -> np.ndarray:
     """``eval_energy(model, traj.with_tail(tail)).total``, bit for bit, for
-    each ``tail`` in ``tails`` ``(B, M, k, *shape)``: one batched assembly of
+    each ``tail`` in ``tails`` ``(B, M, *shape)``: one batched assembly of
     the energy terms, without the report's norms.  Raises ``ValueError`` on
     a mis-shaped batch and ``NonFiniteInputError`` on non-finite entries."""
     arr, want = np.asarray(tails, dtype=float), traj.states[1:].shape
@@ -410,7 +406,7 @@ def eval_energy(model: ModelSpec, traj: Trajectory) -> EnergyReport:
 
 
 def energy_and_gradient(model: ModelSpec, traj: Trajectory):
-    """Energy report plus the nodal gradient array ``(M+1, k, *grid.shape)``.
+    """Energy report plus the nodal gradient array ``(M+1, *grid.shape)``.
 
     The gradient is the Riesz representer of the exact directional
     derivative in the time-weighted spatial inner product: for any nodal

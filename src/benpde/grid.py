@@ -19,17 +19,16 @@ Laplacian is ``sum_a D_a^T D_a``, and summation by parts
     <grad u, E> = -<u, div E>
 
 holds to roundoff by construction.  :func:`h_inner` is the one H pairing,
-the sum carrying the cell volume ``h^dim``: per field, batched in front,
-and for a trajectory total over the trajectory passed as one field.  Norms
-are built on it, and dual-space elements are nodal densities paired
-through it.
+the sum carrying the cell volume ``h^dim`` per field, batched in front;
+:func:`mixed_inner` is its time-weighted total over a trajectory.  Norms
+are built on them, and dual-space elements are nodal densities paired
+through them.
 
-In one dimension (the fully supported case) the gradient of a k-component
-field is a k-vector per edge and the power densities of
-:mod:`benpde.convex` act on it radially.  In two dimensions the two
-gradient components live on different staggered lattices, so densities act
-per axis (anisotropically); the quadratic case is identical to the usual
-five-point scheme.
+Fields are scalar.  In one dimension the gradient is one number per edge
+and the power densities of :mod:`benpde.convex` act on its magnitude.  In
+two dimensions the two gradient components live on different staggered
+lattices, so densities act per axis (anisotropically); the quadratic case
+is identical to the usual five-point scheme.
 """
 
 from __future__ import annotations
@@ -60,10 +59,10 @@ __all__ = [
     "bands_apply",
     "h_inner",
     "h_norm",
-    "edge_magnitude",
     "edge_sum",
     "grad_norm",
     "dual_grad_norm",
+    "mixed_inner",
     "mixed_norm",
     "uniform_times",
     "format_rows",
@@ -146,16 +145,14 @@ class SpaceGrid:
 
 @dataclass
 class Field:
-    """Nodal values of a k-component function (or dual density) on a grid."""
+    """Nodal values ``grid.shape`` of a function (or dual density) on a grid."""
 
     grid: SpaceGrid
     values: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
-        if arr.shape == self.grid.shape:
-            arr = arr[None, ...]
-        if arr.ndim != self.grid.dim + 1 or arr.shape[1:] != self.grid.shape:
+        if arr.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {arr.shape} incompatible with grid shape "
                 f"{self.grid.shape}"
@@ -164,23 +161,17 @@ class Field:
             raise NonFiniteInputError("field values contain non-finite entries")
         self.values = arr
 
-    @property
-    def k(self) -> int:
-        return self.values.shape[0]
-
 
 # -- difference calculus ------------------------------------------------------
 #
 # Linear operators act on the trailing ``dim`` (spatial) axes; every leading
-# axis (components, time slices, samples) is carried through as a batch.
+# axis (time slices, samples) is carried through as a batch.
 
 
 def _batched(values, grid: SpaceGrid) -> np.ndarray:
     if isinstance(values, Field):
         values = values.values
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == grid.dim:
-        arr = arr[None, ...]
     if arr.shape[-grid.dim:] != grid.shape:
         raise ValueError(
             f"trailing axes {arr.shape[-grid.dim:]} do not match grid shape "
@@ -343,17 +334,16 @@ def bands_apply(grid: SpaceGrid, bands: np.ndarray, x: np.ndarray,
 
 
 def h_inner(grid: SpaceGrid, u, w):
-    """The H pairing ``h^dim sum(u * w)`` over the components and space of
-    each field ``(..., k, *shape)``, batched in front: one BLAS ``ddot`` per
-    field, a float for a single field.  A trajectory passed as one field of
-    ``M k`` components gives its total.  An overflow reads inf, unwarned."""
-    ua, wa, comp = _batched(u, grid), _batched(w, grid), -(grid.dim + 1)
-    if ua.ndim == grid.dim + 1 and ua.shape == wa.shape:  # no numpy FP check
+    """The H pairing ``h^dim sum(u * w)`` over the space of each field
+    ``(..., *shape)``, batched in front: one BLAS ``ddot`` per field, a float
+    for a single field.  An overflow reads inf, unwarned."""
+    ua, wa, size = _batched(u, grid), _batched(w, grid), grid.n_nodes
+    if ua.ndim == grid.dim and ua.shape == wa.shape:  # no numpy FP check
         return grid.cell_volume * ddot(ua.ravel(), wa.ravel())
-    size = ua.shape[comp] * grid.n_nodes
     with np.errstate(over="ignore"):  # matmul runs the same ddot per field
-        return grid.cell_volume * (ua.reshape(ua.shape[:comp] + (1, size))
-                                   @ wa.reshape(wa.shape[:comp] + (size, 1)))[..., 0, 0]
+        return grid.cell_volume * (
+            ua.reshape(ua.shape[:-grid.dim] + (1, size))
+            @ wa.reshape(wa.shape[:-grid.dim] + (size, 1)))[..., 0, 0]
 
 
 def h_norm(grid: SpaceGrid, u):
@@ -361,27 +351,15 @@ def h_norm(grid: SpaceGrid, u):
     return np.sqrt(h_inner(grid, u, u))
 
 
-def edge_magnitude(grid: SpaceGrid, g) -> np.ndarray:
-    """``|g|`` of staggered gradients ``(..., k, *edge_shape)`` over the
-    component axis, kept at length 1: ``abs`` for k = 1, which cannot
-    overflow, else ``sqrt(sum g^2)``."""
-    comp = -(grid.dim + 1)
-    return (np.abs(g) if g.shape[comp] == 1
-            else np.sqrt(np.sum(g**2, axis=comp, keepdims=True)))
-
-
 def edge_sum(grid: SpaceGrid, values, f) -> np.ndarray:
-    """``sum_edges h^dim f(|grad u|)`` per field, ``|grad u|`` being the
-    :func:`edge_magnitude` of the staggered gradient.  Returns an array over
-    the leading batch axes, 0-d for a single field."""
-    arr = _batched(values, grid)
-    comp, spatial = -(grid.dim + 1), tuple(range(-grid.dim, 0))
-    acc = None
-    for g in gradient(grid, arr[None] if arr.ndim == grid.dim + 1 else arr):
-        term = grid.cell_volume * np.sum(f(edge_magnitude(grid, g)),
-                                         axis=spatial)
+    """``sum_edges h^dim f(|grad u|)`` per field, over the staggered
+    gradient.  Returns an array over the leading batch axes, 0-d for a
+    single field."""
+    acc, spatial = None, tuple(range(-grid.dim, 0))
+    for g in gradient(grid, values):
+        term = grid.cell_volume * np.sum(f(np.abs(g)), axis=spatial)
         acc = term if acc is None else acc + term
-    return acc.reshape(arr.shape[:comp])
+    return acc
 
 
 def grad_norm(grid: SpaceGrid, values, q: float):
@@ -420,7 +398,7 @@ def uniform_times(t_end: float, n_steps: int, t_start: float = 0.0) -> np.ndarra
 class Trajectory:
     """States of a field at uniformly spaced time nodes.
 
-    ``states`` has shape ``(M+1, k, *grid.shape)``.  The initial state is
+    ``states`` has shape ``(M+1, *grid.shape)``.  The initial state is
     locked: the underlying array is read-only, and derived trajectories are
     produced through :meth:`with_tail`, which preserves row 0.
     """
@@ -439,10 +417,9 @@ class Trajectory:
         if np.max(dt) - np.min(dt) > 1e-12 * max(abs(t[-1]), 1.0):
             raise ValueError("times must be uniformly spaced")
         arr = np.asarray(self.states, dtype=float)
-        if arr.ndim == self.grid.dim + 1:
-            arr = arr[:, None, ...]
-        if (arr.ndim != self.grid.dim + 2 or arr.shape[0] != t.size
-                or arr.shape[2:] != self.grid.shape):
+        if arr.ndim == self.grid.dim + 2 and arr.shape[1] == 1:
+            arr = arr[:, 0]  # (M+1, 1, *shape), as perfbench/kernels.py builds
+        if arr.shape != (t.size,) + self.grid.shape:
             raise ValueError(
                 f"states shape {np.shape(self.states)} incompatible with "
                 f"{t.size} time nodes on grid shape {self.grid.shape}"
@@ -460,10 +437,6 @@ class Trajectory:
         return self.times.size - 1
 
     @property
-    def k(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def tau(self) -> float:
         return float(self.times[1] - self.times[0])
 
@@ -477,12 +450,21 @@ class Trajectory:
                           np.concatenate([self.states[:1], arr], axis=0))
 
 
+def mixed_inner(traj: Trajectory, u, w) -> float:
+    """Space-time pairing ``tau h^dim sum(u * w)`` of two arrays of one shape
+    on the trajectory's grid and time step: one BLAS ``ddot`` over all their
+    entries.  An overflow reads inf, unwarned."""
+    ua, wa = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+    if ua.shape != wa.shape:
+        raise ValueError(f"shapes {ua.shape} and {wa.shape} differ")
+    return traj.tau * (traj.grid.cell_volume * ddot(ua.ravel(), wa.ravel()))
+
+
 def mixed_norm(traj: Trajectory, values=None) -> float:
-    """Space-time L2 norm ``sqrt(tau * h_inner(x, x))`` on the trajectory's
-    grid and time step, ``x`` its states or ``values`` as one field."""
-    x = traj.states if values is None else np.asarray(values, dtype=float)
-    x = x.reshape((-1,) + traj.grid.shape)
-    return float(np.sqrt(traj.tau * h_inner(traj.grid, x, x)))
+    """Space-time L2 norm ``sqrt(mixed_inner(x, x))``, ``x`` the
+    trajectory's states or ``values``."""
+    x = traj.states if values is None else values
+    return float(np.sqrt(mixed_inner(traj, x, x)))
 
 
 # -- persistence ---------------------------------------------------------------
@@ -513,7 +495,7 @@ def write_lines(path, lines) -> None:
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:
     """Write ``t,node_0,...`` rows; %.17g so floats round-trip exactly."""
-    n_vals = traj.k * traj.grid.n_nodes
+    n_vals = traj.grid.n_nodes
     header = "t," + ",".join(f"node_{i}" for i in range(n_vals))
     rows = np.column_stack([traj.times, traj.states.reshape(-1, n_vals)])
     write_lines(path, chain([header], format_rows(rows)))
@@ -522,12 +504,7 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
 def load_trajectory_csv(path, grid: SpaceGrid) -> Trajectory:
     """Read a trajectory written by :func:`save_trajectory_csv`."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    times = data[:, 0]
-    n_vals = data.shape[1] - 1
-    if n_vals % grid.n_nodes != 0:
-        raise ValueError(
-            f"{n_vals} value columns do not tile grid with {grid.n_nodes} nodes"
-        )
-    k = n_vals // grid.n_nodes
-    states = data[:, 1:].reshape(times.size, k, *grid.shape)
-    return Trajectory(grid, times, states)
+    if data.shape[1] - 1 != grid.n_nodes:
+        raise ValueError(f"{data.shape[1] - 1} value columns, not the grid's "
+                         f"{grid.n_nodes} nodes")
+    return Trajectory(grid, data[:, 0], data[:, 1:].reshape(-1, *grid.shape))

@@ -31,8 +31,7 @@ sample order, from three NumPy streams spawned from ``seed`` and the condition.
 
 All operator entry points accept leading batch axes, so a whole trajectory
 or a checker block of :data:`BLOCK_SIZE` samples evaluates in one vectorised
-sweep.  Models with reaction/flux terms are scalar (one component); pure
-dissipation models work for any component count.  The linearization of
+sweep of scalar fields ``(..., *grid.shape)``.  The linearization of
 ``Lambda`` exists once, as the bands of :func:`jacobian_bands`: the
 Gauss-Newton sweep solves them, and ``grad phi``, ``J``'s gradient and the
 checker's margins apply them through :func:`~benpde.grid.bands_apply`.
@@ -54,7 +53,6 @@ from .grid import (
     bands_apply,
     divergence,
     dual_grad_norm,
-    edge_magnitude,
     edge_sum,
     grad_norm,
     gradient,
@@ -198,8 +196,8 @@ def psi_total(density: PowerDensity, grid: SpaceGrid, values):
 
 def psi_grad_edges(density: PowerDensity, grid: SpaceGrid, values) -> list:
     """Per-axis edge values of ``Dpsi(grad u)`` (radial gradient law)."""
-    return [radial_coefficient(density, edge_magnitude(grid, g)) * g
-            for g in gradient(grid, _batched(values, grid))]
+    return [radial_coefficient(density, np.abs(g)) * g
+            for g in gradient(grid, values)]
 
 
 def psi_gradient_density(density: PowerDensity, grid: SpaceGrid, values):
@@ -208,18 +206,15 @@ def psi_gradient_density(density: PowerDensity, grid: SpaceGrid, values):
 
 
 def psi_hessian_edge_weights(density: PowerDensity, grid: SpaceGrid, values) -> list:
-    """Per-axis edge weights ``(..., *edge_shape)`` of ``D^2 psi`` at scalar
-    fields ``(..., 1, *shape)``: the edge scalars ``a (q-1) |g|^{q-2} + eps``.
+    """Per-axis edge weights ``(..., *edge_shape)`` of ``D^2 psi`` at fields
+    ``(..., *shape)``: the edge scalars ``a (q-1) |g|^{q-2} + eps``.
     :func:`~benpde.grid.stencil_bands` turns them into the SPD weighted
     Laplacian the 2-D dual Newton solves; :func:`jacobian_bands` adds them to
     the drift's bands, the one set that the Gauss-Newton sweep solves and
     that ``grad phi``, ``J``'s gradient and the condition checker apply.
     """
-    arr, comp = _batched(values, grid), -(grid.dim + 1)
-    if arr.shape[comp] != 1:
-        raise ValueError("hessian edge weights require a one-component field")
-    return [radial_coefficient(density, np.squeeze(edge_magnitude(grid, g), comp),
-                               curvature=True) for g in gradient(grid, arr)]
+    return [radial_coefficient(density, np.abs(g), curvature=True)
+            for g in gradient(grid, values)]
 
 
 # -- Lambda assembly -------------------------------------------------------------
@@ -257,16 +252,10 @@ def _edge_flux(model: ModelSpec, grid: SpaceGrid, B: np.ndarray, t) -> list:
 def lambda_density(model: ModelSpec, grid: SpaceGrid, values, t):
     """Nodal density of ``Lambda_t(u)``; batched over leading axes.
 
-    ``values`` has shape ``(..., k, *grid.shape)`` (k = 1 whenever the model
-    carries terms); ``t`` is a scalar or an array matching the batch prefix.
+    ``values`` has shape ``(..., *grid.shape)``; ``t`` is a scalar or an
+    array matching the batch prefix.
     """
-    arr = _batched(values, grid)
-    if not model.has_terms:
-        return np.zeros_like(arr)
-    if arr.shape[-(grid.dim + 1)] != 1:
-        raise ValueError(f"model '{model.name}' carries terms and needs scalar fields")
-    comp = -(grid.dim + 1)
-    B = np.squeeze(arr, axis=comp)
+    B = _batched(values, grid)
     acc = np.zeros_like(B)
     if model.flux is not None:
         acc = acc + -divergence(grid, _edge_flux(model, grid, B, t))
@@ -275,16 +264,16 @@ def lambda_density(model: ModelSpec, grid: SpaceGrid, values, t):
         theta = model.reaction.func(B, grid.node_coords, tb)
         _check_finite(theta, f"reaction term of model '{model.name}'")
         acc = acc - theta
-    return np.expand_dims(acc, comp)
+    return acc
 
 
 def jacobian_bands(model: ModelSpec, grid: SpaceGrid, values, t, shift: float,
                    theta: float) -> np.ndarray:
     """Bands (:func:`~benpde.grid.stencil_bands`) of ``shift I + theta
     (DLambda_t(u) + lam D^2Psi(lam u))``, the one linearization of ``Lambda``,
-    block-diagonal over the leading axes of the scalar states ``values``
-    ``(..., 1, *shape)`` (``ValueError`` otherwise) at times ``t``."""
-    B = np.squeeze(_batched(values, grid), axis=-(grid.dim + 1))
+    block-diagonal over the leading axes of the states ``values``
+    ``(..., *shape)`` at times ``t``."""
+    B = _batched(values, grid)
     tb, x = _time_broadcast(t, grid.dim), grid.node_coords
     diag, weights, coefs = np.full_like(B, shift), (), ()
     if model.reaction is not None:
@@ -508,7 +497,7 @@ class ConditionReport:
 
 def _draw_block(grid: SpaceGrid, rngs, count: int, amplitude: float, t_range,
                 n_fields: int):
-    """Times ``(count,)`` and fields ``(n_fields, count, 1, *shape)`` of the
+    """Times ``(count,)`` and fields ``(n_fields, count, *shape)`` of the
     next ``count`` samples from ``rngs``, the condition's streams of times,
     white noise (per sample, field after field) and per-field coins, each
     read in sample order: a block draws what its samples would one by one.
@@ -526,7 +515,7 @@ def _draw_block(grid: SpaceGrid, rngs, count: int, amplitude: float, t_range,
         z = poisson_solve(grid, raw[smooth])
         peak = np.max(np.abs(z), axis=tuple(range(1, z.ndim)), keepdims=True)
         fields[smooth] = amplitude * z / np.maximum(peak, 1e-30)
-    return t, fields.swapaxes(0, 1)[:, :, None]
+    return t, fields.swapaxes(0, 1)
 
 
 def _scale(a, b):
@@ -599,7 +588,7 @@ def _margin_lipschitz(model, grid, x, h, t):
 
 
 #: condition name -> (margin function, needs a second sample field); margin
-#: functions map fields ``(S, 1, *shape)`` and times ``(S,)`` to ``(S,)``.
+#: functions map fields ``(S, *shape)`` and times ``(S,)`` to ``(S,)``.
 _CONDITIONS = {
     "growth": (_margin_growth, False),
     "deriv_growth": (_margin_deriv_growth, True),

@@ -43,8 +43,8 @@ from .grid import (
     SpaceGrid,
     Trajectory,
     bands_apply,
-    h_inner,
     h_norm,
+    mixed_inner,
     mixed_norm,
     poisson_solve,
     sweep_bands,
@@ -108,14 +108,11 @@ class _Merit:
 
     @cached_property
     def bands(self) -> np.ndarray:
-        """Bands of ``P_k = I/tau + theta DF(m_k)``, one block per (slice,
-        component): ``R'`` has ``P_k`` on its block diagonal and
-        ``-I/tau + (1 - theta) DF(m_k)`` below it."""
-        grid, traj = self.traj.grid, self.traj
-        return jacobian_bands(self.model, grid,
-                              self.mids.reshape((-1, 1) + grid.shape),
-                              np.repeat(self.t_mid, traj.k), 1.0 / traj.tau,
-                              self.theta)
+        """Bands of ``P_k = I/tau + theta DF(m_k)``, one block per slice:
+        ``R'`` has ``P_k`` on its block diagonal and ``-I/tau + (1 - theta)
+        DF(m_k)`` below it."""
+        return jacobian_bands(self.model, self.traj.grid, self.mids,
+                              self.t_mid, 1.0 / self.traj.tau, self.theta)
 
 
 @dataclass
@@ -192,9 +189,8 @@ def _merit(model: ModelSpec, traj: Trajectory, theta: float = 0.5) -> _Merit:
     # lam = 1 if set; -H is (u_{k+1} - u_k)/tau + Lambda(m_k) bit for bit
     R = psi_gradient_density(model.density, grid, mids) - H if model.lam else -H
     W = poisson_solve(grid, -R)
-    one = (-1,) + grid.shape  # the trajectory as one field: phi is one dot
     return _Merit(model, traj, theta, mids, t_mid, R, W,
-                  0.5 * traj.tau * h_inner(grid, R.reshape(one), W.reshape(one)))
+                  0.5 * mixed_inner(traj, R, W))
 
 
 def _merit_gradient(state: _Merit) -> np.ndarray:

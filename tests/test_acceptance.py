@@ -118,7 +118,7 @@ def test_criterion_3_gradient_against_finite_differences():
     for m, model in enumerate((heat_model(), burgers_model(u_max=10.0))):
         rng = np.random.default_rng(100 + m)
         for _ in range(5):
-            states = 0.5 * rng.normal(size=(times.size, 1) + grid.shape)
+            states = 0.5 * rng.normal(size=(times.size,) + grid.shape)
             traj = Trajectory(grid, times, states)
             _, grad = energy_and_gradient(model, traj)
             for _ in range(20):
@@ -145,7 +145,7 @@ def test_criterion_4_midpoint_pairing_identity():
     rng = np.random.default_rng(4)
     for i in range(1000):
         model = models[i % 2]
-        states = rng.normal(size=(times.size, 1) + grid.shape)
+        states = rng.normal(size=(times.size,) + grid.shape)
         traj = Trajectory(grid, times, states)
         report = eval_energy(model, traj)
         boundary = 0.5 * (h_norm(grid, states[-1]) ** 2
@@ -294,8 +294,7 @@ def test_criterion_9_baseline_convergence_order():
         w0 = _sin_initial(grid)
         traj = implicit_baseline(model, w0, times)
         x = grid.node_coords[0]
-        exact = np.exp(-np.pi**2 * times)[:, None, None] \
-            * np.sin(np.pi * x)[None, None, :]
+        exact = np.exp(-np.pi**2 * times)[:, None] * np.sin(np.pi * x)[None, :]
         w = traj.tau * grid.cell_volume
         num = np.sqrt(w * np.sum((traj.states - exact) ** 2))
         den = np.sqrt(w * np.sum(exact**2))

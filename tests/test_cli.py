@@ -22,7 +22,7 @@ from benpde.cli import (_ACCEPTED, _parse_lines, _resolve_config,
                         _write_history, _write_profiles, load_config, main)
 from benpde.energy import energy_and_gradient, eval_energy
 from benpde.errors import ConfigError, ConjugateSolveError
-from benpde.grid import (SpaceGrid, Trajectory, h_inner, load_trajectory_csv,
+from benpde.grid import (SpaceGrid, Trajectory, load_trajectory_csv, mixed_inner,
                          save_trajectory_csv, uniform_times)
 
 
@@ -75,7 +75,7 @@ def test_line_search_failure_writes_last_iterate(tmp_path, monkeypatch,
     out_dir = tmp_path / "out"
     cfg = load_config(tmp_path / "stall.cfg")
     traj = load_trajectory_csv(out_dir / "trajectory.csv", cfg.grid)
-    assert traj.states.shape == (9, 1, 9)
+    assert traj.states.shape == (9, 9)
     report = json.loads((out_dir / "report.json").read_text())
     failure = report["failure"]
     assert failure["kind"] == "LineSearchError"
@@ -182,10 +182,10 @@ def test_artifact_rows_match_per_value_formatting(tmp_path):
     ``%.17g`` text of each value, one value at a time."""
     fmt = "%.17g"
     rng = np.random.default_rng(3)
-    grid, times = SpaceGrid(dim=1, n=5), uniform_times(0.3, 3)
-    states = rng.normal(size=(4, 2, 5)) * 10.0 ** rng.integers(-300, 300,
-                                                              size=(4, 2, 5))
-    states[1, 0, :3] = [-0.0, 1.0 / 3.0, 5e-324]
+    grid, times = SpaceGrid(dim=1, n=10), uniform_times(0.3, 3)
+    states = rng.normal(size=(4, 10)) * 10.0 ** rng.integers(-300, 300,
+                                                             size=(4, 10))
+    states[1, :3] = [-0.0, 1.0 / 3.0, 5e-324]
     traj = Trajectory(grid, times, states)
     history = np.abs(rng.normal(size=(12, 2))) * [[1e-7, 3.0]]
 
@@ -311,7 +311,7 @@ def test_failed_baseline_assembly_writes_the_trajectory(tmp_path, monkeypatch,
                     "message": "slice 0: injected failure"}}
     traj = load_trajectory_csv(out_dir / "trajectory.csv",
                                load_config(tmp_path / "quick.cfg").grid)
-    assert traj.states.shape == (9, 1, 9)
+    assert traj.states.shape == (9, 9)
     assert len((out_dir / "profiles.dat").read_text().splitlines()) == 1 + 9
 
 
@@ -660,7 +660,7 @@ def _gradcheck_reference(cfg):
     rng = np.random.default_rng(cfg.keys["gradcheck.seed"])
     worst, e = 0.0, cfg.keys["gradcheck.step"]
     for _ in range(cfg.keys["gradcheck.trajectories"]):
-        states = 0.5 * rng.normal(size=(cfg.times.size, 1) + cfg.grid.shape)
+        states = 0.5 * rng.normal(size=(cfg.times.size,) + cfg.grid.shape)
         traj = Trajectory(cfg.grid, cfg.times, states)
         _, grad = energy_and_gradient(cfg.model, traj)
         for _ in range(cfg.keys["gradcheck.directions"]):
@@ -671,8 +671,7 @@ def _gradcheck_reference(cfg):
             jm = eval_energy(cfg.model,
                              traj.with_tail(traj.states[1:] - e * s[1:])).total
             fd = (jp - jm) / (2.0 * e)
-            one = (-1,) + cfg.grid.shape  # the trajectory as one field
-            an = traj.tau * h_inner(cfg.grid, s.reshape(one), grad.reshape(one))
+            an = mixed_inner(traj, s, grad)
             worst = max(worst, abs(an - fd) / max(1.0, abs(fd)))
     return (f"gradcheck {cfg.model.name}: worst relative error {worst:.3e} "
             f"over {cfg.keys['gradcheck.trajectories']} trajectories x "
@@ -849,7 +848,7 @@ def test_csv_initial_profile(tmp_path, monkeypatch):
                               "initial.path = w0.csv\n")
     assert main(["solve", "quick.cfg"]) == 0
     cfg = load_config(tmp_path / "quick.cfg")
-    assert np.allclose(cfg.w0.values[0], values)
+    assert np.allclose(cfg.w0.values, values)
 
 
 def test_csv_initial_wrong_size_names_key(tmp_path, monkeypatch, capsys):
@@ -860,6 +859,23 @@ def test_csv_initial_wrong_size_names_key(tmp_path, monkeypatch, capsys):
                               "initial.path = w0.csv\n")
     assert main(["solve", "quick.cfg"]) == 2
     assert "initial.path" in capsys.readouterr().err
+
+
+def test_empty_csv_initial_profile_is_one_config_error(tmp_path, monkeypatch,
+                                                      capsys):
+    # numpy warns that an empty file holds no data; only the config error
+    # may reach stderr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w0.csv").write_text("")
+    _write_quick_heat(tmp_path / "quick.cfg",
+                      initial="initial.profile = csv\n"
+                              "initial.path = w0.csv\n")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["solve", "quick.cfg"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "solve: config key 'initial.path': expected 9 values, found 0"]
+    assert seen == []
 
 
 def test_bump_profile_vanishes_at_walls():
@@ -875,7 +891,7 @@ def test_bump_profile_vanishes_at_walls():
         fh.write(text)
         name = fh.name
     bump = load_config(name)
-    w = bump.w0.values[0]
+    w = bump.w0.values
     assert w.max() <= 1.0 + 1e-12
     assert w.min() >= 0.0
     assert w[0] < w[len(w) // 2]

@@ -198,8 +198,8 @@ def test_hessian_matches_gradient_differences():
     grid = SpaceGrid(dim=1, n=8)
     rng = np.random.default_rng(5)
     for _ in range(50):
-        x = rng.normal(size=(1, grid.n))
-        h = 1e-6 * rng.normal(size=(1, grid.n))
+        x = rng.normal(size=grid.n)
+        h = 1e-6 * rng.normal(size=grid.n)
         lhs = (psi_gradient_density(d, grid, x + h)
                - psi_gradient_density(d, grid, x - h)).ravel()
         bands = stencil_bands(grid, np.zeros(grid.shape),

@@ -42,7 +42,7 @@ RANDOM_TRAJECTORIES = 1000
 
 
 def _random_trajectory(grid, rng, n_steps=6, t_end=0.1, scale=0.5):
-    states = scale * rng.normal(size=(n_steps + 1, 1) + grid.shape)
+    states = scale * rng.normal(size=(n_steps + 1,) + grid.shape)
     return Trajectory(grid, uniform_times(t_end, n_steps), states)
 
 
@@ -61,7 +61,7 @@ def _heat_midpoint_solution(n, n_steps, t_end, a=1.0):
         states.append(np.linalg.solve(lhs, rhs @ states[-1]))
     grid = SpaceGrid(dim=1, n=n)
     return grid, Trajectory(grid, uniform_times(t_end, n_steps),
-                            np.asarray(states)[:, None, :])
+                            np.asarray(states))
 
 
 # -- conjugate of the integrated density ----------------------------------------
@@ -72,9 +72,9 @@ def test_conjugate_quadratic_single_node_frozen():
     # value <z, y> - Psi(z) = 4 - 2 = 2.
     g = SpaceGrid(dim=1, n=1)
     d = PowerDensity(1.0, 2.0, 0.0)
-    value, z, iters = conjugate_on_dual(d, g, np.array([[8.0]]))
+    value, z, iters = conjugate_on_dual(d, g, np.array([8.0]))
     assert value == pytest.approx(2.0, abs=1e-14)
-    np.testing.assert_allclose(z, [[1.0]], atol=1e-14)
+    np.testing.assert_allclose(z, [1.0], atol=1e-14)
     assert iters == 0
 
 
@@ -89,7 +89,7 @@ def test_conjugate_quadratic_single_node_frozen():
 ], ids=["density0", "density1", "density2", "density3"])
 def test_conjugate_inverts_gradient_assembly(density, g):
     rng = np.random.default_rng(1)
-    z_true = rng.normal(size=(1,) + g.shape)
+    z_true = rng.normal(size=g.shape)
     y = psi_gradient_density(density, g, z_true)
     value, z, iters = conjugate_on_dual(density, g, y)
     np.testing.assert_allclose(z, z_true, atol=1e-10)
@@ -106,7 +106,7 @@ def test_conjugate_inverts_gradient_assembly(density, g):
 ], ids=["density0", "density1", "density2"])
 def test_conjugate_batch_matches_single(density, g, exact):
     rng = np.random.default_rng(2)
-    batch = rng.normal(size=(5, 1) + g.shape)
+    batch = rng.normal(size=(5,) + g.shape)
     values, z, _ = conjugate_on_dual(density, g, batch)
     for i in range(5):
         vi, zi, _ = conjugate_on_dual(density, g, batch[i])
@@ -125,7 +125,7 @@ def test_conjugate_1d_factorizes_nothing(monkeypatch):
     monkeypatch.setattr(benpde.energy, "sweep_bands", no_lu)
     d = PowerDensity(0.9, 4.0, 0.7)
     g = SpaceGrid(dim=1, n=17)
-    z_true = np.random.default_rng(4).normal(size=(6, 1, 17))
+    z_true = np.random.default_rng(4).normal(size=(6, 17))
     _, z, _ = conjugate_on_dual(d, g, psi_gradient_density(d, g, z_true))
     np.testing.assert_allclose(z, z_true, atol=1e-10)
 
@@ -136,12 +136,12 @@ def test_conjugate_gap_against_gradient_pairs():
     d = PowerDensity(0.8, 4.0, 0.5)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        u = rng.normal(size=(1, 11))
-        y = rng.normal(size=(1, 11))
+        u = rng.normal(size=11)
+        y = rng.normal(size=11)
         v, _, _ = conjugate_on_dual(d, g, y)
         gap = psi_total(d, g, u) + v - h_inner(g, u, y)
         assert gap >= -1e-12
-    u = rng.normal(size=(1, 11))
+    u = rng.normal(size=11)
     y = psi_gradient_density(d, g, u)
     v, _, _ = conjugate_on_dual(d, g, y)
     tight = psi_total(d, g, u) + v - h_inner(g, u, y)
@@ -151,7 +151,7 @@ def test_conjugate_gap_against_gradient_pairs():
 def test_conjugate_failure_carries_slice_index():
     g = SpaceGrid(dim=1, n=9)
     d = PowerDensity(1.0, 4.0, 1e-6)
-    y = 100.0 * np.linspace(0.0, 2.0, 9) * np.ones((3, 1, 9))
+    y = 100.0 * np.linspace(0.0, 2.0, 9) * np.ones((3, 9))
     with pytest.raises(ConjugateSolveError, match="slice"):
         conjugate_on_dual(d, g, y, max_iters=1)
 
@@ -161,7 +161,7 @@ def test_conjugate_2d_failure_carries_slice_index():
     # 1e150 the first step of slice 1 overflows at every step length.
     g = SpaceGrid(dim=2, n=4)
     d = PowerDensity(1.0, 4.0, 1.0)
-    base = np.sin(np.arange(16.0)).reshape(1, 4, 4)
+    base = np.sin(np.arange(16.0)).reshape(4, 4)
     with pytest.raises(ConjugateSolveError,
                        match="^slice 1: dual Newton hit the iteration cap"
                        ) as cap:
@@ -185,14 +185,14 @@ def test_conjugate_2d_singular_first_jacobian_raises():
     # dual Newton starts, so its first banded solve is singular.
     g = SpaceGrid(dim=2, n=5)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        conjugate_on_dual(PowerDensity(1.0, 4.0, 0.0), g, np.ones((1, 5, 5)))
+        conjugate_on_dual(PowerDensity(1.0, 4.0, 0.0), g, np.ones((5, 5)))
 
 
 def test_conjugate_2d_overflowed_norm_is_not_convergence():
     # |y|_H overflows to inf, and inf <= tol * inf must not count as met.
     g = SpaceGrid(dim=2, n=4)
     d = PowerDensity(1.0, 4.0, 1.0)
-    base = np.sin(np.arange(16.0)).reshape(1, 4, 4)
+    base = np.sin(np.arange(16.0)).reshape(4, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConjugateSolveError,
@@ -206,9 +206,9 @@ def test_conjugate_2d_overflowed_norm_is_not_convergence():
 def test_conjugate_at_zero_density():
     g = SpaceGrid(dim=1, n=7)
     for d in (PowerDensity(1.0, 2.0, 0.0), PowerDensity(1.0, 4.0, 1.0)):
-        value, z, _ = conjugate_on_dual(d, g, np.zeros((1, 7)))
+        value, z, _ = conjugate_on_dual(d, g, np.zeros(7))
         assert value == 0.0
-        np.testing.assert_array_equal(z, np.zeros((1, 7)))
+        np.testing.assert_array_equal(z, np.zeros(7))
 
 
 # -- residuals --------------------------------------------------------------------
@@ -216,28 +216,28 @@ def test_conjugate_at_zero_density():
 
 def test_residual_zero_trajectory_is_zero():
     g = SpaceGrid(dim=1, n=5)
-    traj = Trajectory(g, uniform_times(1.0, 4), np.zeros((5, 1, 5)))
+    traj = Trajectory(g, uniform_times(1.0, 4), np.zeros((5, 5)))
     for name in ("heat", "burgers"):
         r = residual(build_model(name), traj, 2)
-        np.testing.assert_array_equal(r.values, np.zeros((1, 5)))
+        np.testing.assert_array_equal(r.values, np.zeros(5))
 
 
 def test_residual_constant_trajectory_heat_is_zero():
     g = SpaceGrid(dim=1, n=5)
     rng = np.random.default_rng(4)
-    row = rng.normal(size=(1, 5))
+    row = rng.normal(size=5)
     traj = Trajectory(g, uniform_times(1.0, 3),
-                      np.broadcast_to(row, (4, 1, 5)).copy())
+                      np.broadcast_to(row, (4, 5)).copy())
     r = residual(build_model("heat"), traj, 1)
-    np.testing.assert_array_equal(r.values, np.zeros((1, 5)))
+    np.testing.assert_array_equal(r.values, np.zeros(5))
 
 
 def test_residual_frozen_single_node_step():
     # N=1, tau=1/8, states 1 -> 1/2: H_0 = -(u_1 - u_0)/tau = 4.
     g = SpaceGrid(dim=1, n=1)
-    traj = Trajectory(g, uniform_times(0.125, 1), np.array([[[1.0]], [[0.5]]]))
+    traj = Trajectory(g, uniform_times(0.125, 1), np.array([[1.0], [0.5]]))
     r = residual(build_model("heat"), traj, 0)
-    np.testing.assert_allclose(r.values, [[4.0]], atol=1e-14)
+    np.testing.assert_allclose(r.values, [4.0], atol=1e-14)
     with pytest.raises(IndexError):
         residual(build_model("heat"), traj, 1)
 
@@ -266,7 +266,7 @@ def test_dual_residuals_at_theta_one_are_the_implicit_step_terms(name, params,
 
 def test_zero_trajectory_zero_energy():
     g = SpaceGrid(dim=1, n=5)
-    traj = Trajectory(g, uniform_times(1.0, 4), np.zeros((5, 1, 5)))
+    traj = Trajectory(g, uniform_times(1.0, 4), np.zeros((5, 5)))
     rep = eval_energy(build_model("heat"), traj)
     assert rep.total == 0.0
     assert rep.normalized == 0.0
@@ -322,7 +322,7 @@ def test_pair_term_matches_boundary_plus_drift_identity():
 
 def test_energy_report_json_field_names():
     g = SpaceGrid(dim=1, n=5)
-    traj = Trajectory(g, uniform_times(0.1, 2), np.zeros((3, 1, 5)))
+    traj = Trajectory(g, uniform_times(0.1, 2), np.zeros((3, 5)))
     d = eval_energy(build_model("heat"), traj).to_json_dict()
     assert list(d) == ["total", "term_psi", "term_conj", "term_pair",
                       "residual_norm", "defect_norm", "normalized"]
@@ -381,12 +381,12 @@ def test_gradient_fields_zero_at_initial_node():
     traj = _random_trajectory(g, rng)
     _, grad = energy_and_gradient(build_model("burgers"), traj)
     assert grad.shape == traj.states.shape
-    np.testing.assert_array_equal(grad[0], np.zeros((1, 7)))
+    np.testing.assert_array_equal(grad[0], np.zeros(7))
 
 
 def test_gradient_zero_on_zero_trajectory():
     g = SpaceGrid(dim=1, n=7)
-    traj = Trajectory(g, uniform_times(0.5, 3), np.zeros((4, 1, 7)))
+    traj = Trajectory(g, uniform_times(0.5, 3), np.zeros((4, 7)))
     _, grad = energy_and_gradient(build_model("heat"), traj)
     np.testing.assert_array_equal(grad, np.zeros_like(traj.states))
 
@@ -497,7 +497,7 @@ def test_energy_totals_rejects_bad_tails():
     traj = _random_trajectory(SpaceGrid(dim=1, n=9), np.random.default_rng(13))
     model = build_model("heat")
     tails = np.stack([traj.states[1:]] * 2)
-    tails[1, 2, 0, 4] = np.nan
+    tails[1, 2, 4] = np.nan
     with pytest.raises(NonFiniteInputError):
         energy_totals(model, traj, tails)
     for bad in (traj.states[1:], tails[:, 1:], tails[..., 1:],
@@ -508,8 +508,8 @@ def test_energy_totals_rejects_bad_tails():
 
 def test_certificate_rejects_abandoned_start():
     g = SpaceGrid(dim=1, n=9)
-    w0 = np.sin(np.pi * g.node_coords[0])[None, :]
-    states = np.concatenate([w0[None], np.zeros((4, 1, 9))])
+    w0 = np.sin(np.pi * g.node_coords[0])
+    states = np.concatenate([w0[None], np.zeros((4, 9))])
     traj = Trajectory(g, uniform_times(0.1, 4), states)
     v = certificate(build_model("heat"), traj, 1e-6)
     assert not v.solved

@@ -1,6 +1,7 @@
 """Difference calculus, norms, trajectories, and CSV persistence."""
 
 import os
+import re
 import stat
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.blas import ddot
 
 from benpde.errors import NonFiniteInputError
 from benpde.grid import (
@@ -24,6 +26,7 @@ from benpde.grid import (
     h_norm,
     laplacian,
     load_trajectory_csv,
+    mixed_inner,
     mixed_norm,
     pad_boundary,
     pair_mean,
@@ -56,9 +59,9 @@ def test_single_node_gradient_and_laplacian():
     g = SpaceGrid(dim=1, n=1)
     assert g.h == 0.5
     (grad,) = gradient(g, np.array([1.0]))
-    np.testing.assert_allclose(grad, [[2.0, -2.0]], atol=ADJOINT_TOL)
+    np.testing.assert_allclose(grad, [2.0, -2.0], atol=ADJOINT_TOL)
     lap = laplacian(g, np.array([1.0]))
-    np.testing.assert_allclose(lap, [[-8.0]], atol=ADJOINT_TOL)
+    np.testing.assert_allclose(lap, [-8.0], atol=ADJOINT_TOL)
 
 
 def test_laplacian_exact_on_quadratic():
@@ -66,7 +69,7 @@ def test_laplacian_exact_on_quadratic():
     x = g.node_coords[0]
     u = x * (1.0 - x)
     lap = laplacian(g, u)
-    np.testing.assert_allclose(lap[0], np.full_like(x, -2.0), atol=1e-13)
+    np.testing.assert_allclose(lap, np.full_like(x, -2.0), atol=1e-13)
 
 
 def test_laplacian_exact_on_separable_quadratic_2d():
@@ -76,14 +79,14 @@ def test_laplacian_exact_on_separable_quadratic_2d():
     u = x * (1.0 - x) * y * (1.0 - y)
     lap = laplacian(g, u)
     expected = -2.0 * y * (1.0 - y) - 2.0 * x * (1.0 - x)
-    np.testing.assert_allclose(lap[0], expected, atol=1e-12)
+    np.testing.assert_allclose(lap, expected, atol=1e-12)
 
 
 def test_poisson_recovers_parabola():
     g = SpaceGrid(dim=1, n=33)
     x = g.node_coords[0]
     sol = poisson_solve(g, np.full_like(x, -2.0))
-    np.testing.assert_allclose(sol[0], x * (1.0 - x), atol=INVERSE_TOL)
+    np.testing.assert_allclose(sol, x * (1.0 - x), atol=INVERSE_TOL)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 21), (2, 8), (1, 1), (2, 1), (1, 2),
@@ -99,12 +102,12 @@ def test_poisson_two_sided_inverse(dim, n):
                                atol=INVERSE_TOL)
 
 
-@pytest.mark.parametrize("dim,n,k", [(1, 13, 1), (1, 6, 2), (2, 5, 1)])
-def test_summation_by_parts(dim, n, k):
+@pytest.mark.parametrize("dim,n", [(1, 13), (2, 5)])
+def test_summation_by_parts(dim, n):
     g = SpaceGrid(dim=dim, n=n)
     rng = np.random.default_rng(3)
-    u = rng.normal(size=(k,) + g.shape)
-    edges = [rng.normal(size=(k,) + g.edge_shape(a)) for a in range(dim)]
+    u = rng.normal(size=g.shape)
+    edges = [rng.normal(size=g.edge_shape(a)) for a in range(dim)]
     lhs = sum(g.cell_volume * np.vdot(gu, e)
               for gu, e in zip(gradient(g, u), edges))
     rhs = -h_inner(g, u, divergence(g, edges))
@@ -128,11 +131,11 @@ def dense_neg_laplacian(g):
     return sum(d.T @ d for d in dense_operators(g)[0])
 
 
-@pytest.mark.parametrize("dim,n,k", [(1, 7, 2), (2, 5, 1)])
-def test_slice_calculus_matches_dense_operators(dim, n, k):
+@pytest.mark.parametrize("dim,n", [(1, 7), (2, 5)])
+def test_slice_calculus_matches_dense_operators(dim, n):
     g = SpaceGrid(dim=dim, n=n)
     rng = np.random.default_rng(19)
-    u = rng.normal(size=(3, k) + g.shape)
+    u = rng.normal(size=(3,) + g.shape)
     flat = u.reshape(-1, g.n_nodes)
 
     def check(got, want):
@@ -141,7 +144,7 @@ def test_slice_calculus_matches_dense_operators(dim, n, k):
 
     edges, div = [], 0.0
     for a, (d, avg) in enumerate(zip(*dense_operators(g))):
-        e = rng.normal(size=(3, k) + g.edge_shape(a))
+        e = rng.normal(size=(3,) + g.edge_shape(a))
         ef = e.reshape(-1, d.shape[0])
         check(gradient(g, u)[a], flat @ d.T)
         check(pair_mean(g, pad_boundary(g, u, a), a), flat @ avg.T)
@@ -174,7 +177,7 @@ def test_weighted_neg_laplacian_matches_direct_quadratic_form():
     mat = band_matrix(stencil_bands(g, np.zeros(g.shape), [w]))
     (gu,) = gradient(g, u)
     # u^T (D^T W D) u == sum_e w_e |grad u|_e^2
-    assert float(u @ (mat @ u)) == pytest.approx(float(np.sum(w * gu[0] ** 2)),
+    assert float(u @ (mat @ u)) == pytest.approx(float(np.sum(w * gu ** 2)),
                                                  rel=1e-13)
 
 
@@ -234,7 +237,7 @@ def test_pairing_telescopes():
     for _ in range(25):
         m = int(rng.integers(1, 9))
         times = uniform_times(float(rng.uniform(0.05, 2.0)), m)
-        traj = Trajectory(g, times, rng.normal(size=(m + 1, 1) + g.shape))
+        traj = Trajectory(g, times, rng.normal(size=(m + 1,) + g.shape))
         u = traj.states
         acc = sum(
             traj.tau * h_inner(g, 0.5 * (u[k] + u[k + 1]),
@@ -254,11 +257,11 @@ def test_grad_norm_single_node():
 
 
 def test_h_norm_per_field():
-    # One norm per (k, *shape) field over the leading axes, a float for a
+    # One norm per field ``shape`` over the leading axes, a float for a
     # single field, inf once the squares overflow.
     g = SpaceGrid(dim=2, n=3)
     rng = np.random.default_rng(5)
-    u = rng.normal(size=(4, 2, 2) + g.shape)
+    u = rng.normal(size=(4, 2) + g.shape)
     norms = h_norm(g, u)
     assert norms.shape == (4, 2)
     for i in range(4):
@@ -266,17 +269,15 @@ def test_h_norm_per_field():
             assert norms[i, j] == pytest.approx(np.sqrt(h_inner(g, u[i, j], u[i, j])),
                                                 rel=1e-14)
     assert isinstance(h_norm(g, u[0, 0]), float)
-    assert isinstance(h_norm(g, u[0, 0, 0]), float)
     assert list(h_norm(g, np.stack([u[0, 0], 1e200 * u[0, 0]]))) == [norms[0, 0], np.inf]
 
 
 @pytest.mark.parametrize("dim,n", [(1, 7), (2, 4)])
-@pytest.mark.parametrize("k", [1, 2])
-def test_h_inner_batch_equals_single_fields_bit_for_bit(dim, n, k):
-    # One dot per field over its components and space, whatever the batch.
+def test_h_inner_batch_equals_single_fields_bit_for_bit(dim, n):
+    # One dot per field over its space, whatever the batch.
     g = SpaceGrid(dim=dim, n=n)
     rng = np.random.default_rng(11)
-    u, w = rng.normal(size=(2, 3, 5, k) + g.shape)
+    u, w = rng.normal(size=(2, 3, 5) + g.shape)
     batch = h_inner(g, u, w)
     assert batch.shape == (3, 5)
     for i in range(3):
@@ -290,24 +291,33 @@ def test_h_norm_is_the_root_of_h_inner_bit_for_bit():
     g = SpaceGrid(dim=2, n=5)
     u = np.random.default_rng(12).normal(size=(4, 2) + g.shape)
     assert np.array_equal(h_norm(g, u), np.sqrt(h_inner(g, u, u)))
-    assert h_norm(g, u[0]) == np.sqrt(h_inner(g, u[0], u[0]))
+    assert h_norm(g, u[0, 0]) == np.sqrt(h_inner(g, u[0, 0], u[0, 0]))
 
 
-@pytest.mark.parametrize("dim,n,k", [(1, 17, 1), (2, 5, 2)])
-def test_mixed_norm_is_the_time_weighted_sum_of_h_inner(dim, n, k):
+@pytest.mark.parametrize("dim,n", [(1, 17), (2, 5)])
+def test_mixed_norm_is_the_time_weighted_sum_of_h_inner(dim, n):
     g = SpaceGrid(dim=dim, n=n)
     rng = np.random.default_rng(13)
-    traj = Trajectory(g, uniform_times(0.3, 16), rng.normal(size=(17, k) + g.shape))
+    traj = Trajectory(g, uniform_times(0.3, 16), rng.normal(size=(17,) + g.shape))
     x = rng.normal(size=traj.states.shape)
     for values in (None, x):
         v = traj.states if values is None else x
         want = np.sqrt(traj.tau * sum(h_inner(g, s, s) for s in v))
         assert mixed_norm(traj, values) == pytest.approx(want, rel=1e-15)
+    # the pairing is one ddot over the whole trajectory, not a sum of fields
+    u, w = x, rng.normal(size=x.shape)
+    total = mixed_inner(traj, u, w)
+    assert total == traj.tau * (g.cell_volume * ddot(u.ravel(), w.ravel()))
+    assert total == pytest.approx(
+        traj.tau * sum(h_inner(g, a, b) for a, b in zip(u, w)), rel=1e-14)
+    assert mixed_norm(traj, x) == np.sqrt(mixed_inner(traj, x, x))
+    with pytest.raises(ValueError, match="differ"):
+        mixed_inner(traj, u, w[1:])
 
 
 def test_h_inner_overflow_reads_inf_without_a_warning():
     g = SpaceGrid(dim=1, n=6)
-    u = np.full((2, 1) + g.shape, 1e200)
+    u = np.full((2,) + g.shape, 1e200)
     u[0] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -319,7 +329,7 @@ def test_h_inner_overflow_reads_inf_without_a_warning():
 def _edge_pair_gap(density, grid, base, bump):
     """``<bump, DPsi(base + bump) - DPsi(base)>_H`` summed on the edges:
     ``<grad bump, Dpsi(grad(base + bump)) - Dpsi(grad base)>``."""
-    axes = tuple(range(1, grid.dim + 2))
+    axes = tuple(range(1, grid.dim + 1))
     return sum(grid.cell_volume * np.sum((ga - gb) * gh, axis=axes)
                for ga, gb, gh in zip(psi_grad_edges(density, grid, base + bump),
                                      psi_grad_edges(density, grid, base),
@@ -332,7 +342,7 @@ def test_psi_pair_gap_is_the_edge_sum_by_parts(dim, n, q):
     g = SpaceGrid(dim=dim, n=n)
     model = divergence_form_model(q=q)
     rng = np.random.default_rng(14)
-    base, bump = rng.normal(size=(2, 32, 1) + g.shape)
+    base, bump = rng.normal(size=(2, 32) + g.shape)
     np.testing.assert_allclose(_psi_pair_gap(model, g, base, bump),
                                _edge_pair_gap(model.density, g, base, bump),
                                rtol=1e-13, atol=0.0)
@@ -341,14 +351,14 @@ def test_psi_pair_gap_is_the_edge_sum_by_parts(dim, n, q):
 def test_dual_grad_norm_is_lifted_gradient_norm():
     g = SpaceGrid(dim=1, n=15)
     rng = np.random.default_rng(8)
-    f = rng.normal(size=(1,) + g.shape)
+    f = rng.normal(size=g.shape)
     z = poisson_solve(g, -f)
     direct = np.sqrt(h_inner(g, z, f))
     assert dual_grad_norm(g, f, 2.0) == pytest.approx(float(direct), rel=1e-12)
     # sup characterisation: every test direction gives a lower bound
     val = dual_grad_norm(g, f, 2.0)
     for _ in range(100):
-        d = rng.normal(size=(1,) + g.shape)
+        d = rng.normal(size=g.shape)
         assert h_inner(g, d, f) <= val * grad_norm(g, d, 2.0) + 1e-12
 
 
@@ -357,8 +367,8 @@ def test_dual_grad_norm_is_lifted_gradient_norm():
 def test_adjointness_any_size(n):
     g = SpaceGrid(dim=1, n=n)
     rng = np.random.default_rng(n)
-    u = rng.normal(size=(1,) + g.shape)
-    e = [rng.normal(size=(1,) + g.edge_shape(0))]
+    u = rng.normal(size=g.shape)
+    e = [rng.normal(size=g.edge_shape(0))]
     lhs = g.cell_volume * np.vdot(gradient(g, u)[0], e[0])
     rhs = -h_inner(g, u, divergence(g, e))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -370,9 +380,12 @@ def test_adjointness_any_size(n):
 def test_field_validation():
     g = SpaceGrid(dim=1, n=4)
     f = Field(g, np.arange(4.0))
-    assert f.k == 1 and f.values.shape == (1, 4)
+    assert f.values.shape == (4,)
     with pytest.raises(ValueError):
         Field(g, np.zeros(5))
+    for shape in ((1, 4), (2, 4)):  # no component axis
+        with pytest.raises(ValueError, match=re.escape(f"values shape {shape}")):
+            Field(g, np.zeros(shape))
     with pytest.raises(NonFiniteInputError):
         Field(g, np.array([0.0, np.nan, 0.0, 0.0]))
 
@@ -380,8 +393,9 @@ def test_field_validation():
 def test_trajectory_validation_and_lock():
     g = SpaceGrid(dim=1, n=3)
     times = uniform_times(1.0, 4)
-    states = np.random.default_rng(1).normal(size=(5, 1, 3))
+    states = np.random.default_rng(1).normal(size=(5, 3))
     traj = Trajectory(g, times, states)
+    assert traj.states.shape == (5, 3)
     assert traj.tau == pytest.approx(0.25)
     assert not traj.states.flags.writeable
     with pytest.raises(ValueError):
@@ -389,49 +403,69 @@ def test_trajectory_validation_and_lock():
     with pytest.raises(ValueError):
         Trajectory(g, times, states[:4])
 
-    tail = np.zeros((4, 1, 3))
+    tail = np.zeros((4, 3))
     t2 = traj.with_tail(tail)
     np.testing.assert_array_equal(t2.states[0], traj.states[0])
     np.testing.assert_array_equal(t2.states[1:], 0.0)
 
 
+@pytest.mark.parametrize("dim,n", [(1, 3), (2, 2)])
+def test_states_carry_no_component_axis(dim, n):
+    # Two values per node are rejected, naming the shape.  A length-one
+    # axis after time, the layout of perfbench/kernels.py, is dropped.
+    g = SpaceGrid(dim=dim, n=n)
+    times = uniform_times(1.0, 4)
+    states = np.random.default_rng(2).normal(size=(5, 1) + g.shape)
+    with pytest.raises(ValueError, match=re.escape(f"states shape {(5, 2) + g.shape}")):
+        Trajectory(g, times, np.concatenate([states, states], axis=1))
+    traj = Trajectory(g, times, states)
+    assert traj.states.shape == (5,) + g.shape
+    np.testing.assert_array_equal(traj.states, states[:, 0])
+
+
 def test_with_tail_rejects_a_mis_ordered_tail():
     # the right number of entries with the axes in the wrong order
     g = SpaceGrid(dim=1, n=9)
-    traj = Trajectory(g, uniform_times(1.0, 4), np.zeros((5, 1, 9)))
+    traj = Trajectory(g, uniform_times(1.0, 4), np.zeros((5, 9)))
     with pytest.raises(ValueError, match="tail shape"):
-        traj.with_tail(np.arange(36.0).reshape(9, 1, 4))
+        traj.with_tail(np.arange(36.0).reshape(9, 4))
     with pytest.raises(ValueError, match="tail shape"):
-        traj.with_tail(np.arange(36.0).reshape(4, 9))
+        traj.with_tail(np.arange(36.0).reshape(4, 1, 9))
 
 
 def test_midpoint_and_derivative():
     g = SpaceGrid(dim=1, n=2)
     traj = Trajectory(g, uniform_times(1.0, 2),
-                      np.array([[[0.0, 0.0]], [[1.0, 2.0]], [[3.0, 2.0]]]))
+                      np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 2.0]]))
     u = traj.states
-    np.testing.assert_allclose((u[1] - u[0]) / traj.tau, [[2.0, 4.0]])
-    np.testing.assert_allclose(0.5 * (u[1] + u[2]), [[2.0, 2.0]])
+    np.testing.assert_allclose((u[1] - u[0]) / traj.tau, [2.0, 4.0])
+    np.testing.assert_allclose(0.5 * (u[1] + u[2]), [2.0, 2.0])
     with pytest.raises(IndexError):
         (u[3] - u[2]) / traj.tau
 
 
-@pytest.mark.parametrize("dim,n,k", [(1, 7, 1), (1, 5, 3), (2, 4, 2)])
-def test_csv_round_trip_bit_exact(tmp_path, dim, n, k):
+@pytest.mark.parametrize("dim,n", [(1, 7), (2, 4)])
+def test_csv_round_trip_bit_exact(tmp_path, dim, n):
     g = SpaceGrid(dim=dim, n=n)
     rng = np.random.default_rng(17)
     traj = Trajectory(g, uniform_times(0.3, 6),
-                      rng.normal(size=(7, k) + g.shape) * 1e3)
+                      rng.normal(size=(7,) + g.shape) * 1e3)
     path = tmp_path / "traj.csv"
     save_trajectory_csv(traj, path)
     back = load_trajectory_csv(path, g)
-    assert back.k == k
+    assert back.states.shape == traj.states.shape
     np.testing.assert_array_equal(back.states, traj.states)
     np.testing.assert_array_equal(back.times, traj.times)
     header = path.read_text().splitlines()[0]
     assert header.split(",")[0] == "t"
     assert header.split(",")[1] == "node_0"
-    assert header.split(",")[-1] == f"node_{k * g.n_nodes - 1}"
+    assert header.split(",")[-1] == f"node_{g.n_nodes - 1}"
+    # two values per node are not a trajectory on this grid
+    save_trajectory_csv(Trajectory(SpaceGrid(dim=1, n=2 * g.n_nodes), traj.times,
+                                   traj.states.reshape(7, -1).repeat(2, axis=1)),
+                        path)
+    with pytest.raises(ValueError, match="value columns"):
+        load_trajectory_csv(path, g)
 
 
 @pytest.fixture

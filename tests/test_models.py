@@ -90,8 +90,8 @@ def test_burgers_drift_frozen_two_node_example():
     # (1/4, 5/4, 1), divergence (3, -3/4), density = -divergence.
     g = SpaceGrid(dim=1, n=2)
     m = burgers_model()
-    out = lambda_density(m, g, np.array([[1.0, 2.0]]), 0.0)
-    np.testing.assert_allclose(out, [[-3.0, 0.75]], atol=ORACLE_TOL)
+    out = lambda_density(m, g, np.array([1.0, 2.0]), 0.0)
+    np.testing.assert_allclose(out, [-3.0, 0.75], atol=ORACLE_TOL)
 
 
 def test_divergence_form_drift_frozen_two_node_example():
@@ -99,8 +99,8 @@ def test_divergence_form_drift_frozen_two_node_example():
     # -div = (-1.2, 0.3); reaction 0.5 - u = (-0.5, -1.5) enters negated.
     g = SpaceGrid(dim=1, n=2)
     m = divergence_form_model(2.0)
-    out = lambda_density(m, g, np.array([[1.0, 2.0]]), 0.0)
-    np.testing.assert_allclose(out, [[-0.7, 1.8]], atol=ORACLE_TOL)
+    out = lambda_density(m, g, np.array([1.0, 2.0]), 0.0)
+    np.testing.assert_allclose(out, [-0.7, 1.8], atol=ORACLE_TOL)
 
 
 @pytest.mark.parametrize("name", ["burgers", "divergence_form", "adversarial"])
@@ -111,7 +111,7 @@ def test_drift_matches_dense_oracle(name):
     for trial in range(5):
         u = 1.4 * rng.normal(size=13)
         want = _oracle_lambda_1d(m, g, u, 0.25)
-        got = lambda_density(m, g, u[None, :], 0.25)[0]
+        got = lambda_density(m, g, u, 0.25)
         np.testing.assert_allclose(got, want, atol=ORACLE_TOL, rtol=0)
 
 
@@ -127,7 +127,7 @@ def test_time_dependent_reaction_plumbing():
     m = ModelSpec(name="ramp", density=PowerDensity(1.0, 2.0, 0.0),
                   reaction=ReactionTerm(func=theta, deriv=thetap, lipschitz=2.0,
                                         dissipation=2.0))
-    u = np.linspace(-1.0, 1.0, 5)[None, :]
+    u = np.linspace(-1.0, 1.0, 5)
     np.testing.assert_allclose(lambda_density(m, g, u, 0.0), np.zeros_like(u))
     np.testing.assert_allclose(lambda_density(m, g, u, 2.0), -2.0 * u)
     # batched time: one scalar per leading batch entry
@@ -153,7 +153,7 @@ def test_space_dependent_flux_sees_boundary_layer():
 
     m = ModelSpec(name="probe", density=PowerDensity(1.0, 2.0, 0.0),
                   flux=FluxTerm(func=f, deriv=fp, lipschitz=0.0))
-    lambda_density(m, g, np.zeros((1, 3)), 0.0)
+    lambda_density(m, g, np.zeros(3), 0.0)
     np.testing.assert_allclose(seen[0], [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
@@ -169,13 +169,7 @@ def test_non_finite_term_output_is_reported():
                   reaction=ReactionTerm(func=theta, deriv=lambda u, x, t: 0.0 * u,
                                         lipschitz=1.0))
     with pytest.raises(ModelEvaluationError, match="broken"):
-        lambda_density(m, g, np.ones((1, 4)), 0.0)
-
-
-def test_terms_require_scalar_fields():
-    g = SpaceGrid(dim=1, n=4)
-    with pytest.raises(ValueError, match="scalar"):
-        lambda_density(burgers_model(), g, np.ones((2, 4)), 0.0)
+        lambda_density(m, g, np.ones(4), 0.0)
 
 
 # -- integrated density machinery -----------------------------------------------
@@ -184,7 +178,7 @@ def test_terms_require_scalar_fields():
 def test_psi_gradient_density_is_negative_laplacian_for_quadratic():
     g = SpaceGrid(dim=1, n=17)
     rng = np.random.default_rng(5)
-    u = rng.normal(size=(1, 17))
+    u = rng.normal(size=17)
     d = PowerDensity(1.5, 2.0, 0.0)
     got = psi_gradient_density(d, g, u)
     np.testing.assert_allclose(got, -1.5 * laplacian(g, u), atol=1e-12)
@@ -195,21 +189,21 @@ def test_psi_total_frozen_quartic_value():
     # (1/4)(81 + 81 + 1296)/3 + (1/2)(9 + 9 + 36)/3 = 130.5.
     g = SpaceGrid(dim=1, n=2)
     d = PowerDensity(1.0, 4.0, 1.0)
-    assert psi_total(d, g, np.array([[1.0, 2.0]])) == pytest.approx(130.5)
+    assert psi_total(d, g, np.array([1.0, 2.0])) == pytest.approx(130.5)
 
 
 def test_psi_hessian_edge_weights_frozen_quartic():
     g = SpaceGrid(dim=1, n=2)
     d = PowerDensity(1.0, 4.0, 1.0)
-    (w,) = psi_hessian_edge_weights(d, g, np.array([[1.0, 2.0]]))
+    (w,) = psi_hessian_edge_weights(d, g, np.array([1.0, 2.0]))
     np.testing.assert_allclose(w, [28.0, 28.0, 109.0], atol=1e-12)
 
 
 def test_psi_gradient_pairs_like_directional_derivative():
     g = SpaceGrid(dim=2, n=6)
     rng = np.random.default_rng(7)
-    u = rng.normal(size=(1, 6, 6))
-    delta = rng.normal(size=(1, 6, 6))
+    u = rng.normal(size=(6, 6))
+    delta = rng.normal(size=(6, 6))
     d = PowerDensity(0.8, 4.0, 0.5)
     e = 1e-6
     fd = (psi_total(d, g, u + e * delta) - psi_total(d, g, u - e * delta)) / (2 * e)
@@ -230,9 +224,9 @@ def test_dlambda_matches_central_differences(dim, builder):
     g = SpaceGrid(dim=dim, n=n)
     m = builder()
     rng = np.random.default_rng(17)
-    u = 0.8 * rng.normal(size=(1,) + g.shape)
+    u = 0.8 * rng.normal(size=g.shape)
     for trial in range(4):
-        delta = rng.normal(size=(1,) + g.shape)
+        delta = rng.normal(size=g.shape)
         e = 1e-5
         fd = (lambda_density(m, g, u + e * delta, 0.4)
               - lambda_density(m, g, u - e * delta, 0.4)) / (2 * e)
@@ -258,7 +252,7 @@ def test_dlambda_adjoint_identity(dim, builder):
     rng = np.random.default_rng(23)
     # one field, then a leading batch of 3 slices with their own times
     for batch, t in (((), 0.1), ((3,), np.array([0.0, 0.4, 0.8]))):
-        u = rng.normal(size=batch + (1,) + g.shape)
+        u = rng.normal(size=batch + g.shape)
         for trial in range(6):
             b = rng.normal(size=u.shape)
             delta = rng.normal(size=u.shape)
@@ -272,7 +266,7 @@ def test_lambda_batch_matches_loop():
     g = SpaceGrid(dim=1, n=9)
     m = divergence_form_model(2.0)
     rng = np.random.default_rng(29)
-    batch = rng.normal(size=(4, 1, 9))
+    batch = rng.normal(size=(4, 9))
     t = np.array([0.0, 0.3, 0.6, 0.9])
     out = lambda_density(m, g, batch, t)
     for i in range(4):
@@ -298,9 +292,9 @@ def test_slice_jacobians_assemble_block_diagonally(dim, builder):
     g = SpaceGrid(dim=dim, n=9 if dim == 1 else 4)
     m = builder()
     rng = np.random.default_rng(31)
-    u = rng.normal(size=(3, 1) + g.shape)
+    u = rng.normal(size=(3,) + g.shape)
     t = np.array([0.0, 0.4, 0.8])
-    delta = rng.normal(size=(1,) + g.shape)
+    delta = rng.normal(size=g.shape)
 
     def drift(v, tv):  # DLambda alone: lam = 0, no shift
         return band_matrix(jacobian_bands(replace(m, lam=0), g, v, tv, 0.0, 1.0))
@@ -545,16 +539,16 @@ def _streams(entropy):
 def _loop_draw(grid, rngs, count, amplitude, t_range, n_fields):
     """The checker's draws, one sample at a time, with NumPy's public calls."""
     t_rng, noise_rng, coin_rng = rngs
-    t, fields = np.empty(count), np.empty((n_fields, count, 1) + grid.shape)
+    t, fields = np.empty(count), np.empty((n_fields, count) + grid.shape)
     for j in range(count):
         t[j] = t_rng.uniform(*t_range)
         for f in range(n_fields):
             raw = noise_rng.normal(size=grid.shape)
             if coin_rng.uniform() < 0.5:
-                fields[f, j, 0] = amplitude * raw
+                fields[f, j] = amplitude * raw
             else:
-                z = poisson_solve(grid, raw)[0]
-                fields[f, j, 0] = amplitude * z / max(np.max(np.abs(z)), 1e-30)
+                z = poisson_solve(grid, raw)
+                fields[f, j] = amplitude * z / max(np.max(np.abs(z)), 1e-30)
     return t, fields
 
 
@@ -565,8 +559,8 @@ def _replay(model, grid, condition, samples, seed, amplitude, t_range):
     rngs = _streams([seed, sorted(CONDITION_NAMES).index(condition)])
     t, fields = _loop_draw(grid, rngs, samples, amplitude, t_range,
                            2 if condition in PAIR_CONDITIONS else 1)
-    return [(t[j], fields[:, j, 0],
-             condition_margin(model, grid, condition, *fields[:, j, 0], t=t[j]))
+    return [(t[j], fields[:, j],
+             condition_margin(model, grid, condition, *fields[:, j], t=t[j]))
             for j in range(samples)]
 
 
@@ -660,8 +654,8 @@ def test_one_sample_margin_equals_its_block_margin_bit_for_bit(builder):
         x, h = fields[0], (fields[1] if needs_h else None)
         block = margin_fn(m, g, x, h, t)
         for j in range(64):
-            one = condition_margin(m, g, cond, x[j, 0],
-                                   h[j, 0] if needs_h else None, t=t[j])
+            one = condition_margin(m, g, cond, x[j],
+                                   h[j] if needs_h else None, t=t[j])
             assert one == block[j], (cond, j)
 
 

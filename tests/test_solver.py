@@ -71,7 +71,7 @@ def test_constant_initialization_extends_w0():
     traj = constant_initial_trajectory(grid, times, w0)
     assert traj.n_steps == 8
     for k in range(9):
-        np.testing.assert_array_equal(traj.states[k, 0], w0)
+        np.testing.assert_array_equal(traj.states[k], w0)
 
 
 def test_random_initialization_keeps_w0_and_is_seeded():
@@ -79,7 +79,7 @@ def test_random_initialization_keeps_w0_and_is_seeded():
     a = random_initial_trajectory(grid, times, w0, seed=5)
     b = random_initial_trajectory(grid, times, w0, seed=5)
     c = random_initial_trajectory(grid, times, w0, seed=6)
-    np.testing.assert_array_equal(a.states[0, 0], w0)
+    np.testing.assert_array_equal(a.states[0], w0)
     np.testing.assert_array_equal(a.states, b.states)
     assert not np.array_equal(a.states, c.states)
     assert not np.array_equal(a.states[1], a.states[2])
@@ -239,7 +239,7 @@ def _heat_midpoint_solution_2d(n, n_steps, t_end):
         states.append(np.linalg.solve(lhs, rhs @ states[-1]))
     grid = SpaceGrid(dim=2, n=n)
     return grid, Trajectory(grid, uniform_times(t_end, n_steps),
-                            np.asarray(states).reshape(-1, 1, n, n))
+                            np.asarray(states).reshape(-1, n, n))
 
 
 def _midpoint_case(case):
@@ -249,10 +249,6 @@ def _midpoint_case(case):
         return heat, _heat_midpoint_solution(n=9, n_steps=8, t_end=0.1)[1]
     if case == "2d":
         return heat, _heat_midpoint_solution_2d(n=5, n_steps=8, t_end=0.1)[1]
-    if case == "2comp":  # heat flow moves each component on its own
-        one = _heat_midpoint_solution(n=9, n_steps=8, t_end=0.1)[1]
-        return heat, Trajectory(one.grid, one.times, np.concatenate(
-            [one.states, -2.0 * one.states], axis=1))
     # lam = 0 leaves only the dual residual, so the scheme keeps u_0 fixed
     # (the midpoint solution with zero diffusion)
     return (replace(heat, lam=0),
@@ -264,7 +260,7 @@ def _direction(model, traj):
     return benpde.solver._gauss_newton_direction(benpde.solver._merit(model, traj))
 
 
-@pytest.mark.parametrize("case", ["1d", "2d", "lam0", "2comp"])
+@pytest.mark.parametrize("case", ["1d", "2d", "lam0"])
 def test_gauss_newton_direction_is_midpoint_error(case):
     model, exact = _midpoint_case(case)
     rng = np.random.default_rng(4)
@@ -316,8 +312,7 @@ def _direction_from_scratch(model, traj):
     R = -H
     if model.lam:
         R = R + lam * psi_gradient_density(model.density, grid, lam * mids)
-    bands = jacobian_bands(model, grid, mids.reshape((-1, 1) + grid.shape),
-                           np.repeat(t_mid, traj.k), 1.0 / tau, 0.5)
+    bands = jacobian_bands(model, grid, mids, t_mid, 1.0 / tau, 0.5)
     delta, failed = _theta_sweep(bands, -R.reshape(traj.n_steps, -1), tau,
                                  0.5)
     assert failed is None
@@ -360,10 +355,9 @@ def test_line_search_failure_verdict_equals_certificate(monkeypatch):
         assert out.verdict(tol) == certificate(model, out.trajectory, tol)
 
 
-def _noisy_trajectory(dim, n, seed, k=1):
+def _noisy_trajectory(dim, n, seed):
     grid = SpaceGrid(dim=dim, n=n)
     w0 = np.prod(np.sin(np.pi * grid.node_coords), axis=0)
-    w0 = np.stack([w0 * (1.0 - 3.0 * c) for c in range(k)])
     return random_initial_trajectory(grid, uniform_times(0.1, 6), w0, seed=seed)
 
 
@@ -381,16 +375,12 @@ def test_merit_is_a_multiple_of_the_energy_for_quadratic_densities(name, dim, n)
         assert abs(phi - (d.coefficient + d.regularizer) * total) <= 1e-14 * phi
 
 
-_MERIT_CASES = [(*m, 1) for m in _MODELS] + [("heat", {}, 2)]
-_MERIT_IDS = _MODEL_IDS + ["heat_2comp"]
-
-
 @pytest.mark.parametrize("dim,n", [(1, 9), (2, 6)])
 @pytest.mark.parametrize(
-    "name,params,k,theta",
-    [(*c, 0.5) for c in _MERIT_CASES] + [(*c, 1.0) for c in _MERIT_CASES],
-    ids=_MERIT_IDS + [f"{i}_theta1" for i in _MERIT_IDS])
-def test_merit_gradient_and_gauss_newton_slope(name, params, k, theta, dim, n):
+    "name,params,theta",
+    [(*c, 0.5) for c in _MODELS] + [(*c, 1.0) for c in _MODELS],
+    ids=_MODEL_IDS + [f"{i}_theta1" for i in _MODEL_IDS])
+def test_merit_gradient_and_gauss_newton_slope(name, params, theta, dim, n):
     # grad phi against central differences, and the slope -2 phi along the
     # Gauss-Newton direction, both analytically and by differences, for the
     # midpoint scheme (theta = 1/2) and the implicit one (theta = 1).
@@ -403,7 +393,7 @@ def test_merit_gradient_and_gauss_newton_slope(name, params, k, theta, dim, n):
                                     theta).phi
 
     for seed in range(2):
-        u = _noisy_trajectory(dim, n, seed, k)
+        u = _noisy_trajectory(dim, n, seed)
         state = benpde.solver._merit(model, u, theta)
         g = benpde.solver._merit_gradient(state)
         assert np.all(g[0] == 0.0)
@@ -520,7 +510,7 @@ def test_baseline_single_node_closed_form():
     g = SpaceGrid(dim=1, n=1)
     traj = implicit_baseline(build_model("heat"), Field(g, np.array([1.0])),
                              uniform_times(0.125, 1))
-    np.testing.assert_allclose(traj.states[1], [[0.5]], atol=1e-13)
+    np.testing.assert_allclose(traj.states[1], [0.5], atol=1e-13)
 
 
 # Where the implicit and midpoint schemes coincide, the baseline is an exact
@@ -534,7 +524,7 @@ def test_baseline_zero_start_stays_zero():
             traj = implicit_baseline(model, Field(g, np.zeros(g.shape)),
                                      uniform_times(0.5, 5))
             np.testing.assert_array_equal(traj.states,
-                                          np.zeros((6, 1) + g.shape))
+                                          np.zeros((6,) + g.shape))
             assert eval_energy(model, traj).total == 0.0
             assert certificate(model, traj, 1e-12).solved
 
@@ -558,8 +548,7 @@ def test_baseline_tracks_separable_exact_solution():
     times = uniform_times(0.1, 32)
     traj = implicit_baseline(build_model("heat"), Field(g, np.sin(np.pi * x)),
                              times)
-    exact = (np.exp(-np.pi**2 * times)[:, None, None]
-             * np.sin(np.pi * x)[None, None, :])
+    exact = np.exp(-np.pi**2 * times)[:, None] * np.sin(np.pi * x)[None, :]
     w = traj.tau * g.cell_volume
     rel = np.sqrt(np.sum((traj.states - exact)**2) / np.sum(exact**2))
     assert rel <= 5e-2
@@ -596,7 +585,7 @@ def test_baseline_converges_on_a_fine_heat_grid():
     g = SpaceGrid(dim=1, n=1025)
     w0 = Field(g, np.sin(np.pi * g.node_coords[0]))
     traj = implicit_baseline(build_model("heat"), w0, uniform_times(0.1, 64))
-    assert traj.states.shape == (65, 1, 1025)
+    assert traj.states.shape == (65, 1025)
 
 
 def test_baseline_overflowed_residual_is_never_met():
@@ -610,7 +599,7 @@ def test_baseline_overflowed_residual_is_never_met():
     assert info.value.step_index == 0
     assert info.value.residual == np.inf
     peaks = np.max(np.abs(implicit_baseline(
-        build_model("heat"), Field(g, 1e150 * wave), times).states), axis=(1, 2))
+        build_model("heat"), Field(g, 1e150 * wave), times).states), axis=1)
     np.testing.assert_allclose(peaks[1:] / peaks[:-1], 0.8, rtol=0.02)
 
 
@@ -642,19 +631,6 @@ def test_baseline_meets_every_step_target(name, params, dim, n):
         r = (u1 - u0) / traj.tau + F(u1, t1)
         assert h_norm(g, r) <= tol * max(1.0, h_norm(g, F(u1, t1))), k
         assert h_norm(g, r) <= tol * max(1.0, h_norm(g, F(u0, t1))), k
-
-
-def test_baseline_components_step_independently():
-    # heat flow moves each component on its own, so a two-component
-    # baseline is the pair of one-component baselines
-    g = SpaceGrid(dim=1, n=9)
-    w0 = np.random.default_rng(5).normal(size=(2, 9))
-    times = uniform_times(0.1, 6)
-    both = implicit_baseline(build_model("heat"), Field(g, w0), times)
-    for c in range(2):
-        one = implicit_baseline(build_model("heat"), Field(g, w0[c]), times)
-        np.testing.assert_allclose(both.states[:, c], one.states[:, 0],
-                                   rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name,params,dim,n,n_steps,t_end,cap", [
@@ -691,7 +667,7 @@ def _dense_sweep_case(dim, n, theta, n_steps=5):
     model = build_model("burgers")
     rng = np.random.default_rng(dim + 10 * n)
     tau = 0.05
-    states = rng.normal(size=(n_steps, 1) + g.shape)
+    states = rng.normal(size=(n_steps,) + g.shape)
     times = tau * np.arange(1, n_steps + 1)
     bands = jacobian_bands(model, g, states, times, 1.0 / tau, theta)
     K = band_matrix(jacobian_bands(model, g, states, times, 0.0, 1.0))
@@ -803,13 +779,13 @@ def test_compare_identical_and_opposite():
     g = SpaceGrid(dim=1, n=9)
     rng = np.random.default_rng(12)
     t = uniform_times(0.3, 5)
-    a = Trajectory(g, t, rng.normal(size=(6, 1, 9)))
+    a = Trajectory(g, t, rng.normal(size=(6, 9)))
     same = compare(a, a)
     assert same.rel_l2 == 0.0 and same.max_node == 0.0
     flipped = compare(a, Trajectory(g, t, -a.states))
     assert flipped.rel_l2 == pytest.approx(2.0, abs=1e-14)
     # symmetry
-    b = Trajectory(g, t, rng.normal(size=(6, 1, 9)))
+    b = Trajectory(g, t, rng.normal(size=(6, 9)))
     assert compare(a, b) == compare(b, a)
     assert isinstance(same, CompareResult)
 
@@ -817,11 +793,11 @@ def test_compare_identical_and_opposite():
 def test_compare_rejects_mismatched_inputs():
     g = SpaceGrid(dim=1, n=9)
     t = uniform_times(0.3, 5)
-    a = Trajectory(g, t, np.zeros((6, 1, 9)))
-    b = Trajectory(g, uniform_times(0.3, 4), np.zeros((5, 1, 9)))
+    a = Trajectory(g, t, np.zeros((6, 9)))
+    b = Trajectory(g, uniform_times(0.3, 4), np.zeros((5, 9)))
     with pytest.raises(ValueError, match="shapes"):
         compare(a, b)
-    c = Trajectory(g, uniform_times(0.6, 5), np.zeros((6, 1, 9)))
+    c = Trajectory(g, uniform_times(0.6, 5), np.zeros((6, 9)))
     with pytest.raises(ValueError, match="time"):
         compare(a, c)
 
