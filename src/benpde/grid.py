@@ -36,13 +36,40 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
-from scipy.linalg.blas import ddot
-from scipy.linalg.lapack import dgbsv, dgtsv, dpbtrf, dpbtrs, dpttrf, dpttrs
+import scipy
 
 from .errors import NonFiniteInputError
+
+
+def _scipy_linalg_extension(name: str):
+    """scipy's compiled module ``scipy.linalg.<name>``, loaded from its file.
+
+    Importing the ``scipy.linalg`` package would also load scipy's array-API
+    copy of numpy (``numpy.f2py``, ``numpy.testing``, ...): most of a cold
+    start, and nothing used here.  CPython caches the initialised extension
+    by name, so a later ``import scipy.linalg`` shares its routine objects.
+    """
+    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", name)
+    for path in (stem + suffix for suffix in EXTENSION_SUFFIXES):
+        if os.path.isfile(path):
+            spec = spec_from_file_location(f"scipy.linalg.{name}", path)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    tried = ", ".join(EXTENSION_SUFFIXES)
+    raise ImportError(f"no scipy extension file {stem} (suffixes {tried})", path=stem)
+
+
+dgbsv, dgtsv, dpbtrf, dpbtrs, dpttrf, dpttrs = attrgetter(
+    "dgbsv", "dgtsv", "dpbtrf", "dpbtrs", "dpttrf", "dpttrs",
+)(_scipy_linalg_extension("_flapack"))
+ddot = _scipy_linalg_extension("_fblas").ddot
 
 __all__ = [
     "SpaceGrid",

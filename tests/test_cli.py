@@ -878,19 +878,15 @@ def test_empty_csv_initial_profile_is_one_config_error(tmp_path, monkeypatch,
     assert seen == []
 
 
-def test_bump_profile_vanishes_at_walls():
+def test_bump_profile_vanishes_at_walls(tmp_path):
     cfg_path = _resolve_config("heat.cfg")
     cfg = load_config(cfg_path)
     assert cfg.grid.n == 33 and cfg.times.size == 65
     # swap in the bump profile through a temp config
-    import tempfile
-
-    text = cfg_path.read_text().replace("initial.profile = sin",
-                                        "initial.profile = bump")
-    with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
-        fh.write(text)
-        name = fh.name
-    bump = load_config(name)
+    bump_path = tmp_path / "bump.cfg"
+    bump_path.write_text(cfg_path.read_text().replace("initial.profile = sin",
+                                                      "initial.profile = bump"))
+    bump = load_config(bump_path)
     w = bump.w0.values
     assert w.max() <= 1.0 + 1e-12
     assert w.min() >= 0.0
@@ -925,21 +921,35 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "t.csv").exists()
 
 
-def test_cli_import_loads_no_sparse_matrices(tmp_path):
-    # Every grid solve runs LAPACK on band storage; a fresh interpreter
-    # importing the CLI must pull in no scipy.sparse module beyond those that
-    # importing scipy.linalg.lapack itself loads (older SciPy releases
-    # import scipy.sparse from scipy.linalg).
+def test_cli_import_loads_no_scipy_linalg_sparse_or_f2py(tmp_path):
+    # grid loads scipy's LAPACK and BLAS extensions from their files, so a
+    # fresh interpreter importing the CLI loads neither the scipy.linalg
+    # package (whose array-API copy of numpy pulls in numpy.f2py) nor any
+    # scipy.sparse module.  CPython lists the two extensions under their names.
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, scipy.linalg.lapack\n"
-         "def sparse(): return {m for m in sys.modules "
-         "if m.startswith('scipy.sparse')}\n"
-         "before = sparse()\nimport benpde.cli\n"
-         "print(sorted(sparse() - before))"],
+         "import sys, benpde.cli\n"
+         "print(sorted(set(m for m in sys.modules if m.startswith("
+         "('scipy.linalg', 'scipy.sparse', 'numpy.f2py')))\n"
+         "             - {'scipy.linalg._flapack', 'scipy.linalg._fblas'}))"],
         capture_output=True, text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_solve_never_imports_scipy_linalg(tmp_path):
+    # The import cost is removed, not moved into the run: a whole solve of
+    # the bundled heat config leaves the package unimported too.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, benpde.cli\n"
+         "code = benpde.cli.main(['solve', 'heat.cfg'])\n"
+         "print(code, 'scipy.linalg' in sys.modules,"
+         " any(m.startswith('numpy.f2py') for m in sys.modules))"],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False"
+    assert (tmp_path / "runs" / "heat" / "report.json").is_file()
 
 
 def _write_quick_heat(path, extra="", initial="initial.profile = sin\n"):

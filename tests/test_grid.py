@@ -3,6 +3,8 @@
 import os
 import re
 import stat
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.blas import ddot
 
+import benpde.grid
 from benpde.errors import NonFiniteInputError
 from benpde.grid import (
     Field,
@@ -197,6 +200,33 @@ def test_solve_bands_equals_solve_banded(dim, n):
         x, failed = sweep_bands(bands, rhs[None])
         assert failed is None
         assert np.array_equal(x[1], want)
+
+
+@pytest.mark.parametrize("first", ["benpde.grid", "scipy.linalg"])
+def test_linalg_routines_are_scipys_own(first):
+    # grid loads scipy's _flapack and _fblas from their files.  Whichever is
+    # imported first, each routine it binds is the very object that
+    # scipy.linalg.lapack or scipy.linalg.blas exports, so the same bits.
+    package_root = os.path.dirname(os.path.dirname(benpde.grid.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {package_root!r})\n"
+         f"import {first}\n"
+         "import benpde.grid as grid, scipy.linalg.blas as blas, scipy.linalg.lapack as lapack\n"
+         "pairs = [(n, lapack) for n in "
+         "('dgbsv', 'dgtsv', 'dpbtrf', 'dpbtrs', 'dpttrf', 'dpttrs')] + [('ddot', blas)]\n"
+         "print([n for n, m in pairs if getattr(grid, n) is not getattr(m, n)])"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_missing_scipy_extension_is_an_import_error_naming_the_file():
+    stem = os.path.join(os.path.dirname(benpde.grid.scipy.__file__), "linalg",
+                        "_no_such_extension")
+    with pytest.raises(ImportError, match=re.escape(stem)) as info:
+        benpde.grid._scipy_linalg_extension("_no_such_extension")
+    assert info.value.path == stem
 
 
 @pytest.mark.parametrize("transpose", [False, True], ids=["forward", "transpose"])
