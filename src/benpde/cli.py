@@ -37,11 +37,12 @@ All emitted files are UTF-8 with LF line endings and ``%.17g`` numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -347,8 +348,8 @@ def _cmd_solve(cfg: RunConfig) -> int:
     _write_history(cfg.out_dir / "history.csv", outcome.history)
     _write_profiles(cfg.out_dir / "profiles.dat", outcome.trajectory)
     # no report or verdict when the certificate assembly failed
-    payload = {} if report is None else report.to_json_dict()
-    payload["certificate"] = None if verdict is None else verdict.to_json_dict()
+    payload = {} if report is None else asdict(report)
+    payload["certificate"] = None if verdict is None else asdict(verdict)
     payload["iterations"] = outcome.iterations
     payload["converged"] = outcome.converged
     if failure is not None:
@@ -361,7 +362,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
             payload["compare_baseline"] = {
                 "rel_l2": result.rel_l2,
                 "max_node": result.max_node,
-                "baseline_energy": eval_energy(cfg.model, base).to_json_dict(),
+                "baseline_energy": asdict(eval_energy(cfg.model, base)),
             }
         except BenpdeError as exc:  # the solve's own artifacts still stand
             failure, where = exc, "compare.baseline: "
@@ -401,8 +402,8 @@ def _cmd_baseline(cfg: RunConfig) -> int:
         print(f"baseline {cfg.model.name}: failed -> {cfg.out_dir}")
         print(f"baseline: {failure}", file=sys.stderr)
         return 3
-    payload = report.to_json_dict()
-    payload["certificate"] = verdict.to_json_dict()
+    payload = asdict(report)
+    payload["certificate"] = asdict(verdict)
     payload["steps"] = traj.n_steps
     _write_report(cfg.out_dir / "report.json", payload)
     print(f"baseline {cfg.model.name}: steps={traj.n_steps} "
@@ -505,21 +506,30 @@ def _resolve_config(path_text: str) -> Path:
     raise FileNotFoundError(f"config file '{path_text}' not found")
 
 
+#: command -> (handler, help); a handler gets the :class:`RunConfig` loaded
+#: from the command's ``config`` argument, or the parsed arguments if it has none
+_COMMANDS = {
+    "solve": (_cmd_solve, "minimize the trajectory energy and emit artifacts"),
+    "baseline": (_cmd_baseline, "run the implicit stepping scheme"),
+    "verify": (_cmd_verify, "run the structural condition checkers"),
+    "gradcheck": (_cmd_gradcheck, "finite-difference check of the energy gradient"),
+    "conjugate-table": (_cmd_conjugate_table,
+                        "tabulate the pointwise convex conjugate"),
+}
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="benpde",
         description="Variational certificate solver for parabolic evolutions")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("solve", "minimize the trajectory energy and emit artifacts"),
-            ("baseline", "run the implicit stepping scheme"),
-            ("verify", "run the structural condition checkers"),
-            ("gradcheck", "finite-difference check of the energy gradient")):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("config", help="path to a flat section.key=value "
-                                      "config (bundled name also accepted)")
-    table = sub.add_parser("conjugate-table",
-                           help="tabulate the pointwise convex conjugate")
+        if name != "conjugate-table":
+            p.add_argument("config", help="path to a flat section.key=value "
+                                          "config (bundled name also accepted)")
+    table = sub.choices["conjugate-table"]
     table.add_argument("--exponent", type=float, default=2.0,
                        help="growth exponent q >= 2")
     table.add_argument("--coefficient", type=float, default=1.0,
@@ -534,21 +544,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_COMMANDS = {
-    "solve": _cmd_solve,
-    "baseline": _cmd_baseline,
-    "verify": _cmd_verify,
-    "gradcheck": _cmd_gradcheck,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "conjugate-table":
-            return _cmd_conjugate_table(args)
-        cfg = load_config(_resolve_config(args.config))
-        return _CONFIG_COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](
+            load_config(_resolve_config(args.config)) if "config" in args else args)
     except (BenpdeError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return (2 if isinstance(exc, ConfigError)

@@ -7,7 +7,7 @@ The dissipation densities used throughout the package are radial power laws
 so every operation on them is a function of the magnitude ``s = |xi|``.
 This module is that radial core, vectorised over arrays of magnitudes:
 :func:`radial_value` is psi, :func:`radial_coefficient` the factor of the
-gradient ``Dpsi(xi) = (a |xi|^{q-2} + eps) xi``, and :func:`conjugate_radius`
+gradient ``Dpsi(xi) = (a |xi|^{q-2} + eps) xi``, and :func:`solve_radius`
 gives the Legendre-Fenchel conjugate
 
     psi*(y) = sup_z { <z, y> - psi(z) } = r |y| - psi(r),
@@ -18,8 +18,9 @@ that solves the scalar monotone equation
     a r^{q-1} + eps r = |y|.
 
 It is solved in closed form for ``q = 2`` and ``q = 4`` and otherwise by a
-guarded Newton iteration with a bisection fallback, accurate to machine
-precision, which the Fenchel-Young based certificates downstream rely on.
+guarded Newton iteration (to :data:`NEWTON_TOL` in :data:`NEWTON_MAX_ITERS`
+steps) with a bisection fallback, accurate to machine precision, which the
+Fenchel-Young based certificates downstream rely on.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ __all__ = [
     "radial_value",
     "radial_slope",
     "radial_coefficient",
-    "conjugate_radius",
     "solve_radius",
 ]
 
-#: Default residual tolerance for the radial Newton solve.  The residual is
+#: Residual tolerance of the radial Newton solve.  The residual is
 #: measured relative to max(1, |y|); two extra polishing steps after first
 #: satisfaction push the root to machine accuracy.
 NEWTON_TOL = 1e-13
@@ -126,18 +126,7 @@ def _cubic_radius(a: float, eps: float, s: np.ndarray) -> np.ndarray:
         return r - np.where(slope > 0.0, (a * r**3 + eps * r - s) / slope, 0.0)
 
 
-def conjugate_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
-                     max_iters: int = NEWTON_MAX_ITERS):
-    """:func:`solve_radius` returning ``(r, iterations)``; it raises the
-    :class:`ConjugateSolveError` of the first entry that failed instead."""
-    r, iterations, failures = solve_radius(density, s, tol, max_iters)
-    if failures:
-        raise failures[min(failures)]
-    return r, iterations
-
-
-def solve_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
-                 max_iters: int = NEWTON_MAX_ITERS):
+def solve_radius(density: PowerDensity, s):
     """Solve ``a r^{q-1} + eps r = s`` for ``r >= 0``, elementwise.
 
     ``q = 2`` is linear and ``q = 4`` a cubic, both solved in closed form.
@@ -150,10 +139,11 @@ def solve_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
     that would leave the bracket.  An entry whose bracket has shrunk to two
     adjacent floats is converged, at its lower end when ``r^{q-1}``
     overflows at the upper one.  Each entry stops on its own and gets the
-    ``r`` of a solve of it alone; one still running after ``max_iters``
-    steps fails unless it meets its tolerance there.  Returns ``(r,
-    iterations, failures)``: the slowest entry's steps, and each failed
-    entry's :class:`ConjugateSolveError` by flat index (``r`` is NaN there).
+    ``r`` of a solve of it alone; one still running after
+    :data:`NEWTON_MAX_ITERS` steps fails unless it meets :data:`NEWTON_TOL`
+    there.  Returns ``(r, iterations, failures)``: the slowest entry's
+    steps, and each failed entry's :class:`ConjugateSolveError` by flat
+    index (``r`` is NaN there).
     """
     s = np.asarray(s, dtype=float)
     scalar_in = s.ndim == 0
@@ -177,16 +167,16 @@ def solve_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
     r = hi.copy()
     r[s == 0.0] = 0.0
 
-    target_tol = tol * np.maximum(1.0, s)
+    target_tol = NEWTON_TOL * np.maximum(1.0, s)
     # Number of iterations each entry still needs after first hitting the
     # tolerance; two polish steps sharpen the root to machine precision.
     # Zero magnitudes are exact already and must not enter the bisection
     # guard (which would nudge them off the lower bracket end).
     polish = np.where(s == 0.0, -1, 2)
-    for it in range(max_iters + 1):
+    for it in range(NEWTON_MAX_ITERS + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # r may be inf
             f = radial_slope(density, r) - s
-        if it == max_iters:
+        if it == NEWTON_MAX_ITERS:
             break
         done = (np.abs(f) <= target_tol) | (hi <= np.nextafter(lo, np.inf))
         polish = np.where(done, polish - 1, 2)
@@ -206,7 +196,7 @@ def solve_radius(density: PowerDensity, s, tol: float = NEWTON_TOL,
     failed = ~stopped & ~(np.abs(f) <= target_tol)  # a NaN residual fails
     failures = {int(i): ConjugateSolveError(
         f"radial conjugate solve failed to converge for |y|={s.flat[i]:.6g}",
-        residual=abs(f.flat[i]), iterations=max_iters)
+        residual=abs(f.flat[i]), iterations=NEWTON_MAX_ITERS)
         for i in np.flatnonzero(failed)}
     r = np.where(failed, np.nan, np.where(stopped & ~np.isfinite(f), lo, r))
     return (float(r[0]) if scalar_in else r), it, failures

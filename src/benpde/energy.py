@@ -21,28 +21,31 @@ on the natural scale of the terms themselves.
 globally on the grid.  Quadratic densities need one symmetric
 positive-definite solve.  Other densities in one dimension are solved
 exactly: ``D^T w = y`` fixes the edge fluxes up to one constant per slice,
-the edge law is inverted pointwise, and the constant solves a monotone
-scalar equation that encodes the zero boundary values.  In two dimensions a
-damped Newton iteration solves all slices at once, one banded solve of each
-slice's weighted-Laplacian Jacobian per step.  The maximizer ``z = DPsi*(y)`` is
-reused for the primal defect ``W_k = lam * m_k - DPsi*(H_k)`` and for the
+the edge law is inverted pointwise by :func:`~benpde.convex.solve_radius`,
+and the constant solves a monotone scalar equation that encodes the zero
+boundary values.  In two dimensions a damped Newton iteration solves all
+slices at once, one banded solve of each slice's weighted-Laplacian Jacobian
+per step.  Both iterations stop at :data:`CONJUGATE_TOL` or fail after
+:data:`CONJUGATE_MAX_ITERS` steps.  The maximizer ``z = DPsi*(y)`` is reused
+for the primal defect ``W_k = lam * m_k - DPsi*(H_k)`` and, with
+``DLambda^T`` (:func:`~benpde.models.dlambda_density` transposed), for the
 gradient, so one assembly prices all certificate quantities at once.  The
 minimizer prices its steps by a residual merit that needs no conjugate and
 assembles only to certify a stop (see :mod:`benpde.solver`).
 
 The interval terms take leading batch axes, and every path handles all
-slices at once.
-:func:`energy_totals` prices ``J`` alone for a batch of trajectories in one
-call, bit for bit equal to :func:`eval_energy` but without its norms.
+slices at once.  :func:`energy_totals` prices ``J`` alone for a batch of
+trajectories in one call, bit for bit equal to :func:`eval_energy` but
+without its norms.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import PowerDensity, conjugate_radius, radial_coefficient
+from .convex import PowerDensity, radial_coefficient, solve_radius
 from .errors import ConjugateSolveError, NonFiniteInputError
 from .grid import (
     Field,
@@ -58,7 +61,7 @@ from .grid import (
 )
 from .models import (
     ModelSpec,
-    dlambda_adjoint_density,
+    dlambda_density,
     lambda_density,
     psi_gradient_density,
     psi_hessian_edge_weights,
@@ -107,9 +110,6 @@ class EnergyReport:
     defect_norm: float
     normalized: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class CertificateVerdict:
@@ -126,20 +126,16 @@ class CertificateVerdict:
     scale: float
     tol: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 # -- conjugate of the integrated density ------------------------------------------
 
 
-def _conjugate_newton_2d(density: PowerDensity, grid: SpaceGrid,
-                         y: np.ndarray, tol: float, max_iters: int):
+def _conjugate_newton_2d(density: PowerDensity, grid: SpaceGrid, y: np.ndarray):
     """Damped Newton for ``DPsi(z) = y`` on all 2-D slices of ``y``
     ``(slices, *shape)`` at once: each step is one uncoupled
     :func:`~benpde.grid.sweep_bands` over the unconverged slices, and each
     slice halves its own step length until its H-norm residual drops.  A
-    slice is frozen once that residual meets ``tol * max(1, |y_i|_H)``.
+    slice is frozen once that residual meets ``CONJUGATE_TOL max(1, |y_i|_H)``.
     Returns ``(z, steps)`` with the slowest slice's step count.  Raises the
     error of the first slice in index order that fails, tagged ``slice
     {i}:``, or :class:`numpy.linalg.LinAlgError` for a singular Jacobian.
@@ -151,14 +147,14 @@ def _conjugate_newton_2d(density: PowerDensity, grid: SpaceGrid,
                                    f"{res[i]:.3e}", res[i], steps)
 
     z, g = np.zeros_like(y), -y
-    res, target = h_norm(grid, g), tol * np.maximum(1.0, h_norm(grid, y))
+    res, target = h_norm(grid, g), CONJUGATE_TOL * np.maximum(1.0, h_norm(grid, y))
     bad = np.flatnonzero(~(np.isfinite(res) & np.isfinite(target)))
     if bad.size:
         raise fail(bad[0], "cannot start from a non-finite norm", 0)
     todo, failure = np.arange(len(y)), None  # later slices stop on a failure
-    for it in range(max_iters + 1):
+    for it in range(CONJUGATE_MAX_ITERS + 1):
         todo = todo[~(res[todo] <= target[todo])]
-        if not todo.size or it == max_iters:
+        if not todo.size or it == CONJUGATE_MAX_ITERS:
             break
         bands = stencil_bands(grid, np.zeros((todo.size,) + grid.shape),
                               psi_hessian_edge_weights(density, grid, z[todo]))
@@ -188,8 +184,7 @@ def _conjugate_newton_2d(density: PowerDensity, grid: SpaceGrid,
     return z, it
 
 
-def _conjugate_exact_1d(density: PowerDensity, grid: SpaceGrid,
-                        y: np.ndarray, tol: float, max_iters: int):
+def _conjugate_exact_1d(density: PowerDensity, grid: SpaceGrid, y: np.ndarray):
     """Exact solve of ``DPsi(z) = y`` in 1-D for every row of ``y`` (rows, n).
 
     ``DPsi(z) = D^T w`` with the edge fluxes ``w = phi(Dz)``, where
@@ -199,14 +194,15 @@ def _conjugate_exact_1d(density: PowerDensity, grid: SpaceGrid,
     ``F(c) = sum(g) = 0``; ``F`` is increasing with a root in
     ``[min S, max S]``, started from the mean of ``S`` (exact when ``phi``
     is linear).  Newton steps on ``c`` fall back to bisection when they
-    leave the bracket or fail to halve ``|F|``.  Once
-    ``|F| <= tol * sum(|g|)``, one more Newton step polishes ``c`` and the
-    row is frozen; a row whose Newton step is below the spacing of ``c`` is
-    frozen at once.  Then ``z = h cumsum(g)``.
+    leave the bracket or fail to halve ``|F|``.  Once ``|F| <= CONJUGATE_TOL
+    sum(|g|)``, one more Newton step polishes ``c`` and the row is frozen; a
+    row whose Newton step is below the spacing of ``c`` is frozen at once.
+    Then ``z = h cumsum(g)``.
 
     Returns ``(z, steps)``, ``steps`` being the most scalar steps any row
-    took.  Raises :class:`ConjugateSolveError` tagged with the index of the
-    first unsolved row when ``max_iters`` steps do not suffice.
+    took.  Raises the :func:`~benpde.convex.solve_radius` error of the first
+    edge whose radial solve fails, or a :class:`ConjugateSolveError` tagged
+    with the first unsolved row after :data:`CONJUGATE_MAX_ITERS` steps.
     """
     rows, n = y.shape
     S = np.zeros((rows, n + 1))
@@ -217,26 +213,28 @@ def _conjugate_exact_1d(density: PowerDensity, grid: SpaceGrid,
     polished = np.zeros(rows, dtype=bool)
     g = np.empty_like(S)
     todo = np.arange(rows)
-    for steps in range(max_iters + 1):
+    for steps in range(CONJUGATE_MAX_ITERS + 1):
         w = c[todo, None] - S[todo]
-        r, _ = conjugate_radius(density, np.abs(w))
+        r, _, failures = solve_radius(density, np.abs(w))
+        if failures:
+            raise failures[min(failures)]
         g[todo] = np.copysign(r, w)
         f = g[todo].sum(axis=1)
         with np.errstate(divide="ignore"):
             slope = np.sum(
                 1.0 / radial_coefficient(density, r, curvature=True), axis=1)
         newton = c[todo] - f / slope
-        met = np.abs(f) <= tol * r.sum(axis=1)
+        met = np.abs(f) <= CONJUGATE_TOL * r.sum(axis=1)
         done = polished[todo] | (
             np.abs(newton - c[todo]) <= 4.0 * np.spacing(np.abs(c[todo])))
         polished[todo] = met
         todo, f, newton, met = todo[~done], f[~done], newton[~done], met[~done]
         if not todo.size:
             break
-        if steps == max_iters:
+        if steps == CONJUGATE_MAX_ITERS:
             raise ConjugateSolveError(
                 f"slice {todo[0]}: scalar solve hit the iteration cap at "
-                f"residual {abs(f[0]):.3e}", abs(f[0]), max_iters)
+                f"residual {abs(f[0]):.3e}", abs(f[0]), steps)
         ct = c[todo]
         lo[todo] = np.where(f < 0.0, ct, lo[todo])
         hi[todo] = np.where(f > 0.0, ct, hi[todo])
@@ -247,9 +245,7 @@ def _conjugate_exact_1d(density: PowerDensity, grid: SpaceGrid,
     return grid.h * np.cumsum(g, axis=1)[:, :n], steps
 
 
-def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
-                      tol: float = CONJUGATE_TOL,
-                      max_iters: int = CONJUGATE_MAX_ITERS):
+def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y):
     """Conjugate of the integrated density at nodal dual densities ``y``.
 
     Returns ``(values, argmax, iterations)`` where ``argmax`` solves
@@ -261,7 +257,7 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
     2-D all entries run the dual Newton iteration at once and ``iterations``
     counts its steps on the slowest entry.  Either raises
     :class:`~benpde.errors.ConjugateSolveError` tagged ``slice {i}:`` when
-    ``max_iters`` steps do not reach ``tol``.
+    :data:`CONJUGATE_MAX_ITERS` steps do not reach :data:`CONJUGATE_TOL`.
     """
     arr = np.asarray(y, dtype=float)
     a, q, eps = density.coefficient, density.exponent, density.regularizer
@@ -273,9 +269,9 @@ def conjugate_on_dual(density: PowerDensity, grid: SpaceGrid, y, *,
     else:
         flat = arr.reshape((-1,) + grid.shape)
         if grid.dim == 1:
-            z, iters = _conjugate_exact_1d(density, grid, flat, tol, max_iters)
+            z, iters = _conjugate_exact_1d(density, grid, flat)
         else:
-            z, iters = _conjugate_newton_2d(density, grid, flat, tol, max_iters)
+            z, iters = _conjugate_newton_2d(density, grid, flat)
         z = z.reshape(arr.shape)
 
     return h_inner(grid, z, arr) - psi_total(density, grid, z), z, iters
@@ -418,7 +414,7 @@ def energy_and_gradient(model: ModelSpec, traj: Trajectory):
     """
     state, grid, lam = _assemble(model, traj), traj.grid, float(model.lam)
     B = lam * state.mids - state.z  # the primal defect
-    C = dlambda_adjoint_density(model, grid, state.mids, state.t_mid, B)
+    C = dlambda_density(model, grid, state.mids, state.t_mid, B, transpose=True)
     if model.lam:
         C = C + lam * (psi_gradient_density(model.density, grid,
                                             lam * state.mids) - state.H)

@@ -79,7 +79,6 @@ __all__ = [
     "divergence",
     "pad_boundary",
     "pair_mean",
-    "laplacian",
     "poisson_solve",
     "stencil_bands",
     "sweep_bands",
@@ -253,13 +252,8 @@ def divergence(grid: SpaceGrid, edge_arrays: list) -> np.ndarray:
     return total
 
 
-def laplacian(grid: SpaceGrid, values) -> np.ndarray:
-    """Five/three-point Dirichlet Laplacian via ``div(grad(.))``."""
-    return divergence(grid, gradient(grid, values))
-
-
 def poisson_solve(grid: SpaceGrid, rhs) -> np.ndarray:
-    """Solve ``laplacian(z) = rhs`` with zero boundary values (batched)."""
+    """Solve ``div(grad z) = rhs`` with zero boundary values (batched)."""
     arr = _batched(rhs, grid)
     solve, *factor = grid._poisson_factor
     z, info = solve(*factor, -arr.reshape(-1, grid.n_nodes).T, overwrite_b=1)
@@ -413,12 +407,13 @@ def dual_grad_norm(grid: SpaceGrid, density, p: float) -> float:
 # -- trajectories --------------------------------------------------------------
 
 
-def uniform_times(t_end: float, n_steps: int, t_start: float = 0.0) -> np.ndarray:
+def uniform_times(t_end: float, n_steps: int) -> np.ndarray:
+    """``n_steps + 1`` equally spaced time nodes from 0 to ``t_end``."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if not t_end > t_start:
+    if not t_end > 0.0:
         raise ValueError("time interval must have positive length")
-    return np.linspace(t_start, t_end, n_steps + 1)
+    return np.linspace(0.0, t_end, n_steps + 1)
 
 
 @dataclass

@@ -33,8 +33,9 @@ All operator entry points accept leading batch axes, so a whole trajectory
 or a checker block of :data:`BLOCK_SIZE` samples evaluates in one vectorised
 sweep of scalar fields ``(..., *grid.shape)``.  The linearization of
 ``Lambda`` exists once, as the bands of :func:`jacobian_bands`: the
-Gauss-Newton sweep solves them, and ``grad phi``, ``J``'s gradient and the
-checker's margins apply them through :func:`~benpde.grid.bands_apply`.
+Gauss-Newton sweep solves them, ``grad phi`` applies them through
+:func:`~benpde.grid.bands_apply`, and ``J``'s gradient and the checker's
+margins through :func:`dlambda_density` (``DLambda v`` or ``DLambda^T v``).
 """
 
 from __future__ import annotations
@@ -71,10 +72,8 @@ __all__ = [
     "ConditionReport",
     "lambda_density",
     "dlambda_density",
-    "dlambda_adjoint_density",
     "jacobian_bands",
     "psi_total",
-    "psi_grad_edges",
     "psi_gradient_density",
     "psi_hessian_edge_weights",
     "heat_model",
@@ -180,10 +179,6 @@ class ModelSpec:
         if self.constants is None:
             object.__setattr__(self, "constants", fit_constants(self))
 
-    @property
-    def has_terms(self) -> bool:
-        return self.reaction is not None or self.flux is not None
-
 
 # -- integrated dissipation machinery -------------------------------------------
 
@@ -194,15 +189,11 @@ def psi_total(density: PowerDensity, grid: SpaceGrid, values):
     return float(out) if out.ndim == 0 else out
 
 
-def psi_grad_edges(density: PowerDensity, grid: SpaceGrid, values) -> list:
-    """Per-axis edge values of ``Dpsi(grad u)`` (radial gradient law)."""
-    return [radial_coefficient(density, np.abs(g)) * g
-            for g in gradient(grid, values)]
-
-
 def psi_gradient_density(density: PowerDensity, grid: SpaceGrid, values):
-    """Nodal density of the integrated-density gradient: ``-div(Dpsi(grad u))``."""
-    return -divergence(grid, psi_grad_edges(density, grid, values))
+    """Nodal density of the integrated-density gradient: ``-div(Dpsi(grad u))``,
+    ``Dpsi`` by the radial gradient law on each axis's edges."""
+    return -divergence(grid, [radial_coefficient(density, np.abs(g)) * g
+                              for g in gradient(grid, values)])
 
 
 def psi_hessian_edge_weights(density: PowerDensity, grid: SpaceGrid, values) -> list:
@@ -286,27 +277,17 @@ def jacobian_bands(model: ModelSpec, grid: SpaceGrid, values, t, shift: float,
     return stencil_bands(grid, diag, weights, coefs)
 
 
-def _drift_apply(model, grid, values, t, vector, transpose: bool):
-    """``DLambda_t(u)`` (transposed if ``transpose``) applied to ``vector``
-    of the shape of ``values``: the :func:`jacobian_bands` of ``Lambda``
-    alone through :func:`~benpde.grid.bands_apply`."""
+def dlambda_density(model: ModelSpec, grid: SpaceGrid, values, t, vector,
+                    transpose: bool = False):
+    """``DLambda_t(u) v``, or ``DLambda_t(u)^T v`` with ``transpose``, as a
+    nodal density: the :func:`jacobian_bands` of ``Lambda`` alone through
+    :func:`~benpde.grid.bands_apply`, so the two H pairings agree to roundoff."""
     arr, vec = _batched(values, grid), _batched(vector, grid)
-    if not model.has_terms:
+    if model.reaction is None and model.flux is None:
         return np.zeros(np.broadcast_shapes(arr.shape, vec.shape))
     bands = jacobian_bands(replace(model, lam=0), grid, arr, t, 0.0, 1.0)
     return bands_apply(grid, bands, vec.reshape(-1, grid.n_nodes),
                        transpose).reshape(vec.shape)
-
-
-def dlambda_density(model: ModelSpec, grid: SpaceGrid, values, t, direction):
-    """Directional derivative ``DLambda_t(u) . delta`` as a nodal density."""
-    return _drift_apply(model, grid, values, t, direction, False)
-
-
-def dlambda_adjoint_density(model: ModelSpec, grid: SpaceGrid, values, t, covector):
-    """Adjoint ``DLambda_t(u)^T B`` as a nodal density: the bands of
-    :func:`dlambda_density` transposed, so the H pairings agree to roundoff."""
-    return _drift_apply(model, grid, values, t, covector, True)
 
 
 # -- built-in models --------------------------------------------------------------

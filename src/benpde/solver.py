@@ -16,7 +16,8 @@ baseline share one theta-point residual.
   a stop, and a stop stands only when its certificate verdict is solved.
 * :func:`implicit_baseline` is the theta = 1 run from the constant start:
   the classical fully implicit scheme, stopped once every step meets its
-  own residual target ``newton_tol max(1, |F(u_{k+1})|_H)``.
+  own residual target ``BASELINE_TOL max(1, |F(u_{k+1})|_H)``, within
+  ``BASELINE_MAX_NEWTON`` Newton steps in all.
 
 :func:`compare` measures trajectory discrepancies in a relative mixed norm.
 """
@@ -65,6 +66,10 @@ __all__ = [
 
 #: Armijo slope fraction, step factor and trial cap of every line search
 ARMIJO_C1, BACKTRACK, MAX_LINE_TRIALS = 1e-4, 0.5, 40
+
+#: Relative residual target of each implicit step, and the cap on the
+#: Newton steps of a whole :func:`implicit_baseline` run
+BASELINE_TOL, BASELINE_MAX_NEWTON = 1e-12, 50
 
 
 @dataclass(frozen=True)
@@ -301,8 +306,7 @@ def minimize(model: ModelSpec, init: Trajectory,
                         failure)
 
 
-def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
-                      max_newton: int = 50) -> Trajectory:
+def implicit_baseline(model: ModelSpec, w0, times) -> Trajectory:
     """Solve the fully implicit scheme, for every step ``k``,
 
         (u_{k+1} - u_k)/tau + Lambda_{t_{k+1}}(u_{k+1}) + DPsi(lam u_{k+1}) = 0,
@@ -310,13 +314,13 @@ def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
     as the theta = 1 run of :func:`minimize`'s iteration from the constant
     extension of ``w0`` over the whole trajectory, damped by the
     :func:`_line_search`.  It stops once every step ``k`` has a residual
-    ``R_k`` of at most ``newton_tol * max(1, |F(u_{k+1})|_H)``, where
+    ``R_k`` of at most ``BASELINE_TOL * max(1, |F(u_{k+1})|_H)``, where
     ``F(u_{k+1}) = R_k - (u_{k+1} - u_k)/tau`` are the terms at the step's
-    own theta-point.  Raises
-    :class:`~benpde.errors.TimeStepError` naming the first step above its
-    target when ``max_newton`` Newton steps in all do not suffice, when the
-    sweep is singular or not finite, or when the line search stalls; at
-    once for a residual norm or target that overflows, which is never met.
+    own theta-point.  Raises :class:`~benpde.errors.TimeStepError` naming
+    the first step above its target when :data:`BASELINE_MAX_NEWTON` Newton
+    steps in all do not suffice, when the sweep is singular or not finite,
+    or when the line search stalls; at once for a residual norm or target
+    that overflows, which is never met.
     """
     if not isinstance(w0, Field):
         raise ValueError("implicit_baseline needs a Field initial state")
@@ -325,14 +329,14 @@ def implicit_baseline(model: ModelSpec, w0, times, *, newton_tol: float = 1e-12,
     while True:
         u, R, tau = merit.traj.states, merit.R, merit.traj.tau
         rnorm, scale = h_norm(grid, np.stack([R, R - np.diff(u, axis=0) / tau]))
-        target = newton_tol * np.maximum(1.0, scale)
+        target = BASELINE_TOL * np.maximum(1.0, scale)
         bad = np.flatnonzero(~np.isfinite(rnorm + target))  # never met
         unmet = bad if bad.size else np.flatnonzero(~(rnorm <= target))
         if not unmet.size:
             return merit.traj
         if bad.size:
             why = "non-finite residual norm or target"
-        elif steps >= max_newton:
+        elif steps >= BASELINE_MAX_NEWTON:
             why = "Newton hit the iteration cap"
         elif (direction := _gauss_newton_direction(merit)) is None:
             why = "singular Newton Jacobian"

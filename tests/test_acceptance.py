@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
 
-from benpde.convex import PowerDensity, conjugate_radius
+import benpde.convex
+from benpde.convex import PowerDensity
 from benpde.energy import certificate, energy_and_gradient, eval_energy
 from benpde.grid import (
     Field,
@@ -35,7 +36,7 @@ from benpde.solver import (
     minimize,
     random_initial_trajectory,
 )
-from test_convex import fenchel_young_gap, gradient
+from test_convex import converged_radius, fenchel_young_gap, gradient
 from uniqueness import uniqueness_probe
 
 # Tolerances fixed by the advertised guarantees; do not loosen.
@@ -168,7 +169,7 @@ def test_criterion_4_midpoint_pairing_identity():
     assert worst <= IDENTITY_TOL
 
 
-def test_criterion_5_fenchel_young_and_inversion():
+def test_criterion_5_fenchel_young_and_inversion(monkeypatch):
     worst_gap = 0.0
     worst_at_grad = 0.0
     worst_inverse = 0.0
@@ -191,7 +192,9 @@ def test_criterion_5_fenchel_young_and_inversion():
         # tiny |x| with q > 2 makes the inverse stiff (slope ~ eps), so
         # the radial solve runs at full precision for this identity
         s = np.linalg.norm(gx, axis=1, keepdims=True)
-        r, _ = conjugate_radius(density, s, tol=1e-15)
+        with monkeypatch.context() as patch:
+            patch.setattr(benpde.convex, "NEWTON_TOL", 1e-15)
+            r, _ = converged_radius(density, s)
         back = np.divide(r, s, out=np.zeros_like(s), where=s > 0.0) * gx
         x_norm = np.linalg.norm(x, axis=1)
         worst_inverse = max(worst_inverse, float(np.max(

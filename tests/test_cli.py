@@ -4,6 +4,7 @@ Commands run in-process through ``cli.main`` with a temporary working
 directory; one subprocess test confirms the ``python -m`` entry point.
 """
 
+import importlib
 import json
 import os
 import re
@@ -919,6 +920,36 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 1
     assert (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("module", ["cli", "convex", "energy", "grid", "models",
+                                    "solver"])
+def test_every_exported_name_exists(module):
+    # A deleted function must not stay listed in its module's __all__.
+    exported = importlib.import_module(f"benpde.{module}")
+    assert [name for name in exported.__all__ if not hasattr(exported, name)] == []
+
+
+def test_one_parser_serves_successive_runs(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process; a conjugate table and a
+    # rejected flag between two solves leave the second solve's stdout and
+    # artifacts equal to the first's.
+    monkeypatch.chdir(tmp_path)
+    out_dir = tmp_path / "runs" / "heat"
+
+    def solve():
+        assert main(["solve", "heat.cfg"]) == 0
+        return capsys.readouterr().out, {
+            path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+    first = solve()
+    assert main(["conjugate-table", "--exponent", "3"]) == 0
+    with pytest.raises(SystemExit) as bad:
+        main(["conjugate-table", "--no-such-flag"])
+    assert bad.value.code == 2
+    capsys.readouterr()
+    assert solve() == first
+    assert benpde.cli._build_parser() is benpde.cli._build_parser()
 
 
 def test_cli_import_loads_no_scipy_linalg_sparse_or_f2py(tmp_path):

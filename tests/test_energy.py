@@ -1,12 +1,13 @@
 """Certificate energy: conjugate solves, gradients, and verdicts."""
 
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import benpde.energy
-from benpde.convex import PowerDensity
+from benpde.convex import NEWTON_MAX_ITERS, PowerDensity
 from benpde.energy import (
     CertificateVerdict,
     EnergyReport,
@@ -29,7 +30,7 @@ from benpde.models import (
     ModelSpec,
     ReactionTerm,
     build_model,
-    dlambda_adjoint_density,
+    dlambda_density,
     lambda_density,
     psi_gradient_density,
     psi_total,
@@ -148,36 +149,50 @@ def test_conjugate_gap_against_gradient_pairs():
     assert abs(tight) <= 1e-10
 
 
-def test_conjugate_failure_carries_slice_index():
+def test_conjugate_failure_carries_slice_index(monkeypatch):
     g = SpaceGrid(dim=1, n=9)
     d = PowerDensity(1.0, 4.0, 1e-6)
     y = 100.0 * np.linspace(0.0, 2.0, 9) * np.ones((3, 9))
+    monkeypatch.setattr(benpde.energy, "CONJUGATE_MAX_ITERS", 1)
     with pytest.raises(ConjugateSolveError, match="slice"):
-        conjugate_on_dual(d, g, y, max_iters=1)
+        conjugate_on_dual(d, g, y)
 
 
-def test_conjugate_2d_failure_carries_slice_index():
+def test_conjugate_1d_raises_the_first_failed_radial_solve():
+    # At a = 1e-300 the q = 3 radial Newton fails for |w| near 1e300 (see
+    # test_convex).  Row 0 is solved; the edge fluxes w = c - S of row 1 are
+    # 5e300/3, -4e300/3 and -1e300/3, each failing, and the raised error is
+    # the radial solve's of the first, not the iteration cap of the row.
+    g = SpaceGrid(dim=1, n=2)
+    y = np.array([[0.0, 0.0], [9e300, -3e300]])
+    with np.errstate(all="ignore"), pytest.raises(
+            ConjugateSolveError, match=r"^radial conjugate solve failed to "
+                                       r"converge for \|y\|=1.66667e\+300$") as info:
+        conjugate_on_dual(PowerDensity(1e-300, 3.0), g, y)
+    assert info.value.iterations == NEWTON_MAX_ITERS
+
+
+def test_conjugate_2d_failure_carries_slice_index(monkeypatch):
     # Slice 0 converges in two Newton steps and slice 1 needs seven; at
     # 1e150 the first step of slice 1 overflows at every step length.
     g = SpaceGrid(dim=2, n=4)
     d = PowerDensity(1.0, 4.0, 1.0)
     base = np.sin(np.arange(16.0)).reshape(4, 4)
-    with pytest.raises(ConjugateSolveError,
-                       match="^slice 1: dual Newton hit the iteration cap"
-                       ) as cap:
-        conjugate_on_dual(d, g, np.stack([0.1 * base, 1e6 * base]),
-                          max_iters=4)
-    assert cap.value.iterations == 4
     with np.errstate(all="ignore"), pytest.raises(
             ConjugateSolveError, match="^slice 1: dual Newton stalled") as stall:
         conjugate_on_dual(d, g, np.stack([0.1 * base, 1e150 * base]))
     assert stall.value.iterations == 0
+    monkeypatch.setattr(benpde.energy, "CONJUGATE_MAX_ITERS", 4)
+    with pytest.raises(ConjugateSolveError,
+                       match="^slice 1: dual Newton hit the iteration cap"
+                       ) as cap:
+        conjugate_on_dual(d, g, np.stack([0.1 * base, 1e6 * base]))
+    assert cap.value.iterations == 4
     # the error is that of the first failing slice in index order, even
     # when a later slice fails at an earlier step
     with np.errstate(all="ignore"), pytest.raises(
             ConjugateSolveError, match="^slice 0: dual Newton hit the iteration cap"):
-        conjugate_on_dual(d, g, np.stack([1e6 * base, 1e150 * base]),
-                          max_iters=4)
+        conjugate_on_dual(d, g, np.stack([1e6 * base, 1e150 * base]))
 
 
 def test_conjugate_2d_singular_first_jacobian_raises():
@@ -323,7 +338,7 @@ def test_pair_term_matches_boundary_plus_drift_identity():
 def test_energy_report_json_field_names():
     g = SpaceGrid(dim=1, n=5)
     traj = Trajectory(g, uniform_times(0.1, 2), np.zeros((3, 5)))
-    d = eval_energy(build_model("heat"), traj).to_json_dict()
+    d = asdict(eval_energy(build_model("heat"), traj))
     assert list(d) == ["total", "term_psi", "term_conj", "term_pair",
                       "residual_norm", "defect_norm", "normalized"]
     assert all(isinstance(v, float) for v in d.values())
@@ -427,7 +442,8 @@ def test_gradient_against_summed_defects_splits_into_defect_and_drift(
     lam, tau = float(model.lam), traj.tau
     asm = benpde.energy._assemble(model, traj)
     B = lam * asm.mids - asm.z
-    C = dlambda_adjoint_density(model, grid, asm.mids, asm.t_mid, B) + lam * (
+    C = dlambda_density(model, grid, asm.mids, asm.t_mid, B,
+                        transpose=True) + lam * (
         psi_gradient_density(model.density, grid, lam * asm.mids) - asm.H)
     s = np.concatenate([np.zeros_like(B[:1]), tau * np.cumsum(B, axis=0)])
     _, grad = energy_and_gradient(model, traj)
@@ -447,8 +463,8 @@ def test_certificate_accepts_exact_solution():
     assert isinstance(v, CertificateVerdict)
     assert v.solved
     assert v.scale >= 1.0
-    assert set(v.to_json_dict()) == {"solved", "normalized", "defect_norm",
-                                     "scale", "tol"}
+    assert set(asdict(v)) == {"solved", "normalized", "defect_norm", "scale",
+                              "tol"}
 
 
 @pytest.mark.parametrize("name", ["heat", "burgers"])

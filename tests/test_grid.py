@@ -27,7 +27,6 @@ from benpde.grid import (
     gradient,
     h_inner,
     h_norm,
-    laplacian,
     load_trajectory_csv,
     mixed_inner,
     mixed_norm,
@@ -40,12 +39,17 @@ from benpde.grid import (
     uniform_times,
     write_lines,
 )
-from benpde.models import (_psi_pair_gap, divergence_form_model,
-                           psi_grad_edges)
+from benpde.convex import radial_coefficient
+from benpde.models import _psi_pair_gap, divergence_form_model
 
 ADJOINT_TOL = 1e-12
 PAIRING_TOL = 1e-12
 INVERSE_TOL = 1e-10
+
+
+def laplacian(g, u):
+    """The Dirichlet Laplacian ``div(grad u)``."""
+    return divergence(g, gradient(g, u))
 
 
 def test_grid_validation():
@@ -360,9 +364,12 @@ def _edge_pair_gap(density, grid, base, bump):
     """``<bump, DPsi(base + bump) - DPsi(base)>_H`` summed on the edges:
     ``<grad bump, Dpsi(grad(base + bump)) - Dpsi(grad base)>``."""
     axes = tuple(range(1, grid.dim + 1))
+    def dpsi(u):  # per axis: the radial gradient law on the edges
+        return [radial_coefficient(density, np.abs(e)) * e
+                for e in gradient(grid, u)]
+
     return sum(grid.cell_volume * np.sum((ga - gb) * gh, axis=axes)
-               for ga, gb, gh in zip(psi_grad_edges(density, grid, base + bump),
-                                     psi_grad_edges(density, grid, base),
+               for ga, gb, gh in zip(dpsi(base + bump), dpsi(base),
                                      gradient(grid, bump)))
 
 

@@ -15,8 +15,9 @@ from benpde.errors import ModelEvaluationError, NonFiniteInputError
 from benpde.grid import (
     SpaceGrid,
     h_inner,
+    divergence,
+    gradient,
     h_norm,
-    laplacian,
     poisson_solve,
     stencil_bands,
 )
@@ -34,7 +35,6 @@ from benpde.models import (
     check_condition,
     condition_margin,
     divergence_form_model,
-    dlambda_adjoint_density,
     dlambda_density,
     heat_model,
     jacobian_bands,
@@ -82,7 +82,7 @@ def test_heat_model_has_zero_drift():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(1, 9))
     np.testing.assert_array_equal(lambda_density(m, g, u, 0.3), np.zeros((1, 9)))
-    assert not m.has_terms
+    assert m.reaction is None and m.flux is None
 
 
 def test_burgers_drift_frozen_two_node_example():
@@ -181,7 +181,8 @@ def test_psi_gradient_density_is_negative_laplacian_for_quadratic():
     u = rng.normal(size=17)
     d = PowerDensity(1.5, 2.0, 0.0)
     got = psi_gradient_density(d, g, u)
-    np.testing.assert_allclose(got, -1.5 * laplacian(g, u), atol=1e-12)
+    np.testing.assert_allclose(got, -1.5 * divergence(g, gradient(g, u)),
+                               atol=1e-12)
 
 
 def test_psi_total_frozen_quartic_value():
@@ -257,7 +258,7 @@ def test_dlambda_adjoint_identity(dim, builder):
             b = rng.normal(size=u.shape)
             delta = rng.normal(size=u.shape)
             lhs = h_inner(g, b, dlambda_density(m, g, u, t, delta))
-            rhs = h_inner(g, delta, dlambda_adjoint_density(m, g, u, t, b))
+            rhs = h_inner(g, delta, dlambda_density(m, g, u, t, b, transpose=True))
             assert np.all(np.abs(lhs - rhs)
                           <= ADJOINT_TOL * np.maximum(1.0, np.abs(lhs)))
 

@@ -568,12 +568,12 @@ def test_baseline_2d_heat_matches_dense_backward_euler():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_baseline_step_failure_reports_index():
+def test_baseline_step_failure_reports_index(monkeypatch):
     g = SpaceGrid(dim=1, n=5)
     w0 = Field(g, np.ones(5))
+    monkeypatch.setattr(benpde.solver, "BASELINE_MAX_NEWTON", 0)
     with pytest.raises(TimeStepError) as info:
-        implicit_baseline(build_model("heat"), w0, uniform_times(0.1, 4),
-                          max_newton=0)
+        implicit_baseline(build_model("heat"), w0, uniform_times(0.1, 4))
     assert info.value.step_index == 0
     assert info.value.residual > 0.0
 
@@ -609,7 +609,7 @@ def test_baseline_overflowed_residual_is_never_met():
     ("adversarial", {}, 1, 17),
     ("burgers", {}, 2, 6),
 ])
-def test_baseline_meets_every_step_target(name, params, dim, n):
+def test_baseline_meets_every_step_target(name, params, dim, n, monkeypatch):
     # Recompute each backward-Euler residual one step at a time and hold it
     # to the step's own target, scaled by the terms F(u_{k+1}) at t_{k+1}
     # (and, as these residuals allow, by F(u_k)); a looser tolerance than
@@ -620,7 +620,8 @@ def test_baseline_meets_every_step_target(name, params, dim, n):
     w0 = 2.0 * np.prod(np.sin(np.pi * x), axis=0)
     times = uniform_times(0.1, 16)
     model = build_model(name, **params)
-    traj = implicit_baseline(model, Field(g, w0), times, newton_tol=tol)
+    monkeypatch.setattr(benpde.solver, "BASELINE_TOL", tol)
+    traj = implicit_baseline(model, Field(g, w0), times)
 
     def F(u, t):
         return (lambda_density(model, g, u, t)
