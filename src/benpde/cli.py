@@ -52,7 +52,6 @@ from .convex import PowerDensity, radial_value, solve_radius
 from .energy import _assemble, energy_and_gradient, energy_totals, eval_energy
 from .errors import BenpdeError, ConfigError, NonFiniteInputError
 from .grid import (
-    Field,
     SpaceGrid,
     Trajectory,
     format_rows,
@@ -65,7 +64,6 @@ from .models import _BUILDERS, ModelSpec, build_model, check_all_conditions, psi
 from .solver import (
     SolveOptions,
     compare,
-    constant_initial_trajectory,
     implicit_baseline,
     minimize,
     random_initial_trajectory,
@@ -95,7 +93,7 @@ _BOOL = {**dict.fromkeys(("true", "yes", "on", "1"), True),
 #: csv profile only; ``outputs.dir`` defaults to ``runs/<model>``).  The
 #: ``solve.*`` keys up to ``solve.tol`` are the :class:`SolveOptions` fields,
 #: whose defaults and ranges ``SolveOptions`` holds; ``solve.tol`` is also the
-#: certificate tolerance of ``solve`` and ``baseline``, and the other three
+#: certificate tolerance of ``solve`` and ``baseline``, and the other two
 #: ``solve.*`` keys shape the start.
 _KEYS = {
     "grid.dim": (int, 1, (lambda v: v in (1, 2), "must be 1 or 2")),
@@ -108,8 +106,6 @@ _KEYS = {
     **{f"solve.{f.name}": (type(f.default), f.default, None)
        for f in fields(SolveOptions)},
     "solve.seed": (int, 0, _SEED),
-    "solve.init": (str, "random", (lambda v: v in ("random", "constant"),
-                                   "must be 'random' or 'constant'")),
     "solve.noise": (float, 0.5, None),
     "outputs.dir": (str, ..., None),
     "verify.samples": (int, 1000, _AT_LEAST_1),
@@ -137,7 +133,7 @@ class RunConfig:
     model: ModelSpec
     grid: SpaceGrid
     times: np.ndarray
-    w0: Field
+    w0: np.ndarray
     options: SolveOptions
     out_dir: Path
     keys: dict
@@ -233,8 +229,9 @@ def _check_density(density, grid, values, key: str, what: str) -> None:
 
 
 def _initial_profile(keys: dict, grid: SpaceGrid, cfg_dir: Path,
-                     density: PowerDensity) -> Field:
-    """The initial state ``w0``, checked by :func:`_check_density`."""
+                     density: PowerDensity) -> np.ndarray:
+    """The initial state ``w0`` ``grid.shape``, finite and checked by
+    :func:`_check_density`."""
     profile = keys["initial.profile"]
     bad = "initial.path" if profile == "csv" else "initial.amplitude"
     if profile in _PROFILES:
@@ -265,12 +262,11 @@ def _initial_profile(keys: dict, grid: SpaceGrid, cfg_dir: Path,
     else:
         raise ConfigError(f"config key 'initial.profile': unknown profile "
                           f"'{profile}'", key="initial.profile")
-    try:
-        w0 = Field(grid, out)
-    except NonFiniteInputError as exc:
-        raise ConfigError(f"config key '{bad}': {exc}", key=bad)
-    _check_density(density, grid, w0.values, bad, "the initial state")
-    return w0
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"config key '{bad}': field values contain "
+                          f"non-finite entries", key=bad)
+    _check_density(density, grid, out, bad, "the initial state")
+    return out
 
 
 def load_config(path) -> RunConfig:
@@ -325,19 +321,16 @@ def _failure(exc: BenpdeError) -> dict:
 
 
 def _cmd_solve(cfg: RunConfig) -> int:
-    if cfg.keys["solve.init"] == "constant":
-        init = constant_initial_trajectory(cfg.grid, cfg.times, cfg.w0)
-    else:
-        with np.errstate(all="ignore"):
-            try:
-                init = random_initial_trajectory(cfg.grid, cfg.times, cfg.w0,
-                                                 seed=cfg.keys["solve.seed"],
-                                                 noise=cfg.keys["solve.noise"])
-            except NonFiniteInputError as exc:
-                raise ConfigError(f"config key 'solve.noise': {exc}",
-                                  key="solve.noise")
-        _check_density(cfg.model.density, cfg.grid, init.states,
-                       "solve.noise", "a state of the random start")
+    with np.errstate(all="ignore"):
+        try:
+            init = random_initial_trajectory(cfg.grid, cfg.times, cfg.w0,
+                                             seed=cfg.keys["solve.seed"],
+                                             noise=cfg.keys["solve.noise"])
+        except NonFiniteInputError as exc:
+            raise ConfigError(f"config key 'solve.noise': {exc}",
+                              key="solve.noise")
+    _check_density(cfg.model.density, cfg.grid, init.states,
+                   "solve.noise", "a state of the random start")
     outcome = minimize(cfg.model, init, cfg.options)
     failure = outcome.failure
     report, verdict = outcome.report, outcome.verdict(cfg.keys["solve.tol"])
@@ -357,7 +350,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
                               "iterations": outcome.iterations}
     elif cfg.keys["compare.baseline"]:
         try:
-            base = implicit_baseline(cfg.model, cfg.w0, cfg.times)
+            base = implicit_baseline(cfg.model, cfg.grid, cfg.times, cfg.w0)
             result = compare(outcome.trajectory, base)
             payload["compare_baseline"] = {
                 "rel_l2": result.rel_l2,
@@ -383,7 +376,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
 def _cmd_baseline(cfg: RunConfig) -> int:
     traj = failure = None  # a trajectory exists when only its assembly fails
     try:
-        traj = implicit_baseline(cfg.model, cfg.w0, cfg.times)
+        traj = implicit_baseline(cfg.model, cfg.grid, cfg.times, cfg.w0)
         state = _assemble(cfg.model, traj)
         report, verdict = state.report, state.verdict(cfg.keys["solve.tol"])
     except BenpdeError as exc:

@@ -48,7 +48,6 @@ import numpy as np
 from .convex import PowerDensity, radial_coefficient, solve_radius
 from .errors import ConjugateSolveError, NonFiniteInputError
 from .grid import (
-    Field,
     SpaceGrid,
     Trajectory,
     dual_grad_norm,
@@ -72,7 +71,6 @@ __all__ = [
     "EnergyReport",
     "CertificateVerdict",
     "conjugate_on_dual",
-    "residual",
     "eval_energy",
     "energy_totals",
     "energy_and_gradient",
@@ -292,15 +290,6 @@ def _dual_residuals(model: ModelSpec, grid: SpaceGrid, tau: float, times,
                    (0.5 * (u0 + u1), 0.5 * (times[:-1] + times[1:])))
     H = -(u1 - u0) / tau - lambda_density(model, grid, mids, t_mid)
     return mids, t_mid, H
-
-
-def residual(model: ModelSpec, traj: Trajectory, k: int) -> Field:
-    """Dual residual ``H_k`` of interval ``k`` as a nodal density field."""
-    if not 0 <= k < traj.n_steps:
-        raise IndexError(f"interval index {k} out of range")
-    _, _, H = _dual_residuals(model, traj.grid, traj.tau,
-                              traj.times[k:k + 2], traj.states[k:k + 2])
-    return Field(traj.grid, H[0])
 
 
 def _lq_time_norm(tau: float, slice_norms: np.ndarray, q: float) -> float:

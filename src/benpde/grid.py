@@ -73,7 +73,6 @@ ddot = _scipy_linalg_extension("_fblas").ddot
 
 __all__ = [
     "SpaceGrid",
-    "Field",
     "Trajectory",
     "gradient",
     "divergence",
@@ -94,7 +93,6 @@ __all__ = [
     "format_rows",
     "write_lines",
     "save_trajectory_csv",
-    "load_trajectory_csv",
 ]
 
 FMT = "%.17g"
@@ -169,25 +167,6 @@ class SpaceGrid:
         return (solve, *factor)
 
 
-@dataclass
-class Field:
-    """Nodal values ``grid.shape`` of a function (or dual density) on a grid."""
-
-    grid: SpaceGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {arr.shape} incompatible with grid shape "
-                f"{self.grid.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteInputError("field values contain non-finite entries")
-        self.values = arr
-
-
 # -- difference calculus ------------------------------------------------------
 #
 # Linear operators act on the trailing ``dim`` (spatial) axes; every leading
@@ -195,8 +174,6 @@ class Field:
 
 
 def _batched(values, grid: SpaceGrid) -> np.ndarray:
-    if isinstance(values, Field):
-        values = values.values
     arr = np.asarray(values, dtype=float)
     if arr.shape[-grid.dim:] != grid.shape:
         raise ValueError(
@@ -356,12 +333,10 @@ def bands_apply(grid: SpaceGrid, bands: np.ndarray, x: np.ndarray,
 
 def h_inner(grid: SpaceGrid, u, w):
     """The H pairing ``h^dim sum(u * w)`` over the space of each field
-    ``(..., *shape)``, batched in front: one BLAS ``ddot`` per field, a float
+    ``(..., *shape)``, batched in front: one BLAS dot per field, a float
     for a single field.  An overflow reads inf, unwarned."""
     ua, wa, size = _batched(u, grid), _batched(w, grid), grid.n_nodes
-    if ua.ndim == grid.dim and ua.shape == wa.shape:  # no numpy FP check
-        return grid.cell_volume * ddot(ua.ravel(), wa.ravel())
-    with np.errstate(over="ignore"):  # matmul runs the same ddot per field
+    with np.errstate(over="ignore"):  # matmul runs one BLAS dot per field
         return grid.cell_volume * (
             ua.reshape(ua.shape[:-grid.dim] + (1, size))
             @ wa.reshape(wa.shape[:-grid.dim] + (size, 1)))[..., 0, 0]
@@ -521,12 +496,3 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
     header = "t," + ",".join(f"node_{i}" for i in range(n_vals))
     rows = np.column_stack([traj.times, traj.states.reshape(-1, n_vals)])
     write_lines(path, chain([header], format_rows(rows)))
-
-
-def load_trajectory_csv(path, grid: SpaceGrid) -> Trajectory:
-    """Read a trajectory written by :func:`save_trajectory_csv`."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] - 1 != grid.n_nodes:
-        raise ValueError(f"{data.shape[1] - 1} value columns, not the grid's "
-                         f"{grid.n_nodes} nodes")
-    return Trajectory(grid, data[:, 0], data[:, 1:].reshape(-1, *grid.shape))

@@ -48,7 +48,6 @@ import numpy as np
 from .convex import PowerDensity, radial_coefficient, radial_value
 from .errors import ModelEvaluationError
 from .grid import (
-    Field,
     SpaceGrid,
     _batched,
     bands_apply,
@@ -82,7 +81,6 @@ __all__ = [
     "adversarial_model",
     "build_model",
     "fit_constants",
-    "condition_margin",
     "check_condition",
     "check_all_conditions",
     "CONDITION_NAMES",
@@ -582,42 +580,6 @@ _CONDITIONS = {
 CONDITION_NAMES = tuple(_CONDITIONS)
 
 
-def _condition(condition: str):
-    """The ``_CONDITIONS`` entry of a known condition name."""
-    if condition not in _CONDITIONS:
-        raise ValueError(
-            f"unknown condition '{condition}'; available: {sorted(_CONDITIONS)}")
-    return _CONDITIONS[condition]
-
-
-def _margins(model, grid, condition, x, h, t, first=0):
-    """The margins of ``condition``; one that is not finite raises, naming
-    its sample as ``first`` plus its index in the block."""
-    with np.errstate(all="ignore"):
-        m = _condition(condition)[0](model, grid, x, h, t)
-    if not np.isfinite(m).all():
-        raise ModelEvaluationError(f"{condition}: the margin of sample "
-                                   f"{first + np.argmin(np.isfinite(m))} is not finite")
-    return m
-
-
-def condition_margin(model: ModelSpec, grid: SpaceGrid, condition: str, x,
-                     h=None, t: float = 0.0) -> float:
-    """Normalised margin of one structural inequality at an explicit sample.
-
-    Nonnegative means the inequality holds there.  Pair conditions
-    (derivative growth, monotonicity, uniform convexity, Lipschitz) require
-    the second field ``h``.  The checker's margin and error on a block of one.
-    """
-    needs_h = _condition(condition)[1]
-    if needs_h and h is None:
-        raise ValueError(f"condition '{condition}' needs a second field")
-    xa = Field(grid, x).values[None]
-    ha = Field(grid, h).values[None] if needs_h else None
-    return float(_margins(model, grid, condition, xa, ha,
-                          np.array([float(t)]))[0])
-
-
 def check_condition(model: ModelSpec, grid: SpaceGrid, condition: str, *,
                     samples: int = 1000, seed: int = 0, amplitude: float = 1.0,
                     t_range=(0.0, 1.0)) -> ConditionReport:
@@ -634,18 +596,25 @@ def check_condition(model: ModelSpec, grid: SpaceGrid, condition: str, *,
     of the constants.  A negative ``seed`` raises :class:`ValueError`, and
     a margin that is not finite :class:`ModelEvaluationError`.
     """
-    needs_h = _condition(condition)[1]
+    if condition not in _CONDITIONS:
+        raise ValueError(
+            f"unknown condition '{condition}'; available: {sorted(_CONDITIONS)}")
+    margin, needs_h = _CONDITIONS[condition]
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(
         [seed, sorted(_CONDITIONS).index(condition)]).spawn(3)]
 
     worst = np.inf
     witnesses = []
     for start in range(0, samples, BLOCK_SIZE):
-        with np.errstate(all="ignore"):  # an overflow raises in _margins
+        with np.errstate(all="ignore"):  # a margin that is not finite raises
             t, fields = _draw_block(grid, rngs, min(BLOCK_SIZE, samples - start),
                                     amplitude, t_range, 2 if needs_h else 1)
-        x, h = fields[0], (fields[1] if needs_h else None)
-        m = _margins(model, grid, condition, x, h, t, start)
+            x, h = fields[0], (fields[1] if needs_h else None)
+            m = margin(model, grid, x, h, t)
+        if not np.isfinite(m).all():
+            raise ModelEvaluationError(f"{condition}: the margin of sample "
+                                       f"{start + np.argmin(np.isfinite(m))} "
+                                       f"is not finite")
         worst = min(worst, float(np.min(m)))
         room = MAX_WITNESSES - len(witnesses)
         for j in np.flatnonzero(m < MARGIN_FLOOR)[:room]:

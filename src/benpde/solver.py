@@ -40,7 +40,6 @@ from .errors import (
     TimeStepError,
 )
 from .grid import (
-    Field,
     SpaceGrid,
     Trajectory,
     bands_apply,
@@ -165,11 +164,12 @@ class CompareResult:
 
 
 def constant_initial_trajectory(grid: SpaceGrid, times, w0) -> Trajectory:
-    """Constant-in-time extension of the initial state (default start)."""
-    arr = Field(grid, w0.values if isinstance(w0, Field) else w0).values
-    t = np.asarray(times, dtype=float)
-    states = np.broadcast_to(arr, (t.size,) + arr.shape).copy()
-    return Trajectory(grid, t, states)
+    """Constant-in-time extension of the initial state ``w0`` ``grid.shape``;
+    :class:`~benpde.grid.Trajectory` checks its entries and the times."""
+    arr, t = np.asarray(w0, dtype=float), np.asarray(times, dtype=float)
+    if arr.shape != grid.shape:  # Trajectory would take (1, *shape) rows
+        raise ValueError(f"w0 shape {arr.shape} is not the grid shape {grid.shape}")
+    return Trajectory(grid, t, np.broadcast_to(arr, (t.size,) + arr.shape))
 
 
 def random_initial_trajectory(grid: SpaceGrid, times, w0, seed: int,
@@ -306,7 +306,8 @@ def minimize(model: ModelSpec, init: Trajectory,
                         failure)
 
 
-def implicit_baseline(model: ModelSpec, w0, times) -> Trajectory:
+def implicit_baseline(model: ModelSpec, grid: SpaceGrid, times,
+                      w0) -> Trajectory:
     """Solve the fully implicit scheme, for every step ``k``,
 
         (u_{k+1} - u_k)/tau + Lambda_{t_{k+1}}(u_{k+1}) + DPsi(lam u_{k+1}) = 0,
@@ -322,9 +323,7 @@ def implicit_baseline(model: ModelSpec, w0, times) -> Trajectory:
     or when the line search stalls; at once for a residual norm or target
     that overflows, which is never met.
     """
-    if not isinstance(w0, Field):
-        raise ValueError("implicit_baseline needs a Field initial state")
-    grid, steps = w0.grid, 0
+    steps = 0
     merit = _merit(model, constant_initial_trajectory(grid, times, w0), 1.0)
     while True:
         u, R, tau = merit.traj.states, merit.R, merit.traj.tau

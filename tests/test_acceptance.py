@@ -14,7 +14,6 @@ import benpde.convex
 from benpde.convex import PowerDensity
 from benpde.energy import certificate, energy_and_gradient, eval_energy
 from benpde.grid import (
-    Field,
     SpaceGrid,
     Trajectory,
     h_inner,
@@ -62,7 +61,7 @@ def _report(criterion, ok, detail):
 
 def _sin_initial(grid):
     x = grid.node_coords[0]
-    return Field(grid, np.sin(np.pi * x))
+    return np.sin(np.pi * x)
 
 
 def _mixed_norm(traj):
@@ -103,7 +102,7 @@ def test_criterion_2_matches_implicit_baseline():
             ("burgers", burgers_model(u_max=10.0), BURGERS_BASELINE_TOL)):
         init = random_initial_trajectory(grid, times, w0, seed=0, noise=0.5)
         outcome = minimize(model, init, TIGHT)
-        baseline = implicit_baseline(model, w0, times)
+        baseline = implicit_baseline(model, grid, times, w0)
         results[name] = (compare(outcome.trajectory, baseline).rel_l2, tol)
     ok = all(err <= tol for err, tol in results.values())
     _report(2, ok, ", ".join(f"{k} rel={err:.2e} (tol {tol:.0e})"
@@ -252,7 +251,8 @@ def test_criterion_7_equivalence_and_baseline_energy_decay():
     energies = []
     for m in (64, 128, 256):
         t = uniform_times(0.1, m)
-        energies.append(eval_energy(model, implicit_baseline(model, w0, t)).total)
+        energies.append(
+            eval_energy(model, implicit_baseline(model, grid, t, w0)).total)
     orders = [np.log2(energies[i] / energies[i + 1]) for i in range(2)]
     converse_ok = all(e > 0 for e in energies) and min(orders) >= 0.9
 
@@ -295,7 +295,7 @@ def test_criterion_9_baseline_convergence_order():
         grid = SpaceGrid(dim=1, n=n)
         times = uniform_times(0.1, m)
         w0 = _sin_initial(grid)
-        traj = implicit_baseline(model, w0, times)
+        traj = implicit_baseline(model, grid, times, w0)
         x = grid.node_coords[0]
         exact = np.exp(-np.pi**2 * times)[:, None] * np.sin(np.pi * x)[None, :]
         w = traj.tau * grid.cell_volume
@@ -326,7 +326,7 @@ def test_criterion_10_critical_points_are_solutions(dim, builder):
     # whose drift part is DLambda^T B) must stop at a certified solution.
     model = builder()
     grid = SpaceGrid(dim=dim, n=9 if dim == 1 else 4)
-    w0 = Field(grid, np.prod(np.sin(np.pi * grid.node_coords), axis=0))
+    w0 = np.prod(np.sin(np.pi * grid.node_coords), axis=0)
     times = uniform_times(0.1, 8)
     lbfgs, gauss_newton, solved = [], [], []
     for seed in range(5):

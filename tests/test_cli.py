@@ -23,8 +23,9 @@ from benpde.cli import (_ACCEPTED, _parse_lines, _resolve_config,
                         _write_history, _write_profiles, load_config, main)
 from benpde.energy import energy_and_gradient, eval_energy
 from benpde.errors import ConfigError, ConjugateSolveError
-from benpde.grid import (SpaceGrid, Trajectory, load_trajectory_csv, mixed_inner,
-                         save_trajectory_csv, uniform_times)
+from benpde.grid import (SpaceGrid, Trajectory, mixed_inner, save_trajectory_csv,
+                         uniform_times)
+from test_grid import read_trajectory_csv
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +76,7 @@ def test_line_search_failure_writes_last_iterate(tmp_path, monkeypatch,
     assert "line search" in captured.err
     out_dir = tmp_path / "out"
     cfg = load_config(tmp_path / "stall.cfg")
-    traj = load_trajectory_csv(out_dir / "trajectory.csv", cfg.grid)
+    traj = read_trajectory_csv(out_dir / "trajectory.csv", cfg.grid)
     assert traj.states.shape == (9, 9)
     report = json.loads((out_dir / "report.json").read_text())
     failure = report["failure"]
@@ -172,7 +173,7 @@ def test_history_energy_is_nonincreasing(heat_run):
 def test_trajectory_csv_round_trips_bit_exact(heat_run, tmp_path):
     _, out_dir = heat_run
     cfg = load_config(_resolve_config("heat.cfg"))
-    traj = load_trajectory_csv(out_dir / "trajectory.csv", cfg.grid)
+    traj = read_trajectory_csv(out_dir / "trajectory.csv", cfg.grid)
     copy = tmp_path / "again.csv"
     save_trajectory_csv(traj, copy)
     assert copy.read_bytes() == (out_dir / "trajectory.csv").read_bytes()
@@ -310,7 +311,7 @@ def test_failed_baseline_assembly_writes_the_trajectory(tmp_path, monkeypatch,
     assert json.loads((out_dir / "report.json").read_text()) == {
         "failure": {"kind": "ConjugateSolveError",
                     "message": "slice 0: injected failure"}}
-    traj = load_trajectory_csv(out_dir / "trajectory.csv",
+    traj = read_trajectory_csv(out_dir / "trajectory.csv",
                                load_config(tmp_path / "quick.cfg").grid)
     assert traj.states.shape == (9, 9)
     assert len((out_dir / "profiles.dat").read_text().splitlines()) == 1 + 9
@@ -366,6 +367,9 @@ def test_zero_time_steps_rejected_naming_key(tmp_path, monkeypatch, capsys):
                    f"unknown config key 'solve.{name}'", id=f"removed-{name}")
       for name, value in (("armijo_c1", "1e-4"), ("backtrack", "2"),
                           ("max_line_trials", "0"))),
+    # the start key that duplicated solve.noise = 0
+    pytest.param("solve.init = constant", "unknown config key 'solve.init'",
+                 id="removed-init"),
 ])
 def test_malformed_keys_rejected(tmp_path, monkeypatch, capsys, line, key):
     monkeypatch.chdir(tmp_path)
@@ -450,8 +454,9 @@ def test_lam_zero_replaces_the_built_model(tmp_path):
 
 
 def test_constant_start_solves(tmp_path, monkeypatch, capsys):
+    # solve.noise = 0 starts from the constant extension of w0
     monkeypatch.chdir(tmp_path)
-    _write_quick_heat(tmp_path / "quick.cfg", extra="solve.init = constant\n")
+    _write_quick_heat(tmp_path / "quick.cfg", extra="solve.noise = 0\n")
     assert main(["solve", "quick.cfg"]) == 0
     assert capsys.readouterr().err == ""
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -849,7 +854,7 @@ def test_csv_initial_profile(tmp_path, monkeypatch):
                               "initial.path = w0.csv\n")
     assert main(["solve", "quick.cfg"]) == 0
     cfg = load_config(tmp_path / "quick.cfg")
-    assert np.allclose(cfg.w0.values, values)
+    assert np.allclose(cfg.w0, values)
 
 
 def test_csv_initial_wrong_size_names_key(tmp_path, monkeypatch, capsys):
@@ -888,7 +893,7 @@ def test_bump_profile_vanishes_at_walls(tmp_path):
     bump_path.write_text(cfg_path.read_text().replace("initial.profile = sin",
                                                       "initial.profile = bump"))
     bump = load_config(bump_path)
-    w = bump.w0.values
+    w = bump.w0
     assert w.max() <= 1.0 + 1e-12
     assert w.min() >= 0.0
     assert w[0] < w[len(w) // 2]

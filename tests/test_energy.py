@@ -11,12 +11,12 @@ from benpde.convex import NEWTON_MAX_ITERS, PowerDensity
 from benpde.energy import (
     CertificateVerdict,
     EnergyReport,
+    _dual_residuals,
     certificate,
     conjugate_on_dual,
     energy_and_gradient,
     energy_totals,
     eval_energy,
-    residual,
 )
 from benpde.errors import ConjugateSolveError, NonFiniteInputError
 from benpde.grid import (
@@ -229,12 +229,17 @@ def test_conjugate_at_zero_density():
 # -- residuals --------------------------------------------------------------------
 
 
+def _residuals(model, traj):
+    """The dual residuals ``H_k`` of every interval of ``traj``."""
+    return _dual_residuals(model, traj.grid, traj.tau, traj.times, traj.states)[2]
+
+
 def test_residual_zero_trajectory_is_zero():
     g = SpaceGrid(dim=1, n=5)
     traj = Trajectory(g, uniform_times(1.0, 4), np.zeros((5, 5)))
     for name in ("heat", "burgers"):
-        r = residual(build_model(name), traj, 2)
-        np.testing.assert_array_equal(r.values, np.zeros(5))
+        H = _residuals(build_model(name), traj)
+        np.testing.assert_array_equal(H, np.zeros((4, 5)))
 
 
 def test_residual_constant_trajectory_heat_is_zero():
@@ -243,18 +248,16 @@ def test_residual_constant_trajectory_heat_is_zero():
     row = rng.normal(size=5)
     traj = Trajectory(g, uniform_times(1.0, 3),
                       np.broadcast_to(row, (4, 5)).copy())
-    r = residual(build_model("heat"), traj, 1)
-    np.testing.assert_array_equal(r.values, np.zeros(5))
+    H = _residuals(build_model("heat"), traj)
+    np.testing.assert_array_equal(H, np.zeros((3, 5)))
 
 
 def test_residual_frozen_single_node_step():
     # N=1, tau=1/8, states 1 -> 1/2: H_0 = -(u_1 - u_0)/tau = 4.
     g = SpaceGrid(dim=1, n=1)
     traj = Trajectory(g, uniform_times(0.125, 1), np.array([[1.0], [0.5]]))
-    r = residual(build_model("heat"), traj, 0)
-    np.testing.assert_allclose(r.values, [4.0], atol=1e-14)
-    with pytest.raises(IndexError):
-        residual(build_model("heat"), traj, 1)
+    np.testing.assert_allclose(_residuals(build_model("heat"), traj), [[4.0]],
+                               atol=1e-14)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 9), (2, 6)])

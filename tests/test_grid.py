@@ -17,7 +17,6 @@ from scipy.linalg.blas import ddot
 import benpde.grid
 from benpde.errors import NonFiniteInputError
 from benpde.grid import (
-    Field,
     SpaceGrid,
     Trajectory,
     bands_apply,
@@ -27,7 +26,6 @@ from benpde.grid import (
     gradient,
     h_inner,
     h_norm,
-    load_trajectory_csv,
     mixed_inner,
     mixed_norm,
     pad_boundary,
@@ -41,6 +39,7 @@ from benpde.grid import (
 )
 from benpde.convex import radial_coefficient
 from benpde.models import _psi_pair_gap, divergence_form_model
+from benpde.solver import constant_initial_trajectory
 
 ADJOINT_TOL = 1e-12
 PAIRING_TOL = 1e-12
@@ -318,7 +317,6 @@ def test_h_inner_batch_equals_single_fields_bit_for_bit(dim, n):
         for j in range(5):
             single = h_inner(g, u[i, j], w[i, j])
             assert isinstance(single, float) and batch[i, j] == single
-    assert h_inner(g, Field(g, u[0, 0]), w[0, 0]) == batch[0, 0]
 
 
 def test_h_norm_is_the_root_of_h_inner_bit_for_bit():
@@ -415,16 +413,19 @@ def test_adjointness_any_size(n):
 
 
 def test_field_validation():
-    g = SpaceGrid(dim=1, n=4)
-    f = Field(g, np.arange(4.0))
-    assert f.values.shape == (4,)
+    # A single state is a plain grid.shape array, checked where it enters
+    # a trajectory.
+    g, times = SpaceGrid(dim=1, n=4), uniform_times(1.0, 2)
+    traj = constant_initial_trajectory(g, times, np.arange(4.0))
+    assert traj.states.shape == (3, 4)
+    np.testing.assert_array_equal(traj.states, [np.arange(4.0)] * 3)
     with pytest.raises(ValueError):
-        Field(g, np.zeros(5))
+        constant_initial_trajectory(g, times, np.zeros(5))
     for shape in ((1, 4), (2, 4)):  # no component axis
-        with pytest.raises(ValueError, match=re.escape(f"values shape {shape}")):
-            Field(g, np.zeros(shape))
+        with pytest.raises(ValueError, match=re.escape(f"w0 shape {shape}")):
+            constant_initial_trajectory(g, times, np.zeros(shape))
     with pytest.raises(NonFiniteInputError):
-        Field(g, np.array([0.0, np.nan, 0.0, 0.0]))
+        constant_initial_trajectory(g, times, np.array([0.0, np.nan, 0.0, 0.0]))
 
 
 def test_trajectory_validation_and_lock():
@@ -481,6 +482,12 @@ def test_midpoint_and_derivative():
         (u[3] - u[2]) / traj.tau
 
 
+def read_trajectory_csv(path, grid):
+    """The trajectory a ``trajectory.csv`` holds."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return Trajectory(grid, data[:, 0], data[:, 1:].reshape(-1, *grid.shape))
+
+
 @pytest.mark.parametrize("dim,n", [(1, 7), (2, 4)])
 def test_csv_round_trip_bit_exact(tmp_path, dim, n):
     g = SpaceGrid(dim=dim, n=n)
@@ -489,7 +496,7 @@ def test_csv_round_trip_bit_exact(tmp_path, dim, n):
                       rng.normal(size=(7,) + g.shape) * 1e3)
     path = tmp_path / "traj.csv"
     save_trajectory_csv(traj, path)
-    back = load_trajectory_csv(path, g)
+    back = read_trajectory_csv(path, g)
     assert back.states.shape == traj.states.shape
     np.testing.assert_array_equal(back.states, traj.states)
     np.testing.assert_array_equal(back.times, traj.times)
@@ -501,8 +508,8 @@ def test_csv_round_trip_bit_exact(tmp_path, dim, n):
     save_trajectory_csv(Trajectory(SpaceGrid(dim=1, n=2 * g.n_nodes), traj.times,
                                    traj.states.reshape(7, -1).repeat(2, axis=1)),
                         path)
-    with pytest.raises(ValueError, match="value columns"):
-        load_trajectory_csv(path, g)
+    with pytest.raises(ValueError, match=re.escape(f"states shape {(14,) + g.shape}")):
+        read_trajectory_csv(path, g)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from scipy.linalg import block_diag
 
 from benpde import models
 from benpde.convex import PowerDensity
-from benpde.errors import ModelEvaluationError, NonFiniteInputError
+from benpde.errors import ModelEvaluationError
 from benpde.grid import (
     SpaceGrid,
     h_inner,
@@ -33,7 +33,6 @@ from benpde.models import (
     burgers_model,
     check_all_conditions,
     check_condition,
-    condition_margin,
     divergence_form_model,
     dlambda_density,
     heat_model,
@@ -53,6 +52,15 @@ CHECK_SAMPLES = 300
 REPLAY_TOL = 1e-14
 PAIR_CONDITIONS = ("deriv_growth", "monotonicity", "uniform_convexity",
                    "lipschitz")
+
+
+def _sample_margin(model, grid, condition, x, h=None, t=0.0):
+    """The checker's normalised margin of ``condition`` at one explicit
+    sample ``x`` (and ``h`` for a pair condition), a block of one."""
+    margin, _ = models._CONDITIONS[condition]
+    return float(margin(model, grid, np.asarray(x, dtype=float)[None],
+                        None if h is None else np.asarray(h, dtype=float)[None],
+                        np.array([float(t)]))[0])
 
 
 def _oracle_lambda_1d(model, grid, u, t):
@@ -393,8 +401,8 @@ def test_adversarial_fails_positivity_with_witnesses():
         assert wit["margin"] < -1e-9
         assert len(wit["x"]) == g.n_nodes
         # stored samples replay to the recorded margin
-        replay = condition_margin(m, g, "positivity", np.array(wit["x"]),
-                                  t=wit["t"])
+        replay = _sample_margin(m, g, "positivity", np.array(wit["x"]),
+                                t=wit["t"])
         assert replay == pytest.approx(wit["margin"], rel=1e-12)
 
 
@@ -420,30 +428,14 @@ def test_adversarial_passes_lipschitz_style_conditions():
 def test_explicit_smooth_mode_violates_adversarial_positivity():
     g = SpaceGrid(dim=1, n=33)
     mode = np.sin(np.pi * g.node_coords[0])
-    assert condition_margin(adversarial_model(), g, "positivity", mode) < 0.0
-    assert condition_margin(heat_model(), g, "positivity", mode) > 0.0
+    assert _sample_margin(adversarial_model(), g, "positivity", mode) < 0.0
+    assert _sample_margin(heat_model(), g, "positivity", mode) > 0.0
 
 
-def test_condition_margin_validation():
-    g = SpaceGrid(dim=1, n=4)
-    m = heat_model()
-    with pytest.raises(ValueError, match="unknown condition"):
-        condition_margin(m, g, "positiveness", np.zeros(4))
-    with pytest.raises(ValueError, match="second field"):
-        condition_margin(m, g, "monotonicity", np.zeros(4))
-    with pytest.raises(ValueError, match="shape"):
-        condition_margin(m, g, "growth", np.zeros(5))
-    with pytest.raises(NonFiniteInputError):
-        condition_margin(m, g, "growth", np.full(4, np.nan))
-
-
-def test_condition_margin_that_is_not_finite_raises():
-    # As in the checker: no NaN and no warning (the suite's filter would
-    # turn one into an error), but the error naming sample 0.
-    x = 1e200 * np.sin(np.arange(1, 10))
-    with pytest.raises(ModelEvaluationError,
-                       match="^positivity: the margin of sample 0 is not finite$"):
-        condition_margin(adversarial_model(), SpaceGrid(1, 9), "positivity", x)
+def test_check_condition_rejects_an_unknown_condition():
+    with pytest.raises(ValueError, match="unknown condition 'positiveness'"):
+        check_condition(heat_model(), SpaceGrid(dim=1, n=4), "positiveness",
+                        samples=1)
 
 
 def test_report_json_shape():
@@ -488,7 +480,7 @@ def test_heat_positivity_margin_is_pointwise_nonnegative(values):
     # on the sampling distribution, so any field is a certificate.
     g = SpaceGrid(dim=1, n=7)
     x = np.array(values)
-    assert condition_margin(heat_model(), g, "positivity", x) >= -1e-12
+    assert _sample_margin(heat_model(), g, "positivity", x) >= -1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -496,8 +488,8 @@ def test_heat_positivity_margin_is_pointwise_nonnegative(values):
        st.lists(st.floats(-5.0, 5.0), min_size=7, max_size=7))
 def test_heat_monotonicity_margin_is_pointwise_nonnegative(xs, hs):
     g = SpaceGrid(dim=1, n=7)
-    m = condition_margin(heat_model(), g, "monotonicity", np.array(xs),
-                         np.array(hs))
+    m = _sample_margin(heat_model(), g, "monotonicity", np.array(xs),
+                       np.array(hs))
     assert m >= -1e-12
 
 
@@ -556,12 +548,12 @@ def _loop_draw(grid, rngs, count, amplitude, t_range, n_fields):
 def _replay(model, grid, condition, samples, seed, amplitude, t_range):
     """``(t, fields, margin)`` per sample, drawn one at a time from the
     documented ``(seed, condition)`` streams and evaluated by
-    ``condition_margin``."""
+    ``_sample_margin``."""
     rngs = _streams([seed, sorted(CONDITION_NAMES).index(condition)])
     t, fields = _loop_draw(grid, rngs, samples, amplitude, t_range,
                            2 if condition in PAIR_CONDITIONS else 1)
     return [(t[j], fields[:, j],
-             condition_margin(model, grid, condition, *fields[:, j], t=t[j]))
+             _sample_margin(model, grid, condition, *fields[:, j], t=t[j]))
             for j in range(samples)]
 
 
@@ -655,8 +647,8 @@ def test_one_sample_margin_equals_its_block_margin_bit_for_bit(builder):
         x, h = fields[0], (fields[1] if needs_h else None)
         block = margin_fn(m, g, x, h, t)
         for j in range(64):
-            one = condition_margin(m, g, cond, x[j],
-                                   h[j] if needs_h else None, t=t[j])
+            one = _sample_margin(m, g, cond, x[j],
+                                 h[j] if needs_h else None, t=t[j])
             assert one == block[j], (cond, j)
 
 

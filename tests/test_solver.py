@@ -1,5 +1,6 @@
 """Minimizer, implicit baseline, comparisons, and the uniqueness probe."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -11,10 +12,11 @@ from scipy.linalg import solve_banded
 import benpde.energy
 import benpde.solver
 from benpde.energy import (_assemble, _dual_residuals, certificate,
-                           energy_and_gradient, eval_energy, residual)
+                           energy_and_gradient, eval_energy)
 from benpde.errors import (ConjugateSolveError, LineSearchError,
-                           ModelEvaluationError, TimeStepError)
-from benpde.grid import (Field, SpaceGrid, Trajectory, h_norm, sweep_bands,
+                           ModelEvaluationError, NonFiniteInputError,
+                           TimeStepError)
+from benpde.grid import (SpaceGrid, Trajectory, h_norm, sweep_bands,
                          uniform_times)
 from benpde.models import (adversarial_model, build_model, jacobian_bands,
                            lambda_density, psi_gradient_density)
@@ -85,6 +87,18 @@ def test_random_initialization_keeps_w0_and_is_seeded():
     assert not np.array_equal(a.states[1], a.states[2])
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_noiseless_random_start_is_the_constant_start_bit_for_bit(dim):
+    # solve's start at solve.noise = 0 is the constant extension of w0.
+    grid = SpaceGrid(dim=dim, n=9 if dim == 1 else 4)
+    times = uniform_times(0.1, 8)
+    w0 = np.random.default_rng(8).normal(size=grid.shape)
+    want = constant_initial_trajectory(grid, times, w0).states
+    for seed in (0, 7):
+        got = random_initial_trajectory(grid, times, w0, seed, noise=0.0).states
+        assert got.tobytes() == want.tobytes()
+
+
 # -- minimize ------------------------------------------------------------------------
 
 
@@ -129,7 +143,7 @@ def test_minimize_matches_baseline_at_coarse_tolerance():
     init = random_initial_trajectory(grid, times, w0, seed=3)
     out = minimize(m, init, SolveOptions(max_iters=2000, grad_tol=1e-13,
                                          energy_tol=1e-12))
-    base = implicit_baseline(m, Field(grid, w0), times)
+    base = implicit_baseline(m, grid, times, w0)
     assert compare(out.trajectory, base).rel_l2 <= COARSE_SCHEME_GAP
 
 
@@ -445,8 +459,8 @@ def test_baseline_prices_only_the_new_states(monkeypatch):
                         recorded(psi_gradient_density))
     g = SpaceGrid(dim=1, n=9)
     times = uniform_times(0.1, 8)
-    implicit_baseline(build_model("burgers"),
-                      Field(g, np.sin(np.pi * g.node_coords[0])), times)
+    implicit_baseline(build_model("burgers"), g, times,
+                      np.sin(np.pi * g.node_coords[0]))
     assert len(batches) >= 4  # the start and at least one trial
     assert set(batches) == {("lambda_density", 8), ("psi_gradient_density", 8)}
 
@@ -508,8 +522,8 @@ def test_baseline_single_node_closed_form():
     # One interior node, h=1/2: step equation u1 - u0 = -8 tau u1, so
     # u0=1, tau=1/8 gives u1 = 0.5 exactly.
     g = SpaceGrid(dim=1, n=1)
-    traj = implicit_baseline(build_model("heat"), Field(g, np.array([1.0])),
-                             uniform_times(0.125, 1))
+    traj = implicit_baseline(build_model("heat"), g, uniform_times(0.125, 1),
+                             np.array([1.0]))
     np.testing.assert_allclose(traj.states[1], [0.5], atol=1e-13)
 
 
@@ -521,8 +535,8 @@ def test_baseline_zero_start_stays_zero():
     for g in (SpaceGrid(dim=1, n=7), SpaceGrid(dim=2, n=4)):
         for name in ("heat", "burgers", "adversarial"):
             model = build_model(name)
-            traj = implicit_baseline(model, Field(g, np.zeros(g.shape)),
-                                     uniform_times(0.5, 5))
+            traj = implicit_baseline(model, g, uniform_times(0.5, 5),
+                                     np.zeros(g.shape))
             np.testing.assert_array_equal(traj.states,
                                           np.zeros((6,) + g.shape))
             assert eval_energy(model, traj).total == 0.0
@@ -536,8 +550,8 @@ def test_certificate_accepts_baseline_of_frozen_heat(dim, values):
     # lam = 0 leaves du/dt = 0, which both schemes solve by keeping w0
     g = SpaceGrid(dim=dim, n=9 if dim == 1 else 3)
     model = replace(build_model("heat"), lam=0)
-    traj = implicit_baseline(model, Field(g, np.reshape(values, g.shape)),
-                             uniform_times(0.1, 4))
+    traj = implicit_baseline(model, g, uniform_times(0.1, 4),
+                             np.reshape(values, g.shape))
     assert eval_energy(model, traj).total == 0.0
     assert certificate(model, traj, 1e-12).solved
 
@@ -546,8 +560,7 @@ def test_baseline_tracks_separable_exact_solution():
     g = SpaceGrid(dim=1, n=17)
     x = g.node_coords[0]
     times = uniform_times(0.1, 32)
-    traj = implicit_baseline(build_model("heat"), Field(g, np.sin(np.pi * x)),
-                             times)
+    traj = implicit_baseline(build_model("heat"), g, times, np.sin(np.pi * x))
     exact = np.exp(-np.pi**2 * times)[:, None] * np.sin(np.pi * x)[None, :]
     w = traj.tau * g.cell_volume
     rel = np.sqrt(np.sum((traj.states - exact)**2) / np.sum(exact**2))
@@ -560,7 +573,7 @@ def test_baseline_2d_heat_matches_dense_backward_euler():
     g = SpaceGrid(dim=2, n=5)
     times = uniform_times(0.1, 8)
     w0 = np.random.default_rng(43).normal(size=g.shape)
-    traj = implicit_baseline(build_model("heat"), Field(g, w0), times)
+    traj = implicit_baseline(build_model("heat"), g, times, w0)
     step = np.eye(g.n_nodes) / traj.tau + dense_neg_laplacian(g)
     for k in range(traj.n_steps):
         want = np.linalg.solve(step, traj.states[k].ravel() / traj.tau)
@@ -570,10 +583,10 @@ def test_baseline_2d_heat_matches_dense_backward_euler():
 
 def test_baseline_step_failure_reports_index(monkeypatch):
     g = SpaceGrid(dim=1, n=5)
-    w0 = Field(g, np.ones(5))
     monkeypatch.setattr(benpde.solver, "BASELINE_MAX_NEWTON", 0)
     with pytest.raises(TimeStepError) as info:
-        implicit_baseline(build_model("heat"), w0, uniform_times(0.1, 4))
+        implicit_baseline(build_model("heat"), g, uniform_times(0.1, 4),
+                          np.ones(5))
     assert info.value.step_index == 0
     assert info.value.residual > 0.0
 
@@ -583,8 +596,8 @@ def test_baseline_step_failure_reports_index(monkeypatch):
     "residual's rounding floor, and the damping stalls at 6.666e-11"))
 def test_baseline_converges_on_a_fine_heat_grid():
     g = SpaceGrid(dim=1, n=1025)
-    w0 = Field(g, np.sin(np.pi * g.node_coords[0]))
-    traj = implicit_baseline(build_model("heat"), w0, uniform_times(0.1, 64))
+    w0 = np.sin(np.pi * g.node_coords[0])
+    traj = implicit_baseline(build_model("heat"), g, uniform_times(0.1, 64), w0)
     assert traj.states.shape == (65, 1025)
 
 
@@ -595,11 +608,11 @@ def test_baseline_overflowed_residual_is_never_met():
     wave = np.sin(np.pi * g.node_coords[0])
     times = uniform_times(0.1, 4)
     with pytest.raises(TimeStepError, match="step 0: non-finite") as info:
-        implicit_baseline(build_model("heat"), Field(g, 1e155 * wave), times)
+        implicit_baseline(build_model("heat"), g, times, 1e155 * wave)
     assert info.value.step_index == 0
     assert info.value.residual == np.inf
     peaks = np.max(np.abs(implicit_baseline(
-        build_model("heat"), Field(g, 1e150 * wave), times).states), axis=1)
+        build_model("heat"), g, times, 1e150 * wave).states), axis=1)
     np.testing.assert_allclose(peaks[1:] / peaks[:-1], 0.8, rtol=0.02)
 
 
@@ -621,7 +634,7 @@ def test_baseline_meets_every_step_target(name, params, dim, n, monkeypatch):
     times = uniform_times(0.1, 16)
     model = build_model(name, **params)
     monkeypatch.setattr(benpde.solver, "BASELINE_TOL", tol)
-    traj = implicit_baseline(model, Field(g, w0), times)
+    traj = implicit_baseline(model, g, times, w0)
 
     def F(u, t):
         return (lambda_density(model, g, u, t)
@@ -647,7 +660,7 @@ def test_baseline_newton_sweep_counts(monkeypatch, name, params, dim, n,
     # The bundled models and initial states at the sizes the benchmark and
     # CI run: a line search that damped more would take more sweeps.
     g = SpaceGrid(dim=dim, n=n)
-    w0 = Field(g, np.prod(np.sin(np.pi * g.node_coords), axis=0))
+    w0 = np.prod(np.sin(np.pi * g.node_coords), axis=0)
     carries = []
 
     def counted(bands, rhs, lag, carry):
@@ -655,8 +668,8 @@ def test_baseline_newton_sweep_counts(monkeypatch, name, params, dim, n,
         return sweep_bands(bands, rhs, lag, carry)
 
     monkeypatch.setattr(benpde.solver, "sweep_bands", counted)
-    implicit_baseline(build_model(name, **params), w0,
-                      uniform_times(t_end, n_steps))
+    implicit_baseline(build_model(name, **params), g,
+                      uniform_times(t_end, n_steps), w0)
     assert 1 <= len(carries) <= cap
     assert set(carries) == {False}  # theta = 1 carries nothing
 
@@ -748,26 +761,32 @@ def test_theta_sweep_reports_first_failing_slice(dim, n, theta):
                                                           theta, 2))
 
 
-def test_baseline_requires_field_initial_state():
-    with pytest.raises(ValueError, match="Field"):
-        implicit_baseline(build_model("heat"), np.ones(5),
-                          uniform_times(0.1, 2))
+def test_baseline_rejects_a_bad_initial_state():
+    # w0 is a plain grid.shape array: a NaN and a wrong shape raise as the
+    # initial state enters the constant start.
+    g, times = SpaceGrid(dim=1, n=5), uniform_times(0.1, 2)
+    with pytest.raises(NonFiniteInputError):
+        implicit_baseline(build_model("heat"), g, times,
+                          np.array([1.0, np.nan, 1.0, 1.0, 1.0]))
+    for shape in ((4,), (1, 5), (5, 5)):
+        with pytest.raises(ValueError, match=re.escape(f"w0 shape {shape}")):
+            implicit_baseline(build_model("heat"), g, times, np.ones(shape))
 
 
 def test_baseline_residual_gap_shrinks_first_order_in_tau():
     # For the implicit scheme the dual residual differs from the midpoint
     # density gradient by the half-step increment, an O(tau) quantity.
     g = SpaceGrid(dim=1, n=9)
-    w0 = Field(g, np.sin(np.pi * g.node_coords[0]))
+    w0 = np.sin(np.pi * g.node_coords[0])
     m = build_model("heat")
     gaps = []
     for n_steps in (8, 16):
-        traj = implicit_baseline(m, w0, uniform_times(0.1, n_steps))
+        traj = implicit_baseline(m, g, uniform_times(0.1, n_steps), w0)
+        _, _, H = _dual_residuals(m, g, traj.tau, traj.times, traj.states)
         worst = 0.0
         for k in range(traj.n_steps):
-            h_k = residual(m, traj, k).values
             mid = 0.5 * (traj.states[k] + traj.states[k + 1])
-            gap = h_k - psi_gradient_density(m.density, g, mid)
+            gap = H[k] - psi_gradient_density(m.density, g, mid)
             worst = max(worst, h_norm(g, gap))
         gaps.append(worst)
     assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.2)
@@ -807,8 +826,8 @@ def test_uniqueness_probe_trivial_model_collapses():
     g = SpaceGrid(dim=1, n=9)
     times = uniform_times(0.1, 6)
     opts = SolveOptions(max_iters=1500, grad_tol=1e-13, energy_tol=1e-13)
-    probe = uniqueness_probe(build_model("heat"), g, times, Field(g, np.zeros(9)),
-                             opts, n_seeds=3)
+    probe = uniqueness_probe(build_model("heat"), g, times, np.zeros(9), opts,
+                             n_seeds=3)
     # all three minimizers collapse below the degenerate scale, so the probe
     # reports their absolute residual difference
     assert probe.max_pairwise <= 1e-9
@@ -820,7 +839,7 @@ def test_uniqueness_probe_heat_minimizers_agree():
     grid, times, w0 = _sine_setup()
     opts = SolveOptions(max_iters=2500, grad_tol=1e-13, energy_tol=1e-13)
     probe = uniqueness_probe(build_model("heat"), grid, times,
-                             Field(grid, w0), opts, n_seeds=3, seed=21)
+                             w0, opts, n_seeds=3, seed=21)
     assert probe.max_pairwise <= 1e-4
     assert probe.seeds == [21, 22, 23]
 
@@ -828,5 +847,5 @@ def test_uniqueness_probe_heat_minimizers_agree():
 def test_uniqueness_probe_needs_two_seeds():
     grid, times, w0 = _sine_setup()
     with pytest.raises(ValueError, match="two seeds"):
-        uniqueness_probe(build_model("heat"), grid, times, Field(grid, w0),
+        uniqueness_probe(build_model("heat"), grid, times, w0,
                          SolveOptions(), n_seeds=1)
