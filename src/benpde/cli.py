@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convex import PowerDensity, radial_value, solve_radius
+from .convex import PowerDensity, solve_radius
 from .energy import _assemble, energy_and_gradient, energy_totals, eval_energy
 from .errors import BenpdeError, ConfigError, NonFiniteInputError
 from .grid import (
@@ -468,11 +468,14 @@ def _cmd_conjugate_table(args) -> int:
                                args.regularizer)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    q, eps = args.exponent, args.regularizer
     with np.errstate(all="ignore"):  # a row that overflows fails
         ys = np.linspace(args.y_min, args.y_max, args.steps)
         r, _, unsolved = solve_radius(density, np.abs(ys))
-        table = np.column_stack(
-            (ys, r * np.abs(ys) - radial_value(density, r), np.sign(ys) * r))
+        # psi* = r|y| - psi(r) with a r^{q-1} = |y| - eps r: it overflows
+        # only where psi* does
+        psi_star = r * ((1.0 - 1.0 / q) * np.abs(ys) - (0.5 - 1.0 / q) * eps * r)
+        table = np.column_stack((ys, psi_star, np.sign(ys) * r))
     finite = np.all(np.isfinite(table), axis=1)  # NaN where a solve failed
     rows = [text + (f"  # solve failed: {unsolved[i]}" if i in unsolved
                     else "" if finite[i] else "  # not finite")

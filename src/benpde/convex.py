@@ -18,14 +18,15 @@ that solves the scalar monotone equation
     a r^{q-1} + eps r = |y|.
 
 It is solved in closed form for ``q = 2`` and ``q = 4`` and otherwise by a
-guarded Newton iteration (to :data:`NEWTON_TOL` in :data:`NEWTON_MAX_ITERS`
-steps) with a bisection fallback, accurate to machine precision, which the
-Fenchel-Young based certificates downstream rely on.
+monotone Newton iteration on ``r`` divided by an upper bound of the root, to
+within a few ulps, which the Fenchel-Young based certificates downstream rely
+on.  Its one failure is a root beyond the float range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,17 +35,16 @@ from .errors import ConjugateSolveError
 __all__ = [
     "PowerDensity",
     "radial_value",
-    "radial_slope",
     "radial_coefficient",
     "solve_radius",
 ]
 
-#: Residual tolerance of the radial Newton solve.  The residual is
-#: measured relative to max(1, |y|); two extra polishing steps after first
+#: Tolerance of the radial Newton solve on its step, relative to the bound
+#: of the root it is scaled by; two extra polishing steps after first
 #: satisfaction push the root to machine accuracy.
 NEWTON_TOL = 1e-13
 
-#: Hard cap on Newton/bisection iterations for the radial solve.
+#: Hard cap on Newton iterations for the radial solve.
 NEWTON_MAX_ITERS = 200
 
 
@@ -84,20 +84,13 @@ def radial_value(density: PowerDensity, s):
     return (a / q) * s**q + 0.5 * eps * s**2
 
 
-def radial_slope(density: PowerDensity, s):
-    """d/ds of the radial profile: ``a s^{q-1} + eps s``."""
-    s = np.asarray(s, dtype=float)
-    a, q, eps = density.coefficient, density.exponent, density.regularizer
-    return a * s ** (q - 1.0) + eps * s
-
-
 def radial_coefficient(density: PowerDensity, s, curvature: bool = False):
     """Radial coefficient ``a s^{q-2} + eps`` at magnitudes ``s >= 0``.
 
     It is the factor of the gradient law ``Dpsi(xi) = c(|xi|) xi``.  With
     ``curvature`` it is ``a (q-1) s^{q-2} + eps`` instead, the derivative of
-    :func:`radial_slope` and the second derivative of psi along ``xi``.  Both
-    read ``a + eps`` everywhere when ``q = 2``.
+    the slope ``a s^{q-1} + eps s`` and the second derivative of psi along
+    ``xi``.  Both read ``a + eps`` everywhere when ``q = 2``.
     """
     s = np.asarray(s, dtype=float)
     a, q, eps = density.coefficient, density.exponent, density.regularizer
@@ -130,24 +123,26 @@ def solve_radius(density: PowerDensity, s):
     """Solve ``a r^{q-1} + eps r = s`` for ``r >= 0``, elementwise.
 
     ``q = 2`` is linear and ``q = 4`` a cubic, both solved in closed form.
-    Other exponents use Newton iteration started from the upper end of the
-    bracket ``[0, min(max(1, s)^{1/(q-1)} a^{-1/(q-1)} + s / max(eps, 1),
-    2 (s/a)^{1/(q-1)} + 1)]``.  The root is at most ``(s/a)^{1/(q-1)}``, so
-    the second end keeps ``r^{q-1}`` finite at large ``s``.  Since the
-    profile is convex and increasing, Newton from above decreases
-    monotonically onto the root, and a bisection step guards every update
-    that would leave the bracket.  An entry whose bracket has shrunk to two
-    adjacent floats is converged, at its lower end when ``r^{q-1}``
-    overflows at the upper one.  Each entry stops on its own and gets the
-    ``r`` of a solve of it alone; one still running after
-    :data:`NEWTON_MAX_ITERS` steps fails unless it meets :data:`NEWTON_TOL`
-    there.  Returns ``(r, iterations, failures)``: the slowest entry's
-    steps, and each failed entry's :class:`ConjugateSolveError` by flat
-    index (``r`` is NaN there).
+    Other exponents use Newton iteration on ``rho = r/R``, where ``R`` is
+    the smaller of ``R_a = s^{1/(q-1)} a^{-1/(q-1)}`` and ``s/eps``, the
+    roots without one of the two terms.  Divided by ``s`` the equation reads
+    ``c1 rho^{q-1} + c2 rho = 1``, with ``c1 = (R/R_a)^{q-1} <= 1`` and
+    ``c2 = eps R/s <= 1`` and one of them 1.  Its left side is convex and
+    increasing, so the root lies in ``[1/2, 1]`` and Newton from
+    ``rho = 1`` falls onto it monotonically.  Neither coefficient overflows,
+    and ``c1`` is corrected for the rounding of ``1/(q-1)``, which keeps
+    ``r`` within a few ulps of the root.  Each entry stops on its own, two
+    steps after its Newton step in ``rho`` first meets :data:`NEWTON_TOL`,
+    and gets the ``r`` of a solve of it alone.  An entry fails where ``R``
+    overflows, so that the root exceeds half the float maximum, where ``s``
+    is NaN, or where its step still misses :data:`NEWTON_TOL` after
+    :data:`NEWTON_MAX_ITERS` steps.  Returns ``(r, iterations, failures)``:
+    the slowest entry's steps, and each failed entry's
+    :class:`ConjugateSolveError` by flat index (``r`` is NaN there).
     """
     s = np.asarray(s, dtype=float)
     scalar_in = s.ndim == 0
-    s = np.atleast_1d(s).copy()
+    s = np.atleast_1d(s)
     if np.any(s < 0.0):
         raise ValueError("magnitudes must be nonnegative")
     a, q, eps = density.coefficient, density.exponent, density.regularizer
@@ -159,45 +154,36 @@ def solve_radius(density: PowerDensity, s):
         r = _cubic_radius(a, eps, s)
         return (float(r[0]) if scalar_in else r), 1, {}
 
-    lo = np.zeros_like(s)
-    with np.errstate(over="ignore"):  # the minimum keeps a finite end
-        hi = np.maximum(1.0, s) ** (1.0 / (q - 1.0)) * a ** (-1.0 / (q - 1.0))
-        hi = np.minimum(hi + s / max(eps, 1.0),
-                        2.0 * (s / a) ** (1.0 / (q - 1.0)) + 1.0)
-    r = hi.copy()
-    r[s == 0.0] = 0.0
-
-    target_tol = NEWTON_TOL * np.maximum(1.0, s)
+    # c1 = a R^p/s, corrected for the rounding of 1/p (e = p fl(1/p) - 1),
+    # and c2 = eps R/s.  Where R is 0 (s = 0), inf (a root beyond the float
+    # range) or NaN, c1 = 1 and c2 = 0 keep rho at 1.
+    p = q - 1.0
+    e = float(Fraction(p) * Fraction(1.0 / p) - 1)
+    with np.errstate(all="ignore"):
+        root, a_root = s ** (1.0 / p), a ** (1.0 / p)
+        R = np.fmin(root / a_root, s / eps)
+        live = (R > 0.0) & (R < np.inf)
+        c1 = np.where(live, (R * a_root / root) ** p * s**e * a**-e, 1.0)
+        c2 = np.where(live, eps * R / s, 0.0)
+    rho = np.ones_like(s)
     # Number of iterations each entry still needs after first hitting the
     # tolerance; two polish steps sharpen the root to machine precision.
-    # Zero magnitudes are exact already and must not enter the bisection
-    # guard (which would nudge them off the lower bracket end).
-    polish = np.where(s == 0.0, -1, 2)
+    polish = np.full(s.shape, 2)
     for it in range(NEWTON_MAX_ITERS + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # r may be inf
-            f = radial_slope(density, r) - s
+        f = c1 * rho**p + c2 * rho - 1.0
+        fp = p * c1 * rho ** (p - 1.0) + c2
         if it == NEWTON_MAX_ITERS:
             break
-        done = (np.abs(f) <= target_tol) | (hi <= np.nextafter(lo, np.inf))
-        polish = np.where(done, polish - 1, 2)
+        polish = np.where(np.abs(f) <= NEWTON_TOL * fp, polish - 1, 2)
         active = polish >= 0
         if not np.any(active):
             break
-        lo = np.where(f < 0.0, np.maximum(lo, r), lo)
-        hi = np.where(f > 0.0, np.minimum(hi, r), hi)
-        fp = radial_coefficient(density, r, curvature=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(fp > 0.0, f / fp, 0.0)
-        r_new = r - step
-        out = (r_new < lo) | (r_new > hi) | ~np.isfinite(r_new)
-        r_new = np.where(out & active, 0.5 * (lo + hi), r_new)
-        r = np.where(active, r_new, r)
-    stopped = polish < 0  # each with the r and f it stopped at
-    failed = ~stopped & ~(np.abs(f) <= target_tol)  # a NaN residual fails
+        rho = np.where(active, rho - f / fp, rho)
+    r = rho * R
+    failed = ~np.isfinite(r) | ~(np.abs(f) <= NEWTON_TOL * fp)
     failures = {int(i): ConjugateSolveError(
         f"radial conjugate solve failed to converge for |y|={s.flat[i]:.6g}",
-        residual=abs(f.flat[i]), iterations=NEWTON_MAX_ITERS)
-        for i in np.flatnonzero(failed)}
-    r = np.where(failed, np.nan, np.where(stopped & ~np.isfinite(f), lo, r))
+        residual=abs(f.flat[i]) if np.isfinite(r.flat[i]) else np.inf,
+        iterations=it) for i in np.flatnonzero(failed)}
+    r[failed] = np.nan
     return (float(r[0]) if scalar_in else r), it, failures
-

@@ -753,7 +753,7 @@ def test_conjugate_table_counts_non_finite_rows_as_failures(tmp_path,
                  "--out", "t.csv"]) == 3
     assert "41 rows, 40 failures" in capsys.readouterr().out
     rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
-    assert rows[0].startswith("-2,1.8856180831641267,-1.41421356237309")
+    assert rows[0].startswith("-2,1.8856180831641272,-1.41421356237309")
     assert all(row.endswith("  # not finite") for row in rows[1:])
 
 
@@ -765,26 +765,33 @@ FAILED_ROW = "nan,nan  # solve failed: radial conjugate solve failed to " \
     (["--exponent", "2.0000001", "--coefficient", "1e-10", "--regularizer",
       "1", "--y-min=-1e300", "--y-max", "1e300", "--steps", "9"],
      "q=2 a=1e-10 eps=1: 9 rows, 8 failures",
-     ["-1.0000000000000001e+300," + FAILED_ROW + "1e+300",
-      "-7.5000000000000004e+299," + FAILED_ROW + "7.5e+299",
-      "-5.0000000000000003e+299," + FAILED_ROW + "5e+299",
-      "-2.5000000000000001e+299," + FAILED_ROW + "2.5e+299",
+     ["-1.0000000000000001e+300,inf,-9.9999999989999311e+299  # not finite",
+      "-7.5000000000000004e+299,inf,-7.4999999992499491e+299  # not finite",
+      "-5.0000000000000003e+299,inf,-4.9999999994999655e+299  # not finite",
+      "-2.5000000000000001e+299,inf,-2.4999999997499828e+299  # not finite",
       "0,0,0",
-      "2.5000000000000001e+299," + FAILED_ROW + "2.5e+299",
-      "5.0000000000000003e+299," + FAILED_ROW + "5e+299",
-      "7.4999999999999989e+299," + FAILED_ROW + "7.5e+299",
+      "2.5000000000000001e+299,inf,2.4999999997499828e+299  # not finite",
+      "5.0000000000000003e+299,inf,4.9999999994999655e+299  # not finite",
+      "7.4999999999999989e+299,inf,7.4999999992499476e+299  # not finite",
+      "1.0000000000000001e+300,inf,9.9999999989999311e+299  # not finite"]),
+    (["--exponent", "2.5", "--coefficient", "1e-300", "--regularizer",
+      "1e-300", "--y-min", "1e100", "--y-max", "1e300", "--steps", "2"],
+     "q=2.5 a=1e-300 eps=1e-300: 2 rows, 2 failures",
+     ["1e+100,inf,4.6415888336127799e+266  # not finite",
       "1.0000000000000001e+300," + FAILED_ROW + "1e+300"]),
     (["--exponent", "3", "--coefficient", "1e-300", "--y-min",
       "2.4007924772804366e+93", "--y-max", "1e300", "--steps", "2"],
-     "q=3 a=1e-300 eps=0: 2 rows, 2 failures",
-     ["2.4007924772804366e+93,-inf,1.3407807929942596e+154  # not finite",
-      "1.0000000000000001e+300," + FAILED_ROW + "1e+300"]),
-], ids=["eight-failed-around-zero", "not-finite-beside-failed"])
+     "q=3 a=1e-300 eps=0: 2 rows, 1 failures",
+     ["2.4007924772804366e+93,7.842249827313409e+289,4.8997882375470438e+196",
+      "1.0000000000000001e+300,inf,9.999999999999999e+299  # not finite"]),
+], ids=["eight-failed-around-zero", "not-finite-beside-failed",
+        "finite-beside-not-finite"])
 def test_conjugate_table_failed_rows(tmp_path, monkeypatch, capsys, argv,
                                      summary, table):
-    # Each row reads as a solve of its |y| alone: the first row of the second
-    # table stops on a two-float bracket whose upper end overflows, while
-    # the second runs to the iteration cap.
+    # Each row reads as a solve of its |y| alone.  A row whose argmax is
+    # finite but whose psi* overflows reads inf and "not finite"; one whose
+    # argmax lies beyond the float range (about 1e400 at |y| = 1e300 and
+    # q = 2.5) reads as a failed solve.
     monkeypatch.chdir(tmp_path)
     assert main(["conjugate-table", *argv, "--out", "t.csv"]) == 3
     captured = capsys.readouterr()
@@ -833,9 +840,22 @@ def test_conjugate_table_into_a_read_only_file_is_io_error(tmp_path,
     assert (tmp_path / "t.csv").read_text() == "kept\n"
 
 
+def test_conjugate_table_at_a_tiny_coefficient(tmp_path, monkeypatch, capsys):
+    # The argmax sqrt(|y|/a) is about 1e149, so psi(r) = a r^3/3 overflows,
+    # but psi* = (2/3) r |y| does not.
+    monkeypatch.chdir(tmp_path)
+    assert main(["conjugate-table", "--exponent", "3", "--coefficient",
+                 "1e-300", "--y-min", "0.01", "--y-max", "0.02", "--steps",
+                 "2", "--out", "t.csv"]) == 0
+    assert "2 rows, 0 failures" in capsys.readouterr().out
+    assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
+        "0.01,6.6666666666666683e+146,1e+149",
+        "0.02,1.8856180831641273e+147,1.4142135623730951e+149"]
+
+
 def test_conjugate_table_general_q_at_huge_arguments(tmp_path, monkeypatch):
     # r = |y|^{1/9} = 1.29e11 and psi* = (9/10) r |y| = 1.16e111 at the
-    # last row; the Newton start used to overflow r^{q-1} there.
+    # last row.
     monkeypatch.chdir(tmp_path)
     assert main(["conjugate-table", "--exponent", "10", "--y-min", "1e99",
                  "--y-max", "1e100", "--steps", "3", "--out", "t.csv"]) == 0

@@ -8,10 +8,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from benpde.convex import (
-    NEWTON_MAX_ITERS,
+    NEWTON_TOL,
     PowerDensity,
     radial_coefficient,
-    radial_slope,
     radial_value,
     solve_radius,
 )
@@ -176,7 +175,7 @@ def test_gradient_monotone(x0, x1, z0, z1):
 def test_radial_solve_inverts_slope(s, q):
     d = PowerDensity(1.1, q, 0.2)
     r, _ = converged_radius(d, s)
-    assert abs(float(radial_slope(d, r)) - s) <= 1e-12 * max(1.0, s)
+    assert abs(1.1 * r ** (q - 1.0) + 0.2 * r - s) <= 1e-12 * max(1.0, s)
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
@@ -216,28 +215,35 @@ def test_hessian_matches_gradient_differences():
 
 
 def test_general_q_radius_at_huge_magnitudes():
-    # The Newton start is at most 2(s/a)^{1/(q-1)} + 1, so r^{q-1} stays
-    # finite where the root is; numpy warnings are errors in this suite.
+    # The Newton iterate r/R stays in [1/2, 1], so nothing overflows where
+    # the root is finite; numpy warnings are errors in this suite.
     for q, s in ((10.0, 1e100), (3.0, 1e300), (6.0, 1e150), (2.5, 1e250),
                  (2.5, 1e308), (10.0, 1e308)):
         d = PowerDensity(1.0, q)
         r, iters = converged_radius(d, s)
         assert r == pytest.approx(s ** (1.0 / (q - 1.0)), rel=1e-12)
-        assert abs(float(radial_slope(d, r)) - s) <= 1e-13 * s
+        assert abs(r ** (q - 1.0) - s) <= 1e-13 * s
         assert iters <= 60
+
+
+def test_general_q_radius_at_a_large_exponent():
+    # One float of rho = r/R moves rho^999 by about 1e-13, the tolerance;
+    # the solve stops on its Newton step, which stays small, and converges.
+    r, _ = converged_radius(PowerDensity(1e-10, 1000.0), 1e300)
+    root = np.exp((np.log(1e300) - np.log(1e-10)) / 999.0)
+    assert r == pytest.approx(root, rel=1e-14)
 
 
 @pytest.mark.parametrize("q", [3.0, 10.0])
 def test_general_q_radius_at_the_float_maximum(q):
-    # The root's r^{q-1} sits at the float maximum: a step just above it
-    # overflows, and the bracket closing on two adjacent floats ends the
-    # solve at the lower one instead of cycling to the iteration cap.
+    # The root's r^{q-1} sits at the float maximum: an r one float above
+    # the root overflows it.
     s = np.finfo(float).max
     d = PowerDensity(1.0, q)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r, iters = converged_radius(d, s)
-        slope = float(radial_slope(d, r))
+        slope = r ** (q - 1.0)
     assert r == pytest.approx(s ** (1.0 / (q - 1.0)), rel=1e-14)
     assert abs(slope - s) <= 1e-13 * s
     assert iters <= 10
@@ -247,9 +253,9 @@ def test_general_q_radius_at_the_float_maximum(q):
     (1e-300, 3.0, 0.0, 1e300), (1e-300, 3.0, 0.0, np.finfo(float).max),
     (1e-300, 2.5, 1e-300, 1e300), (1e-10, 2.0000001, 1.0, 1e300)])
 def test_radius_bracket_overflow_warns_nowhere(a, q, eps, s):
-    # The end 2 (s/a)^{1/(q-1)} + 1 of the Newton bracket, or the start it
-    # gives, overflows; the suite's filter turns any numpy warning into an
-    # error, and no caller needs an errstate of its own.
+    # The root's r^{q-1}, or the scale R = (s/a)^{1/(q-1)}, overflows; the
+    # suite's filter turns any numpy warning into an error, and no caller
+    # needs an errstate of its own.
     d = PowerDensity(a, q, eps)
     r, iters, failures = solve_radius(d, s)
     with np.errstate(all="ignore"):
@@ -263,14 +269,33 @@ def test_radius_of_a_negative_magnitude_raises():
         solve_radius(PowerDensity(1.0, 3.0), [1.0, -1e-300])
 
 
-def test_radius_with_a_nan_residual_at_the_cap_fails():
-    # The bracket end and start are inf and the residual 0·inf is NaN, which
-    # is never above the tolerance: the entry must still fail at the cap,
-    # not return r = inf (the root is about 1.34e304).
-    d, s = PowerDensity(1e-300, 3.0), np.finfo(float).max
-    r, iters, failures = solve_radius(d, s)
-    assert np.isnan(r) and iters == NEWTON_MAX_ITERS and list(failures) == [0]
-    assert str(failures[0]).endswith("|y|=1.79769e+308")
+@pytest.mark.parametrize("s", [2.4007924772804366e93, 1e300,
+                               np.finfo(float).max])
+def test_general_q_radius_at_a_tiny_coefficient(s):
+    # The root sqrt(s/a) is finite, though r^2 overflows at 4.9e196, 1e300
+    # and 1.34e304; a r^2 = (a r) r does not.
+    r, _ = converged_radius(PowerDensity(1e-300, 3.0), s)
+    assert abs((1e-300 * r) * r - s) <= NEWTON_TOL * s
+    assert r == pytest.approx(np.sqrt(s) * 1e150, rel=1e-15)
+
+
+def test_radius_of_a_nan_magnitude_fails():
+    # Alone or beside a finite magnitude, NaN fails and leaves r NaN.
+    d = PowerDensity(1e-300, 3.0)
+    for mags in (np.nan, [1.0, np.nan]):
+        r, _, failures = solve_radius(d, mags)
+        assert np.isnan(r).tolist() == np.isnan(mags).tolist()
+        assert list(failures) == np.flatnonzero(np.isnan(mags)).tolist()
+        assert str(next(iter(failures.values()))).endswith("|y|=nan")
+
+
+def test_radius_beyond_the_float_range_fails():
+    # The root (s/a)^{2/3} is about 1e400 at s = 1e300: no float holds it.
+    # test_mixed_pair_keeps_the_stopped_entry has it beside a finite root.
+    r, _, failures = solve_radius(PowerDensity(1e-300, 2.5, 1e-300), 1e300)
+    assert np.isnan(r) and list(failures) == [0]
+    assert str(failures[0]).endswith("|y|=1e+300")
+    assert failures[0].residual == np.inf
 
 
 def test_solve_radius_batch_matches_scalar():
@@ -305,15 +330,13 @@ def _solved_alone(density, s):
 ], ids=["q3-tiny-a", "q2.5-tiny-a-eps", "q2-plus-eps1", "q10", "q3",
         "q6-huge-a-eps", "q3-mixed-pair", "q2.5-mixed-pair"])
 def test_batched_radius_equals_solves_alone(q, a, eps, mags):
-    # Each entry stops on its own: one whose bracket closed on two floats
-    # while its slope overflows keeps the lower end even when another entry
-    # runs to the iteration cap, and an entry is reported failed exactly
-    # when its own solve raises, with that solve's message.
+    # Each entry stops on its own and keeps the r of its solve alone, and
+    # an entry is reported failed exactly when its own solve raises, with
+    # that solve's message.
     d = PowerDensity(a, q, eps)
     mags = np.asarray(mags, dtype=float)
-    with np.errstate(all="ignore"):  # the bracket overflows at huge |y|/a
-        r, _, failures = solve_radius(d, mags)
-        alone = [_solved_alone(d, float(s)) for s in mags]
+    r, _, failures = solve_radius(d, mags)
+    alone = [_solved_alone(d, float(s)) for s in mags]
     assert sorted(failures) == [i for i, v in enumerate(alone)
                                 if isinstance(v, ConjugateSolveError)]
     for i, v in enumerate(alone):
@@ -323,15 +346,20 @@ def test_batched_radius_equals_solves_alone(q, a, eps, mags):
             assert np.float64(v).tobytes() == r[i].tobytes(), mags[i]
 
 
-@pytest.mark.parametrize("q, a, eps, first, radius", [
-    (3.0, 1e-300, 0.0, 2.4007924772804366e93, 1.3407807929942596e154),
-    (2.5, 1e-300, 1e-300, 1.6506483698471513e58, 3.1852513365225147e205),
+@pytest.mark.parametrize("q, a, eps, first, radius, second", [
+    (3.0, 1e-300, 0.0, 2.4007924772804366e93, 4.899788237547044e196,
+     9.999999999999999e299),
+    (2.5, 1e-300, 1e-300, 1.6506483698471513e58, 6.482905806387753e238,
+     None),
 ])
-def test_mixed_pair_keeps_the_stopped_entry(q, a, eps, first, radius):
-    # The first magnitude stops on the lower end of a two-float bracket, the
-    # second fails at the iteration cap; the raised error names the failure.
-    d = PowerDensity(a, q, eps)
-    with np.errstate(all="ignore"):
-        r, _, failures = solve_radius(d, [first, 1e300])
-    assert r[0] == radius and np.isnan(r[1]) and list(failures) == [1]
-    assert str(failures[1]).endswith("|y|=1e+300")
+def test_mixed_pair_keeps_the_stopped_entry(q, a, eps, first, radius, second):
+    # The first magnitude's root is finite though r^{q-1} overflows there.
+    # The second's root, 1e300 at q = 3, is finite too; at q = 2.5 it is
+    # about 1e400, beyond the float range, and that entry alone fails.
+    r, _, failures = solve_radius(PowerDensity(a, q, eps), [first, 1e300])
+    assert r[0] == radius
+    if second is None:
+        assert np.isnan(r[1]) and list(failures) == [1]
+        assert str(failures[1]).endswith("|y|=1e+300")
+    else:
+        assert r[1] == second and not failures

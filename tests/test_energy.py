@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import benpde.energy
-from benpde.convex import NEWTON_MAX_ITERS, PowerDensity
+from benpde.convex import PowerDensity
 from benpde.energy import (
     CertificateVerdict,
     EnergyReport,
@@ -159,17 +159,30 @@ def test_conjugate_failure_carries_slice_index(monkeypatch):
 
 
 def test_conjugate_1d_raises_the_first_failed_radial_solve():
-    # At a = 1e-300 the q = 3 radial Newton fails for |w| near 1e300 (see
-    # test_convex).  Row 0 is solved; the edge fluxes w = c - S of row 1 are
-    # 5e300/3, -4e300/3 and -1e300/3, each failing, and the raised error is
-    # the radial solve's of the first, not the iteration cap of the row.
+    # At a = eps = 1e-300 and q = 2.5 the radial root (|w|/a)^{2/3} lies
+    # beyond the float range for |w| near 1e300.  Row 0 is solved; the edge
+    # fluxes w = c - S of row 1 are 5e300/3, -4e300/3 and -1e300/3, each
+    # failing, and the raised error is the radial solve's of the first, not
+    # the iteration cap of the row.
     g = SpaceGrid(dim=1, n=2)
     y = np.array([[0.0, 0.0], [9e300, -3e300]])
-    with np.errstate(all="ignore"), pytest.raises(
-            ConjugateSolveError, match=r"^radial conjugate solve failed to "
-                                       r"converge for \|y\|=1.66667e\+300$") as info:
-        conjugate_on_dual(PowerDensity(1e-300, 3.0), g, y)
-    assert info.value.iterations == NEWTON_MAX_ITERS
+    with pytest.raises(ConjugateSolveError,
+                       match=r"^radial conjugate solve failed to converge "
+                             r"for \|y\|=1.66667e\+300$") as info:
+        conjugate_on_dual(PowerDensity(1e-300, 2.5, 1e-300), g, y)
+    assert info.value.residual == np.inf
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
+    "ROADMAP item 13: psi_total evaluates (a/q) s**q, which overflows at the "
+    "argmax 1.36e149 although psi* is finite"))
+def test_conjugate_1d_at_a_tiny_coefficient():
+    # psi scales with a, so psi*_a = a^{-1/2} psi*_1 and z_a = a^{-1/2} z_1.
+    g, y = SpaceGrid(dim=1, n=2), np.array([1.0, -0.5])
+    value, z, _ = conjugate_on_dual(PowerDensity(1e-300, 3.0), g, y)
+    unit, z_unit, _ = conjugate_on_dual(PowerDensity(1.0, 3.0), g, y)
+    assert value == pytest.approx(1e150 * unit, rel=1e-12)
+    np.testing.assert_allclose(z, 1e150 * z_unit, rtol=1e-12)
 
 
 def test_conjugate_2d_failure_carries_slice_index(monkeypatch):
