@@ -60,7 +60,8 @@ from .grid import (
     uniform_times,
     write_lines,
 )
-from .models import _BUILDERS, ModelSpec, build_model, check_all_conditions, psi_total
+from .models import (_BUILDERS, BLOCK_SIZE, ModelSpec, build_model,
+                     check_all_conditions, psi_total)
 from .solver import (
     SolveOptions,
     compare,
@@ -442,13 +443,17 @@ def _cmd_gradcheck(cfg: RunConfig) -> int:
             states = 0.5 * rng.normal(size=(times.size,) + grid.shape)
             traj = Trajectory(grid, times, states)
             _, grad = energy_and_gradient(cfg.model, traj)
-            for _ in range(directions):
-                s = rng.normal(size=states.shape)
-                s[0] = 0.0
-                tail, step = traj.states[1:], e * s[1:]
-                jp, jm = energy_totals(cfg.model, traj, [tail + step, tail - step])
-                fd.append((jp - jm) / (2.0 * e))
-                an.append(mixed_inner(traj, s, grad))
+            s = rng.normal(size=(directions,) + states.shape)
+            s[:, 0] = 0.0
+            an += [mixed_inner(traj, sk, grad) for sk in s]
+            # the +/- tails of whole directions, at most BLOCK_SIZE slices a call
+            tail = traj.states[1:]
+            per_call = max(1, BLOCK_SIZE // (2 * len(tail)))
+            for k in range(0, directions, per_call):
+                step = e * s[k:k + per_call, 1:]
+                j = energy_totals(cfg.model, traj, np.stack(
+                    [tail + step, tail - step], axis=1).reshape(-1, *tail.shape))
+                fd += list((j[0::2] - j[1::2]) / (2.0 * e))
         fd = np.array(fd)
         worst = float(np.max(np.abs(np.array(an) - fd) / np.maximum(1.0, np.abs(fd))))
     print(f"gradcheck {cfg.model.name}: worst relative error {worst:.3e} "

@@ -114,7 +114,7 @@ def _cubic_radius(a: float, eps: float, s: np.ndarray) -> np.ndarray:
     u = np.cbrt(0.5 * Q + np.hypot(0.5 * Q, p**1.5))
     with np.errstate(divide="ignore", invalid="ignore"):
         v = p / u
-        r = np.where(u > 0.0, Q / (u * u + p + v * v), 0.0)
+        r = np.where(u == 0.0, 0.0, Q / (u * u + p + v * v))  # NaN stays NaN
         slope = 3.0 * a * r * r + eps
         return r - np.where(slope > 0.0, (a * r**3 + eps * r - s) / slope, 0.0)
 
@@ -133,12 +133,13 @@ def solve_radius(density: PowerDensity, s):
     and ``c1`` is corrected for the rounding of ``1/(q-1)``, which keeps
     ``r`` within a few ulps of the root.  Each entry stops on its own, two
     steps after its Newton step in ``rho`` first meets :data:`NEWTON_TOL`,
-    and gets the ``r`` of a solve of it alone.  An entry fails where ``R``
-    overflows, so that the root exceeds half the float maximum, where ``s``
-    is NaN, or where its step still misses :data:`NEWTON_TOL` after
-    :data:`NEWTON_MAX_ITERS` steps.  Returns ``(r, iterations, failures)``:
-    the slowest entry's steps, and each failed entry's
-    :class:`ConjugateSolveError` by flat index (``r`` is NaN there).
+    and gets the ``r`` of a solve of it alone.  An entry fails where ``s``
+    is NaN, at every ``q``, and in the Newton where ``R`` overflows, so that
+    the root exceeds half the float maximum, or where its step still misses
+    :data:`NEWTON_TOL` after :data:`NEWTON_MAX_ITERS` steps.  Returns
+    ``(r, iterations, failures)``: the slowest entry's steps, and each
+    failed entry's :class:`ConjugateSolveError` by flat index (``r`` is NaN
+    there).
     """
     s = np.asarray(s, dtype=float)
     scalar_in = s.ndim == 0
@@ -147,40 +148,38 @@ def solve_radius(density: PowerDensity, s):
         raise ValueError("magnitudes must be nonnegative")
     a, q, eps = density.coefficient, density.exponent, density.regularizer
 
-    if q == 2.0:
-        r = s / (a + eps)
-        return (float(r[0]) if scalar_in else r), 0, {}
-    if q == 4.0:
-        r = _cubic_radius(a, eps, s)
-        return (float(r[0]) if scalar_in else r), 1, {}
-
-    # c1 = a R^p/s, corrected for the rounding of 1/p (e = p fl(1/p) - 1),
-    # and c2 = eps R/s.  Where R is 0 (s = 0), inf (a root beyond the float
-    # range) or NaN, c1 = 1 and c2 = 0 keep rho at 1.
-    p = q - 1.0
-    e = float(Fraction(p) * Fraction(1.0 / p) - 1)
-    with np.errstate(all="ignore"):
-        root, a_root = s ** (1.0 / p), a ** (1.0 / p)
-        R = np.fmin(root / a_root, s / eps)
-        live = (R > 0.0) & (R < np.inf)
-        c1 = np.where(live, (R * a_root / root) ** p * s**e * a**-e, 1.0)
-        c2 = np.where(live, eps * R / s, 0.0)
-    rho = np.ones_like(s)
-    # Number of iterations each entry still needs after first hitting the
-    # tolerance; two polish steps sharpen the root to machine precision.
-    polish = np.full(s.shape, 2)
-    for it in range(NEWTON_MAX_ITERS + 1):
-        f = c1 * rho**p + c2 * rho - 1.0
-        fp = p * c1 * rho ** (p - 1.0) + c2
-        if it == NEWTON_MAX_ITERS:
-            break
-        polish = np.where(np.abs(f) <= NEWTON_TOL * fp, polish - 1, 2)
-        active = polish >= 0
-        if not np.any(active):
-            break
-        rho = np.where(active, rho - f / fp, rho)
-    r = rho * R
-    failed = ~np.isfinite(r) | ~(np.abs(f) <= NEWTON_TOL * fp)
+    if q in (2.0, 4.0):  # closed forms, NaN where s is NaN (f is not read)
+        r = s / (a + eps) if q == 2.0 else _cubic_radius(a, eps, s)
+        it, f, failed = int(q == 4.0), None, np.isnan(s)
+    else:
+        # c1 = a R^p/s, corrected for the rounding of 1/p (e = p fl(1/p)
+        # - 1), and c2 = eps R/s.  Where R is 0 (s = 0), inf (a root beyond
+        # the float range) or NaN, c1 = 1 and c2 = 0 keep rho at 1.
+        p = q - 1.0
+        e = float(Fraction(p) * Fraction(1.0 / p) - 1)
+        with np.errstate(all="ignore"):
+            root, a_root = s ** (1.0 / p), a ** (1.0 / p)
+            R = np.fmin(root / a_root, s / eps)
+            live = (R > 0.0) & (R < np.inf)
+            c1 = np.where(live, (R * a_root / root) ** p * s**e * a**-e, 1.0)
+            c2 = np.where(live, eps * R / s, 0.0)
+        rho = np.ones_like(s)
+        # Number of iterations each entry still needs after first hitting
+        # the tolerance; two polish steps sharpen the root to machine
+        # precision.
+        polish = np.full(s.shape, 2)
+        for it in range(NEWTON_MAX_ITERS + 1):
+            f = c1 * rho**p + c2 * rho - 1.0
+            fp = p * c1 * rho ** (p - 1.0) + c2
+            if it == NEWTON_MAX_ITERS:
+                break
+            polish = np.where(np.abs(f) <= NEWTON_TOL * fp, polish - 1, 2)
+            active = polish >= 0
+            if not np.any(active):
+                break
+            rho = np.where(active, rho - f / fp, rho)
+        r = rho * R
+        failed = ~np.isfinite(r) | ~(np.abs(f) <= NEWTON_TOL * fp)
     failures = {int(i): ConjugateSolveError(
         f"radial conjugate solve failed to converge for |y|={s.flat[i]:.6g}",
         residual=abs(f.flat[i]) if np.isfinite(r.flat[i]) else np.inf,

@@ -25,9 +25,10 @@ constants are derived from the declared Lipschitz data of the terms plus a
 declared one-sided reaction bound ``B * theta(B) <= rho (B^2 + 1)``; a model
 whose reaction pumps energy faster than its declaration is caught by the
 positivity check (see :func:`adversarial_model`).  A constant calibrated
-against the samples instead is marked fitted.  :func:`check_condition` reads
-the times, white noise and smoothing coins of each inequality's samples, in
-sample order, from three NumPy streams spawned from ``seed`` and the condition.
+against the samples instead is marked fitted.  The checker draws each
+sample once for all six inequalities, a time and two fields, reading the
+times, white noise and smoothing coins in sample order from three NumPy
+streams spawned from ``seed``, and prices what several margins share once.
 
 All operator entry points accept leading batch axes, so a whole trajectory
 or a checker block of :data:`BLOCK_SIZE` samples evaluates in one vectorised
@@ -41,6 +42,7 @@ margins through :func:`dlambda_density` (``DLambda v`` or ``DLambda^T v``).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,9 +94,11 @@ MARGIN_FLOOR = -1e-9
 #: Maximum number of failing samples recorded in a report.
 MAX_WITNESSES = 5
 
-#: Samples per :func:`check_condition` block.  The burgers, divform_q4 and
-#: adversarial verify configs take 0.16 / 0.08 / 0.08 s at 64 / 256 / 1024,
-#: at tracemalloc peaks of 0.2 / 0.7 / 2.5 MB (medians of 15, 2-core x86_64).
+#: Samples per checker block, and time slices per ``energy_totals`` call of
+#: ``gradcheck``.  All six checks of the burgers verify config take 13 / 6.5 /
+#: 6.4 ms at 64 / 256 / 1024, at tracemalloc peaks of 0.2 / 0.8 / 2.8 MB
+#: (medians of 15, 2-core x86_64).  Larger batches allocate temporaries that
+#: the allocator maps and unmaps on every call.
 BLOCK_SIZE = 256
 
 #: Discrete Poincare constant bound: smallest eigenvalue of the 1-D
@@ -474,12 +478,11 @@ class ConditionReport:
         return out
 
 
-def _draw_block(grid: SpaceGrid, rngs, count: int, amplitude: float, t_range,
-                n_fields: int):
-    """Times ``(count,)`` and fields ``(n_fields, count, *shape)`` of the
-    next ``count`` samples from ``rngs``, the condition's streams of times,
-    white noise (per sample, field after field) and per-field coins, each
-    read in sample order: a block draws what its samples would one by one.
+def _draw_block(grid: SpaceGrid, rngs, count: int, amplitude: float, t_range):
+    """Times ``(count,)`` and fields ``(2, count, *shape)`` of the next
+    ``count`` samples from ``rngs``, the streams of times, white noise (per
+    sample, field after field) and per-field coins, each read in sample
+    order: a block draws what its samples would one by one.
 
     Per field, a coin below 0.5 keeps the white noise (rough regime, stressing
     gradient terms); otherwise it is Poisson-smoothed to peak ``amplitude``
@@ -487,8 +490,8 @@ def _draw_block(grid: SpaceGrid, rngs, count: int, amplitude: float, t_range,
     """
     t_rng, noise_rng, coin_rng = rngs
     t = t_rng.uniform(*t_range, size=count)
-    raw = noise_rng.standard_normal((count, n_fields) + grid.shape)
-    smooth = coin_rng.random((count, n_fields)) >= 0.5
+    raw = noise_rng.standard_normal((count, 2) + grid.shape)
+    smooth = coin_rng.random((count, 2)) >= 0.5
     fields = amplitude * raw
     if smooth.any():
         z = poisson_solve(grid, raw[smooth])
@@ -497,77 +500,94 @@ def _draw_block(grid: SpaceGrid, rngs, count: int, amplitude: float, t_range,
     return t, fields.swapaxes(0, 1)
 
 
+class _Block:
+    """A block of samples, times ``t`` ``(S,)`` and fields ``x``, ``h``
+    ``(S, *shape)``, with the quantities that several margins read, each
+    computed once, on first use."""
+
+    def __init__(self, model: ModelSpec, grid: SpaceGrid, t, x, h):
+        self.model, self.grid, self.t, self.x, self.h = model, grid, t, x, h
+        self.q = model.density.exponent
+
+    @cached_property
+    def x_norm(self):  # |grad x|_q
+        return grad_norm(self.grid, self.x, self.q)
+
+    @cached_property
+    def h_norm(self):  # |grad h|_q
+        return grad_norm(self.grid, self.h, self.q)
+
+    @cached_property
+    def psi(self):  # Psi(x)
+        return psi_total(self.model.density, self.grid, self.x)
+
+    @cached_property
+    def lam(self):  # Lambda_t(x)
+        return lambda_density(self.model, self.grid, self.x, self.t)
+
+    @cached_property
+    def dlam(self):  # DLambda_t(x) h
+        return dlambda_density(self.model, self.grid, self.x, self.t, self.h)
+
+    @cached_property
+    def psi_pair_gap(self):  # <h, DPsi(x + h) - DPsi(x)>_H
+        d, g = self.model.density, self.grid
+        return h_inner(g, self.h, psi_gradient_density(d, g, self.x + self.h)
+                       - psi_gradient_density(d, g, self.x))
+
+
 def _scale(a, b):
     """Elementwise ``max(1, a, b)``: the normaliser of every margin."""
     return np.maximum(np.maximum(1.0, a), b)
 
 
-def _psi_pair_gap(model, grid, base, bump):
-    """``<bump, DPsi(base + bump) - DPsi(base)>_H``."""
-    d = model.density
-    return h_inner(grid, bump, psi_gradient_density(d, grid, base + bump)
-                   - psi_gradient_density(d, grid, base))
+def _margin_growth(b):
+    c0 = b.model.constants.growth_c0
+    xq = b.x_norm ** b.q
+    upper = c0 * xq + c0 - b.psi
+    lower = b.psi - (xq / c0 - c0)
+    return np.minimum(upper, lower) / _scale(np.abs(b.psi), c0 * xq + c0)
 
 
-def _margin_growth(model, grid, x, h, t):
-    c0 = model.constants.growth_c0
-    q = model.density.exponent
-    val = psi_total(model.density, grid, x)
-    xq = grad_norm(grid, x, q) ** q
-    upper = c0 * xq + c0 - val
-    lower = val - (xq / c0 - c0)
-    return np.minimum(upper, lower) / _scale(np.abs(val), c0 * xq + c0)
-
-
-def _margin_deriv_growth(model, grid, x, h, t):
-    q = model.density.exponent
-    qstar = q / (q - 1.0)
-    lhs = dual_grad_norm(grid, dlambda_density(model, grid, x, t, h), qstar)
-    rhs = model.constants.deriv_g * (grad_norm(grid, x, q) ** (q - 2.0)
-                                     + 1.0) * grad_norm(grid, h, q)
+def _margin_deriv_growth(b):
+    lhs = dual_grad_norm(b.grid, b.dlam, b.q / (b.q - 1.0))
+    rhs = b.model.constants.deriv_g * (b.x_norm ** (b.q - 2.0) + 1.0) * b.h_norm
     return (rhs - lhs) / _scale(lhs, rhs)
 
 
-def _margin_monotonicity(model, grid, x, h, t):
-    lhs = h_inner(grid, h, dlambda_density(model, grid, x, t, h))
-    if model.lam:
-        lhs = _psi_pair_gap(model, grid, x, h) + lhs
-    q = model.density.exponent
-    hh = h_inner(grid, h, h)
-    rhs = model.constants.mono_ghat * (grad_norm(grid, x, q) ** q + 1.0) * hh
+def _margin_monotonicity(b):
+    lhs = h_inner(b.grid, b.h, b.dlam)
+    if b.model.lam:
+        lhs = b.psi_pair_gap + lhs
+    hh = h_inner(b.grid, b.h, b.h)
+    rhs = b.model.constants.mono_ghat * (b.x_norm ** b.q + 1.0) * hh
     return (lhs + rhs) / _scale(np.abs(lhs), rhs)
 
 
-def _margin_positivity(model, grid, x, h, t):
-    q = model.density.exponent
-    val = psi_total(model.density, grid, x)
-    pair = h_inner(grid, x, lambda_density(model, grid, x, t))
-    ctilde, mubar = model.constants.pos_ctilde, model.constants.pos_mubar
-    xq = grad_norm(grid, x, q) ** q
-    lhs = val + pair
-    rhs = xq / ctilde - mubar * (h_inner(grid, x, x) + 1.0)
+def _margin_positivity(b):
+    pair = h_inner(b.grid, b.x, b.lam)
+    ctilde, mubar = b.model.constants.pos_ctilde, b.model.constants.pos_mubar
+    lhs = b.psi + pair
+    rhs = b.x_norm ** b.q / ctilde - mubar * (h_inner(b.grid, b.x, b.x) + 1.0)
     return (lhs - rhs) / _scale(np.abs(lhs), np.abs(rhs))
 
 
-def _margin_uniform_convexity(model, grid, x, h, t):
-    q = model.density.exponent
-    lhs = _psi_pair_gap(model, grid, x, h)
-    c0 = model.constants.uniconv_c0
-    rhs = (grad_norm(grid, x, q) ** (q - 2.0) + 1.0) * grad_norm(grid, h, q) ** 2 / c0
+def _margin_uniform_convexity(b):
+    lhs = b.psi_pair_gap
+    c0 = b.model.constants.uniconv_c0
+    rhs = (b.x_norm ** (b.q - 2.0) + 1.0) * b.h_norm ** 2 / c0
     return (lhs - rhs) / _scale(np.abs(lhs), rhs)
 
 
-def _margin_lipschitz(model, grid, x, h, t):
-    q = model.density.exponent
-    qstar = q / (q - 1.0)
-    du = lambda_density(model, grid, x, t) - lambda_density(model, grid, h, t)
-    lhs = dual_grad_norm(grid, du, qstar)
-    rhs = model.constants.deriv_g * grad_norm(grid, x - h, q)
+def _margin_lipschitz(b):
+    du = b.lam - lambda_density(b.model, b.grid, b.h, b.t)
+    lhs = dual_grad_norm(b.grid, du, b.q / (b.q - 1.0))
+    rhs = b.model.constants.deriv_g * grad_norm(b.grid, b.x - b.h, b.q)
     return (rhs - lhs) / _scale(lhs, rhs)
 
 
-#: condition name -> (margin function, needs a second sample field); margin
-#: functions map fields ``(S, *shape)`` and times ``(S,)`` to ``(S,)``.
+#: condition name -> (margin function, reads the second field ``h``); margin
+#: functions map a :class:`_Block` of ``S`` samples to ``(S,)``.
 _CONDITIONS = {
     "growth": (_margin_growth, False),
     "deriv_growth": (_margin_deriv_growth, True),
@@ -580,60 +600,69 @@ _CONDITIONS = {
 CONDITION_NAMES = tuple(_CONDITIONS)
 
 
+def _check(model, grid, names, samples, seed, amplitude, t_range) -> list:
+    """The reports of the conditions ``names``, in that order, on one
+    shared stream of samples (see :func:`check_condition`)."""
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(3)]
+    worst = dict.fromkeys(names, np.inf)
+    witnesses = {name: [] for name in names}
+    for start in range(0, samples, BLOCK_SIZE):
+        with np.errstate(all="ignore"):  # a margin that is not finite raises
+            t, (x, h) = _draw_block(grid, rngs, min(BLOCK_SIZE, samples - start),
+                                    amplitude, t_range)
+            block = _Block(model, grid, t, x, h)
+            for name in names:
+                margin, needs_h = _CONDITIONS[name]
+                m = margin(block)
+                if not np.isfinite(m).all():
+                    raise ModelEvaluationError(
+                        f"{name}: the margin of sample "
+                        f"{start + np.argmin(np.isfinite(m))} is not finite")
+                worst[name] = min(worst[name], float(np.min(m)))
+                room = MAX_WITNESSES - len(witnesses[name])
+                for j in np.flatnonzero(m < MARGIN_FLOOR)[:room]:
+                    wit = {"margin": float(m[j]), "t": float(t[j]),
+                           "x": x[j].ravel().tolist()}
+                    if needs_h:
+                        wit["h"] = h[j].ravel().tolist()
+                    witnesses[name].append(wit)
+    return [ConditionReport(
+        condition=name, samples=samples, worst_margin=worst[name],
+        witnesses=witnesses[name], passed=worst[name] >= MARGIN_FLOOR,
+        provenance="fitted" if name in model.constants.fitted else "derived")
+        for name in names]
+
+
 def check_condition(model: ModelSpec, grid: SpaceGrid, condition: str, *,
                     samples: int = 1000, seed: int = 0, amplitude: float = 1.0,
                     t_range=(0.0, 1.0)) -> ConditionReport:
     """Sample a structural inequality; pass iff the worst normalised margin
-    stays above ``-1e-9``.
+    stays above ``-1e-9``.  Returns the entry of ``condition`` in
+    :func:`check_all_conditions` with the same arguments.
 
-    The times, white noise and smoothing coins come from three streams,
-    ``SeedSequence([seed, condition]).spawn(3)`` with the condition's index
-    in sorted name order, each read in sample order, and the samples are
-    evaluated in blocks of :data:`BLOCK_SIZE`: samples, verdicts and
-    witnesses do not depend on the block size (margins only up to summation
-    order).  The report keeps the worst margin, the first
-    :data:`MAX_WITNESSES` failing samples in index order and the provenance
-    of the constants.  A negative ``seed`` raises :class:`ValueError`, and
-    a margin that is not finite :class:`ModelEvaluationError`.
+    Every sample is a time and two fields ``x`` and ``h``; a condition of
+    one field reads ``x``.  The times, white noise and smoothing coins come
+    from three streams, ``SeedSequence(seed).spawn(3)``, each read in sample
+    order, and the samples are evaluated in blocks of :data:`BLOCK_SIZE`:
+    samples, verdicts and witnesses do not depend on the block size (margins
+    only up to summation order).  The report keeps the worst margin, the
+    first :data:`MAX_WITNESSES` failing samples in index order and the
+    provenance of the constants.  A negative ``seed`` raises
+    :class:`ValueError`, and a margin that is not finite
+    :class:`ModelEvaluationError`.
     """
     if condition not in _CONDITIONS:
         raise ValueError(
             f"unknown condition '{condition}'; available: {sorted(_CONDITIONS)}")
-    margin, needs_h = _CONDITIONS[condition]
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(
-        [seed, sorted(_CONDITIONS).index(condition)]).spawn(3)]
-
-    worst = np.inf
-    witnesses = []
-    for start in range(0, samples, BLOCK_SIZE):
-        with np.errstate(all="ignore"):  # a margin that is not finite raises
-            t, fields = _draw_block(grid, rngs, min(BLOCK_SIZE, samples - start),
-                                    amplitude, t_range, 2 if needs_h else 1)
-            x, h = fields[0], (fields[1] if needs_h else None)
-            m = margin(model, grid, x, h, t)
-        if not np.isfinite(m).all():
-            raise ModelEvaluationError(f"{condition}: the margin of sample "
-                                       f"{start + np.argmin(np.isfinite(m))} "
-                                       f"is not finite")
-        worst = min(worst, float(np.min(m)))
-        room = MAX_WITNESSES - len(witnesses)
-        for j in np.flatnonzero(m < MARGIN_FLOOR)[:room]:
-            wit = {"margin": float(m[j]), "t": float(t[j]),
-                   "x": x[j].ravel().tolist()}
-            if needs_h:
-                wit["h"] = h[j].ravel().tolist()
-            witnesses.append(wit)
-    provenance = "fitted" if condition in model.constants.fitted else "derived"
-    return ConditionReport(condition=condition, samples=samples,
-                           worst_margin=worst, witnesses=witnesses,
-                           passed=worst >= MARGIN_FLOOR, provenance=provenance)
+    return _check(model, grid, (condition,), samples, seed, amplitude,
+                  t_range)[0]
 
 
 def check_all_conditions(model: ModelSpec, grid: SpaceGrid, *, samples=1000,
                          seed=0, amplitude=1.0, t_range=(0.0, 1.0)) -> list:
-    """Run every named condition; returns the list of reports."""
-    return [
-        check_condition(model, grid, name, samples=samples, seed=seed,
-                        amplitude=amplitude, t_range=t_range)
-        for name in CONDITION_NAMES
-    ]
+    """The reports of every condition, in :data:`CONDITION_NAMES` order, on
+    one draw of samples: each block's margins run in that order, and the
+    first margin that is not finite raises."""
+    return _check(model, grid, CONDITION_NAMES, samples, seed, amplitude,
+                  t_range)

@@ -21,7 +21,7 @@ import benpde.cli
 import benpde.solver
 from benpde.cli import (_ACCEPTED, _parse_lines, _resolve_config,
                         _write_history, _write_profiles, load_config, main)
-from benpde.energy import energy_and_gradient, eval_energy
+from benpde.energy import energy_and_gradient, energy_totals, eval_energy
 from benpde.errors import ConfigError, ConjugateSolveError
 from benpde.grid import (SpaceGrid, Trajectory, mixed_inner, save_trajectory_csv,
                          uniform_times)
@@ -598,14 +598,14 @@ def test_failed_verify_removes_an_earlier_conditions_file(tmp_path,
 
 #: ``(t, margin)`` of the positivity witnesses of ``verify adversarial.cfg``
 #: in index order, as the one-sample-at-a-time replay of ``test_models``
-#: records them.  They pin the ``(seed, condition)`` sample streams: ``t``
-#: exactly, the margin to summation-order roundoff.
+#: records them.  They pin the sample streams of ``verify.seed``, which all
+#: conditions share: ``t`` exactly, the margin to summation-order roundoff.
 ADVERSARIAL_WITNESSES = (
-    (0.02573769717048722, -0.7661344112499716),
-    (0.051192048954910946, -0.7051465495391483),
-    (0.07321512176430496, -0.6732024807913994),
-    (0.0040622737838458935, -0.6985813999814577),
-    (0.07460166766603188, -0.70996407960692),
+    (0.09429375528828794, -0.5874344251639274),
+    (0.03163371523854981, -0.6859883830654034),
+    (0.07223425886498254, -0.3656348718271625),
+    (0.0056677242030601874, -0.6901396527211279),
+    (0.08189170364051791, -0.7658642183053508),
 )
 
 
@@ -684,6 +684,17 @@ def _gradcheck_reference(cfg):
             f"{cfg.keys['gradcheck.directions']} directions")
 
 
+def _assert_gradcheck_equals_loop(tmp_path, capsys, model, dim, n, m,
+                                  directions):
+    (tmp_path / "check.cfg").write_text(
+        f"{model}\ngrid.dim = {dim}\ngrid.n = {n}\ntime.T0 = 0.1\n"
+        f"time.M = {m}\ngradcheck.trajectories = 3\n"
+        f"gradcheck.directions = {directions}\ngradcheck.seed = 17\n")
+    assert main(["gradcheck", "check.cfg"]) == 0
+    expected = _gradcheck_reference(load_config(tmp_path / "check.cfg"))
+    assert capsys.readouterr().out == expected + "\n"
+
+
 @pytest.mark.parametrize("model,dim,n", [
     ("model.name = heat", 1, 9),
     ("model.name = divergence_form\nmodel.q = 4", 1, 9),
@@ -692,13 +703,29 @@ def _gradcheck_reference(cfg):
 def test_gradcheck_equals_per_trajectory_loop(tmp_path, monkeypatch, capsys,
                                               model, dim, n):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "check.cfg").write_text(
-        f"{model}\ngrid.dim = {dim}\ngrid.n = {n}\ntime.T0 = 0.1\n"
-        "time.M = 8\ngradcheck.trajectories = 3\ngradcheck.directions = 4\n"
-        "gradcheck.seed = 17\n")
-    assert main(["gradcheck", "check.cfg"]) == 0
-    expected = _gradcheck_reference(load_config(tmp_path / "check.cfg"))
-    assert capsys.readouterr().out == expected + "\n"
+    _assert_gradcheck_equals_loop(tmp_path, capsys, model, dim, n, 8, 4)
+
+
+@pytest.mark.parametrize("m,directions,tails", [
+    (64, 5, [4, 4, 2]),  # two directions a call: the last call holds one
+    (200, 2, [2, 2]),  # a call holds less than one +/- pair: one direction
+], ids=["M64", "M200"])
+def test_gradcheck_blocks_equal_per_trajectory_loop(tmp_path, monkeypatch,
+                                                    capsys, m, directions,
+                                                    tails):
+    # gradcheck prices the tails of whole directions, at most BLOCK_SIZE
+    # time slices a call, and still prints the one-tail-at-a-time line.
+    monkeypatch.chdir(tmp_path)
+    sizes = []
+
+    def counted(model, traj, batch):
+        sizes.append(len(batch))
+        return energy_totals(model, traj, batch)
+
+    monkeypatch.setattr(benpde.cli, "energy_totals", counted)
+    _assert_gradcheck_equals_loop(tmp_path, capsys, "model.name = burgers",
+                                  1, 9, m, directions)
+    assert sizes == tails * 3
 
 
 def test_conjugate_table_quadratic_is_half_square(tmp_path, monkeypatch):

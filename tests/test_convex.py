@@ -279,14 +279,18 @@ def test_general_q_radius_at_a_tiny_coefficient(s):
     assert r == pytest.approx(np.sqrt(s) * 1e150, rel=1e-15)
 
 
-def test_radius_of_a_nan_magnitude_fails():
-    # Alone or beside a finite magnitude, NaN fails and leaves r NaN.
-    d = PowerDensity(1e-300, 3.0)
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+def test_radius_of_a_nan_magnitude_fails(q):
+    # Alone or beside a finite magnitude, NaN fails and leaves r NaN, in the
+    # closed forms (q = 2, 4) as in the Newton; the finite entry is solved.
+    d = PowerDensity(1e-300, q)
     for mags in (np.nan, [1.0, np.nan]):
         r, _, failures = solve_radius(d, mags)
         assert np.isnan(r).tolist() == np.isnan(mags).tolist()
         assert list(failures) == np.flatnonzero(np.isnan(mags)).tolist()
         assert str(next(iter(failures.values()))).endswith("|y|=nan")
+        assert next(iter(failures.values())).residual == np.inf
+    assert r[0] == solve_radius(d, 1.0)[0]
 
 
 def test_radius_beyond_the_float_range_fails():

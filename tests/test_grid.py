@@ -38,7 +38,7 @@ from benpde.grid import (
     write_lines,
 )
 from benpde.convex import radial_coefficient
-from benpde.models import _psi_pair_gap, divergence_form_model
+from benpde.models import _Block, divergence_form_model
 from benpde.solver import constant_initial_trajectory
 
 ADJOINT_TOL = 1e-12
@@ -378,7 +378,7 @@ def test_psi_pair_gap_is_the_edge_sum_by_parts(dim, n, q):
     model = divergence_form_model(q=q)
     rng = np.random.default_rng(14)
     base, bump = rng.normal(size=(2, 32) + g.shape)
-    np.testing.assert_allclose(_psi_pair_gap(model, g, base, bump),
+    np.testing.assert_allclose(_Block(model, g, 0.0, base, bump).psi_pair_gap,
                                _edge_pair_gap(model.density, g, base, bump),
                                rtol=1e-13, atol=0.0)
 

@@ -58,9 +58,9 @@ def _sample_margin(model, grid, condition, x, h=None, t=0.0):
     """The checker's normalised margin of ``condition`` at one explicit
     sample ``x`` (and ``h`` for a pair condition), a block of one."""
     margin, _ = models._CONDITIONS[condition]
-    return float(margin(model, grid, np.asarray(x, dtype=float)[None],
-                        None if h is None else np.asarray(h, dtype=float)[None],
-                        np.array([float(t)]))[0])
+    return float(margin(models._Block(
+        model, grid, np.array([float(t)]), np.asarray(x, dtype=float)[None],
+        None if h is None else np.asarray(h, dtype=float)[None]))[0])
 
 
 def _oracle_lambda_1d(model, grid, u, t):
@@ -522,20 +522,21 @@ def _understated_lipschitz_model():
                          lipschitz=0.0))
 
 
-def _streams(entropy):
-    """The three generators (times, white noise, coins) a condition seeded
-    with ``entropy`` draws from."""
+def _streams(seed):
+    """The three generators (times, white noise, coins) that the checker
+    seeded with ``seed`` draws from, for every condition."""
     return [np.random.default_rng(child)
-            for child in np.random.SeedSequence(entropy).spawn(3)]
+            for child in np.random.SeedSequence(seed).spawn(3)]
 
 
-def _loop_draw(grid, rngs, count, amplitude, t_range, n_fields):
-    """The checker's draws, one sample at a time, with NumPy's public calls."""
+def _loop_draw(grid, rngs, count, amplitude, t_range):
+    """The checker's draws, one sample at a time, with NumPy's public calls:
+    a time and two fields ``x`` and ``h`` per sample."""
     t_rng, noise_rng, coin_rng = rngs
-    t, fields = np.empty(count), np.empty((n_fields, count) + grid.shape)
+    t, fields = np.empty(count), np.empty((2, count) + grid.shape)
     for j in range(count):
         t[j] = t_rng.uniform(*t_range)
-        for f in range(n_fields):
+        for f in range(2):
             raw = noise_rng.normal(size=grid.shape)
             if coin_rng.uniform() < 0.5:
                 fields[f, j] = amplitude * raw
@@ -545,16 +546,14 @@ def _loop_draw(grid, rngs, count, amplitude, t_range, n_fields):
     return t, fields
 
 
-def _replay(model, grid, condition, samples, seed, amplitude, t_range):
-    """``(t, fields, margin)`` per sample, drawn one at a time from the
-    documented ``(seed, condition)`` streams and evaluated by
-    ``_sample_margin``."""
-    rngs = _streams([seed, sorted(CONDITION_NAMES).index(condition)])
-    t, fields = _loop_draw(grid, rngs, samples, amplitude, t_range,
-                           2 if condition in PAIR_CONDITIONS else 1)
-    return [(t[j], fields[:, j],
-             _sample_margin(model, grid, condition, *fields[:, j], t=t[j]))
-            for j in range(samples)]
+def _replay(model, grid, condition, t, fields):
+    """``(t, fields, margin)`` of ``condition`` per sample of a
+    :func:`_loop_draw`, evaluated one at a time by ``_sample_margin``: a
+    condition of one field reads the first."""
+    return [(t[j], fields[:, j], _sample_margin(
+        model, grid, condition, fields[0, j],
+        fields[1, j] if condition in PAIR_CONDITIONS else None, t=t[j]))
+            for j in range(len(t))]
 
 
 def _assert_margin_close(got, want):
@@ -571,24 +570,31 @@ def _assert_margin_close(got, want):
     ("understated", 1, _understated_lipschitz_model),
 ], ids=lambda case: case[0])
 def test_batched_check_matches_one_sample_replay(case):
+    # One draw from the documented streams of the seed serves every
+    # condition, and check_condition returns its entry of the batch exactly.
     _, dim, builder = case
     g = SpaceGrid(dim=dim, n=9 if dim == 1 else 5)
     m = builder()
-    for cond in CONDITION_NAMES:
-        rep = check_condition(m, g, cond, samples=64, seed=3, amplitude=1.0,
-                              t_range=(0.0, 1.0))
-        replay = _replay(m, g, cond, 64, 3, 1.0, (0.0, 1.0))
+    reports = check_all_conditions(m, g, samples=64, seed=3, amplitude=1.0,
+                                   t_range=(0.0, 1.0))
+    assert [r.condition for r in reports] == list(CONDITION_NAMES)
+    t, fields = _loop_draw(g, _streams(3), 64, 1.0, (0.0, 1.0))
+    for cond, rep in zip(CONDITION_NAMES, reports):
+        assert check_condition(m, g, cond, samples=64, seed=3) == rep
+        replay = _replay(m, g, cond, t, fields)
         _assert_margin_close(rep.worst_margin, min(r[2] for r in replay))
         failing = [r for r in replay if r[2] < MARGIN_FLOOR][:MAX_WITNESSES]
         assert len(rep.witnesses) == len(failing), cond
-        for wit, (t, fields, margin) in zip(rep.witnesses, failing):
-            assert wit["t"] == t
+        for wit, (tj, xh, margin) in zip(rep.witnesses, failing):
+            assert wit["t"] == tj
             _assert_margin_close(wit["margin"], margin)
-            np.testing.assert_allclose(wit["x"], fields[0].ravel(),
+            np.testing.assert_allclose(wit["x"], xh[0].ravel(),
                                        rtol=REPLAY_TOL, atol=0.0)
             if cond in PAIR_CONDITIONS:
-                np.testing.assert_allclose(wit["h"], fields[1].ravel(),
+                np.testing.assert_allclose(wit["h"], xh[1].ravel(),
                                            rtol=REPLAY_TOL, atol=0.0)
+            else:
+                assert "h" not in wit
 
 
 def test_time_dependent_model_yields_witnesses():
@@ -609,6 +615,24 @@ def test_understated_lipschitz_model_fails_pair_conditions():
     failed = {r.condition: len(r.witnesses) for r in reports if not r.passed}
     assert failed == dict.fromkeys(["deriv_growth", "monotonicity",
                                     "positivity", "lipschitz"], MAX_WITNESSES)
+
+
+def test_witnesses_of_one_sample_agree_across_conditions():
+    # Every condition reads the same samples: witnesses of different
+    # conditions at one sample carry the same time and fields (the pair
+    # conditions also the same h), and at least one sample fails several.
+    reports = check_all_conditions(_understated_lipschitz_model(),
+                                   SpaceGrid(dim=1, n=9), samples=64, seed=3)
+    by_t = {}
+    for r in reports:
+        for wit in r.witnesses:
+            by_t.setdefault(wit["t"], []).append((r.condition, wit))
+    shared = [wits for wits in by_t.values()
+              if sum(c in PAIR_CONDITIONS for c, _ in wits) >= 2]
+    assert shared
+    for wits in by_t.values():
+        assert len({tuple(w["x"]) for _, w in wits}) == 1
+        assert len({tuple(w["h"]) for _, w in wits if "h" in w}) <= 1
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -639,39 +663,39 @@ def test_one_sample_margin_equals_its_block_margin_bit_for_bit(builder):
     # batched with it, so C-ordered gradients make these exact.
     g = SpaceGrid(dim=1, n=9)
     m = builder()
+    t, (x, h) = models._draw_block(g, _streams(3), 64, 1.0, (0.0, 1.0))
     for cond in CONDITION_NAMES:
         margin_fn, needs_h = models._CONDITIONS[cond]
-        rngs = _streams([3, sorted(CONDITION_NAMES).index(cond)])
-        t, fields = models._draw_block(g, rngs, 64, 1.0, (0.0, 1.0),
-                                       2 if needs_h else 1)
-        x, h = fields[0], (fields[1] if needs_h else None)
-        block = margin_fn(m, g, x, h, t)
+        block = margin_fn(models._Block(m, g, t, x, h))
         for j in range(64):
             one = _sample_margin(m, g, cond, x[j],
                                  h[j] if needs_h else None, t=t[j])
             assert one == block[j], (cond, j)
 
 
-# -- three streams per condition ------------------------------------------------
+# -- three streams per seed -------------------------------------------------------
 
 
-@pytest.mark.parametrize("n_fields", [1, 2])
+@pytest.mark.parametrize("pieces", [1, 2])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_draw_block_equals_per_sample_rng_loop(dim, n_fields):
-    # Blocks of 20 and then 30 samples continue the streams exactly where one
-    # block of 50 would, and both draw what a per-sample loop draws.
+def test_draw_block_equals_per_sample_rng_loop(dim, pieces):
+    # 50 samples drawn in one block, or in blocks of 20 and then 30 that
+    # continue the streams exactly where the one block would, are what a
+    # per-sample loop draws.
     g = SpaceGrid(dim=dim, n=9 if dim == 1 else 5)
-    for seed in [[0, 2], [123456, 5], [2**32 + 1, 0]]:
-        args = (1.5, (0.2, 0.9), n_fields)
+    for seed in [0, 123456, 2**32 + 1]:
+        args = (1.5, (0.2, 0.9))
         rngs = _streams(seed)
-        split = [models._draw_block(g, rngs, count, *args) for count in (20, 30)]
+        drawn = [models._draw_block(g, rngs, count, *args)
+                 for count in ((50,) if pieces == 1 else (20, 30))]
+        t = np.concatenate([d[0] for d in drawn])
+        fields = np.concatenate([d[1] for d in drawn], axis=1)
         whole = models._draw_block(g, _streams(seed), 50, *args)
-        assert np.array_equal(np.concatenate([s[0] for s in split]), whole[0])
-        assert np.array_equal(np.concatenate([s[1] for s in split], axis=1),
-                              whole[1])
+        assert np.array_equal(t, whole[0])
+        assert np.array_equal(fields, whole[1])
         loop = _loop_draw(g, _streams(seed), 50, *args)
-        assert np.array_equal(whole[0], loop[0])
-        np.testing.assert_allclose(whole[1], loop[1], rtol=REPLAY_TOL, atol=0.0)
+        assert np.array_equal(t, loop[0])
+        np.testing.assert_allclose(fields, loop[1], rtol=REPLAY_TOL, atol=0.0)
 
 
 def test_negative_checker_seed_raises():
