@@ -148,17 +148,17 @@ def _parse_lines(text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'section.key = value', "
-                              f"got '{raw.strip()}'", key=raw.strip())
+                              f"got '{raw.strip()}'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key.count(".") != 1:
-            raise ConfigError(f"line {lineno}: key '{key}' is not of the form "
-                              f"section.key", key=key)
+            raise ConfigError(
+                f"line {lineno}: key '{key}' is not of the form section.key")
         if key.split(".")[0] not in _SECTIONS:
-            raise ConfigError(f"unknown config section in '{key}'", key=key)
+            raise ConfigError(f"unknown config section in '{key}'")
         if key not in _ACCEPTED:
-            raise ConfigError(f"unknown config key '{key}'", key=key)
+            raise ConfigError(f"unknown config key '{key}'")
         if key in values:
-            raise ConfigError(f"duplicate config key '{key}'", key=key)
+            raise ConfigError(f"duplicate config key '{key}'")
         values[key] = value
     return values
 
@@ -168,17 +168,16 @@ def _get(values, key, spec=None):
     conv, default, check = _KEYS[key] if spec is None else spec
     if key not in values:
         if default is None:
-            raise ConfigError(f"missing required config key '{key}'", key=key)
+            raise ConfigError(f"missing required config key '{key}'")
         return default
     try:
         out = conv(values[key])
     except (ValueError, TypeError, KeyError):
-        raise ConfigError(
-            f"config key '{key}': cannot parse '{values[key]}'", key=key)
+        raise ConfigError(f"config key '{key}': cannot parse '{values[key]}'")
     if isinstance(out, float) and not np.isfinite(out):
-        raise ConfigError(f"config key '{key}': must be finite", key=key)
+        raise ConfigError(f"config key '{key}': must be finite")
     if check is not None and not check[0](out):
-        raise ConfigError(f"config key '{key}': {check[1]}", key=key)
+        raise ConfigError(f"config key '{key}': {check[1]}")
     return out
 
 
@@ -186,22 +185,20 @@ def _key_error(section: str, exc: ValueError) -> ConfigError:
     """Name ``section.<name>`` for an error whose message starts with
     ``"<name>: "``, as those of the model builders and ``SolveOptions`` do."""
     name, _, why = str(exc).partition(": ")
-    return ConfigError(f"config key '{section}.{name}': {why}",
-                       key=f"{section}.{name}")
+    return ConfigError(f"config key '{section}.{name}': {why}")
 
 
 def _build_model(values) -> ModelSpec:
     name = _get(values, "model.name", (str, None, None))
     if name not in _MODEL_PARAMS:
-        raise ConfigError(f"config key 'model.name': unknown model '{name}'",
-                          key="model.name")
+        raise ConfigError(f"config key 'model.name': unknown model '{name}'")
     params = {}
     for key in values:
         section, prop = key.split(".")
         if section == "model" and prop not in ("name", "lam"):
             if prop not in _MODEL_PARAMS[name]:
-                raise ConfigError(f"config key '{key}' does not apply to "
-                                  f"model '{name}'", key=key)
+                raise ConfigError(
+                    f"config key '{key}' does not apply to model '{name}'")
             params[prop] = _get(values, key, (float, None, None))
     try:
         model = build_model(name, **params)
@@ -226,7 +223,7 @@ def _check_density(density, grid, values, key: str, what: str) -> None:
         square = np.square(psi_total(density, grid, values))
     if not np.isfinite(square).all():
         raise ConfigError(f"config key '{key}': the integrated density of "
-                          f"{what} is too large (its square overflows)", key=key)
+                          f"{what} is too large (its square overflows)")
 
 
 def _initial_profile(keys: dict, grid: SpaceGrid, cfg_dir: Path,
@@ -240,32 +237,30 @@ def _initial_profile(keys: dict, grid: SpaceGrid, cfg_dir: Path,
             _PROFILES[profile](grid.node_coords), axis=0)
     elif profile == "csv":
         if "initial.path" not in keys:
-            raise ConfigError("missing required config key 'initial.path'",
-                              key="initial.path")
+            raise ConfigError("missing required config key 'initial.path'")
         path = Path(keys["initial.path"])
         if not path.is_absolute():
             path = cfg_dir / path
         if not path.exists():
-            raise ConfigError(f"config key 'initial.path': file '{path}' "
-                              f"does not exist", key="initial.path")
+            raise ConfigError(
+                f"config key 'initial.path': file '{path}' does not exist")
         try:
             with warnings.catch_warnings():  # an empty file fails below
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(path, delimiter=",", dtype=float)
         except ValueError as exc:
-            raise ConfigError(f"config key 'initial.path': {exc}",
-                              key="initial.path")
+            raise ConfigError(f"config key 'initial.path': {exc}")
         if data.size != grid.n_nodes:
             raise ConfigError(
                 f"config key 'initial.path': expected {grid.n_nodes} values, "
-                f"found {data.size}", key="initial.path")
+                f"found {data.size}")
         out = data.reshape(grid.shape)
     else:
-        raise ConfigError(f"config key 'initial.profile': unknown profile "
-                          f"'{profile}'", key="initial.profile")
+        raise ConfigError(
+            f"config key 'initial.profile': unknown profile '{profile}'")
     if not np.all(np.isfinite(out)):
-        raise ConfigError(f"config key '{bad}': field values contain "
-                          f"non-finite entries", key=bad)
+        raise ConfigError(
+            f"config key '{bad}': field values contain non-finite entries")
     _check_density(density, grid, out, bad, "the initial state")
     return out
 
@@ -328,8 +323,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
                                              seed=cfg.keys["solve.seed"],
                                              noise=cfg.keys["solve.noise"])
         except NonFiniteInputError as exc:
-            raise ConfigError(f"config key 'solve.noise': {exc}",
-                              key="solve.noise")
+            raise ConfigError(f"config key 'solve.noise': {exc}")
     _check_density(cfg.model.density, cfg.grid, init.states,
                    "solve.noise", "a state of the random start")
     outcome = minimize(cfg.model, init, cfg.options)

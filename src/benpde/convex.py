@@ -78,10 +78,19 @@ class PowerDensity:
 
 
 def radial_value(density: PowerDensity, s):
-    """psi as a function of the magnitude ``s = |xi| >= 0``."""
+    """psi at magnitudes ``s = |xi| >= 0``, as ``(a^{1/q} s)^q / q +
+    (eps^{1/2} s)^2 / 2``: finite wherever psi is below the float maximum
+    over ``q``, and bit for bit ``(a/q) s^q + (eps/2) s^2`` at ``a = 1``,
+    ``eps`` in ``{0, 1}`` and ``q`` in ``{2, 4}``.  At other ``q`` the
+    rounded ``1/q`` adds a relative error of up to ``|ln a| 2^-53``."""
     s = np.asarray(s, dtype=float)
     a, q, eps = density.coefficient, density.exponent, density.regularizer
-    return (a / q) * s**q + 0.5 * eps * s**2
+    psi = a ** (1.0 / q) * s
+    psi **= q
+    psi *= 1.0 / q
+    if eps:
+        psi += 0.5 * np.square(np.sqrt(eps) * s)
+    return psi
 
 
 def radial_coefficient(density: PowerDensity, s, curvature: bool = False):
@@ -102,29 +111,31 @@ def radial_coefficient(density: PowerDensity, s, curvature: bool = False):
 
 def _cubic_radius(a: float, eps: float, s: np.ndarray) -> np.ndarray:
     """Root of ``a r^3 + eps r = s`` (``s >= 0``) by Cardano plus one Newton
-    polish.
-
-    With ``Q = s/a`` and ``p = eps/(3a)`` the root is ``u - v`` where
-    ``u^3 = Q/2 + sqrt(Q^2/4 + p^3)`` and ``uv = p``.  It is evaluated as
-    ``Q / (u^2 + uv + v^2)``, which has no cancellation when ``p`` is small
-    against ``Q``; ``u = 0`` only when ``s = eps = 0``.
-    """
-    Q = s / a
-    p = eps / (3.0 * a)
-    u = np.cbrt(0.5 * Q + np.hypot(0.5 * Q, p**1.5))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    polish, solved for ``x = c r``, ``c = a^{1/3}``: ``x^3 + e x = s`` with
+    ``e = eps/c`` overflows nowhere (``x^3 <= s``), unless ``p^{3/2}`` does
+    (``p = e/3``), and then None is returned.  The root is ``u - v`` with
+    ``u^3 = s/2 + sqrt(s^2/4 + p^3)`` and ``uv = p``, taken as ``s / (u^2 +
+    uv + v^2)``, without cancellation when ``p`` is small against ``s``;
+    ``u = 0`` only when ``s = eps = 0``."""
+    c = np.cbrt(a)
+    with np.errstate(all="ignore"):
+        e, p = eps / c, eps / c / 3.0
+        if not (p32 := p**1.5) < np.inf:
+            return None
+        u = np.cbrt(0.5 * s + np.hypot(0.5 * s, p32))
         v = p / u
-        r = np.where(u == 0.0, 0.0, Q / (u * u + p + v * v))  # NaN stays NaN
-        slope = 3.0 * a * r * r + eps
-        return r - np.where(slope > 0.0, (a * r**3 + eps * r - s) / slope, 0.0)
+        x = np.where(u == 0.0, 0.0, s / (u * u + p + v * v))  # NaN stays NaN
+        slope = 3.0 * x * x + e
+        return (x - np.where(slope > 0.0, (x**3 + e * x - s) / slope, 0.0)) / c
 
 
 def solve_radius(density: PowerDensity, s):
     """Solve ``a r^{q-1} + eps r = s`` for ``r >= 0``, elementwise.
 
-    ``q = 2`` is linear and ``q = 4`` a cubic, both solved in closed form.
-    Other exponents use Newton iteration on ``rho = r/R``, where ``R`` is
-    the smaller of ``R_a = s^{1/(q-1)} a^{-1/(q-1)}`` and ``s/eps``, the
+    ``q = 2`` is linear and ``q = 4`` a cubic, both solved in closed form,
+    the cubic where ``(eps/(3 a^{1/3}))^{3/2}`` is finite.  Other exponents,
+    and the cubic beyond, use Newton iteration on ``rho = r/R``, where ``R``
+    is the smaller of ``R_a = s^{1/(q-1)} a^{-1/(q-1)}`` and ``s/eps``, the
     roots without one of the two terms.  Divided by ``s`` the equation reads
     ``c1 rho^{q-1} + c2 rho = 1``, with ``c1 = (R/R_a)^{q-1} <= 1`` and
     ``c2 = eps R/s <= 1`` and one of them 1.  Its left side is convex and
@@ -133,13 +144,12 @@ def solve_radius(density: PowerDensity, s):
     and ``c1`` is corrected for the rounding of ``1/(q-1)``, which keeps
     ``r`` within a few ulps of the root.  Each entry stops on its own, two
     steps after its Newton step in ``rho`` first meets :data:`NEWTON_TOL`,
-    and gets the ``r`` of a solve of it alone.  An entry fails where ``s``
-    is NaN, at every ``q``, and in the Newton where ``R`` overflows, so that
-    the root exceeds half the float maximum, or where its step still misses
-    :data:`NEWTON_TOL` after :data:`NEWTON_MAX_ITERS` steps.  Returns
-    ``(r, iterations, failures)``: the slowest entry's steps, and each
-    failed entry's :class:`ConjugateSolveError` by flat index (``r`` is NaN
-    there).
+    and gets the ``r`` of a solve of it alone.  An entry fails where ``r``
+    is NaN (as for a NaN ``s``), and in the Newton where ``R`` overflows (a
+    root above half the float maximum) or its step still misses
+    :data:`NEWTON_TOL` after :data:`NEWTON_MAX_ITERS` steps.  Returns ``(r,
+    iterations, failures)``: the slowest entry's steps, and each failed
+    entry's :class:`ConjugateSolveError` by flat index (``r`` is NaN there).
     """
     s = np.asarray(s, dtype=float)
     scalar_in = s.ndim == 0
@@ -148,9 +158,9 @@ def solve_radius(density: PowerDensity, s):
         raise ValueError("magnitudes must be nonnegative")
     a, q, eps = density.coefficient, density.exponent, density.regularizer
 
-    if q in (2.0, 4.0):  # closed forms, NaN where s is NaN (f is not read)
-        r = s / (a + eps) if q == 2.0 else _cubic_radius(a, eps, s)
-        it, f, failed = int(q == 4.0), None, np.isnan(s)
+    r = s / (a + eps) if q == 2.0 else _cubic_radius(a, eps, s) if q == 4.0 else None
+    if r is not None:  # closed forms
+        it, failed = int(q == 4.0), np.isnan(r)
     else:
         # c1 = a R^p/s, corrected for the rounding of 1/p (e = p fl(1/p)
         # - 1), and c2 = eps R/s.  Where R is 0 (s = 0), inf (a root beyond
@@ -181,8 +191,7 @@ def solve_radius(density: PowerDensity, s):
         r = rho * R
         failed = ~np.isfinite(r) | ~(np.abs(f) <= NEWTON_TOL * fp)
     failures = {int(i): ConjugateSolveError(
-        f"radial conjugate solve failed to converge for |y|={s.flat[i]:.6g}",
-        residual=abs(f.flat[i]) if np.isfinite(r.flat[i]) else np.inf,
-        iterations=it) for i in np.flatnonzero(failed)}
+        f"radial conjugate solve failed to converge for |y|={s.flat[i]:.6g}")
+        for i in np.flatnonzero(failed)}
     r[failed] = np.nan
     return (float(r[0]) if scalar_in else r), it, failures

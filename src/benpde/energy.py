@@ -140,15 +140,15 @@ def _conjugate_newton_2d(density: PowerDensity, grid: SpaceGrid, y: np.ndarray):
     A slice whose starting residual or target is not finite (an overflowed
     norm) fails before the first step.
     """
-    def fail(i, why, steps):
-        return ConjugateSolveError(f"slice {i}: dual Newton {why} at residual "
-                                   f"{res[i]:.3e}", res[i], steps)
+    def fail(i, why):
+        return ConjugateSolveError(
+            f"slice {i}: dual Newton {why} at residual {res[i]:.3e}")
 
     z, g = np.zeros_like(y), -y
     res, target = h_norm(grid, g), CONJUGATE_TOL * np.maximum(1.0, h_norm(grid, y))
     bad = np.flatnonzero(~(np.isfinite(res) & np.isfinite(target)))
     if bad.size:
-        raise fail(bad[0], "cannot start from a non-finite norm", 0)
+        raise fail(bad[0], "cannot start from a non-finite norm")
     todo, failure = np.arange(len(y)), None  # later slices stop on a failure
     for it in range(CONJUGATE_MAX_ITERS + 1):
         todo = todo[~(res[todo] <= target[todo])]
@@ -174,9 +174,9 @@ def _conjugate_newton_2d(density: PowerDensity, grid: SpaceGrid, y: np.ndarray):
             left = left[~ok]
             s[left] *= 0.5
         if left.size:
-            failure, todo = fail(todo[left[0]], "stalled", it), todo[:left[0]]
+            failure, todo = fail(todo[left[0]], "stalled"), todo[:left[0]]
     if todo.size:  # at the cap; these slices precede any failed one
-        failure = fail(todo[0], "hit the iteration cap", it)
+        failure = fail(todo[0], "hit the iteration cap")
     if failure is not None:
         raise failure
     return z, it
@@ -232,7 +232,7 @@ def _conjugate_exact_1d(density: PowerDensity, grid: SpaceGrid, y: np.ndarray):
         if steps == CONJUGATE_MAX_ITERS:
             raise ConjugateSolveError(
                 f"slice {todo[0]}: scalar solve hit the iteration cap at "
-                f"residual {abs(f[0]):.3e}", abs(f[0]), steps)
+                f"residual {abs(f[0]):.3e}")
         ct = c[todo]
         lo[todo] = np.where(f < 0.0, ct, lo[todo])
         hi[todo] = np.where(f > 0.0, ct, hi[todo])

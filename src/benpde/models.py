@@ -25,10 +25,10 @@ constants are derived from the declared Lipschitz data of the terms plus a
 declared one-sided reaction bound ``B * theta(B) <= rho (B^2 + 1)``; a model
 whose reaction pumps energy faster than its declaration is caught by the
 positivity check (see :func:`adversarial_model`).  A constant calibrated
-against the samples instead is marked fitted.  The checker draws each
-sample once for all six inequalities, a time and two fields, reading the
-times, white noise and smoothing coins in sample order from three NumPy
-streams spawned from ``seed``, and prices what several margins share once.
+against the samples instead is marked fitted.  :func:`check_all_conditions`
+checks all six on one draw: each sample, a time and two fields, is read
+once from three NumPy streams spawned from ``seed`` (times, white noise,
+smoothing coins), and what several margins share is priced once.
 
 All operator entry points accept leading batch axes, so a whole trajectory
 or a checker block of :data:`BLOCK_SIZE` samples evaluates in one vectorised
@@ -83,7 +83,6 @@ __all__ = [
     "adversarial_model",
     "build_model",
     "fit_constants",
-    "check_condition",
     "check_all_conditions",
     "CONDITION_NAMES",
 ]
@@ -600,20 +599,33 @@ _CONDITIONS = {
 CONDITION_NAMES = tuple(_CONDITIONS)
 
 
-def _check(model, grid, names, samples, seed, amplitude, t_range) -> list:
-    """The reports of the conditions ``names``, in that order, on one
-    shared stream of samples (see :func:`check_condition`)."""
+def check_all_conditions(model: ModelSpec, grid: SpaceGrid, *, samples=1000,
+                         seed=0, amplitude=1.0, t_range=(0.0, 1.0)) -> list:
+    """Sample every structural inequality on one draw of samples, and return
+    their reports in :data:`CONDITION_NAMES` order: each passes iff its
+    worst normalised margin stays above ``-1e-9``.
+
+    Every sample is a time and two fields ``x`` and ``h``; a condition of
+    one field reads ``x``.  The times, white noise and smoothing coins come
+    from three streams, ``SeedSequence(seed).spawn(3)``, each read in sample
+    order, and the samples are evaluated in blocks of :data:`BLOCK_SIZE`:
+    samples, verdicts and witnesses do not depend on the block size (margins
+    only up to summation order).  Each block's margins run in
+    :data:`CONDITION_NAMES` order, and the first margin that is not finite
+    raises :class:`ModelEvaluationError`; a negative ``seed`` raises
+    :class:`ValueError`.  A report keeps the worst margin, the first
+    :data:`MAX_WITNESSES` failing samples in index order and the provenance
+    of the constants."""
     rngs = [np.random.default_rng(child)
             for child in np.random.SeedSequence(seed).spawn(3)]
-    worst = dict.fromkeys(names, np.inf)
-    witnesses = {name: [] for name in names}
+    worst = dict.fromkeys(CONDITION_NAMES, np.inf)
+    witnesses = {name: [] for name in CONDITION_NAMES}
     for start in range(0, samples, BLOCK_SIZE):
         with np.errstate(all="ignore"):  # a margin that is not finite raises
             t, (x, h) = _draw_block(grid, rngs, min(BLOCK_SIZE, samples - start),
                                     amplitude, t_range)
             block = _Block(model, grid, t, x, h)
-            for name in names:
-                margin, needs_h = _CONDITIONS[name]
+            for name, (margin, needs_h) in _CONDITIONS.items():
                 m = margin(block)
                 if not np.isfinite(m).all():
                     raise ModelEvaluationError(
@@ -631,38 +643,4 @@ def _check(model, grid, names, samples, seed, amplitude, t_range) -> list:
         condition=name, samples=samples, worst_margin=worst[name],
         witnesses=witnesses[name], passed=worst[name] >= MARGIN_FLOOR,
         provenance="fitted" if name in model.constants.fitted else "derived")
-        for name in names]
-
-
-def check_condition(model: ModelSpec, grid: SpaceGrid, condition: str, *,
-                    samples: int = 1000, seed: int = 0, amplitude: float = 1.0,
-                    t_range=(0.0, 1.0)) -> ConditionReport:
-    """Sample a structural inequality; pass iff the worst normalised margin
-    stays above ``-1e-9``.  Returns the entry of ``condition`` in
-    :func:`check_all_conditions` with the same arguments.
-
-    Every sample is a time and two fields ``x`` and ``h``; a condition of
-    one field reads ``x``.  The times, white noise and smoothing coins come
-    from three streams, ``SeedSequence(seed).spawn(3)``, each read in sample
-    order, and the samples are evaluated in blocks of :data:`BLOCK_SIZE`:
-    samples, verdicts and witnesses do not depend on the block size (margins
-    only up to summation order).  The report keeps the worst margin, the
-    first :data:`MAX_WITNESSES` failing samples in index order and the
-    provenance of the constants.  A negative ``seed`` raises
-    :class:`ValueError`, and a margin that is not finite
-    :class:`ModelEvaluationError`.
-    """
-    if condition not in _CONDITIONS:
-        raise ValueError(
-            f"unknown condition '{condition}'; available: {sorted(_CONDITIONS)}")
-    return _check(model, grid, (condition,), samples, seed, amplitude,
-                  t_range)[0]
-
-
-def check_all_conditions(model: ModelSpec, grid: SpaceGrid, *, samples=1000,
-                         seed=0, amplitude=1.0, t_range=(0.0, 1.0)) -> list:
-    """The reports of every condition, in :data:`CONDITION_NAMES` order, on
-    one draw of samples: each block's margins run in that order, and the
-    first margin that is not finite raises."""
-    return _check(model, grid, CONDITION_NAMES, samples, seed, amplitude,
-                  t_range)
+        for name in CONDITION_NAMES]

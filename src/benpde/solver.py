@@ -346,8 +346,7 @@ def implicit_baseline(model: ModelSpec, grid: SpaceGrid, times,
             merit, steps = found[0], steps + 1
             continue
         k = unmet[0]
-        raise TimeStepError(f"step {k}: {why} at residual {rnorm[k]:.3e}", k,
-                            rnorm[k])
+        raise TimeStepError(f"step {k}: {why} at residual {rnorm[k]:.3e}")
 
 
 # -- cross-validation -------------------------------------------------------------------

@@ -23,7 +23,7 @@ from benpde.grid import (
 from benpde.models import (
     adversarial_model,
     burgers_model,
-    check_condition,
+    check_all_conditions,
     divergence_form_model,
     heat_model,
     lambda_density,
@@ -271,13 +271,14 @@ def test_criterion_8_condition_checkers_at_scale():
     named = ("monotonicity", "positivity", "uniform_convexity")
     all_pass = True
     for model in (heat_model(), burgers_model(u_max=10.0)):
-        for cond in named:
-            rep = check_condition(model, grid, cond, samples=10000,
-                                  t_range=(0.0, 0.1))
-            all_pass = all_pass and rep.passed
+        reports = check_all_conditions(model, grid, samples=10000,
+                                       t_range=(0.0, 0.1))
+        all_pass = all_pass and all(rep.passed for rep in reports
+                                    if rep.condition in named)
 
-    adv = check_condition(adversarial_model(), grid, "positivity",
-                          samples=2000, t_range=(0.0, 0.1))
+    adv, = (rep for rep in check_all_conditions(
+        adversarial_model(), grid, samples=2000, t_range=(0.0, 0.1))
+        if rep.condition == "positivity")
     adversarial_ok = (not adv.passed) and len(adv.witnesses) >= 1
     ok = all_pass and adversarial_ok
     _report(8, ok,

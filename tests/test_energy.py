@@ -168,14 +168,10 @@ def test_conjugate_1d_raises_the_first_failed_radial_solve():
     y = np.array([[0.0, 0.0], [9e300, -3e300]])
     with pytest.raises(ConjugateSolveError,
                        match=r"^radial conjugate solve failed to converge "
-                             r"for \|y\|=1.66667e\+300$") as info:
+                             r"for \|y\|=1.66667e\+300$"):
         conjugate_on_dual(PowerDensity(1e-300, 2.5, 1e-300), g, y)
-    assert info.value.residual == np.inf
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
-    "ROADMAP item 13: psi_total evaluates (a/q) s**q, which overflows at the "
-    "argmax 1.36e149 although psi* is finite"))
 def test_conjugate_1d_at_a_tiny_coefficient():
     # psi scales with a, so psi*_a = a^{-1/2} psi*_1 and z_a = a^{-1/2} z_1.
     g, y = SpaceGrid(dim=1, n=2), np.array([1.0, -0.5])
@@ -192,15 +188,12 @@ def test_conjugate_2d_failure_carries_slice_index(monkeypatch):
     d = PowerDensity(1.0, 4.0, 1.0)
     base = np.sin(np.arange(16.0)).reshape(4, 4)
     with np.errstate(all="ignore"), pytest.raises(
-            ConjugateSolveError, match="^slice 1: dual Newton stalled") as stall:
+            ConjugateSolveError, match="^slice 1: dual Newton stalled"):
         conjugate_on_dual(d, g, np.stack([0.1 * base, 1e150 * base]))
-    assert stall.value.iterations == 0
     monkeypatch.setattr(benpde.energy, "CONJUGATE_MAX_ITERS", 4)
     with pytest.raises(ConjugateSolveError,
-                       match="^slice 1: dual Newton hit the iteration cap"
-                       ) as cap:
+                       match="^slice 1: dual Newton hit the iteration cap"):
         conjugate_on_dual(d, g, np.stack([0.1 * base, 1e6 * base]))
-    assert cap.value.iterations == 4
     # the error is that of the first failing slice in index order, even
     # when a later slice fails at an earlier step
     with np.errstate(all="ignore"), pytest.raises(
@@ -226,9 +219,10 @@ def test_conjugate_2d_overflowed_norm_is_not_convergence():
         with pytest.raises(ConjugateSolveError,
                            match="^slice 0: dual Newton cannot start"):
             conjugate_on_dual(d, g, 1e160 * base)
-        with pytest.raises(ConjugateSolveError, match="^slice 1: ") as err:
+        with pytest.raises(ConjugateSolveError, match=(
+                "^slice 1: dual Newton cannot start from a non-finite norm "
+                "at residual inf$")):
             conjugate_on_dual(d, g, np.stack([base, 1e160 * base, base]))
-    assert err.value.residual == np.inf and err.value.iterations == 0
 
 
 def test_conjugate_at_zero_density():

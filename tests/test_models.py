@@ -32,7 +32,6 @@ from benpde.models import (
     build_model,
     burgers_model,
     check_all_conditions,
-    check_condition,
     divergence_form_model,
     dlambda_density,
     heat_model,
@@ -61,6 +60,12 @@ def _sample_margin(model, grid, condition, x, h=None, t=0.0):
     return float(margin(models._Block(
         model, grid, np.array([float(t)]), np.asarray(x, dtype=float)[None],
         None if h is None else np.asarray(h, dtype=float)[None]))[0])
+
+
+def _entry(model, grid, condition, **kwargs):
+    """The report of ``condition`` in :func:`check_all_conditions`."""
+    return check_all_conditions(model, grid, **kwargs)[
+        CONDITION_NAMES.index(condition)]
 
 
 def _oracle_lambda_1d(model, grid, u, t):
@@ -393,8 +398,8 @@ def test_builtin_models_pass_all_conditions(builder):
 def test_adversarial_fails_positivity_with_witnesses():
     g = SpaceGrid(dim=1, n=33)
     m = adversarial_model()
-    r = check_condition(m, g, "positivity", samples=CHECK_SAMPLES, seed=0,
-                        amplitude=1.0, t_range=(0.0, 0.1))
+    r = _entry(m, g, "positivity", samples=CHECK_SAMPLES, seed=0,
+               amplitude=1.0, t_range=(0.0, 0.1))
     assert not r.passed
     assert 1 <= len(r.witnesses) <= 5
     for wit in r.witnesses:
@@ -408,21 +413,23 @@ def test_adversarial_fails_positivity_with_witnesses():
 
 def test_overflowed_margin_raises_instead_of_passing():
     # At amplitude 1e200 the margins overflow to inf or nan. Neither may pass:
-    # a nan is never below the floor, and min(inf, nan) is inf.
+    # a nan is never below the floor, and min(inf, nan) is inf.  The first
+    # condition in CONDITION_NAMES order raises.
     g = SpaceGrid(dim=1, n=9)
     with pytest.raises(ModelEvaluationError,
-                       match=r"^positivity: the margin of sample 0 is not finite$"):
-        check_condition(adversarial_model(), g, "positivity", samples=300,
-                        amplitude=1e200)
+                       match=r"^growth: the margin of sample 0 is not finite$"):
+        check_all_conditions(adversarial_model(), g, samples=300,
+                             amplitude=1e200)
 
 
 def test_adversarial_passes_lipschitz_style_conditions():
     g = SpaceGrid(dim=1, n=33)
     m = adversarial_model()
-    for cond in ("growth", "deriv_growth", "lipschitz"):
-        r = check_condition(m, g, cond, samples=CHECK_SAMPLES, seed=0,
-                            amplitude=1.0, t_range=(0.0, 0.1))
-        assert r.passed, cond
+    reports = check_all_conditions(m, g, samples=CHECK_SAMPLES, seed=0,
+                                   amplitude=1.0, t_range=(0.0, 0.1))
+    for r in reports:
+        if r.condition in ("growth", "deriv_growth", "lipschitz"):
+            assert r.passed, r.condition
 
 
 def test_explicit_smooth_mode_violates_adversarial_positivity():
@@ -432,15 +439,9 @@ def test_explicit_smooth_mode_violates_adversarial_positivity():
     assert _sample_margin(heat_model(), g, "positivity", mode) > 0.0
 
 
-def test_check_condition_rejects_an_unknown_condition():
-    with pytest.raises(ValueError, match="unknown condition 'positiveness'"):
-        check_condition(heat_model(), SpaceGrid(dim=1, n=4), "positiveness",
-                        samples=1)
-
-
 def test_report_json_shape():
     g = SpaceGrid(dim=1, n=9)
-    r = check_condition(heat_model(), g, "growth", samples=10, seed=1)
+    r = _entry(heat_model(), g, "growth", samples=10, seed=1)
     d = r.to_json_dict()
     assert set(d) == {"condition", "samples", "worst_margin", "witnesses",
                       "verdict", "provenance"}
@@ -465,12 +466,12 @@ def test_reports_say_whether_their_constants_were_fitted(builder, fitted):
                                                                   "fitted"}
 
 
-def test_check_condition_is_deterministic():
+def test_checker_is_deterministic():
     g = SpaceGrid(dim=1, n=9)
     m = burgers_model()
-    a = check_condition(m, g, "monotonicity", samples=40, seed=7)
-    b = check_condition(m, g, "monotonicity", samples=40, seed=7)
-    assert a.worst_margin == b.worst_margin
+    a = check_all_conditions(m, g, samples=40, seed=7)
+    b = check_all_conditions(m, g, samples=40, seed=7)
+    assert a == b
 
 
 @settings(max_examples=40, deadline=None)
@@ -571,7 +572,7 @@ def _assert_margin_close(got, want):
 ], ids=lambda case: case[0])
 def test_batched_check_matches_one_sample_replay(case):
     # One draw from the documented streams of the seed serves every
-    # condition, and check_condition returns its entry of the batch exactly.
+    # condition.
     _, dim, builder = case
     g = SpaceGrid(dim=dim, n=9 if dim == 1 else 5)
     m = builder()
@@ -580,7 +581,6 @@ def test_batched_check_matches_one_sample_replay(case):
     assert [r.condition for r in reports] == list(CONDITION_NAMES)
     t, fields = _loop_draw(g, _streams(3), 64, 1.0, (0.0, 1.0))
     for cond, rep in zip(CONDITION_NAMES, reports):
-        assert check_condition(m, g, cond, samples=64, seed=3) == rep
         replay = _replay(m, g, cond, t, fields)
         _assert_margin_close(rep.worst_margin, min(r[2] for r in replay))
         failing = [r for r in replay if r[2] < MARGIN_FLOOR][:MAX_WITNESSES]
@@ -601,8 +601,8 @@ def test_time_dependent_model_yields_witnesses():
     # Keeps the replay test above sensitive to per-sample times: the ramp
     # model's failing margins all depend on t.
     g = SpaceGrid(dim=1, n=9)
-    rep = check_condition(_ramp_model(), g, "positivity", samples=64, seed=3,
-                          t_range=(0.0, 1.0))
+    rep = _entry(_ramp_model(), g, "positivity", samples=64, seed=3,
+                 t_range=(0.0, 1.0))
     assert len(rep.witnesses) == MAX_WITNESSES
     assert len({w["t"] for w in rep.witnesses}) == MAX_WITNESSES
 
@@ -642,10 +642,10 @@ def test_report_does_not_depend_on_block_size(monkeypatch, block):
     # margin depends on both fields (heat's is 1 at every sample).
     for m, g, cond in [(_ramp_model(), SpaceGrid(dim=1, n=9), "positivity"),
                        (burgers_model(), SpaceGrid(dim=2, n=5), "lipschitz")]:
-        want = check_condition(m, g, cond, samples=64, seed=3)
+        want = _entry(m, g, cond, samples=64, seed=3)
         with monkeypatch.context() as patch:
             patch.setattr(models, "BLOCK_SIZE", block)
-            got = check_condition(m, g, cond, samples=64, seed=3)
+            got = _entry(m, g, cond, samples=64, seed=3)
         assert got.passed == want.passed
         _assert_margin_close(got.worst_margin, want.worst_margin)
         assert len(got.witnesses) == len(want.witnesses)
@@ -700,5 +700,5 @@ def test_draw_block_equals_per_sample_rng_loop(dim, pieces):
 
 def test_negative_checker_seed_raises():
     with pytest.raises(ValueError, match="non-negative"):
-        check_condition(heat_model(), SpaceGrid(dim=1, n=5), "growth",
-                        samples=3, seed=-1)
+        check_all_conditions(heat_model(), SpaceGrid(dim=1, n=5), samples=3,
+                             seed=-1)

@@ -584,11 +584,11 @@ def test_baseline_2d_heat_matches_dense_backward_euler():
 def test_baseline_step_failure_reports_index(monkeypatch):
     g = SpaceGrid(dim=1, n=5)
     monkeypatch.setattr(benpde.solver, "BASELINE_MAX_NEWTON", 0)
-    with pytest.raises(TimeStepError) as info:
+    with pytest.raises(TimeStepError, match=(
+            r"^step 0: Newton hit the iteration cap at residual \S+$")) as info:
         implicit_baseline(build_model("heat"), g, uniform_times(0.1, 4),
                           np.ones(5))
-    assert info.value.step_index == 0
-    assert info.value.residual > 0.0
+    assert float(str(info.value).rsplit(" ", 1)[1]) > 0.0
 
 
 @pytest.mark.xfail(strict=True, raises=TimeStepError, reason=(
@@ -607,10 +607,9 @@ def test_baseline_overflowed_residual_is_never_met():
     g = SpaceGrid(dim=1, n=9)
     wave = np.sin(np.pi * g.node_coords[0])
     times = uniform_times(0.1, 4)
-    with pytest.raises(TimeStepError, match="step 0: non-finite") as info:
+    with pytest.raises(TimeStepError, match=(
+            "^step 0: non-finite residual norm or target at residual inf$")):
         implicit_baseline(build_model("heat"), g, times, 1e155 * wave)
-    assert info.value.step_index == 0
-    assert info.value.residual == np.inf
     peaks = np.max(np.abs(implicit_baseline(
         build_model("heat"), g, times, 1e150 * wave).states), axis=1)
     np.testing.assert_allclose(peaks[1:] / peaks[:-1], 0.8, rtol=0.02)
